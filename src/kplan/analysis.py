@@ -213,53 +213,30 @@ def width(problem: ConformantProblem, pi: Optional[PICNF] = None,
 
 # --- mutexes and consistency ------------------------------------------------
 
-def _pushed_rules(problem) -> List[Tuple[FrozenSet[Literal], Literal]]:
-    """Per-action rule lists with preconditions pushed into conditions.
-
-    Returns a flat list of (action_index, condition, effect); grouping by
-    action index recovers the per-action structure.
-    """
-    out = []
-    for idx, a in enumerate(problem.actions):
-        for r in a.rules:
-            out.append((idx, frozenset(a.preconditions | r.condition), r.effect))
-    return out
-
-
 class MutexSet:
+    """A symmetric set of mutex pairs of distinct literals, indexed by a
+    partner set per literal so that every query is a set lookup."""
+
     def __init__(self, pairs: FrozenSet[FrozenSet[Literal]]):
         self.pairs = pairs
+        partners: Dict[Literal, Set[Literal]] = {}
+        for a, b in pairs:
+            partners.setdefault(a, set()).add(b)
+            partners.setdefault(b, set()).add(a)
+        self._partners = {l: frozenset(s) for l, s in partners.items()}
 
     def mutex(self, L: Literal, Lp: Literal) -> bool:
-        return frozenset((L, Lp)) in self.pairs
+        return Lp in self.mutex_with(L)
 
     def set_mutex(self, S: Iterable[Literal]) -> bool:
-        S = list(S)
-        return any(frozenset((a, b)) in self.pairs
-                   for a, b in itertools.combinations(S, 2))
+        S = set(S)
+        return any(not self.mutex_with(a).isdisjoint(S) for a in S)
 
     def mutex_with(self, L: Literal) -> FrozenSet[Literal]:
-        out = set()
-        for p in self.pairs:
-            if L in p:
-                other = p - {L}
-                out.add(next(iter(other)) if other else L)
-        return frozenset(out)
+        return self._partners.get(L, frozenset())
 
     def __len__(self):
         return len(self.pairs)
-
-
-def _initially_cosatisfiable(pi: PICNF, L: Literal, Lp: Literal) -> bool:
-    """Is there a possible initial state with both L and L' true?"""
-    if Lp == L.negate():
-        return False
-    blocking = frozenset((L.negate(), Lp.negate()))
-    # I |= ~L | ~L' iff that clause is subsumed by a prime implicate
-    for c in pi.clauses:
-        if c <= blocking:
-            return False
-    return True
 
 
 def mutex_set(problem: ConformantProblem, pi: Optional[PICNF] = None,
@@ -276,64 +253,107 @@ def mutex_set(problem: ConformantProblem, pi: Optional[PICNF] = None,
       the same action ("implies" = mutex with the complement of every
       literal of C' \\ C).  The strengthened variant checks the implication
       from C u {L'} instead of C.
+
+    Action preconditions are pushed into every rule condition.  Since I is
+    in prime-implicate form, L and L' are jointly false in every initial
+    state iff they are complementary or a prime implicate is a subset of
+    {~L, ~L'}; only the empty, unit and binary prime implicates can be, so
+    the seed is read off those alone.
+
+    The fixpoint runs on indexes rather than scans: literal ids in sorted
+    order (the complement of id i is i ^ 1), a partner bitmask per literal
+    (a set of literals is mutex iff some member's partners meet it),
+    and per action a map from rule head to the pushed conditions of the
+    rules with that head, so a pair L, L' visits only the actions with L
+    or L' as a head and, in them, only the rules with head L, L' or ~L'.
+    The conditions are monotone in the pair set, so the fixpoint does not
+    depend on the order in which pairs are deleted.
     """
     if pi is None:
         pi = prime_implicates(problem.init, problem.fluents)
     lits = all_literals(problem.fluents)
-    rules = _pushed_rules(problem)
-    by_action: Dict[int, List[Tuple[FrozenSet[Literal], Literal]]] = {}
-    for idx, cond, eff in rules:
-        by_action.setdefault(idx, []).append((cond, eff))
+    lid = {l: i for i, l in enumerate(lits)}
+    everyone = (1 << len(lits)) - 1
 
-    pairs: Set[FrozenSet[Literal]] = set()
-    for a, b in itertools.combinations(lits, 2):
-        if not _initially_cosatisfiable(pi, a, b):
-            pairs.add(frozenset((a, b)))
+    # seed: complementary pairs, then empty, unit and binary implicates
+    partners = [1 << (i ^ 1) for i in range(len(lits))]
+    for c in pi.clauses:
+        if len(c) > 2 or not all(l in lid for l in c):
+            continue
+        blocked = [lid[l] ^ 1 for l in c]   # {~L, ~L'} contains c
+        if not blocked:
+            partners = [everyone & ~(1 << i) for i in range(len(lits))]
+        elif len(blocked) == 1:
+            (i,) = blocked
+            partners[i] = everyone & ~(1 << i)
+            for j in range(len(lits)):
+                if j != i:
+                    partners[j] |= 1 << i
+        else:
+            i, j = blocked
+            partners[i] |= 1 << j
+            partners[j] |= 1 << i
 
-    def set_mutex(S) -> bool:
-        return any(frozenset(p) in pairs
-                   for p in itertools.combinations(set(S), 2))
+    # per action: head id -> [(condition ids, condition mask)]
+    heads_of: List[Dict[int, List[Tuple[Tuple[int, ...], int]]]] = []
+    acting_on: Dict[int, Set[int]] = {}
+    for a in problem.actions:
+        by_head: Dict[int, List[Tuple[Tuple[int, ...], int]]] = {}
+        for r in a.rules:
+            ids = tuple(sorted({lid[l] for l in a.preconditions | r.condition}))
+            mask = 0
+            for i in ids:
+                mask |= 1 << i
+            by_head.setdefault(lid[r.effect], []).append((ids, mask))
+        for head in by_head:
+            acting_on.setdefault(head, set()).add(len(heads_of))
+        heads_of.append(by_head)
 
-    def implies(S: FrozenSet[Literal], target: FrozenSet[Literal]) -> bool:
-        for lit in target - S:
-            if not set_mutex(S | {lit.negate()}):
-                return False
-        return True
+    def set_mutex(ids: Tuple[int, ...], mask: int) -> bool:
+        return any(partners[i] & mask for i in ids)
 
-    def pair_ok(pair: FrozenSet[Literal]) -> bool:
-        two = sorted(pair)
-        L, Lp = (two[0], two[1]) if len(two) == 2 else (two[0], two[0])
-        for a_rules in by_action.values():
+    def implies(base: int, ids: Tuple[int, ...]) -> bool:
+        # base is not mutex itself here, so base u {~l} is mutex iff ~l
+        # has a partner in base
+        return all(partners[l ^ 1] & base for l in ids if not base >> l & 1)
+
+    def pair_ok(L: int, Lp: int) -> bool:
+        for act in acting_on.get(L, set()) | acting_on.get(Lp, set()):
+            by_head = heads_of[act]
+            conds = by_head.get(L, ()), by_head.get(Lp, ())
             # condition on simultaneous addition
-            for (c1, e1), (c2, e2) in itertools.permutations(a_rules, 2):
-                if e1 == L and e2 == Lp and not set_mutex(c1 | c2):
-                    return False
+            for ids1, mask1 in conds[0]:
+                for ids2, mask2 in conds[1]:
+                    both = mask1 | mask2
+                    if not (set_mutex(ids1, both) or set_mutex(ids2, both)):
+                        return False
             # condition on addition next to persistence
-            for head, other in ((L, Lp), (Lp, L)):
-                for cond, eff in a_rules:
-                    if eff != head:
+            for head, other, head_conds in ((L, Lp, conds[0]),
+                                            (Lp, L, conds[1])):
+                if other == head ^ 1:
+                    continue
+                deleting = by_head.get(other ^ 1, ())
+                for ids, mask in head_conds:
+                    if partners[other] & mask or set_mutex(ids, mask):
                         continue
-                    if other == head.negate():
-                        continue
-                    if set_mutex(cond | {other}):
-                        continue
-                    base = cond | {other} if strengthened else cond
-                    if any(eff2 == other.negate() and implies(base, cond2)
-                           for cond2, eff2 in a_rules):
-                        continue
-                    return False
+                    base = mask | 1 << other if strengthened else mask
+                    if not any(implies(base, ids2) for ids2, _ in deleting):
+                        return False
         return True
 
+    alive = [(i, j) for i in range(len(lits)) for j in range(i + 1, len(lits))
+             if partners[i] >> j & 1]
     changed = True
     while changed:
         changed = False
-        for pair in sorted(pairs, key=sorted_lits):
-            if pair not in pairs:
-                continue
-            if not pair_ok(pair):
-                pairs.discard(pair)
+        for i, j in alive:
+            if partners[i] >> j & 1 and not pair_ok(i, j):
+                partners[i] &= ~(1 << j)
+                partners[j] &= ~(1 << i)
                 changed = True
-    return MutexSet(frozenset(pairs))
+        alive = [(i, j) for i, j in alive if partners[i] >> j & 1]
+    return MutexSet(frozenset(frozenset((lits[i], lits[j]))
+                              for i, j in alive))
 
 
 def consistency_check(problem: ConformantProblem,

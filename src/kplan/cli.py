@@ -102,10 +102,12 @@ def _width_report(problem: ConformantProblem, ctx) -> Dict:
                 "witness": [[str(l) for l in sorted_lits(c)]
                             for c in witness],
             }
-            overall = max(overall, w)
+            if overall is not None:
+                overall = max(overall, w)
         except WidthSearchCap as exc:
+            # an unknown width makes the overall width unknown
             per_literal[str(L)] = {"width": None, "error": str(exc)}
-            overall = None if overall is None else overall
+            overall = None
     return {"width": overall, "literals": per_literal}
 
 

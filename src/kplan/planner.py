@@ -59,6 +59,13 @@ class Grounded:
             for p in set(props):
                 self.rules_by_prop.setdefault(p, []).append(ridx)
         self.goal_props = [2 * i + (0 if v else 1) for i, v in self.goal]
+        # hadd's per-call starting point, copied rather than rebuilt
+        self._counter0 = [len(set(p)) for p, _, _ in self.relaxed]
+        self._partial0 = [float(c) for _, _, c in self.relaxed]
+        self._unconditional = [(eff, float(c))
+                               for (_, eff, c), cnt in zip(self.relaxed,
+                                                           self._counter0)
+                               if cnt == 0]
 
     def holds(self, state: FrozenSet[int], lits) -> bool:
         return all((i in state) == v for i, v in lits)
@@ -89,8 +96,8 @@ class Grounded:
         achievement cost, counting rule conditions and preconditions."""
         n_props = 2 * len(self.atoms)
         cost = [INF] * n_props
-        counter = [len(set(p)) for p, _, _ in self.relaxed]
-        partial = [float(c) for _, _, c in self.relaxed]
+        counter = self._counter0.copy()
+        partial = self._partial0.copy()
         heap: List[Tuple[float, int]] = []
         for i in range(len(self.atoms)):
             p = 2 * i if i in state else 2 * i + 1
@@ -103,9 +110,8 @@ class Grounded:
                 cost[eff] = value
                 heapq.heappush(heap, (value, eff))
 
-        for ridx, cnt in enumerate(counter):
-            if cnt == 0:
-                relax(self.relaxed[ridx][1], partial[ridx])
+        for eff, value in self._unconditional:
+            relax(eff, value)
         while heap:
             c, p = heapq.heappop(heap)
             if c > cost[p]:
@@ -186,8 +192,10 @@ def solve(K: ClassicalProblem, max_nodes: int = 200_000,
             generated += 1
             if g.is_goal(succ):
                 plan = _reconstruct(parents, succ, g)
-                result = run_plan(K, plan)
-                assert result.achieved_goal, "internal plan check failed"
+                if not run_plan(K, plan).achieved_goal:
+                    raise InconsistentResult(
+                        "internal plan check failed: the reconstructed "
+                        "plan does not reach the goal")
                 return SolveResult(SolveStatus.SOLVED, plan, expanded,
                                    generated, time.monotonic() - start)
             h = g.hadd(succ)

@@ -24,7 +24,11 @@ from kplan import (
     rule,
     run_plan,
 )
-from kplan.model import ClassicalProblem, State
+from kplan import generators, pddl
+from kplan.analysis import all_literals
+from kplan.model import ClassicalProblem, State, sorted_lits
+from kplan.pi import prime_implicates
+from kplan.translate import cnf_goal_compile, nondet_compile
 from kplan.verify import initial_states
 
 
@@ -199,3 +203,114 @@ def is_conformant(problem: ConformantProblem, steps: Iterable[str]) -> bool:
         if not (result.applicable and result.achieved_goal):
             return False
     return True
+
+
+# --- reference mutex fixpoint -----------------------------------------------------
+
+def _pushed_rules(problem):
+    """Per-action rule lists with preconditions pushed into conditions.
+
+    Returns a flat list of (action_index, condition, effect); grouping by
+    action index recovers the per-action structure.
+    """
+    out = []
+    for idx, a in enumerate(problem.actions):
+        for r in a.rules:
+            out.append((idx, frozenset(a.preconditions | r.condition), r.effect))
+    return out
+
+
+def _initially_cosatisfiable(pi, L: Literal, Lp: Literal) -> bool:
+    """Is there a possible initial state with both L and L' true?"""
+    if Lp == L.negate():
+        return False
+    blocking = frozenset((L.negate(), Lp.negate()))
+    # I |= ~L | ~L' iff that clause is subsumed by a prime implicate
+    for c in pi.clauses:
+        if c <= blocking:
+            return False
+    return True
+
+
+def reference_mutex_set(problem: ConformantProblem, pi=None,
+                        strengthened: bool = False):
+    """The mutex greatest fixpoint by full scans: every literal pair against
+    every prime implicate, every pair against every action and every
+    ordered pair of its rules.  Returns the set of mutex pairs."""
+    if pi is None:
+        pi = prime_implicates(problem.init, problem.fluents)
+    lits = all_literals(problem.fluents)
+    rules = _pushed_rules(problem)
+    by_action: Dict[int, List[Tuple[frozenset, Literal]]] = {}
+    for idx, cond, eff in rules:
+        by_action.setdefault(idx, []).append((cond, eff))
+
+    pairs: Set[frozenset] = set()
+    for a, b in itertools.combinations(lits, 2):
+        if not _initially_cosatisfiable(pi, a, b):
+            pairs.add(frozenset((a, b)))
+
+    def set_mutex(S) -> bool:
+        return any(frozenset(p) in pairs
+                   for p in itertools.combinations(set(S), 2))
+
+    def implies(S: frozenset, target: frozenset) -> bool:
+        for lit in target - S:
+            if not set_mutex(S | {lit.negate()}):
+                return False
+        return True
+
+    def pair_ok(pair: frozenset) -> bool:
+        two = sorted(pair)
+        L, Lp = (two[0], two[1]) if len(two) == 2 else (two[0], two[0])
+        for a_rules in by_action.values():
+            # condition on simultaneous addition
+            for (c1, e1), (c2, e2) in itertools.permutations(a_rules, 2):
+                if e1 == L and e2 == Lp and not set_mutex(c1 | c2):
+                    return False
+            # condition on addition next to persistence
+            for head, other in ((L, Lp), (Lp, L)):
+                for cond, eff in a_rules:
+                    if eff != head:
+                        continue
+                    if other == head.negate():
+                        continue
+                    if set_mutex(cond | {other}):
+                        continue
+                    base = cond | {other} if strengthened else cond
+                    if any(eff2 == other.negate() and implies(base, cond2)
+                           for cond2, eff2 in a_rules):
+                        continue
+                    return False
+        return True
+
+    changed = True
+    while changed:
+        changed = False
+        for pair in sorted(pairs, key=sorted_lits):
+            if pair not in pairs:
+                continue
+            if not pair_ok(pair):
+                pairs.discard(pair)
+                changed = True
+    return frozenset(pairs)
+
+
+# --- generated benchmark instances --------------------------------------------------
+
+# The deterministic instances of the benchmark's solve and translate
+# workloads (perfbench/workloads.py), as (family, params).
+BENCH_INSTANCES = (
+    ("bomb", (10, 10)), ("bomb", (12, 4)), ("safe", (25,)),
+    ("square-center", (6,)), ("corners-square", (8,)), ("ring", (4,)),
+    ("sgripper", (3,)), ("bomb", (16, 16)), ("safe", (40,)),
+    ("disjtoy", (9,)), ("square-center", (8,)), ("sortnet", (7,)),
+)
+
+
+def compiled_instance(family: str, params: Sequence[int], copies: int = 1):
+    """A generated instance as the pipeline analyses it, with its oneof
+    bookkeeping: goal clauses compiled away and oneof effects determinized
+    with ``copies`` copies (no-op on deterministic instances)."""
+    problem = cnf_goal_compile(pddl.load(*generators.generate(family, params)))
+    return nondet_compile(problem, copies)

@@ -21,7 +21,14 @@ from kplan.analysis import all_literals, target_literals
 from kplan.errors import WidthSearchCap
 from kplan.model import action, conformant_problem, rule
 
-from conftest import build_tiny, random_suite, reachable_source_states
+from conftest import (
+    BENCH_INSTANCES,
+    build_tiny,
+    compiled_instance,
+    random_suite,
+    reachable_source_states,
+    reference_mutex_set,
+)
 
 
 def test_relevance_direct_and_transitive(tiny):
@@ -121,6 +128,55 @@ def test_strengthened_mutex_is_superset_on_random_suite():
         base = mutex_set(problem)
         strong = mutex_set(problem, strengthened=True)
         assert base.pairs <= strong.pairs
+
+
+def _check_against_reference(problem):
+    pi = prime_implicates(problem.init, problem.fluents)
+    for strengthened in (False, True):
+        mx = mutex_set(problem, pi, strengthened)
+        assert mx.pairs == reference_mutex_set(problem, pi, strengthened), \
+            strengthened
+        for L in all_literals(problem.fluents):
+            scanned = {other for p in mx.pairs if L in p
+                       for other in p - {L}}
+            assert mx.mutex_with(L) == scanned, L
+        for a in problem.actions:
+            for r in a.rules:
+                cond = a.preconditions | r.condition
+                assert mx.set_mutex(cond) == any(p <= cond
+                                                 for p in mx.pairs)
+
+
+def test_mutex_set_matches_reference_on_random_suite():
+    for problem in random_suite(303, 60):
+        _check_against_reference(problem)
+
+
+def test_mutex_pair_kept_by_a_rule_with_mutex_condition():
+    # {x, y} survives only because the rule adding y has the condition
+    # {p, q}, which is itself mutex (static and initially exclusive)
+    problem = conformant_problem(
+        ["p", "q", "x", "y"],
+        [[neg("p"), neg("q")], [neg("x"), neg("y")]],
+        [action("a", rules=[rule([], pos("x")), rule([], neg("y")),
+                            rule([pos("p"), pos("q")], pos("y"))])],
+        [pos("x")])
+    assert mutex_set(problem).mutex(pos("x"), pos("y"))
+    _check_against_reference(problem)
+
+
+@pytest.mark.parametrize("family,params", BENCH_INSTANCES,
+                         ids=["-".join(map(str, (f, *p)))
+                              for f, p in BENCH_INSTANCES])
+def test_mutex_set_matches_reference_on_generated(family, params):
+    _check_against_reference(compiled_instance(family, params)[0])
+
+
+def test_mutex_set_matches_reference_on_nondet_copies():
+    # the pipeline's second and third oneof copies add hidden fluents
+    for copies in (2, 3):
+        _check_against_reference(
+            compiled_instance("sgripper", (2,), copies)[0])
 
 
 def test_consistency_check_rejects_unsat_init():

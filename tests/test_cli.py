@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from kplan import cli
 from kplan.cli import main
+from kplan.errors import WidthSearchCap
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +63,31 @@ def test_translate_warns_when_width_exceeds_bound(tmp_path, capsys):
     assert report["widths"]["width"] == 3
     assert "completeness is not guaranteed" in report["warning"]
     assert "warning" in out
+
+
+def test_translate_warns_when_a_width_search_hits_its_cap(
+        tmp_path, capsys, monkeypatch):
+    real = cli.width_of_literal
+    capped = []
+
+    def width_of_literal(ci, L, rel, pi, cap=None):
+        if not capped:  # the first target literal; later ones are searched
+            capped.append(L)
+            raise WidthSearchCap(f"no witness for literal {L}")
+        return real(ci, L, rel, pi, cap)
+
+    monkeypatch.setattr(cli, "width_of_literal", width_of_literal)
+    dom, prob = gen_instance(tmp_path, "bomb", 3, 3)
+    report_path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "translate", str(dom), str(prob),
+                             "--scheme", "ki:1",
+                             "--report", str(report_path))
+    assert code == 0
+    report = json.loads(report_path.read_text())
+    assert report["widths"]["width"] is None
+    assert report["widths"]["literals"][str(capped[0])]["width"] is None
+    assert len(report["widths"]["literals"]) > 1
+    assert "completeness is not guaranteed" in report["warning"]
 
 
 def test_translate_export_is_deterministic(tmp_path, capsys):

@@ -1,18 +1,43 @@
 """Embedded classical planner: search outcomes, heuristic, optimal oracle."""
 
+import heapq
+from collections import deque
+
 import pytest
 
-from kplan import SolveStatus, bfs_optimal, k0, ki, neg, pos, solve
+from kplan import (
+    InconsistentResult,
+    SolveStatus,
+    bfs_optimal,
+    build_context,
+    k0,
+    ki,
+    ktm,
+    neg,
+    pos,
+    solve,
+    spec_ki,
+)
+from kplan import planner
 from kplan.model import (
     Action,
     ClassicalProblem,
     Plan,
+    RunResult,
     action,
     rule,
     run_plan,
 )
+from kplan.planner import INF, Grounded
+from kplan.translate import inject_reset_effects
 
-from conftest import TINY_PLAN, build_pickdrop, build_tiny
+from conftest import (
+    TINY_PLAN,
+    build_pickdrop,
+    build_tiny,
+    compiled_instance,
+    random_suite,
+)
 
 
 def chain_problem(n: int) -> ClassicalProblem:
@@ -103,3 +128,82 @@ def test_bfs_optimal_depth_cap():
 
 def test_bfs_optimal_state_cap():
     assert bfs_optimal(chain_problem(8), depth_cap=8, max_states=2) is None
+
+
+def test_solve_raises_typed_error_when_its_plan_fails(monkeypatch):
+    def failing_run(K, plan):
+        return RunResult(True, K.initial_state(), False)
+
+    monkeypatch.setattr(planner, "run_plan", failing_run)
+    with pytest.raises(InconsistentResult, match="internal plan check"):
+        solve(chain_problem(3))
+
+
+# --- hadd against its per-call construction -----------------------------------
+
+def reference_hadd(g: Grounded, state) -> float:
+    """hadd with the rule counters, partial costs and unconditional rules
+    rebuilt on every call."""
+    cost = [INF] * (2 * len(g.atoms))
+    counter = [len(set(p)) for p, _, _ in g.relaxed]
+    partial = [float(c) for _, _, c in g.relaxed]
+    heap = []
+    for i in range(len(g.atoms)):
+        p = 2 * i if i in state else 2 * i + 1
+        cost[p] = 0.0
+        heap.append((0.0, p))
+    heapq.heapify(heap)
+
+    def relax(eff, value):
+        if value < cost[eff]:
+            cost[eff] = value
+            heapq.heappush(heap, (value, eff))
+
+    for ridx, cnt in enumerate(counter):
+        if cnt == 0:
+            relax(g.relaxed[ridx][1], partial[ridx])
+    while heap:
+        c, p = heapq.heappop(heap)
+        if c > cost[p]:
+            continue
+        for ridx in g.rules_by_prop.get(p, ()):
+            partial[ridx] += c
+            counter[ridx] -= 1
+            if counter[ridx] == 0:
+                relax(g.relaxed[ridx][1], partial[ridx])
+    return sum(cost[gp] for gp in g.goal_props)
+
+
+def first_stage_problem(family, params):
+    """The classical problem of the pipeline's first ladder stage (ki:1,
+    optimized, one oneof copy)."""
+    compiled, info = compiled_instance(family, params)
+    ctx = build_context(compiled)
+    spec = spec_ki(ctx, 1, include_all=bool(info.resets))
+    K = ktm(compiled, spec, ctx, optimized=True, validate=False)
+    return inject_reset_effects(K, compiled, spec, info)
+
+
+def assert_hadd_matches_reference(K, max_states=150):
+    g = Grounded(K)
+    seen = {g.init}
+    queue = deque([g.init])
+    while queue:
+        state = queue.popleft()
+        assert g.hadd(state) == reference_hadd(g, state)
+        for idx in g.applicable(state):
+            succ = g.apply(state, idx)
+            if succ not in seen and len(seen) < max_states:
+                seen.add(succ)
+                queue.append(succ)
+
+
+def test_hadd_matches_reference_on_random_suite():
+    for problem in random_suite(404, 20):
+        assert_hadd_matches_reference(ki(problem, 1))
+
+
+@pytest.mark.parametrize("family,params", [
+    ("sgripper", (3,)), ("bomb", (10, 10)), ("safe", (25,))])
+def test_hadd_matches_reference_on_generated(family, params):
+    assert_hadd_matches_reference(first_stage_problem(family, params))
