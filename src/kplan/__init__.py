@@ -9,6 +9,7 @@ oracles.
 from .errors import (
     BasisStateNotFound,
     BudgetExhausted,
+    CapExceeded,
     GroundingBlowup,
     InconsistentInit,
     InconsistentResult,

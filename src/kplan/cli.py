@@ -163,21 +163,27 @@ def cmd_translate(args) -> int:
     return 0
 
 
+def _pipeline_config(args) -> PipelineConfig:
+    nodes, seconds = args.budget
+    state_cap, model_cap, pi_cap = args.caps
+    return PipelineConfig(max_nodes=nodes, max_seconds=seconds,
+                          optimized=args.opt,
+                          strengthened_mutex=args.strengthened_mutex,
+                          max_copies=args.nondet_copies,
+                          state_cap=state_cap, model_cap=model_cap,
+                          pi_cap=pi_cap)
+
+
 def cmd_solve(args) -> int:
     problem = _load_problem(args)
-    nodes, seconds = args.budget
-    config = PipelineConfig(max_nodes=nodes, max_seconds=seconds,
-                            optimized=args.opt,
-                            strengthened_mutex=args.strengthened_mutex,
-                            max_copies=args.nondet_copies,
-                            state_cap=args.caps[0])
     try:
-        plan, report = pipeline_solve(problem, config)
+        plan, report = pipeline_solve(problem, _pipeline_config(args))
     except (NoPlanFound, BudgetExhausted) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         for stage in exc.trace:
+            error = f" ({stage['error']})" if "error" in stage else ""
             print(f"  stage {stage['scheme']} (copies={stage['copies']}): "
-                  f"{stage['status']}", file=sys.stderr)
+                  f"{stage['status']}{error}", file=sys.stderr)
         _write_report(args, {"command": "solve", "failure": str(exc),
                              "stages": exc.trace})
         return 1
@@ -272,10 +278,7 @@ DEFAULT_BENCH = (
 
 
 def cmd_bench(args) -> int:
-    nodes, seconds = args.budget
-    config = PipelineConfig(max_nodes=nodes, max_seconds=seconds,
-                            optimized=args.opt,
-                            max_copies=args.nondet_copies)
+    config = _pipeline_config(args)
     rows = []
     for family, params in DEFAULT_BENCH:
         name = "-".join([family, *[str(p) for p in params]])

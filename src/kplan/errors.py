@@ -9,6 +9,10 @@ class KplanError(Exception):
     """Base class for all toolkit errors."""
 
 
+class CapExceeded(KplanError):
+    """Base class for the errors raised when a configured cap is hit."""
+
+
 # --- core ---------------------------------------------------------------
 
 class PreconditionViolation(KplanError):
@@ -44,7 +48,7 @@ class UnsupportedFeature(KplanError):
     """A construct outside the supported input subset was encountered."""
 
 
-class GroundingBlowup(KplanError):
+class GroundingBlowup(CapExceeded):
     """Grounding would exceed the configured instance cap."""
 
 
@@ -58,17 +62,17 @@ class InconsistentInit(KplanError):
     """The initial clause set is unsatisfiable (empty clause derived)."""
 
 
-class PiBlowup(KplanError):
+class PiBlowup(CapExceeded):
     """Prime-implicate computation exceeded the clause-count cap."""
 
 
-class ValidityUndecidedAtCap(KplanError):
+class ValidityUndecidedAtCap(CapExceeded):
     """Merge-validity model enumeration hit the model cap undecided."""
 
 
 # --- analysis / translate -----------------------------------------------
 
-class WidthSearchCap(KplanError):
+class WidthSearchCap(CapExceeded):
     """Width search exceeded the configured subset-size bound."""
 
 
@@ -76,11 +80,11 @@ class InvalidSpec(KplanError):
     """A translation spec has an invalid merge or inconsistent tag."""
 
 
-class TooManyInitialStates(KplanError):
+class TooManyInitialStates(CapExceeded):
     """Initial-state enumeration exceeded its cap."""
 
 
-class TooManyModels(KplanError):
+class TooManyModels(CapExceeded):
     """Per-literal model enumeration exceeded its cap."""
 
 

@@ -8,12 +8,14 @@ plan after the brute-force conformance oracle accepts it.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .analysis import build_context
-from .errors import BudgetExhausted, NoPlanFound
+from .errors import BudgetExhausted, CapExceeded, NoPlanFound
 from .model import ConformantProblem, Plan, neg, pos
+from .pi import DEFAULT_MODEL_CAP, DEFAULT_PI_CLAUSE_CAP
 from .planner import SolveStatus, solve
 from .translate import (
     NondetInfo,
@@ -23,17 +25,19 @@ from .translate import (
     spec_ki,
     spec_kmodels,
 )
-from .verify import conformant_check
+from .verify import DEFAULT_STATE_CAP, conformant_check
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     max_nodes: int = 200_000
-    max_seconds: Optional[float] = None
+    max_seconds: Optional[float] = None  # one deadline for the whole ladder
     optimized: bool = True
     strengthened_mutex: bool = False
     max_copies: int = 3
-    state_cap: int = 4096
+    state_cap: int = DEFAULT_STATE_CAP
+    model_cap: int = DEFAULT_MODEL_CAP
+    pi_cap: int = DEFAULT_PI_CLAUSE_CAP
     schemes: Tuple[str, ...] = ("k1", "kmodels")
 
 
@@ -57,17 +61,27 @@ def _translation_summary(K) -> Dict:
     }
 
 
+def _cap_exceeded(stage: Dict, exc: CapExceeded):
+    stage["status"] = "cap-exceeded"
+    stage["error"] = f"{type(exc).__name__}: {exc}"
+
+
 def pipeline_solve(problem: ConformantProblem,
                    config: Optional[PipelineConfig] = None
                    ) -> Tuple[Plan, Dict]:
     """Solve a conformant problem end to end.
 
     Returns the merge-stripped plan and a machine-readable report (stage
-    ladder, translation sizes, verdicts).  Raises NoPlanFound when every
-    stage conclusively fails, BudgetExhausted when some stage ran out of
-    search budget; both carry the stage trace.
+    ladder, translation sizes, verdicts).  A stage that hits a cap is
+    recorded with status "cap-exceeded" and the error, and the ladder goes
+    on.  ``config.max_seconds`` bounds the searches of the whole ladder:
+    each stage searches for at most the time left.  Raises NoPlanFound
+    when every stage conclusively fails, BudgetExhausted when some stage
+    ran out of search budget; both carry the stage trace.
     """
     config = config or PipelineConfig()
+    deadline = (None if config.max_seconds is None
+                else time.monotonic() + config.max_seconds)
     report: Dict = {
         "problem": _problem_summary(problem),
         "stages": [],
@@ -85,36 +99,53 @@ def pipeline_solve(problem: ConformantProblem,
             compiled, info = nondet_compile(base, copies)
         else:
             compiled, info = base, None
-        ctx = build_context(compiled,
-                            strengthened_mutex=config.strengthened_mutex)
-        consistent = all(ctx.mutexes.mutex(pos(f), neg(f))
-                         for f in compiled.fluents)
+        try:
+            ctx = build_context(compiled, pi_cap=config.pi_cap,
+                                strengthened_mutex=config.strengthened_mutex)
+        except CapExceeded as exc:
+            ctx, context_error = None, exc
+        else:
+            consistent = all(ctx.mutexes.mutex(pos(f), neg(f))
+                             for f in compiled.fluents)
         include_all = nondet
         for scheme in config.schemes:
-            if scheme == "k1":
-                spec = spec_ki(ctx, 1, include_all=include_all)
-            elif scheme == "kmodels":
-                spec = spec_kmodels(ctx, include_all=include_all)
-            else:
-                raise ValueError(f"unknown ladder scheme {scheme}")
+            stage: Dict = {
+                "scheme": scheme,
+                "copies": copies,
+                "optimized": config.optimized,
+            }
+            report["stages"].append(stage)
+            if ctx is None:
+                _cap_exceeded(stage, context_error)
+                continue
+            stage["consistent"] = consistent
+            try:
+                if scheme == "k1":
+                    spec = spec_ki(ctx, 1, include_all=include_all)
+                elif scheme == "kmodels":
+                    spec = spec_kmodels(ctx, cap=config.model_cap,
+                                        include_all=include_all)
+                else:
+                    raise ValueError(f"unknown ladder scheme {scheme}")
+            except CapExceeded as exc:
+                _cap_exceeded(stage, exc)
+                continue
             K = ktm(compiled, spec, ctx, optimized=config.optimized,
                     validate=False)
             if info is not None:
                 K = inject_reset_effects(K, compiled, spec, info)
+            max_seconds = (None if deadline is None
+                           else max(0.0, deadline - time.monotonic()))
             result = solve(K, max_nodes=config.max_nodes,
-                           max_seconds=config.max_seconds)
-            stage = {
-                "scheme": scheme,
-                "copies": copies,
-                "optimized": config.optimized,
-                "consistent": consistent,
+                           max_seconds=max_seconds)
+            stage.update({
                 "translation": _translation_summary(K),
                 "status": result.status.value,
                 "expanded": result.expanded,
                 "generated": result.generated,
+                "evaluated": result.evaluated,
                 "seconds": round(result.seconds, 3),
-            }
-            report["stages"].append(stage)
+            })
             if result.status is SolveStatus.BUDGET_OUT:
                 saw_budget_out = True
                 continue
@@ -122,10 +153,14 @@ def pipeline_solve(problem: ConformantProblem,
                 continue
             plan = result.plan
             stripped = plan.stripped()
-            verdict = conformant_check(compiled, stripped,
-                                       cap=config.state_cap)
             stage["plan_length"] = len(plan)
             stage["stripped_length"] = len(stripped)
+            try:
+                verdict = conformant_check(compiled, stripped,
+                                           cap=config.state_cap)
+            except CapExceeded as exc:
+                _cap_exceeded(stage, exc)
+                continue
             stage["verdict"] = {
                 "valid": verdict.valid,
                 "reason": verdict.reason,

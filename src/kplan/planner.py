@@ -14,7 +14,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import InconsistentResult
 from .model import ClassicalProblem, Plan, run_plan
@@ -23,105 +23,165 @@ INF = float("inf")
 
 
 class Grounded:
-    """Indexed form of a classical problem: atoms as ints, states as
-    frozensets of true atom ids (closed world)."""
+    """Indexed form of a classical problem: atoms as ints and a state as an
+    int bitmask whose bit i is set iff atom i is true (closed world).
+    Preconditions, rule conditions and the goal are (pos_mask, neg_mask)
+    pairs: they hold in a state iff every pos bit is set and no neg bit."""
 
     def __init__(self, K: ClassicalProblem):
         self.problem = K
         self.atoms: List[str] = sorted(K.fluents)
         self.aid: Dict[str, int] = {a: i for i, a in enumerate(self.atoms)}
-        self.init: FrozenSet[int] = frozenset(
-            self.aid[l.fluent] for l in K.init if l.positive)
-        self.goal: List[Tuple[int, bool]] = sorted(
-            (self.aid[l.fluent], l.positive) for l in K.goal)
+        self.init: int = self._masks(l for l in K.init if l.positive)[0]
+        self.goal: Tuple[int, int] = self._masks(K.goal)
+        # (name, precondition masks, effects, cost); the rules that share
+        # a condition make one (cond_pos, cond_neg, add, delete) effect
         self.actions = []
-        for a in K.actions:
-            pre = sorted((self.aid[l.fluent], l.positive)
-                         for l in a.preconditions)
-            rules = []
-            for r in a.rules:
-                cond = sorted((self.aid[l.fluent], l.positive)
-                              for l in r.condition)
-                rules.append((cond, self.aid[r.effect.fluent],
-                              r.effect.positive))
-            cost = 0 if a.name in K.merges else 1
-            self.actions.append((a.name, pre, rules, cost))
         # relaxed rules: props are 2*atom (true) / 2*atom+1 (false)
         self.relaxed = []
-        for name, pre, rules, cost in self.actions:
-            pre_props = [2 * i + (0 if v else 1) for i, v in pre]
-            for cond, eff, sign in rules:
-                props = pre_props + [2 * i + (0 if v else 1) for i, v in cond]
-                eff_prop = 2 * eff + (0 if sign else 1)
-                self.relaxed.append((tuple(props), eff_prop, cost))
+        for a in K.actions:
+            cost = 0 if a.name in K.merges else 1
+            pre_props = self._props(a.preconditions)
+            effects: Dict[Tuple[int, int], List[int]] = {}
+            for r in a.rules:
+                add_delete = effects.setdefault(self._masks(r.condition),
+                                                [0, 0])
+                add_delete[not r.effect.positive] |= (
+                    1 << self.aid[r.effect.fluent])
+                self.relaxed.append(
+                    (tuple(pre_props + self._props(r.condition)),
+                     self._prop(r.effect), cost))
+            self.actions.append(
+                (a.name, self._masks(a.preconditions),
+                 tuple((cp, cn, add, delete)
+                       for (cp, cn), (add, delete) in effects.items()),
+                 cost))
         self.rules_by_prop: Dict[int, List[int]] = {}
         for ridx, (props, _, _) in enumerate(self.relaxed):
             for p in set(props):
                 self.rules_by_prop.setdefault(p, []).append(ridx)
-        self.goal_props = [2 * i + (0 if v else 1) for i, v in self.goal]
-        # hadd's per-call starting point, copied rather than rebuilt
-        self._counter0 = [len(set(p)) for p, _, _ in self.relaxed]
-        self._partial0 = [float(c) for _, _, c in self.relaxed]
-        self._unconditional = [(eff, float(c))
-                               for (_, eff, c), cnt in zip(self.relaxed,
-                                                           self._counter0)
-                               if cnt == 0]
+        self.goal_props = self._props(K.goal)
+        # hadd's per-call starting point, copied rather than rebuilt.  It
+        # keeps only the rules that can lead to a goal prop (the backward
+        # closure of the goal), numbered in the order of self.relaxed; the
+        # other rules cannot change a goal cost.
+        relevant = set(self.goal_props)
+        by_effect: Dict[int, List[Tuple[int, ...]]] = {}
+        for props, eff, _ in self.relaxed:
+            by_effect.setdefault(eff, []).append(props)
+        frontier = list(relevant)
+        while frontier:
+            for props in by_effect.get(frontier.pop(), ()):
+                added = set(props) - relevant
+                relevant |= added
+                frontier.extend(added)
+        kept = {old: new for new, old in enumerate(
+            ridx for ridx, (_, eff, _) in enumerate(self.relaxed)
+            if eff in relevant)}
+        n_props = 2 * len(self.atoms)
+        self._watchers = [[kept[r] for r in self.rules_by_prop.get(p, ())
+                           if r in kept] for p in range(n_props)]
+        rules = [self.relaxed[r] for r in kept]
+        self._effect_prop = [eff for _, eff, _ in rules]
+        self._counter0 = [len(set(p)) for p, _, _ in rules]
+        self._partial0 = [c for _, _, c in rules]
+        self._unconditional = [(eff, c) for p, eff, c in rules if not p]
+        # the relevant props as (prop, atom), split by the atom value
+        # that makes them true
+        self._true_props = [(p, p >> 1) for p in sorted(relevant)
+                            if not p & 1]
+        self._false_props = [(p, p >> 1) for p in sorted(relevant) if p & 1]
+        self._cost0 = [INF] * n_props
+        self._is_goal_prop = bytearray(n_props)
+        for p in self.goal_props:
+            self._is_goal_prop[p] = 1
 
-    def holds(self, state: FrozenSet[int], lits) -> bool:
-        return all((i in state) == v for i, v in lits)
+    def _masks(self, lits) -> Tuple[int, int]:
+        masks = [0, 0]
+        for l in lits:
+            masks[not l.positive] |= 1 << self.aid[l.fluent]
+        return masks[0], masks[1]
 
-    def applicable(self, state: FrozenSet[int]):
-        for idx, (_, pre, _, _) in enumerate(self.actions):
-            if self.holds(state, pre):
+    def _prop(self, lit) -> int:
+        return 2 * self.aid[lit.fluent] + (not lit.positive)
+
+    def _props(self, lits) -> List[int]:
+        return sorted(map(self._prop, lits))
+
+    def applicable(self, state: int):
+        for idx, (_, (pos_mask, neg_mask), _, _) in enumerate(self.actions):
+            if state & pos_mask == pos_mask and not state & neg_mask:
                 yield idx
 
-    def apply(self, state: FrozenSet[int], action_idx: int) -> FrozenSet[int]:
-        name, _, rules, _ = self.actions[action_idx]
-        add_true, add_false = set(), set()
-        for cond, eff, sign in rules:
-            if self.holds(state, cond):
-                (add_true if sign else add_false).add(eff)
-        conflict = add_true & add_false
+    def apply(self, state: int, action_idx: int) -> int:
+        name, _, effects, _ = self.actions[action_idx]
+        add = delete = 0
+        for cond_pos, cond_neg, eff_add, eff_delete in effects:
+            if state & cond_pos == cond_pos and not state & cond_neg:
+                add |= eff_add
+                delete |= eff_delete
+        conflict = add & delete
         if conflict:
-            bad = sorted(self.atoms[i] for i in conflict)
+            bad = [a for i, a in enumerate(self.atoms) if conflict >> i & 1]
             raise InconsistentResult(
                 f"action {name} adds complementary literals on {bad}")
-        return frozenset((state - add_false) | add_true)
+        return state & ~delete | add
 
-    def is_goal(self, state: FrozenSet[int]) -> bool:
-        return self.holds(state, self.goal)
+    def is_goal(self, state: int) -> bool:
+        pos_mask, neg_mask = self.goal
+        return state & pos_mask == pos_mask and not state & neg_mask
 
-    def hadd(self, state: FrozenSet[int]) -> float:
+    def hadd(self, state: int) -> float:
         """Additive heuristic: sum over goal props of cheapest relaxed
-        achievement cost, counting rule conditions and preconditions."""
-        n_props = 2 * len(self.atoms)
-        cost = [INF] * n_props
+        achievement cost, counting rule conditions and preconditions.
+
+        Props are settled in order of their integer cost, from a bucket
+        queue, as in Knuth's generalization of Dijkstra's algorithm (exact
+        because a rule's cost is at least each of its condition costs).
+        The computation stops once every goal prop is settled."""
+        unsettled_goals = len(self.goal_props)
+        if not unsettled_goals:
+            return 0
+        cost = self._cost0.copy()
         counter = self._counter0.copy()
         partial = self._partial0.copy()
-        heap: List[Tuple[float, int]] = []
-        for i in range(len(self.atoms)):
-            p = 2 * i if i in state else 2 * i + 1
-            cost[p] = 0.0
-            heap.append((0.0, p))
-        heapq.heapify(heap)
-
-        def relax(eff: int, value: float):
+        watchers, effect_prop = self._watchers, self._effect_prop
+        is_goal_prop = self._is_goal_prop
+        layer = [p for p, i in self._true_props if state >> i & 1]
+        layer += [p for p, i in self._false_props if not state >> i & 1]
+        for p in layer:
+            cost[p] = 0
+        buckets = {0: layer}
+        for eff, value in self._unconditional:
             if value < cost[eff]:
                 cost[eff] = value
-                heapq.heappush(heap, (value, eff))
-
-        for eff, value in self._unconditional:
-            relax(eff, value)
-        while heap:
-            c, p = heapq.heappop(heap)
-            if c > cost[p]:
-                continue
-            for ridx in self.rules_by_prop.get(p, ()):
-                partial[ridx] += c
-                counter[ridx] -= 1
-                if counter[ridx] == 0:
-                    relax(self.relaxed[ridx][1], partial[ridx])
-        return sum(cost[g] for g in self.goal_props)
+                buckets.setdefault(value, []).append(eff)
+        keys = sorted(buckets)
+        while keys:
+            c = heapq.heappop(keys)
+            # a zero-cost rule appends to this bucket while it is walked
+            for p in buckets[c]:
+                if cost[p] != c:  # settled earlier at a lower cost
+                    continue
+                if is_goal_prop[p]:
+                    unsettled_goals -= 1
+                    if not unsettled_goals:
+                        return sum(cost[g] for g in self.goal_props)
+                for ridx in watchers[p]:
+                    partial[ridx] += c
+                    counter[ridx] -= 1
+                    if not counter[ridx]:
+                        value = partial[ridx]
+                        eff = effect_prop[ridx]
+                        if value < cost[eff]:
+                            cost[eff] = value
+                            if value in buckets:
+                                buckets[value].append(eff)
+                            else:
+                                buckets[value] = [eff]
+                                heapq.heappush(keys, value)
+            del buckets[c]
+        return INF  # some goal prop is relaxed-unreachable
 
 
 class SolveStatus(Enum):
@@ -136,10 +196,11 @@ class SolveResult:
     plan: Optional[Plan]
     expanded: int
     generated: int
+    evaluated: int  # heuristic (hadd) calls
     seconds: float
 
 
-def _reconstruct(parents, state, grounded: Grounded) -> Plan:
+def _reconstruct(parents, state: int, grounded: Grounded) -> Plan:
     steps: List[str] = []
     while True:
         entry = parents[state]
@@ -163,17 +224,17 @@ def solve(K: ClassicalProblem, max_nodes: int = 200_000,
     start = time.monotonic()
     g = Grounded(K)
     init = g.init
-    parents: Dict[FrozenSet[int], Optional[Tuple[FrozenSet[int], int]]] = {
-        init: None}
+    parents: Dict[int, Optional[Tuple[int, int]]] = {init: None}
     if g.is_goal(init):
         return SolveResult(SolveStatus.SOLVED, _reconstruct(parents, init, g),
-                           0, 1, time.monotonic() - start)
+                           0, 1, 0, time.monotonic() - start)
     h0 = g.hadd(init)
+    evaluated = 1
     if h0 == INF:
-        return SolveResult(SolveStatus.UNSOLVABLE, None, 0, 1,
+        return SolveResult(SolveStatus.UNSOLVABLE, None, 0, 1, evaluated,
                            time.monotonic() - start)
     tie = itertools.count()
-    open_heap: List[Tuple[float, int, FrozenSet[int]]] = [(h0, next(tie), init)]
+    open_heap: List[Tuple[float, int, int]] = [(h0, next(tie), init)]
     expanded = generated = 0
     truncated = False
     while open_heap:
@@ -197,13 +258,15 @@ def solve(K: ClassicalProblem, max_nodes: int = 200_000,
                         "internal plan check failed: the reconstructed "
                         "plan does not reach the goal")
                 return SolveResult(SolveStatus.SOLVED, plan, expanded,
-                                   generated, time.monotonic() - start)
+                                   generated, evaluated,
+                                   time.monotonic() - start)
             h = g.hadd(succ)
+            evaluated += 1
             if h == INF:
                 continue
             heapq.heappush(open_heap, (h, next(tie), succ))
     status = SolveStatus.BUDGET_OUT if truncated else SolveStatus.UNSOLVABLE
-    return SolveResult(status, None, expanded, generated,
+    return SolveResult(status, None, expanded, generated, evaluated,
                        time.monotonic() - start)
 
 
@@ -213,9 +276,8 @@ def bfs_optimal(K: ClassicalProblem, depth_cap: int = 10,
     via 0/1-cost breadth-first search.  None if no plan within the cap."""
     g = Grounded(K)
     init = g.init
-    dist: Dict[FrozenSet[int], int] = {init: 0}
-    parents: Dict[FrozenSet[int], Optional[Tuple[FrozenSet[int], int]]] = {
-        init: None}
+    dist: Dict[int, int] = {init: 0}
+    parents: Dict[int, Optional[Tuple[int, int]]] = {init: None}
     dq = deque([init])
     while dq:
         state = dq.popleft()

@@ -3,14 +3,18 @@ generator, and small brute-force helpers used by several test modules."""
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
+import time
+from collections import deque
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 import pytest
 
 from kplan import (
     ConformantProblem,
+    InconsistentResult,
     Literal,
     Merge,
     Plan,
@@ -28,6 +32,7 @@ from kplan import generators, pddl
 from kplan.analysis import all_literals
 from kplan.model import ClassicalProblem, State, sorted_lits
 from kplan.pi import prime_implicates
+from kplan.planner import INF, SolveResult, SolveStatus
 from kplan.translate import cnf_goal_compile, nondet_compile
 from kplan.verify import initial_states
 
@@ -314,3 +319,204 @@ def compiled_instance(family: str, params: Sequence[int], copies: int = 1):
     with ``copies`` copies (no-op on deterministic instances)."""
     problem = cnf_goal_compile(pddl.load(*generators.generate(family, params)))
     return nondet_compile(problem, copies)
+
+
+# --- reference planner ----------------------------------------------------------
+
+class reference_grounded:
+    """The planner's indexed problem with states as frozensets of true atom
+    ids and a binary-heap hadd: the form `kplan.planner.Grounded` had
+    before its states became int bitmasks.  Atom ids are the same (sorted
+    fluent names), so atom set S corresponds to mask sum(1 << i for i in S)."""
+
+    def __init__(self, K: ClassicalProblem):
+        self.problem = K
+        self.atoms: List[str] = sorted(K.fluents)
+        self.aid: Dict[str, int] = {a: i for i, a in enumerate(self.atoms)}
+        self.init = frozenset(
+            self.aid[l.fluent] for l in K.init if l.positive)
+        self.goal = sorted((self.aid[l.fluent], l.positive) for l in K.goal)
+        self.actions = []
+        for a in K.actions:
+            pre = sorted((self.aid[l.fluent], l.positive)
+                         for l in a.preconditions)
+            rules = []
+            for r in a.rules:
+                cond = sorted((self.aid[l.fluent], l.positive)
+                              for l in r.condition)
+                rules.append((cond, self.aid[r.effect.fluent],
+                              r.effect.positive))
+            cost = 0 if a.name in K.merges else 1
+            self.actions.append((a.name, pre, rules, cost))
+        # relaxed rules: props are 2*atom (true) / 2*atom+1 (false)
+        self.relaxed = []
+        for name, pre, rules, cost in self.actions:
+            pre_props = [2 * i + (0 if v else 1) for i, v in pre]
+            for cond, eff, sign in rules:
+                props = pre_props + [2 * i + (0 if v else 1) for i, v in cond]
+                eff_prop = 2 * eff + (0 if sign else 1)
+                self.relaxed.append((tuple(props), eff_prop, cost))
+        self.rules_by_prop: Dict[int, List[int]] = {}
+        for ridx, (props, _, _) in enumerate(self.relaxed):
+            for p in set(props):
+                self.rules_by_prop.setdefault(p, []).append(ridx)
+        self.goal_props = [2 * i + (0 if v else 1) for i, v in self.goal]
+        self._counter0 = [len(set(p)) for p, _, _ in self.relaxed]
+        self._partial0 = [float(c) for _, _, c in self.relaxed]
+        self._unconditional = [(eff, float(c))
+                               for (_, eff, c), cnt in zip(self.relaxed,
+                                                           self._counter0)
+                               if cnt == 0]
+
+    def holds(self, state, lits) -> bool:
+        return all((i in state) == v for i, v in lits)
+
+    def applicable(self, state):
+        for idx, (_, pre, _, _) in enumerate(self.actions):
+            if self.holds(state, pre):
+                yield idx
+
+    def apply(self, state, action_idx: int):
+        name, _, rules, _ = self.actions[action_idx]
+        add_true, add_false = set(), set()
+        for cond, eff, sign in rules:
+            if self.holds(state, cond):
+                (add_true if sign else add_false).add(eff)
+        conflict = add_true & add_false
+        if conflict:
+            bad = sorted(self.atoms[i] for i in conflict)
+            raise InconsistentResult(
+                f"action {name} adds complementary literals on {bad}")
+        return frozenset((state - add_false) | add_true)
+
+    def is_goal(self, state) -> bool:
+        return self.holds(state, self.goal)
+
+    def hadd(self, state) -> float:
+        n_props = 2 * len(self.atoms)
+        cost = [INF] * n_props
+        counter = self._counter0.copy()
+        partial = self._partial0.copy()
+        heap: List[Tuple[float, int]] = []
+        for i in range(len(self.atoms)):
+            p = 2 * i if i in state else 2 * i + 1
+            cost[p] = 0.0
+            heap.append((0.0, p))
+        heapq.heapify(heap)
+
+        def relax(eff: int, value: float):
+            if value < cost[eff]:
+                cost[eff] = value
+                heapq.heappush(heap, (value, eff))
+
+        for eff, value in self._unconditional:
+            relax(eff, value)
+        while heap:
+            c, p = heapq.heappop(heap)
+            if c > cost[p]:
+                continue
+            for ridx in self.rules_by_prop.get(p, ()):
+                partial[ridx] += c
+                counter[ridx] -= 1
+                if counter[ridx] == 0:
+                    relax(self.relaxed[ridx][1], partial[ridx])
+        return sum(cost[g] for g in self.goal_props)
+
+
+def _reference_reconstruct(parents, state, g: reference_grounded) -> Plan:
+    steps: List[str] = []
+    while parents[state] is not None:
+        state, action_idx = parents[state]
+        steps.append(g.actions[action_idx][0])
+    steps.reverse()
+    return Plan.for_problem(steps, g.problem)
+
+
+def reference_solve(K: ClassicalProblem, max_nodes: int = 200_000,
+                    evaluated_states=None) -> SolveResult:
+    """The planner's greedy best-first search over `reference_grounded`,
+    FIFO tie-breaking, with the same counters as `kplan.planner.solve`.
+    Appends each state it evaluates to ``evaluated_states`` if given."""
+    start = time.monotonic()
+    g = reference_grounded(K)
+    if evaluated_states is not None:
+        hadd = g.hadd
+
+        def recording_hadd(state):
+            evaluated_states.append(state)
+            return hadd(state)
+
+        g.hadd = recording_hadd
+    init = g.init
+    parents = {init: None}
+    if g.is_goal(init):
+        return SolveResult(SolveStatus.SOLVED,
+                           _reference_reconstruct(parents, init, g),
+                           0, 1, 0, time.monotonic() - start)
+    h0 = g.hadd(init)
+    evaluated = 1
+    if h0 == INF:
+        return SolveResult(SolveStatus.UNSOLVABLE, None, 0, 1, evaluated,
+                           time.monotonic() - start)
+    tie = itertools.count()
+    open_heap = [(h0, next(tie), init)]
+    expanded = generated = 0
+    truncated = False
+    while open_heap:
+        if expanded >= max_nodes:
+            truncated = True
+            break
+        _, _, state = heapq.heappop(open_heap)
+        expanded += 1
+        for action_idx in g.applicable(state):
+            succ = g.apply(state, action_idx)
+            if succ in parents:
+                continue
+            parents[succ] = (state, action_idx)
+            generated += 1
+            if g.is_goal(succ):
+                return SolveResult(SolveStatus.SOLVED,
+                                   _reference_reconstruct(parents, succ, g),
+                                   expanded, generated, evaluated,
+                                   time.monotonic() - start)
+            h = g.hadd(succ)
+            evaluated += 1
+            if h == INF:
+                continue
+            heapq.heappush(open_heap, (h, next(tie), succ))
+    status = SolveStatus.BUDGET_OUT if truncated else SolveStatus.UNSOLVABLE
+    return SolveResult(status, None, expanded, generated, evaluated,
+                       time.monotonic() - start)
+
+
+def reference_bfs_optimal(K: ClassicalProblem, depth_cap: int = 10,
+                          max_states: int = 2_000_000):
+    """The planner's 0/1-cost breadth-first oracle over
+    `reference_grounded`."""
+    g = reference_grounded(K)
+    init = g.init
+    dist = {init: 0}
+    parents = {init: None}
+    dq = deque([init])
+    while dq:
+        state = dq.popleft()
+        d = dist[state]
+        if g.is_goal(state):
+            return _reference_reconstruct(parents, state, g)
+        for action_idx in g.applicable(state):
+            cost = g.actions[action_idx][3]
+            nd = d + cost
+            if nd > depth_cap:
+                continue
+            succ = g.apply(state, action_idx)
+            if succ in dist and dist[succ] <= nd:
+                continue
+            if len(dist) >= max_states:
+                return None
+            dist[succ] = nd
+            parents[succ] = (state, action_idx)
+            if cost == 0:
+                dq.appendleft(succ)
+            else:
+                dq.append(succ)
+    return None

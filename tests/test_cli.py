@@ -6,7 +6,7 @@ import pytest
 
 from kplan import cli
 from kplan.cli import main
-from kplan.errors import WidthSearchCap
+from kplan.errors import NoPlanFound, WidthSearchCap
 
 
 def run_cli(capsys, *argv):
@@ -156,6 +156,45 @@ def test_solve_failure_reports_trace(tmp_path, capsys):
     code, out, err = run_cli(capsys, "solve", str(dom), str(prob))
     assert code == 1
     assert "failure" in err
+
+
+@pytest.mark.parametrize("family,params,caps,error", [
+    ("safe", (4,), "1,4096,5000", "TooManyInitialStates"),
+    ("sortnet", (3,), "4096,1,5000", "TooManyModels"),
+    ("safe", (4,), "4096,4096,1", "PiBlowup"),
+])
+def test_solve_cap_error_is_a_stage_status_with_a_report(
+        tmp_path, capsys, family, params, caps, error):
+    dom, prob = gen_instance(tmp_path, family, *params)
+    report_path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "solve", str(dom), str(prob),
+                             "--caps", caps, "--report", str(report_path))
+    assert code == 1
+    assert error in err
+    report = json.loads(report_path.read_text())
+    assert "failure" in report
+    capped = [s for s in report["stages"] if s["status"] == "cap-exceeded"]
+    assert capped and all(s["error"].startswith(error) for s in capped)
+    # the ladder went on to its last stage
+    assert report["stages"][-1]["scheme"] == "kmodels"
+
+
+def test_bench_passes_caps_and_mutex_variant_to_the_pipeline(
+        tmp_path, capsys, monkeypatch):
+    configs = []
+
+    def fake_pipeline_solve(problem, config):
+        configs.append(config)
+        raise NoPlanFound("stopped", trace=[])
+
+    monkeypatch.setattr(cli, "pipeline_solve", fake_pipeline_solve)
+    code, out, err = run_cli(capsys, "bench", "--caps", "7,8,9",
+                             "--strengthened-mutex",
+                             "--report", str(tmp_path / "bench.json"))
+    assert code == 0
+    assert len(configs) == len(cli.DEFAULT_BENCH)
+    assert {(c.state_cap, c.model_cap, c.pi_cap, c.strengthened_mutex)
+            for c in configs} == {(7, 8, 9, True)}
 
 
 def test_width_command(tmp_path, capsys):

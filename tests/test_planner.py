@@ -37,6 +37,9 @@ from conftest import (
     build_tiny,
     compiled_instance,
     random_suite,
+    reference_bfs_optimal,
+    reference_grounded,
+    reference_solve,
 )
 
 
@@ -130,6 +133,16 @@ def test_bfs_optimal_state_cap():
     assert bfs_optimal(chain_problem(8), depth_cap=8, max_states=2) is None
 
 
+def test_apply_raises_typed_error_on_complementary_effects():
+    K = ClassicalProblem(frozenset(["p", "q", "g"]), frozenset([pos("q")]),
+                         (action("a", rules=[rule([pos("q")], pos("p")),
+                                             rule([], neg("p"))]),),
+                         frozenset([pos("g")]))
+    g = Grounded(K)
+    with pytest.raises(InconsistentResult, match=r"complementary.*\['p'\]"):
+        g.apply(g.init, 0)
+
+
 def test_solve_raises_typed_error_when_its_plan_fails(monkeypatch):
     def failing_run(K, plan):
         return RunResult(True, K.initial_state(), False)
@@ -149,7 +162,7 @@ def reference_hadd(g: Grounded, state) -> float:
     partial = [float(c) for _, _, c in g.relaxed]
     heap = []
     for i in range(len(g.atoms)):
-        p = 2 * i if i in state else 2 * i + 1
+        p = 2 * i if state >> i & 1 else 2 * i + 1
         cost[p] = 0.0
         heap.append((0.0, p))
     heapq.heapify(heap)
@@ -207,3 +220,66 @@ def test_hadd_matches_reference_on_random_suite():
     ("sgripper", (3,)), ("bomb", (10, 10)), ("safe", (25,))])
 def test_hadd_matches_reference_on_generated(family, params):
     assert_hadd_matches_reference(first_stage_problem(family, params))
+
+
+# --- the bitset planner against the frozenset reference ----------------------
+
+# The first-stage problems of the benchmark's solve workload
+# (perfbench/workloads.py).
+SOLVE_BENCH_INSTANCES = [
+    ("bomb", (10, 10)), ("bomb", (12, 4)), ("safe", (25,)),
+    ("square-center", (6,)), ("corners-square", (8,)), ("ring", (4,)),
+    ("sgripper", (3,))]
+
+
+def as_mask(atom_ids) -> int:
+    return sum(1 << i for i in atom_ids)
+
+
+def assert_planner_matches_reference(K):
+    """Equal search outcome, counters and plan; and on every state the
+    reference search evaluates, equal hadd value and equal successor (and
+    goal test on it) per applicable action."""
+    visited = []
+    want = reference_solve(K, evaluated_states=visited)
+    got = solve(K)
+    assert (got.status, got.expanded, got.generated, got.evaluated) == (
+        want.status, want.expanded, want.generated, want.evaluated)
+    assert got.plan == want.plan
+    assert len(visited) == want.evaluated
+    g, ref = Grounded(K), reference_grounded(K)
+    assert g.atoms == ref.atoms and g.init == as_mask(ref.init)
+    for state in visited:
+        mask = as_mask(state)
+        assert g.hadd(mask) == ref.hadd(state)
+        successors = {idx: ref.apply(state, idx)
+                      for idx in ref.applicable(state)}
+        assert {idx: g.apply(mask, idx) for idx in g.applicable(mask)} == {
+            idx: as_mask(succ) for idx, succ in successors.items()}
+        assert [g.is_goal(as_mask(succ)) for succ in successors.values()] \
+            == [ref.is_goal(succ) for succ in successors.values()]
+
+
+def test_planner_matches_reference_on_random_suite():
+    for problem in random_suite(405, 30):
+        for K in (k0(problem), ki(problem, 1)):
+            assert_planner_matches_reference(K)
+            assert bfs_optimal(K, depth_cap=6) == reference_bfs_optimal(
+                K, depth_cap=6)
+
+
+@pytest.mark.parametrize("family,params", SOLVE_BENCH_INSTANCES)
+def test_planner_matches_reference_on_solve_benchmark(family, params):
+    assert_planner_matches_reference(first_stage_problem(family, params))
+
+
+@pytest.mark.parametrize("family,params,depth_cap", [
+    ("safe", (3,), 3), ("bomb", (3, 2), 4), ("sgripper", (1,), 5),
+    ("ring", (3,), 8), ("square-center", (3,), 6)])
+def test_bfs_optimal_matches_reference_on_generated(family, params,
+                                                    depth_cap):
+    K = first_stage_problem(family, params)
+    plan = bfs_optimal(K, depth_cap=depth_cap, max_states=50_000)
+    assert plan is not None
+    assert plan == reference_bfs_optimal(K, depth_cap=depth_cap,
+                                         max_states=50_000)
