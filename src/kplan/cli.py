@@ -76,6 +76,17 @@ def _write_report(args, report: Dict):
             json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
+def _parse_scheme(text: str) -> str:
+    """k0 | ki:N with N >= 0 | kmodels | ks0, checked at parse time."""
+    if text in ("k0", "ks0", "kmodels"):
+        return text
+    bound = text[len("ki:"):] if text.startswith("ki:") else ""
+    if not (bound.isascii() and bound.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"unknown scheme '{text}' (expected k0 | ki:N | kmodels | ks0)")
+    return text
+
+
 def _scheme_spec(scheme: str, ctx, caps, include_all: bool = False):
     states_cap, models_cap, _ = caps
     if scheme == "k0":
@@ -84,11 +95,7 @@ def _scheme_spec(scheme: str, ctx, caps, include_all: bool = False):
         return spec_ks0(ctx, cap=states_cap, include_all=include_all)
     if scheme == "kmodels":
         return spec_kmodels(ctx, cap=models_cap, include_all=include_all)
-    if scheme.startswith("ki:"):
-        return spec_ki(ctx, int(scheme.split(":", 1)[1]),
-                       include_all=include_all)
-    raise argparse.ArgumentTypeError(
-        f"unknown scheme '{scheme}' (expected k0 | ki:N | kmodels | ks0)")
+    return spec_ki(ctx, int(scheme[len("ki:"):]), include_all=include_all)
 
 
 def _width_report(problem: ConformantProblem, ctx) -> Dict:
@@ -346,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("translate", help="translate to classical PDDL")
     _add_common(p)
-    p.add_argument("--scheme", default=_env("SCHEME", "ki:1"),
+    p.add_argument("--scheme", type=_parse_scheme,
+                   default=_env("SCHEME", "ki:1"),
                    help="k0 | ki:N | kmodels | ks0 (default ki:1)")
     p.set_defaults(func=cmd_translate)
 

@@ -65,8 +65,9 @@ def sorted_lits(lits: Iterable[Literal]) -> Tuple[Literal, ...]:
 
 
 def lits_consistent(lits: Iterable[Literal]) -> bool:
+    # distinct literals on one fluent are complementary
     s = set(lits)
-    return all(l.negate() not in s for l in s)
+    return len({l.fluent for l in s}) == len(s)
 
 
 def is_tautology(c: Clause) -> bool:
@@ -85,7 +86,10 @@ class Rule:
             raise ValueError(f"rule condition has a complementary pair: {self}")
 
     def sort_key(self):
-        return (sorted_lits(self.condition), self.effect)
+        """Orders rules as (sorted_lits(condition), effect) would, keyed
+        by (fluent, positive) pairs, which compare like the literals."""
+        return (sorted((l.fluent, l.positive) for l in self.condition),
+                (self.effect.fluent, self.effect.positive))
 
     def __str__(self):
         cond = ",".join(map(str, sorted_lits(self.condition))) or "true"

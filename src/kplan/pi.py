@@ -61,6 +61,7 @@ class PICNF:
             for l in c:
                 index.setdefault(l, []).append(c)
         self._index = index
+        self._fluent_set = frozenset(self.fluents)
         self._closure_cache: Dict[Tag, FrozenSet[Literal]] = {}
 
     @property
@@ -91,18 +92,39 @@ class PICNF:
         return False
 
     def closure(self, t: Tag) -> FrozenSet[Literal]:
-        """t* = all literals entailed by I together with t."""
+        """t* = all literals entailed by I together with t.
+
+        Read off the index: I, t |= L iff some prime implicate c has
+        c \\ ~t within {L}.  So t* is t, the units, and the one literal left
+        of each clause through some ~l, l in t, once the literals of ~t are
+        removed; if nothing is left of such a clause, or t is complementary,
+        I u t is inconsistent and t* is every literal of the universe
+        (the fluents and those t mentions).  Literals outside the universe
+        are left out.  ``entails_literal`` is the literal-by-literal
+        specification.
+        """
         t = frozenset(t)
         cached = self._closure_cache.get(t)
         if cached is not None:
             return cached
-        out = set()
-        universe = set(self.fluents) | {l.fluent for l in t}
-        for f in sorted(universe):
-            for lit in (pos(f), neg(f)):
-                if self.entails_literal(t, lit):
-                    out.add(lit)
-        result = frozenset(out)
+        negated = frozenset(l.negate() for l in t)
+        out: Optional[Set[Literal]] = None
+        if negated.isdisjoint(t):
+            out = set(t) | self.units
+            for c in itertools.chain.from_iterable(
+                    self._index.get(nl, ()) for nl in negated):
+                rest = c - negated
+                if not rest:
+                    out = None  # c lies inside ~t: I u t is inconsistent
+                    break
+                if len(rest) == 1:
+                    out |= rest
+        universe = self._fluent_set | {l.fluent for l in t}
+        if out is None:
+            result = frozenset(Literal(f, v) for f in universe
+                               for v in (False, True))
+        else:
+            result = frozenset(l for l in out if l.fluent in universe)
         self._closure_cache[t] = result
         return result
 

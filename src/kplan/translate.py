@@ -18,7 +18,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
+                    Set, Tuple)
 
 from . import analysis
 from .analysis import Context, build_context, cover, satisfies, target_literals
@@ -48,23 +49,15 @@ MERGE_PREFIX = "merge" + SEPARATOR
 STATIC_ACTION_NAME = MERGE_PREFIX + "static-disjunctions"
 
 
-@dataclass(frozen=True)
-class TaggedAtom:
-    """The classical fluent KL/t.  KL/empty prints as KL."""
-
-    base: Literal
-    tag: Tag = EMPTY_TAG
-
-    @property
-    def name(self) -> str:
-        if not self.tag:
-            return "K" + self.base.token
-        suffix = SEPARATOR.join(l.token for l in sorted(self.tag))
-        return "K" + self.base.token + SEPARATOR + suffix
+def tag_suffix(tag: Tag) -> str:
+    """What follows KL in the name of KL/t: a separator and a token per
+    literal of t, in sorted order; nothing for the empty tag."""
+    return "".join(SEPARATOR + l.token for l in sorted(tag))
 
 
 def atom_name(base: Literal, tag: Tag = EMPTY_TAG) -> str:
-    return TaggedAtom(base, tag).name
+    """The name of the classical fluent KL/t.  KL/empty prints as KL."""
+    return "K" + base.token + tag_suffix(tag)
 
 
 def tag_digest(tags: Iterable[Tag]) -> str:
@@ -89,6 +82,9 @@ class TranslationSpec:
     def __post_init__(self):
         if EMPTY_TAG not in self.tags:
             raise InvalidSpec("the empty tag must be among the tags")
+        tags = set(self.tags)
+        if any(not m.tags <= tags for m in self.merges):
+            raise InvalidSpec("every merge tag must be among the tags")
 
     def merges_for(self, L: Literal) -> Tuple[Merge, ...]:
         return tuple(m for m in self.merges if m.target == L)
@@ -178,8 +174,42 @@ def spec_ki(ctx: Context, i: int, include_all: bool = False) -> TranslationSpec:
 
 # --- the core builder -------------------------------------------------------
 
-def _relevant_fluents(ctx: Context, L: Literal) -> FrozenSet[str]:
-    return frozenset(l.fluent for l in ctx.rel.relevant_to(L))
+class TagTable(NamedTuple):
+    """What the builder knows of one tag t, computed once per translation."""
+
+    closure: FrozenSet[Literal]     # t*
+    names: Dict[Literal, str]       # L -> name of KL/t, or of KL if collapsed
+    collapsed: FrozenSet[Literal]   # KL/t is KL (optimized only)
+    emitted: FrozenSet[Literal]     # heads whose rules are kept at t
+    decided: FrozenSet[str]         # fluents with a polarity in t*
+
+
+def tag_table(t: Tag, ctx: Context, plain: Dict[Literal, str],
+              merged: Iterable[Literal], optimized: bool) -> TagTable:
+    """The table of tag t over the literals named in ``plain`` (L -> the
+    name of KL), for a translation that merges the literals ``merged``
+    through t.
+
+    Every head keeps its rules unless optimizing at a non-empty t.  Then
+    KL/t collapses onto KL when t* holds nothing relevant to L, i.e. L is
+    reachable from no literal of t*, and the rules with head L are kept
+    only when KL/t does not collapse and L is relevant to a literal merged
+    through t.
+    """
+    closure = ctx.pi.closure(t)
+    rel = ctx.rel
+    collapsed: FrozenSet[Literal] = frozenset()
+    emitted = frozenset(plain)
+    if optimized and t:
+        kept = set().union(*(rel.reachable_from(l) for l in closure))
+        collapsed = emitted - kept
+        useful = set().union(*(rel.relevant_to(L) for L in merged))
+        emitted = emitted & kept & useful
+    suffix = tag_suffix(t)
+    names = {L: name if L in collapsed else name + suffix
+             for L, name in plain.items()}
+    return TagTable(closure, names, collapsed, emitted,
+                    frozenset(l.fluent for l in closure))
 
 
 def ktm(problem: ConformantProblem, spec: TranslationSpec,
@@ -196,6 +226,10 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
     that never delete L yield the extra deduction rule KC -> KL; (5) each
     static disjunction yields case-elimination rules K~L_j (j != i) -> KL_i
     on a dedicated action.
+
+    Every decision depends only on a literal and a tag, so it is read from
+    a table per tag (``tag_table``) and a table per literal (the plain
+    name KL and the fluents relevant to L), each computed once.
     """
     if problem.goal_clauses:
         raise UnsupportedFeature("compile clause goals away first")
@@ -214,86 +248,66 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
             if not pi.merge_valid(m):
                 raise InvalidSpec(f"invalid merge for {m.target}")
 
-    lits = analysis.all_literals(problem.fluents)
-    rel = ctx.rel
-
-    def collapses(L: Literal, t: Tag) -> bool:
-        return bool(t) and not (pi.closure(t) & rel.relevant_to(L))
-
-    def atom(L: Literal, t: Tag) -> str:
-        if optimized and collapses(L, t):
-            return atom_name(L, EMPTY_TAG)
-        return atom_name(L, t)
-
-    # which literals get merged through each tag (for rule dropping)
+    plain = {L: atom_name(L) for L in analysis.all_literals(problem.fluents)}
+    relevant_fluents = {L: frozenset(l.fluent for l in ctx.rel.relevant_to(L))
+                        for L in plain}
     merged_through: Dict[Tag, Set[Literal]] = {}
     for m in spec.merges:
         for t in m.tags:
             merged_through.setdefault(t, set()).add(m.target)
-
-    def useful(L: Literal, t: Tag) -> bool:
-        if not optimized or not t:
-            return True
-        targets = merged_through.get(t, ())
-        return any(rel.relevant(L, tgt) for tgt in targets)
+    tables = [tag_table(t, ctx, plain, merged_through.get(t, ()), optimized)
+              for t in spec.tags]
+    # head literal -> the indexes of the tags that keep its rules
+    kept_at: Dict[Literal, Set[int]] = {L: set() for L in plain}
+    for k, tab in enumerate(tables):
+        for L in tab.emitted:
+            kept_at[L].add(k)
 
     fluents: Set[str] = set()
-    for L in lits:
-        for t in spec.tags:
-            fluents.add(atom(L, t))
-
     init: Set[Literal] = set()
-    for t in spec.tags:
-        for L in pi.closure(t):
+    for tab in tables:
+        fluents.update(tab.names.values())
+        for L in tab.closure:
             if L.fluent in problem.fluents:
-                init.add(pos(atom(L, t)))
+                init.add(pos(tab.names[L]))
 
-    goal = frozenset(pos(atom(L, EMPTY_TAG)) for L in problem.goal)
-
-    def decided(L: Literal, t: Tag) -> bool:
-        cl = pi.closure(t)
-        for f in _relevant_fluents(ctx, L):
-            if pos(f) not in cl and neg(f) not in cl:
-                return False
-        return True
+    goal = frozenset(pos(plain[L]) for L in problem.goal)
 
     actions: List[Action] = []
     for a in problem.actions:
         rules: Set[Rule] = set()
         for r in a.rules:
             L = r.effect
-            for t in spec.tags:
-                head_support = not (optimized and collapses(L, t) and t)
-                head_cancel = not (optimized and collapses(L.negate(), t) and t)
-                emit_support = head_support and useful(L, t)
-                emit_cancel = head_cancel and useful(L.negate(), t)
-                if not emit_support and not emit_cancel:
-                    continue
-                support_cond = frozenset(pos(atom(c, t)) for c in r.condition)
-                if optimized and decided(L, t):
+            nL = L.negate()
+            negated_cond = [c.negate() for c in r.condition]
+            relevant = relevant_fluents[L]
+            support_at = kept_at[L]
+            cancel_at = kept_at[nL]
+            for k in support_at | cancel_at:
+                tab = tables[k]
+                names = tab.names
+                support_cond = frozenset(pos(names[c]) for c in r.condition)
+                if optimized and relevant <= tab.decided:
                     # grouped support + cancellation
-                    rules.add(Rule(support_cond, pos(atom(L, t))))
-                    rules.add(Rule(support_cond,
-                                   Literal(atom(L.negate(), t), False)))
+                    rules.add(Rule(support_cond, pos(names[L])))
+                    rules.add(Rule(support_cond, Literal(names[nL], False)))
                     continue
-                if emit_support:
-                    rules.add(Rule(support_cond, pos(atom(L, t))))
-                if emit_cancel:
-                    cancel_cond = frozenset(
-                        Literal(atom(c.negate(), t), False)
-                        for c in r.condition)
-                    rules.add(Rule(cancel_cond,
-                                   Literal(atom(L.negate(), t), False)))
+                if k in support_at:
+                    rules.add(Rule(support_cond, pos(names[L])))
+                if k in cancel_at:
+                    cancel_cond = frozenset(Literal(names[c], False)
+                                            for c in negated_cond)
+                    rules.add(Rule(cancel_cond, Literal(names[nL], False)))
         if optimized:
             # extra deduction: a: C,~L -> L with no a-rule deleting L
             heads = {r.effect for r in a.rules}
             for r in a.rules:
                 L = r.effect
                 if L.negate() in r.condition and L.negate() not in heads:
-                    cond = frozenset(pos(atom(c, EMPTY_TAG))
+                    cond = frozenset(pos(plain[c])
                                      for c in r.condition if c != L.negate())
-                    rules.add(Rule(cond, pos(atom(L, EMPTY_TAG))))
-        precs = frozenset(pos(atom(L, EMPTY_TAG)) for L in a.preconditions)
+                    rules.add(Rule(cond, pos(plain[L])))
+        precs = frozenset(pos(plain[L]) for L in a.preconditions)
         actions.append(Action(a.name, precs,
                               tuple(sorted(rules, key=Rule.sort_key))))
 
@@ -305,9 +319,8 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
             if any(l.negate() in heads_anywhere for l in c):
                 continue  # some literal of the clause can be deleted
             for l in c:
-                cond = frozenset(pos(atom(o.negate(), EMPTY_TAG))
-                                 for o in c if o != l)
-                static_rules.add(Rule(cond, pos(atom(l, EMPTY_TAG))))
+                cond = frozenset(pos(plain[o.negate()]) for o in c if o != l)
+                static_rules.add(Rule(cond, pos(plain[l])))
         if static_rules:
             # pure deduction: bookkeeping like a merge, stripped from plans
             actions.append(Action(STATIC_ACTION_NAME, frozenset(),
@@ -315,17 +328,18 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
                                                key=Rule.sort_key))))
             merge_names.add(STATIC_ACTION_NAME)
 
+    table_of = dict(zip(spec.tags, tables))
     for m in spec.merges:
         name = merge_action_name(m)
         if name in merge_names:
             continue
         merge_names.add(name)
-        cond = frozenset(pos(atom(m.target, t)) for t in m.tags)
-        effects = [Rule(cond, pos(atom(m.target, EMPTY_TAG)))]
+        cond = frozenset(pos(table_of[t].names[m.target]) for t in m.tags)
+        effects = [Rule(cond, pos(plain[m.target]))]
         for other in sorted(ctx.mutexes.mutex_with(m.target)):
             if other == m.target.negate():
                 continue
-            effects.append(Rule(cond, pos(atom(other.negate(), EMPTY_TAG))))
+            effects.append(Rule(cond, pos(plain[other.negate()])))
         actions.append(Action(name, frozenset(), tuple(effects)))
 
     actions.sort(key=lambda a: a.name)

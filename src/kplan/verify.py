@@ -45,45 +45,81 @@ def _enumerate_states(clauses: Iterable[Clause], fluents: Iterable[str],
                       cap: Optional[int] = DEFAULT_STATE_CAP
                       ) -> Iterator[State]:
     """Backtracking enumeration of complete consistent states over
-    ``fluents`` satisfying ``clauses``, with ``forced`` literals pinned."""
+    ``fluents`` satisfying ``clauses``, with ``forced`` literals pinned.
+
+    Depth first with an explicit stack over the unforced fluents in sorted
+    order, false before true.  The falsified literals form a bitmask, and
+    a clause is violated once the mask covers it.  That can first happen
+    when its last literal is falsified, so assigning a fluent checks only
+    the clauses of the literal it falsifies: the binary ones at once,
+    through the mask of their other literals, the others one by one.
+    """
     fluents = tuple(sorted(set(fluents)))
     clauses = [frozenset(c) for c in clauses]
     forced = list(forced)
     if not lits_consistent(forced):
         return
     assignment: Dict[str, bool] = {l.fluent: l.positive for l in forced}
-
-    def open_clause(c: Clause) -> bool:
-        undecided = False
+    bit: Dict[Literal, int] = {}
+    for c in clauses:
         for l in c:
-            v = assignment.get(l.fluent)
-            if v is None:
-                undecided = True
-            elif v == l.positive:
-                return True
-        return undecided
+            bit.setdefault(l, 1 << len(bit))
+    partners: Dict[Literal, int] = {}       # x -> the y of clauses {x, y}
+    others: Dict[Literal, List[int]] = {}   # x -> masks of its other clauses
+    masks = []
+    for c in clauses:
+        mask = sum(bit[l] for l in c)
+        masks.append(mask)
+        if len(c) == 2:
+            x, y = c
+            partners[x] = partners.get(x, 0) | bit[y]
+            partners[y] = partners.get(y, 0) | bit[x]
+        else:
+            for l in c:
+                others.setdefault(l, []).append(mask)
+    falsified = sum(bit.get(Literal(f, not v), 0)
+                    for f, v in assignment.items())
+    if any(m & falsified == m for m in masks):
+        return
 
     order = [f for f in fluents if f not in assignment]
+    literal = [(Literal(f, False), Literal(f, True)) for f in order]
+    # per depth and value: what assigning it falsifies, and the clauses
+    # that could become violated by that
+    checks = [[(bit.get(L.negate(), 0), partners.get(L.negate(), 0),
+                others.get(L.negate(), ())) for L in pair]
+              for pair in literal]
+    pinned = [Literal(f, v) for f, v in assignment.items()]
+    chosen: List[Literal] = [None] * len(order)  # type: ignore[list-item]
+    falsified_at = [falsified] * (len(order) + 1)
+    tried = [0] * len(order)  # values tried at each depth: 0, 1 or 2
     count = 0
-
-    def walk(i: int) -> Iterator[State]:
-        nonlocal count
-        if not all(open_clause(c) for c in clauses):
-            return
-        if i == len(order):
+    depth = 0
+    while depth >= 0:
+        if depth == len(order):
             count += 1
             if cap is not None and count > cap:
                 raise TooManyInitialStates(
                     f"state enumeration exceeded cap {cap}")
-            yield frozenset(Literal(f, v) for f, v in assignment.items())
-            return
-        f = order[i]
-        for value in (False, True):
-            assignment[f] = value
-            yield from walk(i + 1)
-        del assignment[f]
-
-    yield from walk(0)
+            yield frozenset(pinned + chosen)
+            depth -= 1
+            continue
+        value = tried[depth]
+        if value == 2:
+            tried[depth] = 0
+            depth -= 1
+            continue
+        tried[depth] = value + 1
+        lost, partner, other_masks = checks[depth][value]
+        before = falsified_at[depth]
+        if partner & before:
+            continue
+        after = before | lost
+        if any(m & after == m for m in other_masks):
+            continue
+        chosen[depth] = literal[depth][value]
+        falsified_at[depth + 1] = after
+        depth += 1
 
 
 def initial_states(problem: ConformantProblem,

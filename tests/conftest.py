@@ -8,7 +8,8 @@ import itertools
 import random
 import time
 from collections import deque
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
 import pytest
 
@@ -28,13 +29,22 @@ from kplan import (
     rule,
     run_plan,
 )
-from kplan import generators, pddl
-from kplan.analysis import all_literals
-from kplan.model import ClassicalProblem, State, sorted_lits
-from kplan.pi import prime_implicates
+from kplan import analysis, generators, pddl
+from kplan.analysis import Context, all_literals, build_context
+from kplan.errors import InvalidSpec, TooManyInitialStates, UnsupportedFeature
+from kplan.model import (Action, ClassicalProblem, Clause, Rule, State,
+                         lits_consistent, sorted_lits)
+from kplan.pi import EMPTY_TAG, Tag, prime_implicates
 from kplan.planner import INF, SolveResult, SolveStatus
-from kplan.translate import cnf_goal_compile, nondet_compile
-from kplan.verify import initial_states
+from kplan.translate import (
+    STATIC_ACTION_NAME,
+    TranslationSpec,
+    atom_name,
+    cnf_goal_compile,
+    merge_action_name,
+    nondet_compile,
+)
+from kplan.verify import DEFAULT_STATE_CAP, initial_states
 
 
 # --- tiny worked example ------------------------------------------------------
@@ -520,3 +530,213 @@ def reference_bfs_optimal(K: ClassicalProblem, depth_cap: int = 10,
             else:
                 dq.append(succ)
     return None
+
+
+# --- reference state enumeration --------------------------------------------------
+
+def reference_enumerate_states(clauses: Iterable[Clause],
+                               fluents: Iterable[str],
+                               forced: Iterable[Literal] = (),
+                               cap: Optional[int] = DEFAULT_STATE_CAP
+                               ) -> Iterator[State]:
+    """Backtracking enumeration of complete consistent states over
+    ``fluents`` satisfying ``clauses``, with ``forced`` literals pinned:
+    `kplan.verify._enumerate_states` as it was before it kept an explicit
+    stack, recursing once per fluent and checking every clause per node."""
+    fluents = tuple(sorted(set(fluents)))
+    clauses = [frozenset(c) for c in clauses]
+    forced = list(forced)
+    if not lits_consistent(forced):
+        return
+    assignment: Dict[str, bool] = {l.fluent: l.positive for l in forced}
+
+    def open_clause(c: Clause) -> bool:
+        undecided = False
+        for l in c:
+            v = assignment.get(l.fluent)
+            if v is None:
+                undecided = True
+            elif v == l.positive:
+                return True
+        return undecided
+
+    order = [f for f in fluents if f not in assignment]
+    count = 0
+
+    def walk(i: int) -> Iterator[State]:
+        nonlocal count
+        if not all(open_clause(c) for c in clauses):
+            return
+        if i == len(order):
+            count += 1
+            if cap is not None and count > cap:
+                raise TooManyInitialStates(
+                    f"state enumeration exceeded cap {cap}")
+            yield frozenset(Literal(f, v) for f, v in assignment.items())
+            return
+        f = order[i]
+        for value in (False, True):
+            assignment[f] = value
+            yield from walk(i + 1)
+        del assignment[f]
+
+    yield from walk(0)
+
+
+# --- reference translation builder ------------------------------------------------
+
+def _reference_relevant_fluents(ctx: Context, L: Literal) -> FrozenSet[str]:
+    return frozenset(l.fluent for l in ctx.rel.relevant_to(L))
+
+
+def reference_ktm(problem: ConformantProblem, spec: TranslationSpec,
+                  ctx: Optional[Context] = None, optimized: bool = False,
+                  validate: Optional[bool] = None) -> ClassicalProblem:
+    """Build the classical problem induced by a tag/merge spec: the
+    builder `kplan.translate.ktm` was before it read per-tag and
+    per-literal tables, recomputing every decision per rule and tag.
+
+    With ``optimized`` the builder applies, in order: (1) tagged atoms
+    whose tag closure carries nothing relevant to their literal collapse
+    onto the untagged atom; (2) support/cancellation rules are dropped at
+    tags through which nothing relevant to their head is merged; (3)
+    support and cancellation collapse into one rule where the tag decides
+    every fluent relevant to the head; (4) effects C,~L -> L of actions
+    that never delete L yield the extra deduction rule KC -> KL; (5) each
+    static disjunction yields case-elimination rules K~L_j (j != i) -> KL_i
+    on a dedicated action.
+    """
+    if problem.goal_clauses:
+        raise UnsupportedFeature("compile clause goals away first")
+    if not problem.deterministic:
+        raise UnsupportedFeature("compile nondeterministic effects away first")
+    if ctx is None:
+        ctx = build_context(problem)
+    pi = ctx.pi
+    if validate is None:
+        validate = not spec.trusted
+    if validate:
+        for t in spec.tags:
+            if not pi.tag_consistent(t):
+                raise InvalidSpec(f"inconsistent tag {sorted_lits(t)}")
+        for m in spec.merges:
+            if not pi.merge_valid(m):
+                raise InvalidSpec(f"invalid merge for {m.target}")
+
+    lits = analysis.all_literals(problem.fluents)
+    rel = ctx.rel
+
+    def collapses(L: Literal, t: Tag) -> bool:
+        return bool(t) and not (pi.closure(t) & rel.relevant_to(L))
+
+    def atom(L: Literal, t: Tag) -> str:
+        if optimized and collapses(L, t):
+            return atom_name(L, EMPTY_TAG)
+        return atom_name(L, t)
+
+    # which literals get merged through each tag (for rule dropping)
+    merged_through: Dict[Tag, Set[Literal]] = {}
+    for m in spec.merges:
+        for t in m.tags:
+            merged_through.setdefault(t, set()).add(m.target)
+
+    def useful(L: Literal, t: Tag) -> bool:
+        if not optimized or not t:
+            return True
+        targets = merged_through.get(t, ())
+        return any(rel.relevant(L, tgt) for tgt in targets)
+
+    fluents: Set[str] = set()
+    for L in lits:
+        for t in spec.tags:
+            fluents.add(atom(L, t))
+
+    init: Set[Literal] = set()
+    for t in spec.tags:
+        for L in pi.closure(t):
+            if L.fluent in problem.fluents:
+                init.add(pos(atom(L, t)))
+
+    goal = frozenset(pos(atom(L, EMPTY_TAG)) for L in problem.goal)
+
+    def decided(L: Literal, t: Tag) -> bool:
+        cl = pi.closure(t)
+        for f in _reference_relevant_fluents(ctx, L):
+            if pos(f) not in cl and neg(f) not in cl:
+                return False
+        return True
+
+    actions: List[Action] = []
+    for a in problem.actions:
+        rules: Set[Rule] = set()
+        for r in a.rules:
+            L = r.effect
+            for t in spec.tags:
+                head_support = not (optimized and collapses(L, t) and t)
+                head_cancel = not (optimized and collapses(L.negate(), t) and t)
+                emit_support = head_support and useful(L, t)
+                emit_cancel = head_cancel and useful(L.negate(), t)
+                if not emit_support and not emit_cancel:
+                    continue
+                support_cond = frozenset(pos(atom(c, t)) for c in r.condition)
+                if optimized and decided(L, t):
+                    # grouped support + cancellation
+                    rules.add(Rule(support_cond, pos(atom(L, t))))
+                    rules.add(Rule(support_cond,
+                                   Literal(atom(L.negate(), t), False)))
+                    continue
+                if emit_support:
+                    rules.add(Rule(support_cond, pos(atom(L, t))))
+                if emit_cancel:
+                    cancel_cond = frozenset(
+                        Literal(atom(c.negate(), t), False)
+                        for c in r.condition)
+                    rules.add(Rule(cancel_cond,
+                                   Literal(atom(L.negate(), t), False)))
+        if optimized:
+            # extra deduction: a: C,~L -> L with no a-rule deleting L
+            heads = {r.effect for r in a.rules}
+            for r in a.rules:
+                L = r.effect
+                if L.negate() in r.condition and L.negate() not in heads:
+                    cond = frozenset(pos(atom(c, EMPTY_TAG))
+                                     for c in r.condition if c != L.negate())
+                    rules.add(Rule(cond, pos(atom(L, EMPTY_TAG))))
+        precs = frozenset(pos(atom(L, EMPTY_TAG)) for L in a.preconditions)
+        actions.append(Action(a.name, precs,
+                              tuple(sorted(rules, key=Rule.sort_key))))
+
+    merge_names: Set[str] = set()
+    if optimized:
+        static_rules: Set[Rule] = set()
+        heads_anywhere = {r.effect for act in problem.actions for r in act.rules}
+        for c in pi.nonunit_clauses:
+            if any(l.negate() in heads_anywhere for l in c):
+                continue  # some literal of the clause can be deleted
+            for l in c:
+                cond = frozenset(pos(atom(o.negate(), EMPTY_TAG))
+                                 for o in c if o != l)
+                static_rules.add(Rule(cond, pos(atom(l, EMPTY_TAG))))
+        if static_rules:
+            # pure deduction: bookkeeping like a merge, stripped from plans
+            actions.append(Action(STATIC_ACTION_NAME, frozenset(),
+                                  tuple(sorted(static_rules,
+                                               key=Rule.sort_key))))
+            merge_names.add(STATIC_ACTION_NAME)
+
+    for m in spec.merges:
+        name = merge_action_name(m)
+        if name in merge_names:
+            continue
+        merge_names.add(name)
+        cond = frozenset(pos(atom(m.target, t)) for t in m.tags)
+        effects = [Rule(cond, pos(atom(m.target, EMPTY_TAG)))]
+        for other in sorted(ctx.mutexes.mutex_with(m.target)):
+            if other == m.target.negate():
+                continue
+            effects.append(Rule(cond, pos(atom(other.negate(), EMPTY_TAG))))
+        actions.append(Action(name, frozenset(), tuple(effects)))
+
+    actions.sort(key=lambda a: a.name)
+    return ClassicalProblem(frozenset(fluents), frozenset(init),
+                            tuple(actions), goal, frozenset(merge_names))

@@ -212,3 +212,22 @@ def test_cli_reports_kplan_errors_as_exit_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "width", str(dom), str(prob))
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("scheme", ["bogus", "ki:x", "ki:-1"])
+def test_translate_rejects_a_bad_scheme_before_reading_files(
+        tmp_path, capsys, monkeypatch, scheme):
+    missing = [str(tmp_path / "no-domain.pddl"),
+               str(tmp_path / "no-problem.pddl")]
+    with pytest.raises(SystemExit) as exc:
+        main(["translate", *missing, "--scheme", scheme])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"'{scheme}'" in err
+    assert "Traceback" not in err
+    # the KPLAN_SCHEME default is checked the same way
+    monkeypatch.setenv("KPLAN_SCHEME", scheme)
+    with pytest.raises(SystemExit) as exc:
+        main(["translate", *missing])
+    assert exc.value.code == 2
+    assert f"'{scheme}'" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Unit tests for the ground representation and exact progression."""
 
+import random
+
 import pytest
 
 from kplan import (
@@ -19,6 +21,8 @@ from kplan import (
 from kplan.model import (
     ClassicalProblem,
     Literal,
+    Rule,
+    sorted_lits,
     is_tautology,
     lits_consistent,
     state_satisfies,
@@ -120,3 +124,19 @@ def test_state_satisfies():
     s = frozenset([pos("p"), neg("q")])
     assert state_satisfies(s, [frozenset([pos("p"), pos("q")])])
     assert not state_satisfies(s, [frozenset([pos("q")])])
+
+
+def test_lits_consistent_and_rule_order_agree_with_literal_order():
+    rng = random.Random(5)
+    lits = [Literal(f, v) for f in ("a", "b", "c", "d") for v in (False, True)]
+    rules = set()
+    for _ in range(400):
+        chosen = [rng.choice(lits) for _ in range(rng.randint(0, 4))]
+        consistent = all(l.negate() not in chosen for l in chosen)
+        assert lits_consistent(chosen) == consistent
+        if consistent:
+            rules.add(rule(chosen, rng.choice(lits)))
+    rules = list(rules)
+    rng.shuffle(rules)
+    assert sorted(rules, key=Rule.sort_key) == sorted(
+        rules, key=lambda r: (sorted_lits(r.condition), r.effect))

@@ -164,3 +164,71 @@ def test_pi_clause_cap():
                for a, b in itertools.permutations(variables, 2)]
     with pytest.raises(PiBlowup):
         prime_implicates(clauses, variables, cap=3)
+
+
+# --- closures read off the index ------------------------------------------------
+
+def _closure_by_entailment(pi, tag):
+    """{L over the universe : I, t |= L}, literal by literal."""
+    universe = set(pi.fluents) | {l.fluent for l in tag}
+    return frozenset(Literal(f, v) for f in universe for v in (False, True)
+                     if pi.entails_literal(tag, Literal(f, v)))
+
+
+def _check_closure(pi, tag):
+    expected = _closure_by_entailment(pi, tag)
+    assert pi.closure(tag) == expected, sorted(tag)
+    # the second call is served from the cache
+    assert pi.closure(frozenset(tag)) == expected
+
+
+def test_closure_matches_entailment_on_random_pi_sets():
+    rng = random.Random(11)
+    checked = {"empty": 0, "complementary": 0, "foreign": 0,
+               "inconsistent": 0, "random": 0}
+    for _ in range(300):
+        variables = [f"v{i}" for i in range(rng.randint(1, 6))]
+        cnf = random_cnf(rng, variables, max_clauses=5)
+        try:
+            pi = prime_implicates(cnf, variables)
+        except InconsistentInit:
+            continue
+        pool = variables + ["x", "y"]  # x, y are outside pi.fluents
+        tags = {"empty": EMPTY_TAG}
+        tags["random"] = frozenset(
+            Literal(v, rng.random() < 0.5)
+            for v in rng.sample(variables, rng.randint(1, len(variables))))
+        v = rng.choice(pool)
+        tags["complementary"] = frozenset(
+            [pos(v), neg(v), Literal(rng.choice(pool), rng.random() < 0.5)])
+        tags["foreign"] = frozenset(
+            Literal(v, rng.random() < 0.5)
+            for v in rng.sample(pool, rng.randint(1, 3))) | {pos("x")}
+        if pi.nonunit_clauses or pi.units:
+            c = rng.choice(sorted(pi.clauses, key=sorted))
+            tags["inconsistent"] = frozenset(l.negate() for l in c)
+        for kind, tag in tags.items():
+            _check_closure(pi, tag)
+            checked[kind] += 1
+    assert all(checked.values()), checked
+
+
+def test_closure_of_inconsistent_tag_is_the_universe():
+    pi = prime_implicates([frozenset([pos("p"), pos("q")])], ["p", "q"])
+    tag = frozenset([neg("p"), neg("q")])  # the clause lies inside ~t
+    assert pi.closure(tag) == frozenset(
+        Literal(f, v) for f in ("p", "q") for v in (False, True))
+    assert not pi.tag_consistent(tag)
+    tag = frozenset([pos("p"), neg("p"), pos("z")])
+    assert pi.closure(tag) == frozenset(
+        Literal(f, v) for f in ("p", "q", "z") for v in (False, True))
+
+
+def test_closure_with_clauses_outside_the_fluents():
+    # z occurs in I but not among the fluents: its literals enter a
+    # closure only when the tag mentions z
+    pi = PICNF([frozenset([pos("z")]), frozenset([pos("a"), neg("z")]),
+                frozenset([pos("a"), pos("b")])], ["a", "b"])
+    for tag in (EMPTY_TAG, frozenset([pos("z")]), frozenset([neg("a")]),
+                frozenset([neg("z"), neg("b")])):
+        _check_closure(pi, tag)

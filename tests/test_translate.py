@@ -3,6 +3,7 @@
 import pytest
 
 from kplan import (
+    EMPTY_TAG,
     InvalidSpec,
     Merge,
     Plan,
@@ -23,23 +24,29 @@ from kplan import (
     spec_kmodels,
     spec_ks0,
 )
-from kplan.errors import UnsupportedFeature
+from kplan import pddl
+from kplan.analysis import all_literals
+from kplan.errors import CapExceeded, UnsupportedFeature
 from kplan.model import NondetRule, action, conformant_problem, rule
 from kplan.translate import (
     MERGE_PREFIX,
     STATIC_ACTION_NAME,
     TranslationSpec,
     atom_name,
+    inject_reset_effects,
     merge_action_name,
     tag_digest,
+    tag_table,
 )
 
 from conftest import (
     TINY_BAD,
     TINY_PLAN,
     classical_accepts,
+    compiled_instance,
     is_conformant,
     random_suite,
+    reference_ktm,
 )
 from kplan.planner import bfs_optimal
 
@@ -83,6 +90,11 @@ def test_spec_requires_empty_tag():
         TranslationSpec((frozenset([pos("p")]),), (), "manual")
     spec = make_spec([frozenset([pos("p")])], [], "manual")
     assert frozenset() in spec.tags
+    # every merge tag must be a tag, so each has a table in ktm
+    t = frozenset([pos("p")])
+    with pytest.raises(InvalidSpec):
+        TranslationSpec((frozenset(),), (Merge(frozenset([t]), pos("q")),),
+                        "manual")
 
 
 def test_ktm_validates_untrusted_specs(tiny):
@@ -230,3 +242,92 @@ def test_merge_actions_conclude_and_are_repeatable(pickdrop):
     # applying the merge twice is harmless
     steps = ("pick-l1", "drop-l3", "pick-l2", "drop-l3", m3, m3)
     assert classical_accepts(K, steps)
+
+
+# --- the table-driven builder against the reference builder ----------------------
+
+SPECS = {
+    "k0": lambda ctx, include_all: spec_k0(),
+    "ki:1": lambda ctx, include_all: spec_ki(ctx, 1, include_all),
+    "ks0": lambda ctx, include_all: spec_ks0(ctx, include_all=include_all),
+    "kmodels": lambda ctx, include_all: spec_kmodels(
+        ctx, include_all=include_all),
+}
+
+
+def _check_against_reference(problem, spec, ctx, info=None):
+    for optimized in (True, False):
+        got = ktm(problem, spec, ctx, optimized=optimized, validate=False)
+        want = reference_ktm(problem, spec, ctx, optimized=optimized,
+                             validate=False)
+        if info is not None:
+            got = inject_reset_effects(got, problem, spec, info)
+            want = inject_reset_effects(want, problem, spec, info)
+        assert got == want, (spec.scheme, optimized)
+        assert pddl.emit_classical(got) == pddl.emit_classical(want)
+
+
+def test_ktm_matches_reference_on_random_suite():
+    checked = dict.fromkeys(SPECS, 0)
+    for problem in random_suite(515, 40):
+        ctx = build_context(problem)
+        for scheme, build in SPECS.items():
+            try:
+                spec = build(ctx, False)
+            except CapExceeded:
+                continue
+            _check_against_reference(problem, spec, ctx)
+            checked[scheme] += 1
+    assert min(checked.values()) >= 30, checked
+
+
+# The benchmark's instances (perfbench/workloads.py) with the scheme each
+# is translated with: the translate workload's scheme, or ki:1, the first
+# stage of the solve ladder.
+BENCH_TRANSLATIONS = (
+    ("bomb", (10, 10), "ki:1"), ("bomb", (12, 4), "ki:1"),
+    ("safe", (25,), "ki:1"), ("square-center", (6,), "ki:1"),
+    ("corners-square", (8,), "ki:1"), ("ring", (4,), "ki:1"),
+    ("sgripper", (3,), "ki:1"), ("bomb", (16, 16), "ki:1"),
+    ("safe", (40,), "ki:1"), ("disjtoy", (9,), "ks0"),
+    ("square-center", (8,), "ks0"), ("disjtoy", (9,), "kmodels"),
+    ("sortnet", (7,), "ki:1"),
+)
+
+
+@pytest.mark.parametrize(
+    "family,params,scheme", BENCH_TRANSLATIONS,
+    ids=["-".join(map(str, (f, *p, s))) for f, p, s in BENCH_TRANSLATIONS])
+def test_ktm_matches_reference_on_benchmark_instances(family, params, scheme):
+    problem, info = compiled_instance(family, params)
+    ctx = build_context(problem)
+    # the pipeline targets every literal on oneof input
+    spec = SPECS[scheme](ctx, bool(info.resets))
+    _check_against_reference(problem, spec, ctx, info)
+
+
+def test_ktm_matches_reference_on_nondet_gripper_with_resets():
+    for copies in (1, 2):
+        problem, info = compiled_instance("sgripper", (2,), copies)
+        ctx = build_context(problem)
+        for scheme in ("ki:1", "kmodels"):
+            _check_against_reference(problem, SPECS[scheme](ctx, True),
+                                     ctx, info)
+
+
+def test_tag_table_names_follow_atom_name():
+    problem = conformant_problem(
+        ["p", "q", "r"], [[pos("p"), pos("q")]],
+        [action("a", rules=[rule([pos("p")], pos("r"))])], [pos("r")])
+    ctx = build_context(problem)
+    plain = {L: atom_name(L) for L in all_literals(problem.fluents)}
+    t = frozenset([neg("p"), pos("q")])
+    table = tag_table(t, ctx, plain, (), optimized=False)
+    assert table.names == {L: atom_name(L, t) for L in plain}
+    assert table.names[pos("r")] == "Kr__not-p__q"
+    # optimized, KL/t collapses onto KL where t* = {~p, q} holds nothing
+    # relevant to L
+    table = tag_table(t, ctx, plain, (pos("r"),), optimized=True)
+    assert pos("r") in table.collapsed and pos("q") not in table.collapsed
+    for L, name in table.names.items():
+        assert name == atom_name(L, EMPTY_TAG if L in table.collapsed else t)

@@ -1,6 +1,8 @@
 """Brute-force oracles: state enumeration, conformance, weak semantics,
 belief search, bases."""
 
+import random
+
 import pytest
 
 from kplan import (
@@ -12,6 +14,7 @@ from kplan import (
     conformant_check,
     initial_states,
     k0,
+    Literal,
     Merge,
     make_spec,
     neg,
@@ -20,16 +23,21 @@ from kplan import (
     zero_approx_run,
 )
 from kplan.errors import UnsupportedFeature
+from kplan import generators, pddl
 from kplan.model import NondetRule, action, conformant_problem, rule
-from kplan.verify import ThreeValuedState, rel_state, zero_approx_step
+from kplan.verify import (ThreeValuedState, _enumerate_states, rel_state,
+                          zero_approx_step)
 from kplan.analysis import relevance
 
 from conftest import (
+    BENCH_INSTANCES,
     TINY_BAD,
     TINY_PLAN,
     all_sequences,
     classical_accepts,
+    compiled_instance,
     random_suite,
+    reference_enumerate_states,
 )
 
 
@@ -175,3 +183,51 @@ def test_build_basis_failure_is_hard():
                     "manual", trusted=True)
     with pytest.raises(BasisStateNotFound):
         build_basis(problem, bad)
+
+
+# --- the iterative enumerator against the recursive reference ---------------------
+
+def _states_until_cap(enumerate_states, *args, **kwargs):
+    """The states in enumeration order, then "cap" if the cap was hit."""
+    out = []
+    try:
+        out.extend(enumerate_states(*args, **kwargs))
+    except TooManyInitialStates:
+        out.append("cap")
+    return out
+
+
+def _check_enumeration(clauses, fluents, **kwargs):
+    got = _states_until_cap(_enumerate_states, clauses, fluents, **kwargs)
+    want = _states_until_cap(reference_enumerate_states, clauses, fluents,
+                             **kwargs)
+    assert got == want
+
+
+def test_enumeration_matches_reference_on_random_suite():
+    rng = random.Random(77)
+    for problem in random_suite(404, 60):
+        fluents = sorted(problem.fluents)
+        _check_enumeration(problem.init, fluents)
+        _check_enumeration(problem.init, fluents, cap=3)
+        # pinned literals, consistent or not, inside and outside the fluents
+        forced = [Literal(f, rng.random() < 0.5)
+                  for f in rng.sample(fluents + ["x"], 2)]
+        _check_enumeration(problem.init, fluents, forced=forced, cap=None)
+        _check_enumeration(problem.init, fluents,
+                           forced=[pos(fluents[0]), neg(fluents[0])])
+
+
+@pytest.mark.parametrize("family,params", BENCH_INSTANCES,
+                         ids=["-".join(map(str, (f, *p)))
+                              for f, p in BENCH_INSTANCES])
+def test_enumeration_matches_reference_on_generated(family, params):
+    problem = compiled_instance(family, params)[0]
+    _check_enumeration(problem.init, problem.fluents, cap=1024)
+
+
+def test_enumeration_of_a_deep_instance_ends_at_the_cap():
+    # ring-400 has 1200 fluents: deeper than the interpreter's recursion
+    ring = pddl.load(*generators.generate("ring", (400,)))
+    with pytest.raises(TooManyInitialStates):
+        initial_states(ring)
