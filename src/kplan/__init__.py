@@ -68,14 +68,9 @@ from .translate import (
     TranslationSpec,
     cnf_goal_compile,
     inject_reset_effects,
-    k0,
-    ki,
-    kmodels,
-    ks0,
     ktm,
     make_spec,
     nondet_compile,
-    optimize,
     spec_k0,
     spec_ki,
     spec_kmodels,

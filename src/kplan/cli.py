@@ -24,13 +24,12 @@ from .analysis import (
 from .errors import BudgetExhausted, KplanError, NoPlanFound, UnknownAction, WidthSearchCap
 from .model import ConformantProblem, neg, pos, sorted_lits
 from .pi import DEFAULT_MODEL_CAP, DEFAULT_PI_CLAUSE_CAP
-from .pipeline import PipelineConfig, pipeline_solve
+from .pipeline import PipelineConfig, pipeline_solve, translation_summary
 from .translate import (
     DEFAULT_S0_CAP,
     MERGE_PREFIX,
     cnf_goal_compile,
     ktm,
-    optimize,
     spec_k0,
     spec_ki,
     spec_kmodels,
@@ -138,12 +137,7 @@ def cmd_translate(args) -> int:
             "nonunit_clauses": len(ctx.pi.nonunit_clauses),
             "unknown_fluents": len(ctx.pi.unknown_fluents()),
         },
-        "translation": {
-            "atoms": len(K.fluents),
-            "actions": len(K.actions),
-            "conditional_effects": sum(len(a.rules) for a in K.actions),
-            "merge_actions": len(K.merges),
-        },
+        "translation": translation_summary(K),
     }
     widths = _width_report(compiled, ctx)
     report["widths"] = widths
@@ -215,9 +209,8 @@ def cmd_validate(args) -> int:
     unknown = [s for s in stripped if s not in names]
     if unknown:
         raise UnknownAction(f"plan references unknown actions: {unknown}")
-    compiled = cnf_goal_compile(problem)
-    verdict = conformant_check(compiled, stripped, cap=args.caps[0])
-    weak = zero_approx_run(compiled, stripped)
+    verdict = conformant_check(problem, stripped, cap=args.caps[0])
+    weak = zero_approx_run(problem, stripped)
     if verdict.valid:
         print(f"conformant: yes ({verdict.states_checked} initial states)")
     else:
@@ -390,7 +383,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except KplanError as exc:
+    except (KplanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -67,7 +67,7 @@ class PiBlowup(CapExceeded):
 
 
 class ValidityUndecidedAtCap(CapExceeded):
-    """Merge-validity model enumeration hit the model cap undecided."""
+    """Model enumeration hit the model cap undecided."""
 
 
 # --- analysis / translate -----------------------------------------------

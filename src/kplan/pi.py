@@ -4,7 +4,9 @@ Once the clause set is in prime-implicate (PI) form, entailment of a
 literal under a tag reduces to a subsumption test, which keeps every
 query downstream (closures, tag consistency, relevant clauses)
 polynomial.  Normalization uses Tison's method: resolve variable by
-variable in a fixed order with eager subsumption.
+variable in a fixed order with eager subsumption.  The module also holds
+the one model enumerator, which the spec builders, merge checks and the
+validation oracles share.
 """
 
 from __future__ import annotations
@@ -45,6 +47,89 @@ def _reduce_subsumed(clauses: Iterable[Clause]) -> Set[Clause]:
         if not any(k <= c for k in kept):
             kept.append(c)
     return set(kept)
+
+
+def enumerate_models(clauses: Iterable[Clause], fluents: Iterable[str],
+                     forced: Iterable[Literal] = (),
+                     cap: Optional[int] = DEFAULT_MODEL_CAP
+                     ) -> Iterator[FrozenSet[Literal]]:
+    """Backtracking enumeration of complete consistent states over
+    ``fluents`` satisfying ``clauses``, with ``forced`` literals pinned.
+    Raises ValidityUndecidedAtCap past ``cap`` states.
+
+    Depth first with an explicit stack over the unforced fluents in sorted
+    order, false before true.  The falsified literals form a bitmask, and
+    a clause is violated once the mask covers it.  That can first happen
+    when its last literal is falsified, so assigning a fluent checks only
+    the clauses of the literal it falsifies: the binary ones at once,
+    through the mask of their other literals, the others one by one.
+    """
+    fluents = tuple(sorted(set(fluents)))
+    clauses = [frozenset(c) for c in clauses]
+    forced = list(forced)
+    if not lits_consistent(forced):
+        return
+    assignment: Dict[str, bool] = {l.fluent: l.positive for l in forced}
+    bit: Dict[Literal, int] = {}
+    for c in clauses:
+        for l in c:
+            bit.setdefault(l, 1 << len(bit))
+    partners: Dict[Literal, int] = {}       # x -> the y of clauses {x, y}
+    others: Dict[Literal, List[int]] = {}   # x -> masks of its other clauses
+    masks = []
+    for c in clauses:
+        mask = sum(bit[l] for l in c)
+        masks.append(mask)
+        if len(c) == 2:
+            x, y = c
+            partners[x] = partners.get(x, 0) | bit[y]
+            partners[y] = partners.get(y, 0) | bit[x]
+        else:
+            for l in c:
+                others.setdefault(l, []).append(mask)
+    falsified = sum(bit.get(Literal(f, not v), 0)
+                    for f, v in assignment.items())
+    if any(m & falsified == m for m in masks):
+        return
+
+    order = [f for f in fluents if f not in assignment]
+    literal = [(Literal(f, False), Literal(f, True)) for f in order]
+    # per depth and value: what assigning it falsifies, and the clauses
+    # that could become violated by that
+    checks = [[(bit.get(L.negate(), 0), partners.get(L.negate(), 0),
+                others.get(L.negate(), ())) for L in pair]
+              for pair in literal]
+    pinned = [Literal(f, v) for f, v in assignment.items()]
+    chosen: List[Literal] = [None] * len(order)  # type: ignore[list-item]
+    falsified_at = [falsified] * (len(order) + 1)
+    tried = [0] * len(order)  # values tried at each depth: 0, 1 or 2
+    count = 0
+    depth = 0
+    while depth >= 0:
+        if depth == len(order):
+            count += 1
+            if cap is not None and count > cap:
+                raise ValidityUndecidedAtCap(
+                    f"model enumeration exceeded cap {cap}")
+            yield frozenset(pinned + chosen)
+            depth -= 1
+            continue
+        value = tried[depth]
+        if value == 2:
+            tried[depth] = 0
+            depth -= 1
+            continue
+        tried[depth] = value + 1
+        lost, partner, other_masks = checks[depth][value]
+        before = falsified_at[depth]
+        if partner & before:
+            continue
+        after = before | lost
+        if any(m & after == m for m in other_masks):
+            continue
+        chosen[depth] = literal[depth][value]
+        falsified_at[depth + 1] = after
+        depth += 1
 
 
 class PICNF:
@@ -137,63 +222,19 @@ class PICNF:
                cap: Optional[int] = DEFAULT_MODEL_CAP) -> Iterator[FrozenSet[Literal]]:
         """Enumerate complete assignments over ``variables`` satisfying the
         clauses of I that only mention those variables, plus ``extra``
-        clauses and ``forced`` unit literals.
+        clauses and the ``forced`` literals on those variables.
 
-        Clauses of I mentioning variables outside the given set are ignored
-        (the caller picks a variable set closed enough for its purpose).
-        Raises ValidityUndecidedAtCap past ``cap`` models.
+        Clauses of I mentioning variables outside the given set, and forced
+        literals outside it, are ignored (the caller picks a variable set
+        closed enough for its purpose).  Raises ValidityUndecidedAtCap past
+        ``cap`` models.
         """
-        variables = tuple(sorted(set(variables)))
-        varset = set(variables)
+        varset = frozenset(variables)
         constraints = [c for c in self.clauses
-                       if {l.fluent for l in c} <= varset]
-        constraints += [frozenset(c) for c in extra]
-        forced = list(forced)
-        if not lits_consistent(forced):
-            return
-        count = 0
-        assignment: Dict[str, bool] = {l.fluent: l.positive for l in forced
-                                       if l.fluent in varset}
-        if len(assignment) < sum(1 for l in forced if l.fluent in varset):
-            return  # conflicting forced literals on the same fluent
-
-        def consistent_so_far() -> bool:
-            for c in constraints:
-                undecided = False
-                satisfied = False
-                for l in c:
-                    v = assignment.get(l.fluent)
-                    if v is None:
-                        undecided = True
-                    elif v == l.positive:
-                        satisfied = True
-                        break
-                if not satisfied and not undecided:
-                    return False
-            return True
-
-        order = [v for v in variables if v not in assignment]
-
-        def walk(i: int) -> Iterator[FrozenSet[Literal]]:
-            nonlocal count
-            if not consistent_so_far():
-                return
-            if i == len(order):
-                count += 1
-                if cap is not None and count > cap:
-                    raise ValidityUndecidedAtCap(
-                        f"model enumeration exceeded cap {cap}")
-                yield frozenset(Literal(f, v) for f, v in assignment.items())
-                return
-            v = order[i]
-            for value in (False, True):
-                assignment[v] = value
-                yield from walk(i + 1)
-            del assignment[v]
-
-        if not consistent_so_far():
-            return
-        yield from walk(0)
+                       if all(l.fluent in varset for l in c)]
+        constraints += extra
+        return enumerate_models(constraints, varset,
+                                [l for l in forced if l.fluent in varset], cap)
 
     def merge_valid(self, m: Merge, cap: int = DEFAULT_MODEL_CAP) -> bool:
         """Check I |= V_{t in m} t by model enumeration.

@@ -38,7 +38,9 @@ class PipelineConfig:
     state_cap: int = DEFAULT_STATE_CAP
     model_cap: int = DEFAULT_MODEL_CAP
     pi_cap: int = DEFAULT_PI_CLAUSE_CAP
-    schemes: Tuple[str, ...] = ("k1", "kmodels")
+
+
+LADDER = ("ki:1", "kmodels")
 
 
 def _problem_summary(problem: ConformantProblem) -> Dict:
@@ -52,7 +54,7 @@ def _problem_summary(problem: ConformantProblem) -> Dict:
     }
 
 
-def _translation_summary(K) -> Dict:
+def translation_summary(K) -> Dict:
     return {
         "atoms": len(K.fluents),
         "actions": len(K.actions),
@@ -108,7 +110,7 @@ def pipeline_solve(problem: ConformantProblem,
             consistent = all(ctx.mutexes.mutex(pos(f), neg(f))
                              for f in compiled.fluents)
         include_all = nondet
-        for scheme in config.schemes:
+        for scheme in LADDER:
             stage: Dict = {
                 "scheme": scheme,
                 "copies": copies,
@@ -120,13 +122,11 @@ def pipeline_solve(problem: ConformantProblem,
                 continue
             stage["consistent"] = consistent
             try:
-                if scheme == "k1":
+                if scheme == "ki:1":
                     spec = spec_ki(ctx, 1, include_all=include_all)
-                elif scheme == "kmodels":
+                else:
                     spec = spec_kmodels(ctx, cap=config.model_cap,
                                         include_all=include_all)
-                else:
-                    raise ValueError(f"unknown ladder scheme {scheme}")
             except CapExceeded as exc:
                 _cap_exceeded(stage, exc)
                 continue
@@ -139,7 +139,7 @@ def pipeline_solve(problem: ConformantProblem,
             result = solve(K, max_nodes=config.max_nodes,
                            max_seconds=max_seconds)
             stage.update({
-                "translation": _translation_summary(K),
+                "translation": translation_summary(K),
                 "status": result.status.value,
                 "expanded": result.expanded,
                 "generated": result.generated,

@@ -22,8 +22,9 @@ from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
                     Set, Tuple)
 
 from . import analysis
-from .analysis import Context, build_context, cover, satisfies, target_literals
-from .errors import InvalidSpec, TooManyInitialStates, TooManyModels, UnsupportedFeature, ValidityUndecidedAtCap
+from .analysis import Context, build_context, cover, target_literals, width_of_literal
+from .errors import (InvalidSpec, TooManyInitialStates, TooManyModels,
+                     UnsupportedFeature, ValidityUndecidedAtCap, WidthSearchCap)
 from .model import (
     Action,
     ClassicalProblem,
@@ -142,34 +143,26 @@ def spec_kmodels(ctx: Context, cap: int = DEFAULT_MODELS_CAP,
 
 
 def spec_ki(ctx: Context, i: int, include_all: bool = False) -> TranslationSpec:
-    """Bounded-width scheme: per target literal, the cover of the least
-    clause subset of size <= i that satisfies its relevant clauses; when no
-    such subset exists, one cover per size-i subset (sound but possibly
-    incomplete)."""
+    """Bounded-width scheme: per target literal, the cover of the witness
+    of its width search capped at i (the least clause subset of size <= i
+    whose cover satisfies its relevant clauses); when its width exceeds i,
+    one cover per size-i subset (sound but possibly incomplete)."""
     if i < 0:
         raise ValueError("i must be >= 0")
     merges: List[Merge] = []
     for L in target_literals(ctx.problem, include_all):
-        rcs = ctx.relevant_clause_set(L)
-        if not rcs.extended or not rcs.clauses:
-            continue
-        chosen: Optional[Tuple[FrozenSet[Literal], ...]] = None
-        for size in range(0, i + 1):
-            for C in itertools.combinations(rcs.extended, size):
+        try:
+            _, witness = width_of_literal(ctx.ci, L, ctx.rel, ctx.pi, cap=i)
+        except WidthSearchCap:
+            pool = ctx.relevant_clause_set(L).extended
+            for C in itertools.combinations(pool, i):
                 cov = cover(C, ctx.pi)
-                if cov and satisfies(cov, rcs.clauses, ctx.pi):
-                    chosen = cov
-                    break
-            if chosen:
-                break
-        if chosen:
-            merges.append(Merge(frozenset(chosen), L))
-        elif i > 0:
-            for C in itertools.combinations(rcs.extended, i):
-                cov = cover(C, ctx.pi)
-                if cov and frozenset(cov) != frozenset((EMPTY_TAG,)):
+                if frozenset(cov) != frozenset((EMPTY_TAG,)):
                     merges.append(Merge(frozenset(cov), L))
-    return make_spec((), merges, f"k{i}", trusted=True)
+            continue
+        if witness:  # empty when L has no relevant clauses
+            merges.append(Merge(frozenset(cover(witness, ctx.pi)), L))
+    return make_spec((), merges, f"ki:{i}", trusted=True)
 
 
 # --- the core builder -------------------------------------------------------
@@ -345,43 +338,6 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
     actions.sort(key=lambda a: a.name)
     return ClassicalProblem(frozenset(fluents), frozenset(init),
                             tuple(actions), goal, frozenset(merge_names))
-
-
-# --- scheme entry points ----------------------------------------------------
-
-def k0(problem: ConformantProblem, ctx: Optional[Context] = None) -> ClassicalProblem:
-    return ktm(problem, spec_k0(), ctx)
-
-
-def ks0(problem: ConformantProblem, cap: int = DEFAULT_S0_CAP,
-        ctx: Optional[Context] = None) -> ClassicalProblem:
-    ctx = ctx or build_context(problem)
-    return ktm(problem, spec_ks0(ctx, cap), ctx)
-
-
-def kmodels(problem: ConformantProblem, cap: int = DEFAULT_MODELS_CAP,
-            ctx: Optional[Context] = None) -> ClassicalProblem:
-    ctx = ctx or build_context(problem)
-    return ktm(problem, spec_kmodels(ctx, cap), ctx)
-
-
-def ki(problem: ConformantProblem, i: int,
-       ctx: Optional[Context] = None) -> ClassicalProblem:
-    ctx = ctx or build_context(problem)
-    return ktm(problem, spec_ki(ctx, i), ctx)
-
-
-def optimize(K: ClassicalProblem, problem: ConformantProblem,
-             spec: TranslationSpec,
-             ctx: Optional[Context] = None) -> ClassicalProblem:
-    """Optimized variant of the translation that produced K.
-
-    The rewrites are defined on the (problem, spec) pair, so this simply
-    rebuilds with the optimizing builder; K itself only documents which
-    translation is being optimized.
-    """
-    ctx = ctx or build_context(problem)
-    return ktm(problem, spec, ctx, optimized=True, validate=False)
 
 
 # --- CNF goal compilation -----------------------------------------------

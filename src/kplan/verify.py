@@ -11,22 +11,21 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .analysis import Context, RelevanceGraph, build_context
 from .errors import (
     BasisStateNotFound,
     TooManyInitialStates,
     UnsupportedFeature,
+    ValidityUndecidedAtCap,
 )
 from .model import (
-    Clause,
     ConformantProblem,
     Literal,
     Plan,
     State,
     apply,
-    lits_consistent,
     neg,
     pos,
     restrict,
@@ -34,100 +33,21 @@ from .model import (
     sorted_lits,
     state_satisfies,
 )
-from .pi import PICNF, Tag, prime_implicates
+from .pi import PICNF, Tag, enumerate_models, prime_implicates
 from .translate import TranslationSpec
 
 DEFAULT_STATE_CAP = 4096
 
 
-def _enumerate_states(clauses: Iterable[Clause], fluents: Iterable[str],
-                      forced: Iterable[Literal] = (),
-                      cap: Optional[int] = DEFAULT_STATE_CAP
-                      ) -> Iterator[State]:
-    """Backtracking enumeration of complete consistent states over
-    ``fluents`` satisfying ``clauses``, with ``forced`` literals pinned.
-
-    Depth first with an explicit stack over the unforced fluents in sorted
-    order, false before true.  The falsified literals form a bitmask, and
-    a clause is violated once the mask covers it.  That can first happen
-    when its last literal is falsified, so assigning a fluent checks only
-    the clauses of the literal it falsifies: the binary ones at once,
-    through the mask of their other literals, the others one by one.
-    """
-    fluents = tuple(sorted(set(fluents)))
-    clauses = [frozenset(c) for c in clauses]
-    forced = list(forced)
-    if not lits_consistent(forced):
-        return
-    assignment: Dict[str, bool] = {l.fluent: l.positive for l in forced}
-    bit: Dict[Literal, int] = {}
-    for c in clauses:
-        for l in c:
-            bit.setdefault(l, 1 << len(bit))
-    partners: Dict[Literal, int] = {}       # x -> the y of clauses {x, y}
-    others: Dict[Literal, List[int]] = {}   # x -> masks of its other clauses
-    masks = []
-    for c in clauses:
-        mask = sum(bit[l] for l in c)
-        masks.append(mask)
-        if len(c) == 2:
-            x, y = c
-            partners[x] = partners.get(x, 0) | bit[y]
-            partners[y] = partners.get(y, 0) | bit[x]
-        else:
-            for l in c:
-                others.setdefault(l, []).append(mask)
-    falsified = sum(bit.get(Literal(f, not v), 0)
-                    for f, v in assignment.items())
-    if any(m & falsified == m for m in masks):
-        return
-
-    order = [f for f in fluents if f not in assignment]
-    literal = [(Literal(f, False), Literal(f, True)) for f in order]
-    # per depth and value: what assigning it falsifies, and the clauses
-    # that could become violated by that
-    checks = [[(bit.get(L.negate(), 0), partners.get(L.negate(), 0),
-                others.get(L.negate(), ())) for L in pair]
-              for pair in literal]
-    pinned = [Literal(f, v) for f, v in assignment.items()]
-    chosen: List[Literal] = [None] * len(order)  # type: ignore[list-item]
-    falsified_at = [falsified] * (len(order) + 1)
-    tried = [0] * len(order)  # values tried at each depth: 0, 1 or 2
-    count = 0
-    depth = 0
-    while depth >= 0:
-        if depth == len(order):
-            count += 1
-            if cap is not None and count > cap:
-                raise TooManyInitialStates(
-                    f"state enumeration exceeded cap {cap}")
-            yield frozenset(pinned + chosen)
-            depth -= 1
-            continue
-        value = tried[depth]
-        if value == 2:
-            tried[depth] = 0
-            depth -= 1
-            continue
-        tried[depth] = value + 1
-        lost, partner, other_masks = checks[depth][value]
-        before = falsified_at[depth]
-        if partner & before:
-            continue
-        after = before | lost
-        if any(m & after == m for m in other_masks):
-            continue
-        chosen[depth] = literal[depth][value]
-        falsified_at[depth + 1] = after
-        depth += 1
-
-
 def initial_states(problem: ConformantProblem,
                    cap: Optional[int] = DEFAULT_STATE_CAP) -> Tuple[State, ...]:
     """All complete consistent states satisfying the initial clauses."""
-    return tuple(sorted(
-        _enumerate_states(problem.init, problem.fluents, cap=cap),
-        key=sorted_lits))
+    try:
+        states = list(enumerate_models(problem.init, problem.fluents, cap=cap))
+    except ValidityUndecidedAtCap as exc:
+        raise TooManyInitialStates(
+            f"state enumeration exceeded cap {cap}") from exc
+    return tuple(sorted(states, key=sorted_lits))
 
 
 @dataclass(frozen=True)
@@ -144,7 +64,7 @@ class Verdict:
 def conformant_check(problem: ConformantProblem, steps: Iterable[str],
                      cap: Optional[int] = DEFAULT_STATE_CAP) -> Verdict:
     """Is the (merge-free) action sequence a classical plan for P/s for
-    every possible initial state s?"""
+    every possible initial state s, goal clauses included?"""
     steps = tuple(steps)
     plan = Plan(steps)
     checked = 0
@@ -157,6 +77,11 @@ def conformant_check(problem: ConformantProblem, steps: Iterable[str],
         if not result.achieved_goal:
             missing = sorted_lits(problem.goal - result.final)
             return Verdict(False, f"goal literals not achieved: {missing}",
+                           s, checked)
+        unsatisfied = [sorted_lits(c) for c in problem.goal_clauses
+                       if not result.final & c]
+        if unsatisfied:
+            return Verdict(False, f"goal clauses not satisfied: {unsatisfied}",
                            s, checked)
     return Verdict(True, "conformant", None, checked)
 
@@ -207,7 +132,8 @@ def zero_approx_run(problem: ConformantProblem, steps: Iterable[str],
                     pi: Optional[PICNF] = None) -> Verdict:
     """Validate a plan under the weak semantics: start from the literals
     entailed by I, require preconditions known at every step, and require
-    all goal literals known at the end."""
+    all goal literals, and a literal of every goal clause, known at the
+    end."""
     if pi is None:
         pi = prime_implicates(problem.init, problem.fluents)
     state = ThreeValuedState(frozenset(
@@ -227,6 +153,10 @@ def zero_approx_run(problem: ConformantProblem, steps: Iterable[str],
     missing = sorted_lits(problem.goal - state.known)
     if missing:
         return Verdict(False, f"goal literals not known: {missing}")
+    unknown = [sorted_lits(c) for c in problem.goal_clauses
+               if not state.known & c]
+    if unknown:
+        return Verdict(False, f"goal clauses not known to hold: {unknown}")
     return Verdict(True, "valid under the weak semantics")
 
 
@@ -321,8 +251,8 @@ def build_basis(problem: ConformantProblem, spec: TranslationSpec,
         for lp in ctx.rel.relevant_to(L):
             if lp.fluent in problem.fluents and lp not in closure:
                 forced.add(lp.negate())
-        found = next(_enumerate_states(problem.init, problem.fluents,
-                                       forced=sorted_lits(forced), cap=None),
+        found = next(enumerate_models(problem.init, problem.fluents,
+                                      forced=sorted_lits(forced), cap=None),
                      None)
         if found is None:
             raise BasisStateNotFound(

@@ -30,8 +30,10 @@ from kplan import (
     run_plan,
 )
 from kplan import analysis, generators, pddl
-from kplan.analysis import Context, all_literals, build_context
-from kplan.errors import InvalidSpec, TooManyInitialStates, UnsupportedFeature
+from kplan.analysis import (Context, all_literals, build_context, cover,
+                            satisfies, target_literals)
+from kplan.errors import (CapExceeded, InvalidSpec, TooManyInitialStates,
+                          UnsupportedFeature)
 from kplan.model import (Action, ClassicalProblem, Clause, Rule, State,
                          lits_consistent, sorted_lits)
 from kplan.pi import EMPTY_TAG, Tag, prime_implicates
@@ -534,6 +536,16 @@ def reference_bfs_optimal(K: ClassicalProblem, depth_cap: int = 10,
 
 # --- reference state enumeration --------------------------------------------------
 
+def states_until_cap(enumerate_states, *args, **kwargs):
+    """The states in enumeration order, then "cap" if the cap was hit."""
+    out = []
+    try:
+        out.extend(enumerate_states(*args, **kwargs))
+    except CapExceeded:
+        out.append("cap")
+    return out
+
+
 def reference_enumerate_states(clauses: Iterable[Clause],
                                fluents: Iterable[str],
                                forced: Iterable[Literal] = (),
@@ -541,8 +553,9 @@ def reference_enumerate_states(clauses: Iterable[Clause],
                                ) -> Iterator[State]:
     """Backtracking enumeration of complete consistent states over
     ``fluents`` satisfying ``clauses``, with ``forced`` literals pinned:
-    `kplan.verify._enumerate_states` as it was before it kept an explicit
-    stack, recursing once per fluent and checking every clause per node."""
+    `kplan.pi.enumerate_models` (then `kplan.verify._enumerate_states`) as
+    it was before it kept an explicit stack, recursing once per fluent and
+    checking every clause per node."""
     fluents = tuple(sorted(set(fluents)))
     clauses = [frozenset(c) for c in clauses]
     forced = list(forced)
@@ -740,3 +753,38 @@ def reference_ktm(problem: ConformantProblem, spec: TranslationSpec,
     actions.sort(key=lambda a: a.name)
     return ClassicalProblem(frozenset(fluents), frozenset(init),
                             tuple(actions), goal, frozenset(merge_names))
+
+
+# --- reference bounded-width spec ---------------------------------------------------
+
+def reference_spec_ki(ctx: Context, i: int,
+                      include_all: bool = False) -> TranslationSpec:
+    """Bounded-width scheme: per target literal, the cover of the least
+    clause subset of size <= i that satisfies its relevant clauses; when no
+    such subset exists, one cover per size-i subset (sound but possibly
+    incomplete).  `kplan.translate.spec_ki` as it was before it took its
+    witness from `width_of_literal`, with its own search of sizes 0..i."""
+    if i < 0:
+        raise ValueError("i must be >= 0")
+    merges: List[Merge] = []
+    for L in target_literals(ctx.problem, include_all):
+        rcs = ctx.relevant_clause_set(L)
+        if not rcs.extended or not rcs.clauses:
+            continue
+        chosen: Optional[Tuple[FrozenSet[Literal], ...]] = None
+        for size in range(0, i + 1):
+            for C in itertools.combinations(rcs.extended, size):
+                cov = cover(C, ctx.pi)
+                if cov and satisfies(cov, rcs.clauses, ctx.pi):
+                    chosen = cov
+                    break
+            if chosen:
+                break
+        if chosen:
+            merges.append(Merge(frozenset(chosen), L))
+        elif i > 0:
+            for C in itertools.combinations(rcs.extended, i):
+                cov = cover(C, ctx.pi)
+                if cov and frozenset(cov) != frozenset((EMPTY_TAG,)):
+                    merges.append(Merge(frozenset(cov), L))
+    return make_spec((), merges, f"k{i}", trusted=True)

@@ -24,10 +24,6 @@ from kplan import (
     cnf_goal_compile,
     conformant_check,
     initial_states,
-    k0,
-    ki,
-    kmodels,
-    ks0,
     ktm,
     mutex_set,
     neg,
@@ -75,7 +71,7 @@ def load_generated(family, *params):
 
 def test_criterion_01_basic_translation_worked_example():
     problem = build_tiny()
-    K = k0(problem)
+    K = ktm(problem, spec_k0())
     ok = classical_accepts(K, TINY_PLAN)
     ok = ok and not classical_accepts(K, TINY_BAD)
     ok = ok and conformant_check(problem, TINY_PLAN).valid
@@ -181,8 +177,8 @@ def test_criterion_05_small_instances_end_to_end():
 
 def _translations(problem, ctx):
     yield "k0", ktm(problem, spec_k0(), ctx, validate=False)
-    yield "k1", ktm(problem, spec_ki(ctx, 1), ctx, validate=False)
-    yield "k2", ktm(problem, spec_ki(ctx, 2), ctx, validate=False)
+    yield "ki:1", ktm(problem, spec_ki(ctx, 1), ctx, validate=False)
+    yield "ki:2", ktm(problem, spec_ki(ctx, 2), ctx, validate=False)
     yield "kmodels", ktm(problem, spec_kmodels(ctx), ctx, validate=False)
     yield "ks0", ktm(problem, spec_ks0(ctx), ctx, validate=False)
 
@@ -235,7 +231,7 @@ def test_criterion_07_completeness_suite():
 def test_criterion_08_weak_semantics_equivalence():
     discrepancies = []
     for problem in random_suite(80808, 50, max_fluents=4, max_actions=3):
-        K = k0(problem)
+        K = ktm(problem, spec_k0())
         names = [a.name for a in problem.actions]
         for seq in all_sequences(names, 4):
             strong = classical_accepts(K, seq)
@@ -321,7 +317,7 @@ def test_criterion_12_sortnet_ladder():
     problem = load_generated("sortnet", 3)
     plan, report = pipeline_solve(problem)
     stages = report["stages"]
-    ok = stages[0]["scheme"] == "k1"
+    ok = stages[0]["scheme"] == "ki:1"
     ok = ok and stages[0]["status"] == "unsolvable"
     ok = ok and stages[-1]["scheme"] == "kmodels"
     ok = ok and stages[-1]["status"] == "solved"

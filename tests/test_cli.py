@@ -214,6 +214,53 @@ def test_cli_reports_kplan_errors_as_exit_2(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["translate", "solve", "validate",
+                                     "width"])
+def test_a_missing_input_file_exits_2(tmp_path, capsys, command):
+    dom, prob = gen_instance(tmp_path, "safe", 4)
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_text("(try-c1)\n")
+    plan = [str(plan_file)] if command == "validate" else []
+    missing = str(tmp_path / "missing.pddl")
+    for files in ([missing, str(prob)], [str(dom), missing]):
+        code, out, err = run_cli(capsys, command, *files, *plan)
+        assert code == 2
+        assert err.startswith("error: ") and "missing.pddl" in err
+
+
+def test_validate_with_a_missing_plan_file_exits_2(tmp_path, capsys):
+    dom, prob = gen_instance(tmp_path, "safe", 4)
+    code, out, err = run_cli(capsys, "validate", str(dom), str(prob),
+                             str(tmp_path / "missing-plan.txt"))
+    assert code == 2
+    assert err.startswith("error: ") and "missing-plan.txt" in err
+
+
+def bubble_network(n):
+    return [f"cmp-{j}-{j + 1}" for p in range(n - 1) for j in range(1, n - p)]
+
+
+@pytest.mark.parametrize("n,plan,valid", [
+    (4, bubble_network(4), True),
+    (4, bubble_network(4)[:-1], False),
+    (5, bubble_network(5), True),
+    (5, ["cmp-1-5", "cmp-1-4", "cmp-2-3", "cmp-3-4", "cmp-4-5", "cmp-1-2"],
+     False),
+], ids=["sortnet-4-bubble", "sortnet-4-bubble-less-one",
+        "sortnet-5-bubble", "sortnet-5-six-comparators"])
+def test_validate_judges_the_source_cnf_goal(tmp_path, capsys, n, plan,
+                                             valid):
+    dom, prob = gen_instance(tmp_path, "sortnet", n)
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_text("".join(f"({step})\n" for step in plan))
+    code, out, err = run_cli(capsys, "validate", str(dom), str(prob),
+                             str(plan_file))
+    if valid:
+        assert code == 0 and "conformant: yes" in out
+    else:
+        assert code == 1 and "reason: goal clauses not satisfied" in out
+
+
 @pytest.mark.parametrize("scheme", ["bogus", "ki:x", "ki:-1"])
 def test_translate_rejects_a_bad_scheme_before_reading_files(
         tmp_path, capsys, monkeypatch, scheme):

@@ -5,7 +5,6 @@ from kplan import (
     bfs_optimal,
     ktm,
     neg,
-    optimize,
     pos,
     spec_ki,
     spec_kmodels,
@@ -19,8 +18,7 @@ def test_optimize_rebuilds_with_rewrites(pickdrop):
     problem, spec, t1, t2 = pickdrop
     ctx = build_context(problem)
     plain = ktm(problem, spec, ctx)
-    opt = optimize(plain, problem, spec, ctx)
-    assert opt == ktm(problem, spec, ctx, optimized=True)
+    opt = ktm(problem, spec, ctx, optimized=True)
     # everything is relevant under both location tags here, so no tagged
     # atom may collapse away
     assert len(opt.fluents) == len(plain.fluents)

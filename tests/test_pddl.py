@@ -2,7 +2,8 @@
 
 import pytest
 
-from kplan import PddlSyntaxError, UnsupportedFeature, ki, neg, pos
+from kplan import (PddlSyntaxError, UnsupportedFeature, build_context, ktm,
+                   neg, pos, spec_ki)
 from kplan.pddl import (
     emit_classical,
     emit_plan_text,
@@ -106,7 +107,8 @@ def test_goal_cnf_parsing():
 
 
 def test_emit_classical_round_trip(tiny):
-    K = ki(tiny, 1)
+    ctx = build_context(tiny)
+    K = ktm(tiny, spec_ki(ctx, 1), ctx)
     domain_text, problem_text = emit_classical(K)
     back = load_classical(domain_text, problem_text)
     assert back.fluents == K.fluents
@@ -121,8 +123,9 @@ def test_emit_classical_round_trip(tiny):
 
 
 def test_emit_classical_is_deterministic(tiny):
-    K = ki(tiny, 1)
-    assert emit_classical(K) == emit_classical(ki(tiny, 1))
+    ctx = build_context(tiny)
+    K = ktm(tiny, spec_ki(ctx, 1), ctx)
+    assert emit_classical(K) == emit_classical(ktm(tiny, spec_ki(ctx, 1), ctx))
 
 
 def test_generators_all_load_and_ground():

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from kplan import InconsistentInit, Merge, PiBlowup, prime_implicates
 from kplan.errors import ValidityUndecidedAtCap
 from kplan.model import Literal, is_tautology, neg, pos
-from kplan.pi import EMPTY_TAG, PICNF
+from kplan.pi import DEFAULT_MODEL_CAP, EMPTY_TAG, PICNF
+
+from conftest import reference_enumerate_states, states_until_cap
 
 
 # --- truth-table oracle ---------------------------------------------------------
@@ -148,6 +150,37 @@ def test_models_enumeration(disjunctive):
         list(disjunctive.models(["p", "q", "r"], cap=2))
     forced = list(disjunctive.models(["p", "q", "r"], forced=[neg("p")]))
     assert forced == [frozenset([neg("p"), pos("q"), pos("r")])]
+
+
+def test_models_match_reference_enumeration():
+    """models = the enumeration over I's clauses within the variables plus
+    ``extra``, with the forced literals on the variables pinned."""
+    rng = random.Random(606)
+    checked = 0
+    for _ in range(200):
+        nvars = rng.randint(2, 6)
+        universe = [f"v{i}" for i in range(nvars)]
+        try:
+            pi = prime_implicates(random_cnf(rng, universe), universe)
+        except InconsistentInit:
+            continue
+        variables = rng.sample(universe, rng.randint(1, nvars))
+        extra = random_cnf(rng, universe, 2) if rng.random() < 0.5 else []
+        forced = [Literal(f, rng.random() < 0.5)
+                  for f in rng.sample(universe + ["x"], rng.randint(0, 2))]
+        if rng.random() < 0.1:
+            forced += [neg(variables[0]), pos(variables[0])]
+        cap = rng.choice([None, 2, DEFAULT_MODEL_CAP])
+        within = [c for c in pi.clauses
+                  if all(l.fluent in variables for l in c)]
+        want = states_until_cap(
+            reference_enumerate_states, within + extra, variables,
+            forced=[l for l in forced if l.fluent in variables], cap=cap)
+        got = states_until_cap(pi.models, variables, extra=extra,
+                               forced=forced, cap=cap)
+        assert got == want
+        checked += 1
+    assert checked >= 150
 
 
 def test_merge_validity(disjunctive):

@@ -77,13 +77,13 @@ def test_pipeline_report_is_deterministic():
 
 
 def test_pipeline_cap_error_ends_one_stage_not_the_ladder():
-    # sortnet-3 is unsolvable at k1, and its kmodels spec needs more
+    # sortnet-3 is unsolvable at ki:1, and its kmodels spec needs more
     # than one model per literal
     problem = load_generated("sortnet", 3)
     with pytest.raises(NoPlanFound) as exc:
         pipeline_solve(problem, PipelineConfig(model_cap=1))
-    k1, kmodels = exc.value.trace
-    assert k1["status"] == "unsolvable"
+    bounded, kmodels = exc.value.trace
+    assert bounded["scheme"] == "ki:1" and bounded["status"] == "unsolvable"
     assert kmodels["status"] == "cap-exceeded"
     assert kmodels["error"].startswith("TooManyModels: ")
 

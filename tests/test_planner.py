@@ -10,12 +10,11 @@ from kplan import (
     SolveStatus,
     bfs_optimal,
     build_context,
-    k0,
-    ki,
     ktm,
     neg,
     pos,
     solve,
+    spec_k0,
     spec_ki,
 )
 from kplan import planner
@@ -84,7 +83,7 @@ def test_solve_detects_unsolvable_by_exhaustion(tiny):
     # Kp and Knot-p are each relaxed-reachable, but never jointly true in
     # the real space: the heuristic stays finite and the open list must
     # empty out before the search can conclude unsolvability
-    K = k0(tiny)
+    K = ktm(tiny, spec_k0())
     unreachable = ClassicalProblem(K.fluents, K.init, K.actions,
                                    frozenset([pos("Kp"), pos("Knot-p")]))
     result = solve(unreachable)
@@ -99,14 +98,15 @@ def test_solve_budget_out():
 
 
 def test_solve_on_translated_problem(tiny):
-    K = ki(tiny, 1)
+    ctx = build_context(tiny)
+    K = ktm(tiny, spec_ki(ctx, 1), ctx)
     result = solve(K)
     assert result.status is SolveStatus.SOLVED
     assert run_plan(K, result.plan).achieved_goal
 
 
 def test_bfs_optimal_matches_known_optimum(tiny):
-    K = k0(tiny)
+    K = ktm(tiny, spec_k0())
     plan = bfs_optimal(K, depth_cap=5)
     assert plan is not None
     assert plan.stripped() == TINY_PLAN  # unique shortest
@@ -213,7 +213,8 @@ def assert_hadd_matches_reference(K, max_states=150):
 
 def test_hadd_matches_reference_on_random_suite():
     for problem in random_suite(404, 20):
-        assert_hadd_matches_reference(ki(problem, 1))
+        ctx = build_context(problem)
+        assert_hadd_matches_reference(ktm(problem, spec_ki(ctx, 1), ctx))
 
 
 @pytest.mark.parametrize("family,params", [
@@ -262,7 +263,9 @@ def assert_planner_matches_reference(K):
 
 def test_planner_matches_reference_on_random_suite():
     for problem in random_suite(405, 30):
-        for K in (k0(problem), ki(problem, 1)):
+        ctx = build_context(problem)
+        for K in (ktm(problem, spec_k0(), ctx),
+                  ktm(problem, spec_ki(ctx, 1), ctx)):
             assert_planner_matches_reference(K)
             assert bfs_optimal(K, depth_cap=6) == reference_bfs_optimal(
                 K, depth_cap=6)

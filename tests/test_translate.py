@@ -10,10 +10,6 @@ from kplan import (
     build_context,
     cnf_goal_compile,
     conformant_check,
-    k0,
-    ki,
-    kmodels,
-    ks0,
     ktm,
     make_spec,
     neg,
@@ -40,6 +36,7 @@ from kplan.translate import (
 )
 
 from conftest import (
+    BENCH_INSTANCES,
     TINY_BAD,
     TINY_PLAN,
     classical_accepts,
@@ -47,6 +44,7 @@ from conftest import (
     is_conformant,
     random_suite,
     reference_ktm,
+    reference_spec_ki,
 )
 from kplan.planner import bfs_optimal
 
@@ -60,7 +58,7 @@ def test_atom_naming():
 
 
 def test_basic_translation_shape(tiny):
-    K = k0(tiny)
+    K = ktm(tiny, spec_k0())
     assert K.fluents == {"Kp", "Knot-p", "Kq", "Knot-q", "Kr", "Knot-r"}
     assert K.init == frozenset([pos("Kq")])
     assert K.goal == frozenset([pos("Kp"), pos("Kr")])
@@ -80,7 +78,7 @@ def test_basic_translation_shape(tiny):
 
 
 def test_basic_translation_plans(tiny):
-    K = k0(tiny)
+    K = ktm(tiny, spec_k0())
     assert classical_accepts(K, TINY_PLAN)
     assert not classical_accepts(K, TINY_BAD)
 
@@ -168,11 +166,12 @@ def test_spec_ki_zero_equals_basic(tiny):
     spec = spec_ki(ctx, 0)
     assert spec.merges == ()
     K = ktm(tiny, spec, ctx)
-    assert K.fluents == k0(tiny, ctx).fluents
+    assert K.fluents == ktm(tiny, spec_k0(), ctx).fluents
 
 
 def test_spec_ki_one_solves_tiny(tiny):
-    K = ki(tiny, 1)
+    ctx = build_context(tiny)
+    K = ktm(tiny, spec_ki(ctx, 1), ctx)
     plan = bfs_optimal(K, depth_cap=4)
     assert plan is not None
     assert is_conformant(tiny, plan.stripped())
@@ -180,8 +179,10 @@ def test_spec_ki_one_solves_tiny(tiny):
 
 def test_scheme_entry_points_are_sound_on_random_problems():
     for problem in random_suite(303, 12, max_fluents=5, max_actions=4):
-        for translate in (k0, lambda p: ki(p, 1), kmodels, ks0):
-            K = translate(problem)
+        ctx = build_context(problem)
+        for spec in (spec_k0(), spec_ki(ctx, 1), spec_kmodels(ctx),
+                     spec_ks0(ctx)):
+            K = ktm(problem, spec, ctx)
             plan = bfs_optimal(K, depth_cap=4, max_states=30_000)
             if plan is not None:
                 assert is_conformant(problem, plan.stripped()), problem
@@ -331,3 +332,27 @@ def test_tag_table_names_follow_atom_name():
     assert pos("r") in table.collapsed and pos("q") not in table.collapsed
     for L, name in table.names.items():
         assert name == atom_name(L, EMPTY_TAG if L in table.collapsed else t)
+
+
+# --- spec_ki from the width search against its own subset search --------------
+
+def _check_spec_ki_against_reference(ctx, include_all=False):
+    for i in (0, 1, 2):
+        got = spec_ki(ctx, i, include_all)
+        want = reference_spec_ki(ctx, i, include_all)
+        assert (got.tags, got.merges) == (want.tags, want.merges), i
+        assert got.scheme == f"ki:{i}"
+
+
+def test_spec_ki_matches_reference_on_random_suite():
+    for problem in random_suite(616, 40):
+        _check_spec_ki_against_reference(build_context(problem))
+
+
+@pytest.mark.parametrize("family,params", BENCH_INSTANCES,
+                         ids=["-".join(map(str, (f, *p)))
+                              for f, p in BENCH_INSTANCES])
+def test_spec_ki_matches_reference_on_generated(family, params):
+    problem, info = compiled_instance(family, params)
+    _check_spec_ki_against_reference(build_context(problem),
+                                     bool(info.resets))

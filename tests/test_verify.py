@@ -13,20 +13,21 @@ from kplan import (
     build_context,
     conformant_check,
     initial_states,
-    k0,
+    ktm,
     Literal,
     Merge,
     make_spec,
     neg,
     pos,
+    spec_k0,
     spec_ki,
     zero_approx_run,
 )
 from kplan.errors import UnsupportedFeature
 from kplan import generators, pddl
 from kplan.model import NondetRule, action, conformant_problem, rule
-from kplan.verify import (ThreeValuedState, _enumerate_states, rel_state,
-                          zero_approx_step)
+from kplan.pi import enumerate_models
+from kplan.verify import ThreeValuedState, rel_state, zero_approx_step
 from kplan.analysis import relevance
 
 from conftest import (
@@ -38,6 +39,7 @@ from conftest import (
     compiled_instance,
     random_suite,
     reference_enumerate_states,
+    states_until_cap,
 )
 
 
@@ -73,6 +75,24 @@ def test_zero_approx_known_valid_and_invalid_plans():
     assert not zero_approx_run(problem, ("b",)).valid
 
 
+def test_goal_clauses_are_checked_by_both_semantics():
+    problem = conformant_problem(
+        ["p", "q"], [],
+        [action("a", rules=[rule([], pos("p"))]),
+         action("b", rules=[rule([neg("p")], pos("q"))])],
+        [], goal_clauses=[frozenset([pos("p"), pos("q")])])
+    idle = conformant_check(problem, ())
+    assert not idle.valid and "goal clauses not satisfied" in idle.reason
+    assert idle.failing_state == frozenset([neg("p"), neg("q")])
+    assert conformant_check(problem, ("a",)).valid
+    assert conformant_check(problem, ("b",)).valid
+    weak = zero_approx_run(problem, ())
+    assert not weak.valid and "goal clauses not known" in weak.reason
+    assert zero_approx_run(problem, ("a",)).valid
+    # p | q holds after b in every state, but no literal of it is known
+    assert not zero_approx_run(problem, ("b",)).valid
+
+
 def test_zero_approx_cannot_use_disjunctions():
     """A conformant plan that needs case reasoning is rejected by the
     weak semantics (and by the basic translation)."""
@@ -83,7 +103,7 @@ def test_zero_approx_cannot_use_disjunctions():
         [pos("q")])
     assert conformant_check(problem, ("a",)).valid
     assert not zero_approx_run(problem, ("a",)).valid
-    assert not classical_accepts(k0(problem), ("a",))
+    assert not classical_accepts(ktm(problem, spec_k0()), ("a",))
 
 
 def test_zero_approx_step_persistence():
@@ -187,20 +207,10 @@ def test_build_basis_failure_is_hard():
 
 # --- the iterative enumerator against the recursive reference ---------------------
 
-def _states_until_cap(enumerate_states, *args, **kwargs):
-    """The states in enumeration order, then "cap" if the cap was hit."""
-    out = []
-    try:
-        out.extend(enumerate_states(*args, **kwargs))
-    except TooManyInitialStates:
-        out.append("cap")
-    return out
-
-
 def _check_enumeration(clauses, fluents, **kwargs):
-    got = _states_until_cap(_enumerate_states, clauses, fluents, **kwargs)
-    want = _states_until_cap(reference_enumerate_states, clauses, fluents,
-                             **kwargs)
+    got = states_until_cap(enumerate_models, clauses, fluents, **kwargs)
+    want = states_until_cap(reference_enumerate_states, clauses, fluents,
+                            **kwargs)
     assert got == want
 
 
