@@ -2,7 +2,8 @@
 
 Covers four services used by the translations and the validators:
 
-* conformant relevance between literals (a fixpoint over the action rules),
+* conformant relevance between literals (reachability over the action
+  rules' condition -> effect edges and their complements),
 * extraction of the uncertainty clauses relevant to a target literal,
 * covers / satisfaction / conformant width,
 * literal mutexes and the problem consistency check.
@@ -14,17 +15,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .errors import InconsistentInit, WidthSearchCap
-from .model import (
-    Action,
-    ClassicalProblem,
-    Clause,
-    ConformantProblem,
-    Literal,
-    neg,
-    pos,
-    sorted_lits,
-)
+from .errors import InconsistentInit, UnsupportedFeature, WidthSearchCap
+from .model import Clause, ConformantProblem, Literal, neg, pos, sorted_lits
 from .pi import PICNF, prime_implicates
 
 
@@ -58,46 +50,40 @@ class RelevanceGraph:
         return self._inverse.get(target, frozenset())
 
 
-def relevance(problem: ConformantProblem, rule4: str = "standard") -> RelevanceGraph:
-    """Least fixpoint of the relevance rules.
+def relevance(problem: ConformantProblem) -> RelevanceGraph:
+    """Least relation closed under the relevance rules:
 
     1. L -> L;
     2. L -> L' for every rule C -> L' with L in C;
     3. L -> L' and L' -> L'' imply L -> L'';
     4. L -> L' if L -> ~L'' and L'' -> ~L' for some L''.
 
-    Action preconditions do not induce relevance.  ``rule4="contrapositive"``
-    swaps rule 4 for the variant "L -> L' if ~L -> ~L'", used only to
-    cross-check the two formulations empirically.
+    It is reachability over the edges c -> L' and ~c -> ~L' of every rule
+    C -> L' with c in C (rule 4 with L = ~c, L'' = c gives the second edge),
+    and that reachability is closed under rule 4 because the edges come in
+    complementary pairs: L'' -> ~L' gives ~L'' -> L'.  The same pairing
+    makes rule 4 equivalent to its contrapositive form "~L -> ~L' implies
+    L -> L'".  One depth-first search per literal computes it.  Action
+    preconditions do not induce relevance.
     """
-    if rule4 not in ("standard", "contrapositive"):
-        raise ValueError(rule4)
+    if not problem.deterministic:
+        raise UnsupportedFeature("compile nondeterministic effects away first")
     lits = all_literals(problem.fluents)
-    reach: Dict[Literal, Set[Literal]] = {l: {l} for l in lits}
+    succ: Dict[Literal, Set[Literal]] = {l: set() for l in lits}
     for a in problem.actions:
         for r in a.rules:
             for c in r.condition:
-                reach[c].add(r.effect)
-    changed = True
-    while changed:
-        changed = False
-        for L in lits:
-            cur = reach[L]
-            new = set(cur)
-            for X in cur:
-                new |= reach[X]  # rule 3
-            if rule4 == "standard":
-                for X in cur:
-                    # X = ~L'' for L'' = ~X; L'' -> ~L' gives L -> L'
-                    for Z in reach[X.negate()]:
-                        new.add(Z.negate())
-            else:
-                for Z in reach[L.negate()]:
-                    new.add(Z.negate())
-            if new != cur:
-                reach[L] = new
-                changed = True
-    return RelevanceGraph({l: frozenset(s) for l, s in reach.items()})
+                succ[c].add(r.effect)
+                succ[c.negate()].add(r.effect.negate())
+    reach: Dict[Literal, FrozenSet[Literal]] = {}
+    for L in lits:
+        seen, stack = {L}, [L]
+        while stack:
+            for nxt in succ[stack.pop()] - seen:
+                seen.add(nxt)
+                stack.append(nxt)
+        reach[L] = frozenset(seen)
+    return RelevanceGraph(reach)
 
 
 # --- relevant clauses, covers, width ---------------------------------------
@@ -130,29 +116,24 @@ def relevant_clauses(ci: Iterable[Clause], L: Literal,
 
 
 def cover(C: Iterable[Clause], pi: PICNF) -> Tuple[FrozenSet[Literal], ...]:
-    """All minimal I-consistent literal sets hitting every clause of C."""
-    clauses = sorted({frozenset(c) for c in C}, key=sorted_lits)
-    found: Set[FrozenSet[Literal]] = set()
+    """All minimal I-consistent literal sets hitting every clause of C.
 
-    def walk(i: int, S: Set[Literal]):
-        if i == len(clauses):
-            found.add(frozenset(S))
-            return
-        c = clauses[i]
-        if S & c:
-            walk(i + 1, S)
-            return
-        for lit in sorted(c):
-            if lit.negate() in S:
+    The clauses are taken in sorted order; a partial set that misses the
+    next clause is extended by each of its literals that keeps it
+    I-consistent, and the minimal sets are kept at the end.
+    """
+    partial: Set[FrozenSet[Literal]] = {frozenset()}
+    for c in sorted({frozenset(c) for c in C}, key=sorted_lits):
+        grown: Set[FrozenSet[Literal]] = set()
+        for S in partial:
+            if S & c:
+                grown.add(S)
                 continue
-            S.add(lit)
-            if pi.tag_consistent(frozenset(S)):
-                walk(i + 1, S)
-            S.discard(lit)
-
-    walk(0, set())
-    minimal = [s for s in found
-               if not any(o < s for o in found)]
+            for lit in c:
+                if lit.negate() not in S and pi.tag_consistent(S | {lit}):
+                    grown.add(S | {lit})
+        partial = grown
+    minimal = [s for s in partial if not any(o < s for o in partial)]
     return tuple(sorted(minimal, key=sorted_lits))
 
 

@@ -22,11 +22,10 @@ from .analysis import (
     width_of_literal,
 )
 from .errors import BudgetExhausted, KplanError, NoPlanFound, UnknownAction, WidthSearchCap
-from .model import ConformantProblem, neg, pos, sorted_lits
+from .model import ConformantProblem, sorted_lits
 from .pi import DEFAULT_MODEL_CAP, DEFAULT_PI_CLAUSE_CAP
 from .pipeline import PipelineConfig, pipeline_solve, translation_summary
 from .translate import (
-    DEFAULT_S0_CAP,
     MERGE_PREFIX,
     cnf_goal_compile,
     ktm,
@@ -35,11 +34,22 @@ from .translate import (
     spec_kmodels,
     spec_ks0,
 )
-from .verify import DEFAULT_STATE_CAP, conformant_check, initial_states, zero_approx_run
+from .verify import DEFAULT_STATE_CAP, conformant_check, zero_approx_run
 
 
 def _env(name: str, default=None):
     return os.environ.get("KPLAN_" + name, default)
+
+
+def _positive(text: str, what: str, kind=int):
+    """``kind(text)`` if it is > 0, else a usage error."""
+    try:
+        if (value := kind(text)) > 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"{what} must be a positive number, not '{text}'")
 
 
 def _parse_caps(text: Optional[str]) -> Tuple[int, int, int]:
@@ -50,7 +60,7 @@ def _parse_caps(text: Optional[str]) -> Tuple[int, int, int]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
             "--caps takes STATES,MODELS,PI_CLAUSES")
-    return tuple(int(p) for p in parts)  # type: ignore[return-value]
+    return tuple(_positive(p, "a cap") for p in parts)  # type: ignore[return-value]
 
 
 def _parse_budget(text: Optional[str]) -> Tuple[int, Optional[float]]:
@@ -58,9 +68,16 @@ def _parse_budget(text: Optional[str]) -> Tuple[int, Optional[float]]:
     if not text:
         return 200_000, None
     parts = [p.strip() for p in text.split(",")]
-    nodes = int(parts[0])
-    seconds = float(parts[1]) if len(parts) > 1 and parts[1] else None
+    if len(parts) > 2:
+        raise argparse.ArgumentTypeError("--budget takes NODES[,SECONDS]")
+    nodes = _positive(parts[0], "the node budget")
+    seconds = (_positive(parts[1], "the time budget", float)
+               if len(parts) > 1 and parts[1] else None)
     return nodes, seconds
+
+
+def _parse_copies(text: str) -> int:
+    return _positive(text, "the copy count")
 
 
 def _load_problem(args) -> ConformantProblem:
@@ -70,7 +87,7 @@ def _load_problem(args) -> ConformantProblem:
 
 
 def _write_report(args, report: Dict):
-    if args.report:
+    if getattr(args, "report", None):
         Path(args.report).write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n")
 
@@ -317,20 +334,19 @@ def _add_common(p: argparse.ArgumentParser, with_problem: bool = True):
     opt.add_argument("--no-opt", dest="opt", action="store_false",
                      help="disable the rewrite optimizations")
     p.set_defaults(opt=_env("OPT", "1") not in ("0", "false", "no"))
-    p.add_argument("--caps", type=_parse_caps,
-                   default=_parse_caps(_env("CAPS")),
+    # string defaults, so that argparse checks KPLAN_* values with ``type``
+    p.add_argument("--caps", type=_parse_caps, default=_env("CAPS", ""),
                    help="caps as STATES,MODELS,PI_CLAUSES "
                         f"(default {DEFAULT_STATE_CAP},{DEFAULT_MODEL_CAP},"
                         f"{DEFAULT_PI_CLAUSE_CAP})")
-    p.add_argument("--budget", type=_parse_budget,
-                   default=_parse_budget(_env("BUDGET")),
+    p.add_argument("--budget", type=_parse_budget, default=_env("BUDGET", ""),
                    help="search budget as NODES[,SECONDS]")
     p.add_argument("--strengthened-mutex", action="store_true",
                    default=_env("STRENGTHENED_MUTEX", "0") not in
                    ("0", "false", "no"),
                    help="use the strengthened mutex propagation variant")
-    p.add_argument("--nondet-copies", type=int,
-                   default=int(_env("NONDET_COPIES", "3")),
+    p.add_argument("--nondet-copies", type=_parse_copies,
+                   default=_env("NONDET_COPIES", "3"),
                    help="maximum action copies for nondeterministic input")
     p.add_argument("--export-pddl", default=_env("EXPORT_PDDL"),
                    help="directory for emitted PDDL / plan files")
@@ -385,6 +401,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except (KplanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        try:
+            _write_report(args, {"command": args.cmd,
+                                 "error": f"{type(exc).__name__}: {exc}"})
+        except OSError as report_exc:
+            print(f"error: no report written: {report_exc}", file=sys.stderr)
         return 2
 
 

@@ -10,7 +10,7 @@ order so downstream output is byte-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Tuple
 
 from .errors import (

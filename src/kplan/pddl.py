@@ -28,8 +28,6 @@ from .model import (
     Rule,
     conformant_problem,
     lits_consistent,
-    neg,
-    pos,
     sorted_lits,
 )
 

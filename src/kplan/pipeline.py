@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .analysis import build_context
 from .errors import BudgetExhausted, CapExceeded, NoPlanFound
@@ -18,7 +18,6 @@ from .model import ConformantProblem, Plan, neg, pos
 from .pi import DEFAULT_MODEL_CAP, DEFAULT_PI_CLAUSE_CAP
 from .planner import SolveStatus, solve
 from .translate import (
-    NondetInfo,
     cnf_goal_compile,
     inject_reset_effects,
     ktm,

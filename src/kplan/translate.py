@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
                     Set, Tuple)
 
@@ -28,17 +28,15 @@ from .errors import (InvalidSpec, TooManyInitialStates, TooManyModels,
 from .model import (
     Action,
     ClassicalProblem,
-    Clause,
     ConformantProblem,
     Literal,
-    NondetRule,
     Rule,
     conformant_problem,
     neg,
     pos,
     sorted_lits,
 )
-from .pi import EMPTY_TAG, Merge, PICNF, Tag
+from .pi import EMPTY_TAG, Merge, Tag
 
 DEFAULT_S0_CAP = 4096
 DEFAULT_MODELS_CAP = 4096

@@ -10,7 +10,7 @@ never the other way around.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .analysis import Context, RelevanceGraph, build_context
@@ -31,7 +31,6 @@ from .model import (
     restrict,
     run_plan,
     sorted_lits,
-    state_satisfies,
 )
 from .pi import PICNF, Tag, enumerate_models, prime_implicates
 from .translate import TranslationSpec

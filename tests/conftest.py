@@ -222,6 +222,78 @@ def is_conformant(problem: ConformantProblem, steps: Iterable[str]) -> bool:
     return True
 
 
+# --- reference relevance fixpoint and covers ----------------------------------------
+
+def reference_relevance(problem: ConformantProblem,
+                        rule4: str = "standard") -> analysis.RelevanceGraph:
+    """Least fixpoint of the relevance rules.
+
+    1. L -> L;
+    2. L -> L' for every rule C -> L' with L in C;
+    3. L -> L' and L' -> L'' imply L -> L'';
+    4. L -> L' if L -> ~L'' and L'' -> ~L' for some L''.
+
+    Action preconditions do not induce relevance.  ``rule4="contrapositive"``
+    swaps rule 4 for the variant "L -> L' if ~L -> ~L'", used only to
+    cross-check the two formulations empirically.
+    """
+    if rule4 not in ("standard", "contrapositive"):
+        raise ValueError(rule4)
+    lits = all_literals(problem.fluents)
+    reach: Dict[Literal, Set[Literal]] = {l: {l} for l in lits}
+    for a in problem.actions:
+        for r in a.rules:
+            for c in r.condition:
+                reach[c].add(r.effect)
+    changed = True
+    while changed:
+        changed = False
+        for L in lits:
+            cur = reach[L]
+            new = set(cur)
+            for X in cur:
+                new |= reach[X]  # rule 3
+            if rule4 == "standard":
+                for X in cur:
+                    # X = ~L'' for L'' = ~X; L'' -> ~L' gives L -> L'
+                    for Z in reach[X.negate()]:
+                        new.add(Z.negate())
+            else:
+                for Z in reach[L.negate()]:
+                    new.add(Z.negate())
+            if new != cur:
+                reach[L] = new
+                changed = True
+    return analysis.RelevanceGraph({l: frozenset(s) for l, s in reach.items()})
+
+
+def reference_cover(C: Iterable[Clause], pi) -> Tuple[FrozenSet[Literal], ...]:
+    """All minimal I-consistent literal sets hitting every clause of C."""
+    clauses = sorted({frozenset(c) for c in C}, key=sorted_lits)
+    found: Set[FrozenSet[Literal]] = set()
+
+    def walk(i: int, S: Set[Literal]):
+        if i == len(clauses):
+            found.add(frozenset(S))
+            return
+        c = clauses[i]
+        if S & c:
+            walk(i + 1, S)
+            return
+        for lit in sorted(c):
+            if lit.negate() in S:
+                continue
+            S.add(lit)
+            if pi.tag_consistent(frozenset(S)):
+                walk(i + 1, S)
+            S.discard(lit)
+
+    walk(0, set())
+    minimal = [s for s in found
+               if not any(o < s for o in found)]
+    return tuple(sorted(minimal, key=sorted_lits))
+
+
 # --- reference mutex fixpoint -----------------------------------------------------
 
 def _pushed_rules(problem):

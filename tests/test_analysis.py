@@ -1,5 +1,7 @@
 """Relevance, relevant clauses, covers, width, mutexes, consistency."""
 
+import itertools
+
 import pytest
 
 from kplan import (
@@ -27,7 +29,9 @@ from conftest import (
     compiled_instance,
     random_suite,
     reachable_source_states,
+    reference_cover,
     reference_mutex_set,
+    reference_relevance,
 )
 
 
@@ -46,10 +50,30 @@ def test_relevance_direct_and_transitive(tiny):
 
 
 def test_relevance_contrapositive_variant(tiny):
-    rel = relevance(tiny, rule4="contrapositive")
+    rel = relevance(tiny)
     assert rel.relevant(neg("q"), neg("r"))  # from q -> r
-    with pytest.raises(ValueError):
-        relevance(tiny, rule4="bogus")
+
+
+def _check_relevance_against_reference(problem):
+    rel = relevance(problem)
+    lits = all_literals(problem.fluents)
+    for rule4 in ("standard", "contrapositive"):
+        ref = reference_relevance(problem, rule4)
+        for L in lits:
+            assert rel.reachable_from(L) == ref.reachable_from(L), (rule4, L)
+            assert rel.relevant_to(L) == ref.relevant_to(L), (rule4, L)
+
+
+def test_relevance_matches_reference_on_random_suite():
+    for problem in random_suite(404, 150, max_fluents=8, max_actions=6):
+        _check_relevance_against_reference(problem)
+
+
+@pytest.mark.parametrize("family,params", BENCH_INSTANCES,
+                         ids=["-".join(map(str, (f, *p)))
+                              for f, p in BENCH_INSTANCES])
+def test_relevance_matches_reference_on_generated(family, params):
+    _check_relevance_against_reference(compiled_instance(family, params)[0])
 
 
 def test_ci_unknowns_and_relevant_clauses(tiny):
@@ -73,6 +97,17 @@ def test_cover_minimal_hitting_sets():
     # I-inconsistent selections are pruned: ~q cannot appear in a cover
     covers2 = cover([frozenset([pos("p"), neg("q")])], pi)
     assert set(covers2) == {frozenset([pos("p")])}
+
+
+def test_cover_matches_reference_on_random_suite():
+    """Every subset of size <= 3 of C_I*(L), for every literal."""
+    for problem in random_suite(505, 150, max_fluents=8, max_actions=6):
+        ctx = build_context(problem)
+        for L in all_literals(problem.fluents):
+            pool = ctx.relevant_clause_set(L).extended
+            for size in range(4):
+                for C in itertools.combinations(pool, size):
+                    assert cover(C, ctx.pi) == reference_cover(C, ctx.pi), C
 
 
 def test_satisfies_uses_closures():

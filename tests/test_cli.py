@@ -1,8 +1,14 @@
 """Command-line interface smoke and determinism tests."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import kplan
 
 from kplan import cli
 from kplan.cli import main
@@ -222,10 +228,18 @@ def test_a_missing_input_file_exits_2(tmp_path, capsys, command):
     plan_file.write_text("(try-c1)\n")
     plan = [str(plan_file)] if command == "validate" else []
     missing = str(tmp_path / "missing.pddl")
+    report_path = tmp_path / "report.json"
     for files in ([missing, str(prob)], [str(dom), missing]):
-        code, out, err = run_cli(capsys, command, *files, *plan)
+        code, out, err = run_cli(capsys, command, *files, *plan,
+                                 "--report", str(report_path))
         assert code == 2
         assert err.startswith("error: ") and "missing.pddl" in err
+        report = json.loads(report_path.read_text())
+        assert set(report) == {"command", "error"}
+        assert report["command"] == command
+        assert report["error"].startswith("FileNotFoundError: ")
+        assert "missing.pddl" in report["error"]
+        report_path.unlink()
 
 
 def test_validate_with_a_missing_plan_file_exits_2(tmp_path, capsys):
@@ -278,3 +292,83 @@ def test_translate_rejects_a_bad_scheme_before_reading_files(
         main(["translate", *missing])
     assert exc.value.code == 2
     assert f"'{scheme}'" in capsys.readouterr().err
+
+
+BAD_VALUES = [("--caps", "CAPS", "1,2"), ("--caps", "CAPS", "-1,5,5"),
+              ("--caps", "CAPS", "0,0,0"), ("--caps", "CAPS", "a,b,c"),
+              ("--budget", "BUDGET", "x"), ("--budget", "BUDGET", "0"),
+              ("--budget", "BUDGET", "10,0"), ("--budget", "BUDGET", "10,-1"),
+              ("--budget", "BUDGET", "1,2,3"),
+              ("--nondet-copies", "NONDET_COPIES", "0"),
+              ("--nondet-copies", "NONDET_COPIES", "x")]
+
+
+@pytest.mark.parametrize("flag,env,value", BAD_VALUES,
+                         ids=[f"{f}={v}" for f, _, v in BAD_VALUES])
+def test_bad_caps_budgets_and_copies_are_usage_errors(
+        tmp_path, capsys, monkeypatch, flag, env, value):
+    missing = [str(tmp_path / "no-domain.pddl"),
+               str(tmp_path / "no-problem.pddl")]
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", *missing, f"{flag}={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and flag in err
+    assert "Traceback" not in err
+    # the KPLAN_* default is checked the same way, for the subcommands
+    # that take the flag
+    monkeypatch.setenv("KPLAN_" + env, value)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", *missing])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and flag in err
+    assert main(["gen", "safe", "3", "-o", str(tmp_path)]) == 0
+
+
+def test_a_bad_environment_value_is_a_usage_error_in_a_process(tmp_path):
+    env = dict(os.environ, KPLAN_CAPS="1,2",
+               PYTHONPATH=str(Path(kplan.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kplan.cli", "width", "d.pddl", "p.pddl"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage:") and "--caps" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_a_flag_overrides_a_bad_environment_default(tmp_path, capsys,
+                                                    monkeypatch):
+    dom, prob = gen_instance(tmp_path, "disjtoy", 4)
+    monkeypatch.setenv("KPLAN_CAPS", "1,2")
+    code, out, err = run_cli(capsys, "width", str(dom), str(prob),
+                             "--caps", "4096,4096,5000")
+    assert code == 0 and "w(P) = 1" in out
+
+
+def test_an_error_exit_writes_a_report(tmp_path, capsys):
+    dom, prob = gen_instance(tmp_path, "safe", 4)
+    report_path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "translate", str(dom), str(prob),
+                             "--caps", "4096,4096,1",
+                             "--report", str(report_path))
+    assert code == 2 and err.startswith("error: ")
+    report = json.loads(report_path.read_text())
+    assert report["command"] == "translate"
+    assert report["error"].startswith("PiBlowup: ")
+
+
+def test_an_unwritable_error_report_still_exits_2(tmp_path, capsys):
+    dom, prob = gen_instance(tmp_path, "safe", 4)
+    code, out, err = run_cli(capsys, "width", str(dom),
+                             str(tmp_path / "missing.pddl"), "--report",
+                             str(tmp_path / "no-dir" / "report.json"))
+    assert code == 2
+    assert err.startswith("error: ") and "missing.pddl" in err
+
+
+def test_width_rejects_oneof_effects(tmp_path, capsys):
+    dom, prob = gen_instance(tmp_path, "sgripper", 1)
+    code, out, err = run_cli(capsys, "width", str(dom), str(prob))
+    assert code == 2
+    assert "compile nondeterministic effects away first" in err
