@@ -1,6 +1,7 @@
 """Command-line interface: translate, solve, validate, width, gen, bench.
 
-Every flag has a KPLAN_* environment-variable override (the flag wins
+Each subcommand takes only the options its handler reads.  Every option
+but gen's has a KPLAN_* environment-variable override (the flag wins
 when both are given).  Reports are line-oriented on stdout plus an
 optional machine-readable JSON document via --report.
 """
@@ -23,7 +24,7 @@ from .analysis import (
 )
 from .errors import BudgetExhausted, KplanError, NoPlanFound, UnknownAction, WidthSearchCap
 from .model import ConformantProblem, sorted_lits
-from .pi import DEFAULT_MODEL_CAP, DEFAULT_PI_CLAUSE_CAP
+from .pi import DEFAULT_MODEL_CAP, DEFAULT_PI_CLAUSE_CAP, DEFAULT_STATE_CAP
 from .pipeline import PipelineConfig, pipeline_solve, translation_summary
 from .translate import (
     MERGE_PREFIX,
@@ -34,7 +35,7 @@ from .translate import (
     spec_kmodels,
     spec_ks0,
 )
-from .verify import DEFAULT_STATE_CAP, conformant_check, zero_approx_run
+from .verify import conformant_check, zero_approx_run
 
 
 def _env(name: str, default=None):
@@ -92,26 +93,25 @@ def _write_report(args, report: Dict):
             json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
-def _parse_scheme(text: str) -> str:
-    """k0 | ki:N with N >= 0 | kmodels | ks0, checked at parse time."""
+def _parse_scheme(text: str) -> Tuple[str, Optional[int]]:
+    """(scheme, N of ki:N or None) for k0 | ki:N (N >= 0) | kmodels | ks0."""
     if text in ("k0", "ks0", "kmodels"):
-        return text
+        return text, None
     bound = text[len("ki:"):] if text.startswith("ki:") else ""
     if not (bound.isascii() and bound.isdigit()):
         raise argparse.ArgumentTypeError(
             f"unknown scheme '{text}' (expected k0 | ki:N | kmodels | ks0)")
-    return text
+    return text, int(bound)
 
 
-def _scheme_spec(scheme: str, ctx, caps, include_all: bool = False):
-    states_cap, models_cap, _ = caps
+def _scheme_spec(scheme: str, bound: Optional[int], ctx, caps):
+    if bound is not None:
+        return spec_ki(ctx, bound)
     if scheme == "k0":
         return spec_k0()
     if scheme == "ks0":
-        return spec_ks0(ctx, cap=states_cap, include_all=include_all)
-    if scheme == "kmodels":
-        return spec_kmodels(ctx, cap=models_cap, include_all=include_all)
-    return spec_ki(ctx, int(scheme[len("ki:"):]), include_all=include_all)
+        return spec_ks0(ctx, cap=caps[0])
+    return spec_kmodels(ctx, cap=caps[1])
 
 
 def _width_report(problem: ConformantProblem, ctx) -> Dict:
@@ -139,15 +139,15 @@ def _width_report(problem: ConformantProblem, ctx) -> Dict:
 def cmd_translate(args) -> int:
     problem = _load_problem(args)
     compiled = cnf_goal_compile(problem)
-    caps = args.caps
-    ctx = build_context(compiled, pi_cap=caps[2],
+    scheme, bound = args.scheme
+    ctx = build_context(compiled, pi_cap=args.caps[2],
                         strengthened_mutex=args.strengthened_mutex)
-    spec = _scheme_spec(args.scheme, ctx, caps)
-    K = ktm(compiled, spec, ctx, optimized=args.opt, validate=False)
+    spec = _scheme_spec(scheme, bound, ctx, args.caps)
+    K = ktm(compiled, spec, ctx, optimized=args.opt)
     domain_text, problem_text = pddl.emit_classical(K)
     report = {
         "command": "translate",
-        "scheme": args.scheme,
+        "scheme": scheme,
         "optimized": args.opt,
         "pi": {
             "clauses": len(ctx.pi.clauses),
@@ -156,15 +156,13 @@ def cmd_translate(args) -> int:
         },
         "translation": translation_summary(K),
     }
-    widths = _width_report(compiled, ctx)
-    report["widths"] = widths
-    if args.scheme.startswith("ki:"):
-        bound = int(args.scheme.split(":", 1)[1])
-        if widths["width"] is None or widths["width"] > bound:
-            report["warning"] = (
-                f"problem width {widths['width']} exceeds the bound "
-                f"{bound}; completeness is not guaranteed")
-            print(f"warning: {report['warning']}")
+    widths = report["widths"] = _width_report(compiled, ctx)
+    if bound is not None and (widths["width"] is None
+                              or widths["width"] > bound):
+        report["warning"] = (
+            f"problem width {widths['width']} exceeds the bound "
+            f"{bound}; completeness is not guaranteed")
+        print(f"warning: {report['warning']}")
     if args.export_pddl:
         out = Path(args.export_pddl)
         out.mkdir(parents=True, exist_ok=True)
@@ -174,7 +172,7 @@ def cmd_translate(args) -> int:
     else:
         sys.stdout.write(domain_text)
         sys.stdout.write(problem_text)
-    print(f"translated with {args.scheme}: {report['translation']['atoms']} "
+    print(f"translated with {scheme}: {report['translation']['atoms']} "
           f"atoms, {report['translation']['actions']} actions, "
           f"{report['translation']['conditional_effects']} effects")
     _write_report(args, report)
@@ -323,35 +321,61 @@ def cmd_bench(args) -> int:
 
 
 # --- argument plumbing --------------------------------------------------------
+# Option defaults are read from KPLAN_* when the parser is built, as strings,
+# so that argparse checks them with ``type`` like command-line values.
 
-def _add_common(p: argparse.ArgumentParser, with_problem: bool = True):
-    if with_problem:
-        p.add_argument("domain", help="domain file")
-        p.add_argument("problem", help="problem file")
+def _files(p: argparse.ArgumentParser):
+    p.add_argument("domain", help="domain file")
+    p.add_argument("problem", help="problem file")
+
+
+def _plan(p: argparse.ArgumentParser):
+    p.add_argument("plan", help="plan file (one action per line)")
+
+
+def _opt(p: argparse.ArgumentParser):
     opt = p.add_mutually_exclusive_group()
     opt.add_argument("--opt", dest="opt", action="store_true",
                      help="apply the rewrite optimizations (default)")
     opt.add_argument("--no-opt", dest="opt", action="store_false",
                      help="disable the rewrite optimizations")
     p.set_defaults(opt=_env("OPT", "1") not in ("0", "false", "no"))
-    # string defaults, so that argparse checks KPLAN_* values with ``type``
-    p.add_argument("--caps", type=_parse_caps, default=_env("CAPS", ""),
-                   help="caps as STATES,MODELS,PI_CLAUSES "
-                        f"(default {DEFAULT_STATE_CAP},{DEFAULT_MODEL_CAP},"
-                        f"{DEFAULT_PI_CLAUSE_CAP})")
-    p.add_argument("--budget", type=_parse_budget, default=_env("BUDGET", ""),
-                   help="search budget as NODES[,SECONDS]")
-    p.add_argument("--strengthened-mutex", action="store_true",
-                   default=_env("STRENGTHENED_MUTEX", "0") not in
-                   ("0", "false", "no"),
+
+
+def _strengthened_mutex(p: argparse.ArgumentParser):
+    on = _env("STRENGTHENED_MUTEX", "0") not in ("0", "false", "no")
+    p.add_argument("--strengthened-mutex", action="store_true", default=on,
                    help="use the strengthened mutex propagation variant")
-    p.add_argument("--nondet-copies", type=_parse_copies,
-                   default=_env("NONDET_COPIES", "3"),
-                   help="maximum action copies for nondeterministic input")
-    p.add_argument("--export-pddl", default=_env("EXPORT_PDDL"),
-                   help="directory for emitted PDDL / plan files")
-    p.add_argument("--report", default=_env("REPORT"),
-                   help="write a machine-readable JSON report here")
+
+
+def _option(flag: str, env: str, default: Optional[str], **kwargs):
+    return lambda p: p.add_argument(flag, default=_env(env, default),
+                                    **kwargs)
+
+
+_caps = _option("--caps", "CAPS", "", type=_parse_caps,
+                help="caps as STATES,MODELS,PI_CLAUSES "
+                     f"(default {DEFAULT_STATE_CAP},{DEFAULT_MODEL_CAP},"
+                     f"{DEFAULT_PI_CLAUSE_CAP})")
+_budget = _option("--budget", "BUDGET", "", type=_parse_budget,
+                  help="search budget as NODES[,SECONDS]")
+_nondet_copies = _option(
+    "--nondet-copies", "NONDET_COPIES", "3", type=_parse_copies,
+    help="maximum action copies for nondeterministic input")
+_export_pddl = _option("--export-pddl", "EXPORT_PDDL", None,
+                       help="directory for emitted PDDL / plan files")
+_report = _option("--report", "REPORT", None,
+                  help="write a machine-readable JSON report here")
+_scheme = _option("--scheme", "SCHEME", "ki:1", type=_parse_scheme,
+                  help="k0 | ki:N | kmodels | ks0 (default ki:1)")
+
+
+def _gen_arguments(p: argparse.ArgumentParser):
+    p.add_argument("family", help="one of: "
+                   + ", ".join(sorted(generators.GENERATORS)))
+    p.add_argument("params", nargs="+", type=int, help="family parameters")
+    p.add_argument("-o", "--output-dir", default=".",
+                   help="directory for the generated files")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,38 +383,27 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kplan",
         description="conformant-to-classical planning toolkit")
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("translate", help="translate to classical PDDL")
-    _add_common(p)
-    p.add_argument("--scheme", type=_parse_scheme,
-                   default=_env("SCHEME", "ki:1"),
-                   help="k0 | ki:N | kmodels | ks0 (default ki:1)")
-    p.set_defaults(func=cmd_translate)
-
-    p = sub.add_parser("solve", help="solve end to end")
-    _add_common(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("validate", help="validate a plan file")
-    _add_common(p)
-    p.add_argument("plan", help="plan file (one action per line)")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("width", help="report conformant width")
-    _add_common(p)
-    p.set_defaults(func=cmd_width)
-
-    p = sub.add_parser("gen", help="generate a benchmark instance")
-    p.add_argument("family", help="one of: "
-                   + ", ".join(sorted(generators.GENERATORS)))
-    p.add_argument("params", nargs="+", type=int, help="family parameters")
-    p.add_argument("-o", "--output-dir", default=".",
-                   help="directory for the generated files")
-    p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("bench", help="run the built-in benchmark sweep")
-    _add_common(p, with_problem=False)
-    p.set_defaults(func=cmd_bench)
+    # each subcommand takes the arguments its handler reads, and no others
+    for name, func, help_text, arguments in (
+            ("translate", cmd_translate, "translate to classical PDDL",
+             (_files, _opt, _caps, _strengthened_mutex, _export_pddl,
+              _report, _scheme)),
+            ("solve", cmd_solve, "solve end to end",
+             (_files, _opt, _caps, _budget, _strengthened_mutex,
+              _nondet_copies, _export_pddl, _report)),
+            ("validate", cmd_validate, "validate a plan file",
+             (_files, _plan, _caps, _report)),
+            ("width", cmd_width, "report conformant width",
+             (_files, _caps, _report)),
+            ("gen", cmd_gen, "generate a benchmark instance",
+             (_gen_arguments,)),
+            ("bench", cmd_bench, "run the built-in benchmark sweep",
+             (_opt, _caps, _budget, _strengthened_mutex, _nondet_copies,
+              _report))):
+        p = sub.add_parser(name, help=help_text)
+        for add in arguments:
+            add(p)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -433,10 +433,6 @@ def ground_atom_name(predicate: str, args: Sequence[str]) -> str:
     return "-".join([predicate, *args]) if args else predicate
 
 
-def ground_action_name(schema: str, args: Sequence[str]) -> str:
-    return "-".join([schema, *args]) if args else schema
-
-
 class _Grounder:
     def __init__(self, domain: DomainAst, problem: ProblemAst, rule_cap: int):
         self.domain = domain
@@ -535,7 +531,7 @@ class _Grounder:
             for combo in itertools.product(*pools):
                 binding = {var: obj
                            for (var, _), obj in zip(schema.params, combo)}
-                name = ground_action_name(schema.name, combo)
+                name = ground_atom_name(schema.name, combo)
                 where = f"action {name}"
                 pre = frozenset(self._ground_literal(l, binding, where)
                                 for l in schema.precondition)

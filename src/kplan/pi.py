@@ -20,6 +20,7 @@ from .model import Clause, Literal, is_tautology, lits_consistent, neg, pos, sor
 
 DEFAULT_PI_CLAUSE_CAP = 5000
 DEFAULT_MODEL_CAP = 4096
+DEFAULT_STATE_CAP = 4096
 
 Tag = FrozenSet[Literal]
 EMPTY_TAG: Tag = frozenset()

@@ -15,7 +15,7 @@ from typing import Dict, Optional, Tuple
 from .analysis import build_context
 from .errors import BudgetExhausted, CapExceeded, NoPlanFound
 from .model import ConformantProblem, Plan, neg, pos
-from .pi import DEFAULT_MODEL_CAP, DEFAULT_PI_CLAUSE_CAP
+from .pi import DEFAULT_MODEL_CAP, DEFAULT_PI_CLAUSE_CAP, DEFAULT_STATE_CAP
 from .planner import SolveStatus, solve
 from .translate import (
     cnf_goal_compile,
@@ -24,7 +24,7 @@ from .translate import (
     spec_ki,
     spec_kmodels,
 )
-from .verify import DEFAULT_STATE_CAP, conformant_check
+from .verify import conformant_check
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,7 @@ def pipeline_solve(problem: ConformantProblem,
             except CapExceeded as exc:
                 _cap_exceeded(stage, exc)
                 continue
-            K = ktm(compiled, spec, ctx, optimized=config.optimized,
-                    validate=False)
+            K = ktm(compiled, spec, ctx, optimized=config.optimized)
             if info is not None:
                 K = inject_reset_effects(K, compiled, spec, info)
             max_seconds = (None if deadline is None

@@ -36,10 +36,7 @@ from .model import (
     pos,
     sorted_lits,
 )
-from .pi import EMPTY_TAG, Merge, Tag
-
-DEFAULT_S0_CAP = 4096
-DEFAULT_MODELS_CAP = 4096
+from .pi import DEFAULT_MODEL_CAP, DEFAULT_STATE_CAP, EMPTY_TAG, Merge, Tag
 
 SEPARATOR = "__"
 MERGE_PREFIX = "merge" + SEPARATOR
@@ -85,9 +82,6 @@ class TranslationSpec:
         if any(not m.tags <= tags for m in self.merges):
             raise InvalidSpec("every merge tag must be among the tags")
 
-    def merges_for(self, L: Literal) -> Tuple[Merge, ...]:
-        return tuple(m for m in self.merges if m.target == L)
-
 
 def make_spec(tags: Iterable[Tag], merges: Iterable[Merge], scheme: str,
               trusted: bool = False) -> TranslationSpec:
@@ -105,7 +99,7 @@ def spec_k0() -> TranslationSpec:
     return make_spec((), (), "k0", trusted=True)
 
 
-def spec_ks0(ctx: Context, cap: int = DEFAULT_S0_CAP,
+def spec_ks0(ctx: Context, cap: int = DEFAULT_STATE_CAP,
              include_all: bool = False) -> TranslationSpec:
     """Tags = the possible initial states (restricted to unknown fluents)."""
     unknown = set(ctx.pi.unknown_fluents())
@@ -120,7 +114,7 @@ def spec_ks0(ctx: Context, cap: int = DEFAULT_S0_CAP,
     return make_spec(tags, merges, "ks0", trusted=True)
 
 
-def spec_kmodels(ctx: Context, cap: int = DEFAULT_MODELS_CAP,
+def spec_kmodels(ctx: Context, cap: int = DEFAULT_MODEL_CAP,
                  include_all: bool = False) -> TranslationSpec:
     """One merge per target literal: the models of its relevant clauses."""
     merges = []
@@ -204,8 +198,8 @@ def tag_table(t: Tag, ctx: Context, plain: Dict[Literal, str],
 
 
 def ktm(problem: ConformantProblem, spec: TranslationSpec,
-        ctx: Optional[Context] = None, optimized: bool = False,
-        validate: Optional[bool] = None) -> ClassicalProblem:
+        ctx: Optional[Context] = None,
+        optimized: bool = False) -> ClassicalProblem:
     """Build the classical problem induced by a tag/merge spec.
 
     With ``optimized`` the builder applies, in order: (1) tagged atoms
@@ -229,9 +223,7 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
     if ctx is None:
         ctx = build_context(problem)
     pi = ctx.pi
-    if validate is None:
-        validate = not spec.trusted
-    if validate:
+    if not spec.trusted:
         for t in spec.tags:
             if not pi.tag_consistent(t):
                 raise InvalidSpec(f"inconsistent tag {sorted_lits(t)}")

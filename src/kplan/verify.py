@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .analysis import Context, RelevanceGraph, build_context
+from .analysis import Context, RelevanceGraph, build_context, target_literals
 from .errors import (
     BasisStateNotFound,
     TooManyInitialStates,
@@ -32,10 +32,8 @@ from .model import (
     run_plan,
     sorted_lits,
 )
-from .pi import PICNF, Tag, enumerate_models, prime_implicates
+from .pi import DEFAULT_STATE_CAP, PICNF, Tag, enumerate_models, prime_implicates
 from .translate import TranslationSpec
-
-DEFAULT_STATE_CAP = 4096
 
 
 def initial_states(problem: ConformantProblem,
@@ -237,7 +235,6 @@ def build_basis(problem: ConformantProblem, spec: TranslationSpec,
     for m in spec.merges:
         for t in sorted(m.tags, key=sorted_lits):
             work.append((t, m.target))
-    from .analysis import target_literals
     for L in target_literals(problem):
         if L not in targets_with_merges:
             work.append((frozenset(), L))

@@ -151,7 +151,7 @@ def test_criterion_04_forced_plan_lengths():
                                      ("bomb", (20, 20), 20)):
         problem = load_generated(family, *params)
         ctx = build_context(problem)
-        K = ktm(problem, spec_ki(ctx, 1), ctx, optimized=True, validate=False)
+        K = ktm(problem, spec_ki(ctx, 1), ctx, optimized=True)
         result = solve(K)
         ok = ok and result.status is SolveStatus.SOLVED
         stripped = result.plan.stripped()
@@ -176,11 +176,11 @@ def test_criterion_05_small_instances_end_to_end():
 
 
 def _translations(problem, ctx):
-    yield "k0", ktm(problem, spec_k0(), ctx, validate=False)
-    yield "ki:1", ktm(problem, spec_ki(ctx, 1), ctx, validate=False)
-    yield "ki:2", ktm(problem, spec_ki(ctx, 2), ctx, validate=False)
-    yield "kmodels", ktm(problem, spec_kmodels(ctx), ctx, validate=False)
-    yield "ks0", ktm(problem, spec_ks0(ctx), ctx, validate=False)
+    yield "k0", ktm(problem, spec_k0(), ctx)
+    yield "ki:1", ktm(problem, spec_ki(ctx, 1), ctx)
+    yield "ki:2", ktm(problem, spec_ki(ctx, 2), ctx)
+    yield "kmodels", ktm(problem, spec_kmodels(ctx), ctx)
+    yield "ks0", ktm(problem, spec_ks0(ctx), ctx)
 
 
 def test_criterion_06_soundness_suite():
@@ -218,7 +218,7 @@ def test_criterion_07_completeness_suite():
         for i in (0, 1, 2):
             if w > i:
                 continue
-            K = ktm(problem, spec_ki(ctx, i), ctx, validate=False)
+            K = ktm(problem, spec_ki(ctx, i), ctx)
             plan = bfs_optimal(K, depth_cap=length, max_states=100_000)
             checked += 1
             if plan is None or plan.stripped_length != length:
@@ -294,7 +294,7 @@ def test_criterion_11_mutex_and_translation_consistency():
                 mutex_violations += 1
         ctx = build_context(problem)
         for spec in (spec_ki(ctx, 1), spec_kmodels(ctx)):
-            K = ktm(problem, spec, ctx, validate=False)
+            K = ktm(problem, spec, ctx)
             pairs = [
                 (atom_name(pos(f), t), atom_name(neg(f), tp))
                 for f in problem.fluents

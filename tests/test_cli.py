@@ -1,5 +1,6 @@
 """Command-line interface smoke and determinism tests."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -324,6 +325,66 @@ def test_bad_caps_budgets_and_copies_are_usage_errors(
     err = capsys.readouterr().err
     assert err.startswith("usage:") and flag in err
     assert main(["gen", "safe", "3", "-o", str(tmp_path)]) == 0
+
+
+# the options each subcommand's handler reads, and so the only ones it takes
+OPTION_DESTS = {
+    "translate": {"opt", "caps", "strengthened_mutex", "export_pddl",
+                  "report", "scheme"},
+    "solve": {"opt", "caps", "budget", "strengthened_mutex", "nondet_copies",
+              "export_pddl", "report"},
+    "validate": {"caps", "report"},
+    "width": {"caps", "report"},
+    "bench": {"opt", "caps", "budget", "strengthened_mutex", "nondet_copies",
+              "report"},
+    "gen": {"output_dir"},
+}
+
+
+def test_each_subcommand_takes_only_the_options_its_handler_reads():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert {name: {a.dest for a in sub._actions
+                   if a.option_strings and a.dest != "help"}
+            for name, sub in subparsers.choices.items()} == OPTION_DESTS
+
+
+NOT_READ = ["--opt", "--no-opt", "--budget=10", "--strengthened-mutex",
+            "--nondet-copies=2", "--export-pddl=out"]
+DROPPED = ([("validate", flag) for flag in NOT_READ]
+           + [("width", flag) for flag in NOT_READ]
+           + [("translate", "--budget=10"), ("translate", "--nondet-copies=2"),
+              ("bench", "--export-pddl=out")])
+
+
+@pytest.mark.parametrize("command,flag", DROPPED,
+                         ids=[f"{c}{f}" for c, f in DROPPED])
+def test_an_option_the_handler_does_not_read_is_a_usage_error(
+        tmp_path, capsys, command, flag):
+    # none of the files exists: an exit past parsing would be main's
+    # "error: ..." return, not argparse's SystemExit
+    files = {"validate": ["d.pddl", "p.pddl", "plan.txt"],
+             "bench": []}.get(command, ["d.pddl", "p.pddl"])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *[str(tmp_path / f) for f in files], flag])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and flag in err
+
+
+@pytest.mark.parametrize("env,value", [("BUDGET", "x"),
+                                       ("NONDET_COPIES", "0")])
+@pytest.mark.parametrize("command", ["translate", "validate", "width"])
+def test_an_override_the_subcommand_does_not_read_is_ignored(
+        tmp_path, capsys, monkeypatch, command, env, value):
+    dom, prob = gen_instance(tmp_path, "sortnet", 4)
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_text("".join(f"({step})\n" for step in bubble_network(4)))
+    plan = [str(plan_file)] if command == "validate" else []
+    monkeypatch.setenv("KPLAN_" + env, value)
+    code, out, err = run_cli(capsys, command, str(dom), str(prob), *plan)
+    assert code == 0, err
 
 
 def test_a_bad_environment_value_is_a_usage_error_in_a_process(tmp_path):

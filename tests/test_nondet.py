@@ -74,7 +74,7 @@ def test_reset_erases_assumption_knowledge_but_not_selector_facts():
     compiled, info = nondet_compile(coin_problem(), copies=1)
     ctx = build_context(compiled)
     spec = spec_ki(ctx, 1, include_all=True)
-    K = inject_reset_effects(ktm(compiled, spec, ctx, validate=False),
+    K = inject_reset_effects(ktm(compiled, spec, ctx),
                              compiled, spec, info)
     reset = K.action_by_name("reset-flip-c1")
     hidden = set(info.reset_map()["reset-flip-c1"])

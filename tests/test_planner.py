@@ -193,7 +193,7 @@ def first_stage_problem(family, params):
     compiled, info = compiled_instance(family, params)
     ctx = build_context(compiled)
     spec = spec_ki(ctx, 1, include_all=bool(info.resets))
-    K = ktm(compiled, spec, ctx, optimized=True, validate=False)
+    K = ktm(compiled, spec, ctx, optimized=True)
     return inject_reset_effects(K, compiled, spec, info)
 
 

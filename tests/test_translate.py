@@ -258,7 +258,7 @@ SPECS = {
 
 def _check_against_reference(problem, spec, ctx, info=None):
     for optimized in (True, False):
-        got = ktm(problem, spec, ctx, optimized=optimized, validate=False)
+        got = ktm(problem, spec, ctx, optimized=optimized)
         want = reference_ktm(problem, spec, ctx, optimized=optimized,
                              validate=False)
         if info is not None:
