@@ -22,12 +22,11 @@ from .analysis import (
     target_literals,
     width_of_literal,
 )
-from .errors import BudgetExhausted, KplanError, NoPlanFound, UnknownAction, WidthSearchCap
-from .model import ConformantProblem, sorted_lits
+from .errors import KplanError, NoPlanFound, UnknownAction, WidthSearchCap
+from .model import ConformantProblem, Plan, sorted_lits
 from .pi import DEFAULT_MODEL_CAP, DEFAULT_PI_CLAUSE_CAP, DEFAULT_STATE_CAP
 from .pipeline import PipelineConfig, pipeline_solve, translation_summary
 from .translate import (
-    MERGE_PREFIX,
     cnf_goal_compile,
     ktm,
     spec_k0,
@@ -67,7 +66,7 @@ def _parse_caps(text: Optional[str]) -> Tuple[int, int, int]:
 def _parse_budget(text: Optional[str]) -> Tuple[int, Optional[float]]:
     """nodes[,seconds] pair."""
     if not text:
-        return 200_000, None
+        return PipelineConfig.max_nodes, None
     parts = [p.strip() for p in text.split(",")]
     if len(parts) > 2:
         raise argparse.ArgumentTypeError("--budget takes NODES[,SECONDS]")
@@ -194,7 +193,7 @@ def cmd_solve(args) -> int:
     problem = _load_problem(args)
     try:
         plan, report = pipeline_solve(problem, _pipeline_config(args))
-    except (NoPlanFound, BudgetExhausted) as exc:
+    except NoPlanFound as exc:
         print(f"failure: {exc}", file=sys.stderr)
         for stage in exc.trace:
             error = f" ({stage['error']})" if "error" in stage else ""
@@ -219,7 +218,7 @@ def cmd_solve(args) -> int:
 def cmd_validate(args) -> int:
     problem = _load_problem(args)
     steps = pddl.parse_plan_text(Path(args.plan).read_text())
-    stripped = tuple(s for s in steps if not s.startswith(MERGE_PREFIX))
+    stripped = Plan(steps).stripped()
     names = {a.name for a in problem.actions}
     unknown = [s for s in stripped if s not in names]
     if unknown:
@@ -307,7 +306,7 @@ def cmd_bench(args) -> int:
             rows.append((name, scheme, len(plan.steps), round(elapsed, 2)))
             print(f"{name:<20} {scheme:<8} length={len(plan.steps):<4} "
                   f"{elapsed:6.2f}s")
-        except (NoPlanFound, BudgetExhausted) as exc:
+        except NoPlanFound as exc:
             elapsed = time.monotonic() - start
             rows.append((name, "failed", None, round(elapsed, 2)))
             print(f"{name:<20} {'failed':<8} {'':<12} {elapsed:6.2f}s "
@@ -360,7 +359,8 @@ _caps = _option("--caps", "CAPS", "", type=_parse_caps,
 _budget = _option("--budget", "BUDGET", "", type=_parse_budget,
                   help="search budget as NODES[,SECONDS]")
 _nondet_copies = _option(
-    "--nondet-copies", "NONDET_COPIES", "3", type=_parse_copies,
+    "--nondet-copies", "NONDET_COPIES", str(PipelineConfig.max_copies),
+    type=_parse_copies,
     help="maximum action copies for nondeterministic input")
 _export_pddl = _option("--export-pddl", "EXPORT_PDDL", None,
                        help="directory for emitted PDDL / plan files")

@@ -103,9 +103,5 @@ class NoPlanFound(KplanError):
         self.trace = trace or []
 
 
-class BudgetExhausted(KplanError):
+class BudgetExhausted(NoPlanFound):
     """The search budget ran out before a conclusive answer."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace or []

@@ -193,59 +193,56 @@ def conformant_problem(fluents, init, actions, goal, goal_clauses=()):
                              frozenset(goal), tuple(goal_clauses))
 
 
+MERGE_PREFIX = "merge__"
+
+
+def is_merge(name: str) -> bool:
+    """Is the named action a translation's reasoning-by-cases bookkeeping?
+    Such actions cost nothing and are stripped from plans."""
+    return name.startswith(MERGE_PREFIX)
+
+
 @dataclass(frozen=True)
 class ClassicalProblem:
     """Classical planning problem with conditional effects.
 
     ``init`` lists the literals true initially; fluents it leaves
     unmentioned are false (closed world at the classical level).  Actions
-    whose names are in ``merges`` are reasoning-by-cases actions introduced
-    by a translation; they are stripped from plans before validation.
+    whose names start with ``MERGE_PREFIX`` are reasoning-by-cases actions
+    introduced by a translation; they are stripped from plans before
+    validation.
     """
 
     fluents: FrozenSet[str]
     init: FrozenSet[Literal]
     actions: Tuple[Action, ...]
     goal: FrozenSet[Literal]
-    merges: FrozenSet[str] = frozenset()
 
     def __post_init__(self):
         if not lits_consistent(self.init):
             raise ValueError("classical init contains a complementary pair")
+
+    @property
+    def merges(self) -> FrozenSet[str]:
+        return frozenset(a.name for a in self.actions if is_merge(a.name))
 
     def initial_state(self) -> State:
         """Complete the init literals with closed-world negatives."""
         given = {l.fluent: l for l in self.init}
         return frozenset(given.get(f, neg(f)) for f in self.fluents)
 
-    def action_by_name(self, name: str) -> Action:
-        for a in self.actions:
-            if a.name == name:
-                return a
-        raise KeyError(name)
+    action_by_name = ConformantProblem.action_by_name
 
 
 @dataclass(frozen=True)
 class Plan:
-    """An action-name sequence with per-step merge flags."""
+    """An action-name sequence."""
 
     steps: Tuple[str, ...]
-    merge_mask: Tuple[bool, ...] = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.merge_mask is None:
-            object.__setattr__(self, "merge_mask", (False,) * len(self.steps))
-        if len(self.merge_mask) != len(self.steps):
-            raise ValueError("merge_mask length mismatch")
-
-    @staticmethod
-    def for_problem(steps: Iterable[str], problem: ClassicalProblem) -> "Plan":
-        steps = tuple(steps)
-        return Plan(steps, tuple(s in problem.merges for s in steps))
 
     def stripped(self) -> Tuple[str, ...]:
-        """Drop merge-flagged steps, leaving a plan over source actions."""
-        return tuple(s for s, m in zip(self.steps, self.merge_mask) if not m)
+        """Drop the merge steps, leaving a plan over source actions."""
+        return tuple(s for s in self.steps if not is_merge(s))
 
     @property
     def stripped_length(self) -> int:

@@ -24,9 +24,11 @@ from .model import (
     Clause,
     ConformantProblem,
     Literal,
+    MERGE_PREFIX,
     NondetRule,
     Rule,
     conformant_problem,
+    is_merge,
     lits_consistent,
     sorted_lits,
 )
@@ -582,8 +584,15 @@ def ground(domain: DomainAst, problem: ProblemAst,
 
 def load(domain_text: str, problem_text: str,
          rule_cap: int = DEFAULT_RULE_CAP) -> ConformantProblem:
-    d, p = parse(domain_text, problem_text)
-    return ground(d, p, rule_cap)
+    """Parse and ground a source problem.  Ground action names starting
+    with ``MERGE_PREFIX`` are reserved for the actions a translation adds."""
+    problem = ground(*parse(domain_text, problem_text), rule_cap)
+    reserved = [a.name for a in problem.actions if is_merge(a.name)]
+    if reserved:
+        raise UnsupportedFeature(
+            f"action names starting with {MERGE_PREFIX!r} are reserved "
+            f"for merge actions: {reserved}")
+    return problem
 
 
 # --- classical emission ------------------------------------------------------
@@ -654,8 +663,7 @@ def emit_classical(K: ClassicalProblem,
 
 def load_classical(domain_text: str, problem_text: str) -> ClassicalProblem:
     """Parse classical PDDL as produced by emit_classical."""
-    from .translate import MERGE_PREFIX
-    p = load(domain_text, problem_text)
+    p = ground(*parse(domain_text, problem_text))
     if not p.deterministic:
         raise UnsupportedFeature("classical input cannot contain 'oneof'")
     init: Set[Literal] = set()
@@ -666,10 +674,7 @@ def load_classical(domain_text: str, problem_text: str) -> ClassicalProblem:
         init |= c
     if p.goal_clauses:
         raise UnsupportedFeature("classical goals must be literal conjunctions")
-    merges = frozenset(a.name for a in p.actions
-                       if a.name.startswith(MERGE_PREFIX))
-    return ClassicalProblem(p.fluents, frozenset(init), p.actions, p.goal,
-                            merges)
+    return ClassicalProblem(p.fluents, frozenset(init), p.actions, p.goal)
 
 
 # --- plan files --------------------------------------------------------------

@@ -9,12 +9,12 @@ plan after the brute-force conformance oracle accepts it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 from .analysis import build_context
 from .errors import BudgetExhausted, CapExceeded, NoPlanFound
-from .model import ConformantProblem, Plan, neg, pos
+from .model import ConformantProblem, Plan, is_merge, neg, pos
 from .pi import DEFAULT_MODEL_CAP, DEFAULT_PI_CLAUSE_CAP, DEFAULT_STATE_CAP
 from .planner import SolveStatus, solve
 from .translate import (
@@ -58,7 +58,7 @@ def translation_summary(K) -> Dict:
         "atoms": len(K.fluents),
         "actions": len(K.actions),
         "conditional_effects": sum(len(a.rules) for a in K.actions),
-        "merge_actions": len(K.merges),
+        "merge_actions": sum(is_merge(a.name) for a in K.actions),
     }
 
 
@@ -77,8 +77,8 @@ def pipeline_solve(problem: ConformantProblem,
     recorded with status "cap-exceeded" and the error, and the ladder goes
     on.  ``config.max_seconds`` bounds the searches of the whole ladder:
     each stage searches for at most the time left.  Raises NoPlanFound
-    when every stage conclusively fails, BudgetExhausted when some stage
-    ran out of search budget; both carry the stage trace.
+    when every stage conclusively fails, and its subclass BudgetExhausted
+    when some stage ran out of search budget; both carry the stage trace.
     """
     config = config or PipelineConfig()
     deadline = (None if config.max_seconds is None
@@ -154,8 +154,11 @@ def pipeline_solve(problem: ConformantProblem,
             stage["plan_length"] = len(plan)
             stage["stripped_length"] = len(stripped)
             try:
-                verdict = conformant_check(compiled, stripped,
-                                           cap=config.state_cap)
+                # the compiled actions, judged against the source goal
+                verdict = conformant_check(
+                    replace(compiled, goal=problem.goal,
+                            goal_clauses=problem.goal_clauses),
+                    stripped, cap=config.state_cap)
             except CapExceeded as exc:
                 _cap_exceeded(stage, exc)
                 continue
@@ -165,8 +168,8 @@ def pipeline_solve(problem: ConformantProblem,
                 "states_checked": verdict.states_checked,
             }
             if not verdict.valid:
-                # should not happen for the built-in schemes; keep
-                # climbing the ladder rather than reporting a bad plan
+                # a plan for compiled clause goals can still leave a source
+                # clause false; keep climbing rather than report a bad plan
                 continue
             report["plan"] = list(plan.steps)
             report["stripped_plan"] = list(stripped)

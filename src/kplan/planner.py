@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InconsistentResult
-from .model import ClassicalProblem, Plan, run_plan
+from .model import ClassicalProblem, Plan, is_merge, run_plan
 
 INF = float("inf")
 
@@ -29,7 +29,6 @@ class Grounded:
     pairs: they hold in a state iff every pos bit is set and no neg bit."""
 
     def __init__(self, K: ClassicalProblem):
-        self.problem = K
         self.atoms: List[str] = sorted(K.fluents)
         self.aid: Dict[str, int] = {a: i for i, a in enumerate(self.atoms)}
         self.init: int = self._masks(l for l in K.init if l.positive)[0]
@@ -40,7 +39,7 @@ class Grounded:
         # relaxed rules: props are 2*atom (true) / 2*atom+1 (false)
         self.relaxed = []
         for a in K.actions:
-            cost = 0 if a.name in K.merges else 1
+            cost = 0 if is_merge(a.name) else 1
             pre_props = self._props(a.preconditions)
             effects: Dict[Tuple[int, int], List[int]] = {}
             for r in a.rules:
@@ -210,7 +209,7 @@ def _reconstruct(parents, state: int, grounded: Grounded) -> Plan:
         steps.append(grounded.actions[action_idx][0])
         state = prev
     steps.reverse()
-    return Plan.for_problem(steps, grounded.problem)
+    return Plan(tuple(steps))
 
 
 def solve(K: ClassicalProblem, max_nodes: int = 200_000,

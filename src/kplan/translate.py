@@ -30,6 +30,7 @@ from .model import (
     ClassicalProblem,
     ConformantProblem,
     Literal,
+    MERGE_PREFIX,
     Rule,
     conformant_problem,
     neg,
@@ -39,7 +40,6 @@ from .model import (
 from .pi import DEFAULT_MODEL_CAP, DEFAULT_STATE_CAP, EMPTY_TAG, Merge, Tag
 
 SEPARATOR = "__"
-MERGE_PREFIX = "merge" + SEPARATOR
 # the static-disjunction deduction action is internal like the merges, so
 # its name carries the merge prefix and is stripped from reported plans
 STATIC_ACTION_NAME = MERGE_PREFIX + "static-disjunctions"
@@ -294,7 +294,6 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
         actions.append(Action(a.name, precs,
                               tuple(sorted(rules, key=Rule.sort_key))))
 
-    merge_names: Set[str] = set()
     if optimized:
         static_rules: Set[Rule] = set()
         heads_anywhere = {r.effect for act in problem.actions for r in act.rules}
@@ -309,25 +308,21 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
             actions.append(Action(STATIC_ACTION_NAME, frozenset(),
                                   tuple(sorted(static_rules,
                                                key=Rule.sort_key))))
-            merge_names.add(STATIC_ACTION_NAME)
 
     table_of = dict(zip(spec.tags, tables))
-    for m in spec.merges:
-        name = merge_action_name(m)
-        if name in merge_names:
-            continue
-        merge_names.add(name)
+    for m in dict.fromkeys(spec.merges):  # a merge listed twice is one action
         cond = frozenset(pos(table_of[t].names[m.target]) for t in m.tags)
         effects = [Rule(cond, pos(plain[m.target]))]
         for other in sorted(ctx.mutexes.mutex_with(m.target)):
             if other == m.target.negate():
                 continue
             effects.append(Rule(cond, pos(plain[other.negate()])))
-        actions.append(Action(name, frozenset(), tuple(effects)))
+        actions.append(Action(merge_action_name(m), frozenset(),
+                              tuple(effects)))
 
     actions.sort(key=lambda a: a.name)
     return ClassicalProblem(frozenset(fluents), frozenset(init),
-                            tuple(actions), goal, frozenset(merge_names))
+                            tuple(actions), goal)
 
 
 # --- CNF goal compilation -----------------------------------------------

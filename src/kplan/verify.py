@@ -31,6 +31,7 @@ from .model import (
     restrict,
     run_plan,
     sorted_lits,
+    state_satisfies,
 )
 from .pi import DEFAULT_STATE_CAP, PICNF, Tag, enumerate_models, prime_implicates
 from .translate import TranslationSpec
@@ -40,11 +41,11 @@ def initial_states(problem: ConformantProblem,
                    cap: Optional[int] = DEFAULT_STATE_CAP) -> Tuple[State, ...]:
     """All complete consistent states satisfying the initial clauses."""
     try:
-        states = list(enumerate_models(problem.init, problem.fluents, cap=cap))
+        # enumerate_models yields the states in sorted_lits order
+        return tuple(enumerate_models(problem.init, problem.fluents, cap=cap))
     except ValidityUndecidedAtCap as exc:
         raise TooManyInitialStates(
             f"state enumeration exceeded cap {cap}") from exc
-    return tuple(sorted(states, key=sorted_lits))
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,9 @@ def belief_bfs(problem: ConformantProblem, depth_cap: int = 10,
     init_belief = frozenset(states)
 
     def is_goal(belief: FrozenSet[State]) -> bool:
-        return all(problem.goal <= s for s in belief)
+        return all(problem.goal <= s
+                   and state_satisfies(s, problem.goal_clauses)
+                   for s in belief)
 
     seen = {init_belief}
     queue = deque([(init_belief, ())])

@@ -168,7 +168,7 @@ def all_sequences(names: Sequence[str], max_len: int
 
 
 def classical_accepts(K: ClassicalProblem, steps: Iterable[str]) -> bool:
-    result = run_plan(K, Plan.for_problem(steps, K))
+    result = run_plan(K, Plan(tuple(steps)))
     return result.applicable and result.achieved_goal
 
 
@@ -513,7 +513,7 @@ def _reference_reconstruct(parents, state, g: reference_grounded) -> Plan:
         state, action_idx = parents[state]
         steps.append(g.actions[action_idx][0])
     steps.reverse()
-    return Plan.for_problem(steps, g.problem)
+    return Plan(tuple(steps))
 
 
 def reference_solve(K: ClassicalProblem, max_nodes: int = 200_000,
@@ -824,7 +824,7 @@ def reference_ktm(problem: ConformantProblem, spec: TranslationSpec,
 
     actions.sort(key=lambda a: a.name)
     return ClassicalProblem(frozenset(fluents), frozenset(init),
-                            tuple(actions), goal, frozenset(merge_names))
+                            tuple(actions), goal)
 
 
 # --- reference bounded-width spec ---------------------------------------------------

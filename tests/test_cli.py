@@ -165,6 +165,42 @@ def test_solve_failure_reports_trace(tmp_path, capsys):
     assert "failure" in err
 
 
+def test_a_budget_out_is_a_failure_with_a_report(tmp_path, capsys):
+    dom, prob = gen_instance(tmp_path, "safe", 8)
+    report_path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "solve", str(dom), str(prob),
+                             "--budget", "2", "--report", str(report_path))
+    assert code == 1
+    assert "failure: search budget exhausted" in err
+    report = json.loads(report_path.read_text())
+    assert any(s["status"] == "budget-out" for s in report["stages"])
+
+
+@pytest.mark.parametrize("command", ["translate", "solve", "validate"])
+def test_a_source_action_with_the_merge_prefix_exits_2(tmp_path, capsys,
+                                                       command):
+    dom, prob = tmp_path / "d.pddl", tmp_path / "p.pddl"
+    dom.write_text("""(define (domain m) (:predicates (p))
+      (:action merge__x :parameters () :precondition (and) :effect (p)))
+""")
+    prob.write_text("(define (problem m1) (:domain m) (:init) (:goal (p)))")
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_text("(merge__x)\n")
+    plan = [str(plan_file)] if command == "validate" else []
+    code, out, err = run_cli(capsys, command, str(dom), str(prob), *plan)
+    assert code == 2
+    assert err.startswith("error: ") and "reserved" in err
+
+
+def test_the_cli_defaults_are_the_pipeline_defaults(monkeypatch):
+    for name in list(os.environ):
+        if name.startswith("KPLAN_"):
+            monkeypatch.delenv(name)
+    for argv in (["solve", "d", "p"], ["bench"]):
+        args = cli.build_parser().parse_args(argv)
+        assert cli._pipeline_config(args) == kplan.PipelineConfig()
+
+
 @pytest.mark.parametrize("family,params,caps,error", [
     ("safe", (4,), "1,4096,5000", "TooManyInitialStates"),
     ("sortnet", (3,), "4096,1,5000", "TooManyModels"),

@@ -91,12 +91,12 @@ def test_classical_initial_state_closed_world():
 
 
 def test_plan_stripping():
-    plan = Plan(("a", "m", "b"), (False, True, False))
+    plan = Plan(("a", "merge__m", "b"))
     assert plan.stripped() == ("a", "b")
     assert plan.stripped_length == 2
     assert len(plan) == 3
-    with pytest.raises(ValueError):
-        Plan(("a",), (True, False))
+    # the rule is the name prefix alone
+    assert Plan(("merge", "m__merge__x")).stripped() == ("merge", "m__merge__x")
 
 
 def test_run_plan_reports_failures(tiny):

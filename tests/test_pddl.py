@@ -114,7 +114,7 @@ def test_emit_classical_round_trip(tiny):
     assert back.fluents == K.fluents
     assert back.init == K.init
     assert back.goal == K.goal
-    assert back.merges == K.merges
+    assert back.merges == K.merges and K.merges
     assert {a.name for a in back.actions} == {a.name for a in K.actions}
     for a in K.actions:
         b = back.action_by_name(a.name)

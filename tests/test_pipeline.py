@@ -67,6 +67,20 @@ def test_pipeline_budget_exhausted():
     with pytest.raises(BudgetExhausted) as exc:
         pipeline_solve(problem, PipelineConfig(max_nodes=2))
     assert any(s["status"] == "budget-out" for s in exc.value.trace)
+    assert isinstance(exc.value, NoPlanFound)
+
+
+def test_pipeline_judges_the_source_goal_clauses():
+    # kmodels finds a plan for sortnet-4's compiled goal atoms, but the
+    # plan leaves a source goal clause false, so no plan is reported
+    problem = load_generated("sortnet", 4)
+    with pytest.raises(NoPlanFound) as exc:
+        pipeline_solve(problem)
+    kmodels = exc.value.trace[-1]
+    assert kmodels["scheme"] == "kmodels" and kmodels["status"] == "solved"
+    assert not kmodels["verdict"]["valid"]
+    assert kmodels["verdict"]["reason"].startswith(
+        "goal clauses not satisfied: ")
 
 
 def test_pipeline_report_is_deterministic():

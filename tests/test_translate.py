@@ -135,7 +135,7 @@ def test_tagged_translation_on_pickdrop(pickdrop):
     bad = ("pick-l1", "pick-l2", mh, "drop-l3")
     assert not classical_accepts(K, bad)
     # the accepted plan, stripped of merges, is conformant
-    assert is_conformant(problem, Plan.for_problem(good, K).stripped())
+    assert is_conformant(problem, Plan(good).stripped())
 
 
 def test_spec_ks0(tiny):
@@ -356,3 +356,19 @@ def test_spec_ki_matches_reference_on_generated(family, params):
     problem, info = compiled_instance(family, params)
     _check_spec_ki_against_reference(build_context(problem),
                                      bool(info.resets))
+
+
+@pytest.mark.parametrize("family,params", BENCH_INSTANCES,
+                         ids=["-".join(map(str, (f, *p)))
+                              for f, p in BENCH_INSTANCES])
+def test_merges_are_the_merge_actions_ktm_adds(family, params):
+    problem = compiled_instance(family, params)[0]
+    ctx = build_context(problem)
+    source = {a.name for a in problem.actions}
+    for spec in (spec_ki(ctx, 1), spec_kmodels(ctx)):
+        minted = {merge_action_name(m) for m in spec.merges}
+        for optimized in (True, False):
+            K = ktm(problem, spec, ctx, optimized=optimized)
+            names = {a.name for a in K.actions}
+            assert K.merges == minted | (names & {STATIC_ACTION_NAME})
+            assert names - K.merges == source

@@ -25,7 +25,7 @@ from kplan import (
 )
 from kplan.errors import UnsupportedFeature
 from kplan import generators, pddl
-from kplan.model import NondetRule, action, conformant_problem, rule
+from kplan.model import NondetRule, action, conformant_problem, rule, sorted_lits
 from kplan.pi import enumerate_models
 from kplan.verify import ThreeValuedState, rel_state, zero_approx_step
 from kplan.analysis import relevance
@@ -146,6 +146,14 @@ def test_belief_bfs_rejects_nondeterministic_actions():
         belief_bfs(problem)
 
 
+def test_belief_bfs_checks_goal_clauses():
+    # sortnet's goal is all clauses: the empty plan leaves inputs unsorted
+    problem = pddl.load(*generators.generate("sortnet", (3,)))
+    plan = belief_bfs(problem, depth_cap=4)
+    assert plan is not None and len(plan.steps) == 3
+    assert conformant_check(problem, plan.steps).valid
+
+
 def test_belief_bfs_agrees_with_sequence_enumeration():
     """On tiny random problems, the shortest belief-space plan length must
     equal the shortest conformant sequence found by brute force."""
@@ -234,6 +242,15 @@ def test_enumeration_matches_reference_on_random_suite():
 def test_enumeration_matches_reference_on_generated(family, params):
     problem = compiled_instance(family, params)[0]
     _check_enumeration(problem.init, problem.fluents, cap=1024)
+
+
+def test_initial_states_come_in_sorted_order():
+    for problem in random_suite(404, 60):
+        states = initial_states(problem)
+        assert states == tuple(sorted(states, key=sorted_lits))
+    for family, params in BENCH_INSTANCES:
+        states = initial_states(compiled_instance(family, params)[0])
+        assert states == tuple(sorted(states, key=sorted_lits))
 
 
 def test_enumeration_of_a_deep_instance_ends_at_the_cap():
