@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
+                    Set, Tuple)
 
 from .errors import InconsistentInit, UnsupportedFeature, WidthSearchCap
 from .model import Clause, ConformantProblem, Literal, neg, pos, sorted_lits
@@ -97,8 +98,7 @@ def c_i(pi: PICNF) -> Tuple[Clause, ...]:
     return tuple(sorted(clauses, key=sorted_lits))
 
 
-@dataclass(frozen=True)
-class RelevantClauseSet:
+class RelevantClauseSet(NamedTuple):
     target: Literal
     clauses: Tuple[Clause, ...]       # C_I(L)
     extended: Tuple[Clause, ...]      # C_I*(L)

@@ -66,7 +66,7 @@ def _parse_caps(text: Optional[str]) -> Tuple[int, int, int]:
 def _parse_budget(text: Optional[str]) -> Tuple[int, Optional[float]]:
     """nodes[,seconds] pair."""
     if not text:
-        return PipelineConfig.max_nodes, None
+        return PipelineConfig._field_defaults["max_nodes"], None
     parts = [p.strip() for p in text.split(",")]
     if len(parts) > 2:
         raise argparse.ArgumentTypeError("--budget takes NODES[,SECONDS]")
@@ -266,7 +266,11 @@ def cmd_width(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    domain_text, problem_text = generators.generate(args.family, args.params)
+    try:
+        domain_text, problem_text = generators.generate(args.family,
+                                                        args.params)
+    except ValueError as exc:
+        args.usage_error(str(exc))  # exits 2
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     stem = "-".join([args.family, *[str(p) for p in args.params]])
@@ -359,8 +363,8 @@ _caps = _option("--caps", "CAPS", "", type=_parse_caps,
 _budget = _option("--budget", "BUDGET", "", type=_parse_budget,
                   help="search budget as NODES[,SECONDS]")
 _nondet_copies = _option(
-    "--nondet-copies", "NONDET_COPIES", str(PipelineConfig.max_copies),
-    type=_parse_copies,
+    "--nondet-copies", "NONDET_COPIES",
+    str(PipelineConfig._field_defaults["max_copies"]), type=_parse_copies,
     help="maximum action copies for nondeterministic input")
 _export_pddl = _option("--export-pddl", "EXPORT_PDDL", None,
                        help="directory for emitted PDDL / plan files")
@@ -376,6 +380,8 @@ def _gen_arguments(p: argparse.ArgumentParser):
     p.add_argument("params", nargs="+", type=int, help="family parameters")
     p.add_argument("-o", "--output-dir", default=".",
                    help="directory for the generated files")
+    # the family and its parameters are checked together, by the generator
+    p.set_defaults(usage_error=p.error)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -276,7 +276,14 @@ GENERATORS: Dict[str, Callable[..., Tuple[str, str]]] = {
 
 
 def generate(family: str, params: Sequence[int]) -> Tuple[str, str]:
+    """Raises ValueError on an unknown family, a wrong number of
+    parameters or a parameter out of range."""
     if family not in GENERATORS:
         raise ValueError(f"unknown family '{family}'; know: "
                          + ", ".join(sorted(GENERATORS)))
+    code = GENERATORS[family].__code__
+    names = code.co_varnames[:code.co_argcount]
+    if len(params) != len(names):
+        raise ValueError(f"{family} takes {len(names)} parameter(s) "
+                         f"({', '.join(names)}), not {len(params)}")
     return GENERATORS[family](*[int(p) for p in params])

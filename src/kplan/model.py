@@ -11,7 +11,7 @@ order so downstream output is byte-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Tuple
+from typing import FrozenSet, Iterable, NamedTuple, Tuple
 
 from .errors import (
     InconsistentResult,
@@ -21,9 +21,12 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class Literal:
-    """A fluent with a sign.  Ordering is (fluent, sign), negatives first."""
+class Literal(NamedTuple):
+    """A fluent with a sign.  Ordering is (fluent, sign), negatives first.
+
+    A plain tuple subclass, so hashing, equality and ordering run in C;
+    a Literal equals the tuple ``(fluent, positive)``.
+    """
 
     fluent: str
     positive: bool = True
@@ -86,10 +89,7 @@ class Rule:
             raise ValueError(f"rule condition has a complementary pair: {self}")
 
     def sort_key(self):
-        """Orders rules as (sorted_lits(condition), effect) would, keyed
-        by (fluent, positive) pairs, which compare like the literals."""
-        return (sorted((l.fluent, l.positive) for l in self.condition),
-                (self.effect.fluent, self.effect.positive))
+        return (sorted(self.condition), self.effect)
 
     def __str__(self):
         cond = ",".join(map(str, sorted_lits(self.condition))) or "true"
@@ -116,8 +116,7 @@ class NondetRule:
             raise ValueError("oneof effect needs at least two outcomes")
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     name: str
     preconditions: FrozenSet[Literal] = frozenset()
     rules: Tuple[Rule, ...] = ()
@@ -234,8 +233,7 @@ class ClassicalProblem:
     action_by_name = ConformantProblem.action_by_name
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(NamedTuple):
     """An action-name sequence."""
 
     steps: Tuple[str, ...]
@@ -249,6 +247,8 @@ class Plan:
         return len(self.stripped())
 
     def __len__(self):
+        # the steps, not the fields: NamedTuple's _make and _replace check
+        # len(), so they fail here; build a new Plan instead
         return len(self.steps)
 
 
@@ -272,8 +272,7 @@ def apply(s: State, a: Action) -> State:
     return frozenset((s - delete) | add)
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     applicable: bool
     final: State
     achieved_goal: bool

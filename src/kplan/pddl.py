@@ -14,8 +14,8 @@ instances whose conditions are internally contradictory.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple, Union)
 
 from .errors import GroundingBlowup, PddlSyntaxError, UnsupportedFeature
 from .model import (
@@ -118,60 +118,51 @@ def _head(node: SExpr) -> str:
 
 # --- AST ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AtomTemplate:
+class AtomTemplate(NamedTuple):
     predicate: str
     args: Tuple[str, ...]  # variables (?x) or constants
 
 
-@dataclass(frozen=True)
-class LiteralTemplate:
+class LiteralTemplate(NamedTuple):
     atom: AtomTemplate
     positive: bool = True
 
 
 # effect tree nodes
-@dataclass(frozen=True)
-class EffLit:
+class EffLit(NamedTuple):
     literal: LiteralTemplate
 
 
-@dataclass(frozen=True)
-class EffAnd:
+class EffAnd(NamedTuple):
     parts: Tuple["EffNode", ...]
 
 
-@dataclass(frozen=True)
-class EffWhen:
+class EffWhen(NamedTuple):
     condition: Tuple[LiteralTemplate, ...]
     effect: "EffNode"
 
 
-@dataclass(frozen=True)
-class EffForall:
+class EffForall(NamedTuple):
     variable: str
     type: str
     body: "EffNode"
 
 
-@dataclass(frozen=True)
-class EffOneof:
+class EffOneof(NamedTuple):
     outcomes: Tuple["EffNode", ...]
 
 
 EffNode = Union[EffLit, EffAnd, EffWhen, EffForall, EffOneof]
 
 
-@dataclass(frozen=True)
-class ActionSchema:
+class ActionSchema(NamedTuple):
     name: str
     params: Tuple[Tuple[str, str], ...]  # (variable, type)
     precondition: Tuple[LiteralTemplate, ...]
     effect: EffNode
 
 
-@dataclass(frozen=True)
-class DomainAst:
+class DomainAst(NamedTuple):
     name: str
     requirements: Tuple[str, ...]
     types: Dict[str, str]               # type -> parent
@@ -180,14 +171,12 @@ class DomainAst:
     actions: Tuple[ActionSchema, ...]
 
 
-@dataclass(frozen=True)
-class InitEntry:
+class InitEntry(NamedTuple):
     kind: str  # "lit" | "or" | "oneof" | "unknown"
     literals: Tuple[LiteralTemplate, ...]
 
 
-@dataclass(frozen=True)
-class ProblemAst:
+class ProblemAst(NamedTuple):
     name: str
     domain_name: str
     objects: Tuple[Tuple[str, str], ...]

@@ -9,8 +9,8 @@ plan after the brute-force conformance oracle accepts it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from dataclasses import replace
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .analysis import build_context
 from .errors import BudgetExhausted, CapExceeded, NoPlanFound
@@ -27,8 +27,7 @@ from .translate import (
 from .verify import conformant_check
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     max_nodes: int = 200_000
     max_seconds: Optional[float] = None  # one deadline for the whole ladder
     optimized: bool = True

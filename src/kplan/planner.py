@@ -12,9 +12,8 @@ import heapq
 import itertools
 import time
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import InconsistentResult
 from .model import ClassicalProblem, Plan, is_merge, run_plan
@@ -189,8 +188,7 @@ class SolveStatus(Enum):
     BUDGET_OUT = "budget-out"
 
 
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     status: SolveStatus
     plan: Optional[Plan]
     expanded: int

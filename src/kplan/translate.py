@@ -353,8 +353,7 @@ def cnf_goal_compile(problem: ConformantProblem) -> ConformantProblem:
 
 # --- nondeterministic front-end -------------------------------------------
 
-@dataclass(frozen=True)
-class NondetInfo:
+class NondetInfo(NamedTuple):
     """Reset bookkeeping: reset action name -> its copy's hidden fluents."""
 
     resets: Tuple[Tuple[str, Tuple[str, ...]], ...] = ()

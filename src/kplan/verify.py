@@ -10,8 +10,8 @@ never the other way around.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
+                    Set, Tuple)
 
 from .analysis import Context, RelevanceGraph, build_context, target_literals
 from .errors import (
@@ -48,8 +48,7 @@ def initial_states(problem: ConformantProblem,
             f"state enumeration exceeded cap {cap}") from exc
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     valid: bool
     reason: str = ""
     failing_state: Optional[State] = None
@@ -86,8 +85,7 @@ def conformant_check(problem: ConformantProblem, steps: Iterable[str],
 
 # --- 0-approximation --------------------------------------------------------
 
-@dataclass(frozen=True)
-class ThreeValuedState:
+class ThreeValuedState(NamedTuple):
     """A partial state: literals known true; fluents with neither polarity
     present are unknown."""
 
@@ -209,8 +207,7 @@ def rel_state(s: State, L: Literal, R: RelevanceGraph) -> FrozenSet[Literal]:
     return frozenset(l for l in s if R.relevant(l, L))
 
 
-@dataclass(frozen=True)
-class Basis:
+class Basis(NamedTuple):
     """A set of initial states sufficient for conformance checking, with
     the (tag, target literal) pair that produced each one."""
 

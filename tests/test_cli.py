@@ -46,6 +46,22 @@ def test_gen_writes_files(tmp_path, capsys):
     assert "oneof" in prob.read_text()
 
 
+@pytest.mark.parametrize("family,params,message", [
+    ("bogus", ["1"], "unknown family 'bogus'"),
+    ("bomb", ["3"], "bomb takes 2 parameter(s) (x, y), not 1"),
+    ("safe", ["0"], "safe needs n >= 2")])
+def test_gen_rejects_bad_input_as_a_usage_error(tmp_path, capsys, family,
+                                                params, message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", family, *params, "-o", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: kplan gen") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_translate_reports_width_and_sizes(tmp_path, capsys):
     dom, prob = gen_instance(tmp_path, "safe", 4)
     report_path = tmp_path / "report.json"

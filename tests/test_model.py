@@ -18,6 +18,8 @@ from kplan import (
     rule,
     run_plan,
 )
+from kplan import generators, pddl
+from kplan.analysis import build_context
 from kplan.model import (
     ClassicalProblem,
     Literal,
@@ -27,6 +29,10 @@ from kplan.model import (
     lits_consistent,
     state_satisfies,
 )
+from kplan.planner import Grounded
+from kplan.translate import (cnf_goal_compile, inject_reset_effects, ktm,
+                             nondet_compile, spec_ki, spec_kmodels)
+from kplan.verify import Verdict, build_basis
 
 
 def test_literal_basics():
@@ -140,3 +146,102 @@ def test_lits_consistent_and_rule_order_agree_with_literal_order():
     rng.shuffle(rules)
     assert sorted(rules, key=Rule.sort_key) == sorted(
         rules, key=lambda r: (sorted_lits(r.condition), r.effect))
+
+
+# --- record semantics -------------------------------------------------------
+
+def test_literals_order_by_fluent_negatives_first():
+    lits = [pos("b"), neg("a"), pos("a"), neg("b")]
+    assert sorted(lits) == [neg("a"), pos("a"), neg("b"), pos("b")]
+    assert neg("p") < pos("p") < neg("q") < pos("q")
+
+
+def test_literals_print_as_p_and_not_p():
+    assert (str(pos("p")), repr(pos("p"))) == ("p", "p")
+    assert (str(neg("p")), repr(neg("p"))) == ("~p", "~p")
+    assert repr((pos("p"), neg("q"))) == "(p, ~q)"
+
+
+def test_equal_literals_hash_equal():
+    built = Literal("".join(["p", "q"]), True)
+    assert built == pos("pq") and built is not pos("pq")
+    assert hash(built) == hash(pos("pq"))
+    assert len({built, pos("pq"), neg("pq")}) == 2
+
+
+@pytest.mark.parametrize("record,field", [
+    (pos("p"), "positive"), (action("a"), "name"), (Plan(("a",)), "steps"),
+    (Verdict(True), "valid")], ids=["Literal", "Action", "Plan", "Verdict"])
+def test_records_reject_assignment(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+def test_plan_length_and_truth_are_its_steps():
+    assert len(Plan(("a", "b"))) == 2
+    assert not Plan(())
+    assert Plan(("a",))
+
+
+def test_a_verdict_is_true_exactly_when_valid():
+    assert not Verdict(False)
+    assert not Verdict(False, "goal literals not achieved", None, 3)
+    assert Verdict(True)
+
+
+def keyed_containers(*roots):
+    """Every dict, set and frozenset reachable from the roots through
+    containers and the attributes of kplan objects."""
+    seen, stack = set(), list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            yield obj
+            stack.extend(obj.items())
+        elif isinstance(obj, (set, frozenset)):
+            yield obj
+            stack.extend(obj)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif type(obj).__module__.startswith("kplan.") \
+                and hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+
+
+def built_objects(family, params, spec_of):
+    """The analysis, translation, search and basis objects of one
+    instance, with every lazily built table filled."""
+    texts = generators.generate(family, params)
+    problem = pddl.load(*texts)
+    compiled, info = nondet_compile(cnf_goal_compile(problem), 1)
+    ctx = build_context(compiled)
+    ctx.mutexes  # fills the lazily built mutex table
+    spec = spec_of(ctx)
+    K = ktm(compiled, spec, ctx)
+    if not problem.deterministic:
+        K = inject_reset_effects(K, compiled, spec, info)
+    return [pddl.parse(*texts), problem, compiled, info, ctx, spec, K,
+            Grounded(K), build_basis(compiled, spec, ctx)]
+
+
+@pytest.mark.parametrize("family,params,spec_of", [
+    ("bomb", (3, 2), lambda ctx: spec_ki(ctx, 1)),
+    ("sortnet", (3,), spec_kmodels),
+    ("sgripper", (1,), lambda ctx: spec_ki(ctx, 1))],
+    ids=["bomb-3-2", "sortnet-3", "sgripper-1"])
+def test_no_container_mixes_tuple_types(family, params, spec_of):
+    # a Literal equals the plain tuple (fluent, positive), and two record
+    # types with equal fields equal each other, so one set or dict key
+    # space must hold tuples of a single type
+    checked = 0
+    for container in keyed_containers(*built_objects(family, params,
+                                                     spec_of)):
+        kinds = {type(k) for k in container if isinstance(k, tuple)}
+        assert len(kinds) <= 1, kinds
+        checked += Literal in kinds
+    assert checked > 0
