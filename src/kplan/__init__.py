@@ -67,6 +67,7 @@ from .analysis import (
 from .translate import (
     TranslationSpec,
     cnf_goal_compile,
+    drop_unread,
     inject_reset_effects,
     ktm,
     make_spec,

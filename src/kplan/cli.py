@@ -28,6 +28,7 @@ from .pi import DEFAULT_MODEL_CAP, DEFAULT_PI_CLAUSE_CAP, DEFAULT_STATE_CAP
 from .pipeline import PipelineConfig, pipeline_solve, translation_summary
 from .translate import (
     cnf_goal_compile,
+    drop_unread,
     ktm,
     spec_k0,
     spec_ki,
@@ -143,6 +144,8 @@ def cmd_translate(args) -> int:
                         strengthened_mutex=args.strengthened_mutex)
     spec = _scheme_spec(scheme, bound, ctx, args.caps)
     K = ktm(compiled, spec, ctx, optimized=args.opt)
+    if args.opt:
+        K = drop_unread(K)
     domain_text, problem_text = pddl.emit_classical(K)
     report = {
         "command": "translate",
@@ -339,9 +342,12 @@ def _plan(p: argparse.ArgumentParser):
 def _opt(p: argparse.ArgumentParser):
     opt = p.add_mutually_exclusive_group()
     opt.add_argument("--opt", dest="opt", action="store_true",
-                     help="apply the rewrite optimizations (default)")
+                     help="apply the rewrite optimizations, then drop "
+                          "the atoms that nothing reads, which keeps the "
+                          "same plans (default)")
     opt.add_argument("--no-opt", dest="opt", action="store_false",
-                     help="disable the rewrite optimizations")
+                     help="use the literal K_T,M translation, without "
+                          "the rewrites")
     p.set_defaults(opt=_env("OPT", "1") not in ("0", "false", "no"))
 
 

@@ -77,16 +77,16 @@ def is_tautology(c: Clause) -> bool:
     return any(l.negate() in c for l in c)
 
 
-@dataclass(frozen=True)
-class Rule:
-    """Conditional effect C -> L.  An empty condition fires always."""
+class Rule(NamedTuple):
+    """Conditional effect C -> L.  An empty condition fires always.
+
+    The condition must be consistent.  Rules built from outside are
+    checked by ``rule`` and by ConformantProblem; the translations build
+    consistent ones and construct Rule directly.
+    """
 
     condition: FrozenSet[Literal]
     effect: Literal
-
-    def __post_init__(self):
-        if not lits_consistent(self.condition):
-            raise ValueError(f"rule condition has a complementary pair: {self}")
 
     def sort_key(self):
         return (sorted(self.condition), self.effect)
@@ -96,8 +96,14 @@ class Rule:
         return f"{cond} -> {self.effect}"
 
 
+def _check_rule(r: Rule) -> Rule:
+    if not lits_consistent(r.condition):
+        raise ValueError(f"rule condition has a complementary pair: {r}")
+    return r
+
+
 def rule(condition: Iterable[Literal], effect: Literal) -> Rule:
-    return Rule(frozenset(condition), effect)
+    return _check_rule(Rule(frozenset(condition), effect))
 
 
 @dataclass(frozen=True)
@@ -160,6 +166,7 @@ class ConformantProblem:
         for a in self.actions:
             mentioned |= {l.fluent for l in a.preconditions}
             for r in a.rules:
+                _check_rule(r)
                 mentioned.add(r.effect.fluent)
                 mentioned |= {l.fluent for l in r.condition}
             for r in a.nondet_rules:

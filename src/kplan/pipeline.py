@@ -19,6 +19,7 @@ from .pi import DEFAULT_MODEL_CAP, DEFAULT_PI_CLAUSE_CAP, DEFAULT_STATE_CAP
 from .planner import SolveStatus, solve
 from .translate import (
     cnf_goal_compile,
+    drop_unread,
     inject_reset_effects,
     ktm,
     spec_ki,
@@ -131,6 +132,9 @@ def pipeline_solve(problem: ConformantProblem,
             K = ktm(compiled, spec, ctx, optimized=config.optimized)
             if info is not None:
                 K = inject_reset_effects(K, compiled, spec, info)
+            if config.optimized:
+                # after the resets, whose rules read the plain KL atoms
+                K = drop_unread(K)
             max_seconds = (None if deadline is None
                            else max(0.0, deadline - time.monotonic()))
             result = solve(K, max_nodes=config.max_nodes,

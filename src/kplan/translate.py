@@ -325,6 +325,41 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
                             tuple(actions), goal)
 
 
+def drop_unread(K: ClassicalProblem) -> ClassicalProblem:
+    """K without the atoms that nothing reads, and without their rules.
+
+    An atom is read when the goal or a precondition mentions it, or when
+    it is in the condition of a rule that sets a read atom.  The other
+    atoms never decide whether an action applies, what a read atom
+    becomes, or whether the goal holds, so K and the result have the same
+    plans.  Every action is kept, even one left without rules.  (An
+    action that would set an unread atom both true and false no longer
+    raises InconsistentResult.)
+    """
+    # atom -> the conditions of the rules that set it, each once
+    conditions: Dict[str, Set[FrozenSet[Literal]]] = {}
+    for a in K.actions:
+        for r in a.rules:
+            conditions.setdefault(r.effect.fluent, set()).add(r.condition)
+    stack = [l.fluent for l in K.goal]
+    for a in K.actions:
+        stack += [l.fluent for l in a.preconditions]
+    read: Set[str] = set()
+    while stack:
+        f = stack.pop()
+        if f not in read:
+            read.add(f)
+            for c in conditions.get(f, ()):
+                stack += [l.fluent for l in c]
+    actions = tuple([a._replace(rules=tuple([r for r in a.rules
+                                             if r.effect.fluent in read]))
+                     for a in K.actions])
+    return ClassicalProblem(frozenset(read),
+                            frozenset([l for l in K.init
+                                       if l.fluent in read]),
+                            actions, K.goal)
+
+
 # --- CNF goal compilation -----------------------------------------------
 
 def cnf_goal_compile(problem: ConformantProblem) -> ConformantProblem:

@@ -34,8 +34,8 @@ from kplan.analysis import (Context, all_literals, build_context, cover,
                             satisfies, target_literals)
 from kplan.errors import (CapExceeded, InvalidSpec, TooManyInitialStates,
                           UnsupportedFeature)
-from kplan.model import (Action, ClassicalProblem, Clause, Rule, State,
-                         lits_consistent, sorted_lits)
+from kplan.model import (Action, ClassicalProblem, Clause, NondetRule,
+                         Rule, State, lits_consistent, sorted_lits)
 from kplan.pi import EMPTY_TAG, Tag, prime_implicates
 from kplan.planner import INF, SolveResult, SolveStatus
 from kplan.translate import (
@@ -109,6 +109,23 @@ def build_pickdrop():
 @pytest.fixture
 def pickdrop():
     return build_pickdrop()
+
+
+# --- oneof worked example -----------------------------------------------------
+
+def coin_problem():
+    """flip lands heads or tails; a conditional action reports heads."""
+    return conformant_problem(
+        ["heads", "tails", "flipped", "seen"],
+        [[neg("heads")], [neg("tails")], [neg("flipped")], [neg("seen")]],
+        [action("flip",
+                rules=[rule([], pos("flipped"))],
+                nondet_rules=[NondetRule(
+                    frozenset(),
+                    (frozenset([pos("heads")]), frozenset([pos("tails")])))]),
+         action("look", rules=[rule([pos("heads")], pos("seen")),
+                               rule([pos("tails")], pos("seen"))])],
+        [pos("flipped"), pos("seen")])
 
 
 # --- seeded random problem suite ------------------------------------------------

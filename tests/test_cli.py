@@ -129,6 +129,41 @@ def test_translate_export_is_deterministic(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def translate_bomb_16_16(tmp_path, capsys, *flags):
+    """The exported texts and the report of translating bomb-16-16 with
+    ki:1, and the source problem."""
+    dom, prob = gen_instance(tmp_path, "bomb", 16, 16)
+    export = tmp_path / "out"
+    report_path = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "translate", str(dom), str(prob),
+                         "--scheme", "ki:1", *flags,
+                         "--export-pddl", str(export),
+                         "--report", str(report_path))
+    assert code == 0
+    texts = ((export / "domain.pddl").read_text(),
+             (export / "problem.pddl").read_text())
+    problem = kplan.pddl.load(dom.read_text(), prob.read_text())
+    return texts, json.loads(report_path.read_text()), problem
+
+
+def test_translate_drops_the_atoms_nothing_reads(tmp_path, capsys):
+    texts, report, _ = translate_bomb_16_16(tmp_path, capsys)
+    sizes = report["translation"]
+    assert (sizes["atoms"], sizes["conditional_effects"]) == (112, 2320)
+    emitted = kplan.pddl.load_classical(*texts)
+    assert len(emitted.fluents) == 112
+    assert sum(len(a.rules) for a in emitted.actions) == 2320
+
+
+def test_translate_no_opt_emits_the_literal_translation(tmp_path, capsys):
+    texts, report, problem = translate_bomb_16_16(tmp_path, capsys,
+                                                  "--no-opt")
+    ctx = kplan.build_context(problem)
+    K = kplan.ktm(problem, kplan.spec_ki(ctx, 1), ctx, optimized=False)
+    assert texts == kplan.pddl.emit_classical(K)
+    assert report["translation"]["atoms"] == len(K.fluents)
+
+
 def test_solve_validate_round_trip(tmp_path, capsys):
     dom, prob = gen_instance(tmp_path, "safe", 4)
     export = tmp_path / "out"

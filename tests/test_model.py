@@ -57,6 +57,14 @@ def test_rule_rejects_inconsistent_condition():
         rule([pos("p"), neg("p")], pos("q"))
 
 
+def test_conformant_problem_rejects_an_inconsistent_rule_condition():
+    # Rule itself does not check; a problem checks every rule it is given
+    bad = Rule(frozenset({pos("p"), neg("p")}), pos("q"))
+    with pytest.raises(ValueError, match="complementary pair"):
+        conformant_problem(["p", "q"], [], [action("a", rules=[bad])],
+                           [pos("q")])
+
+
 def test_apply_add_delete_semantics():
     a = action("a", rules=[rule([pos("p")], neg("q")),
                            rule([neg("p")], pos("q"))])
@@ -171,7 +179,8 @@ def test_equal_literals_hash_equal():
 
 @pytest.mark.parametrize("record,field", [
     (pos("p"), "positive"), (action("a"), "name"), (Plan(("a",)), "steps"),
-    (Verdict(True), "valid")], ids=["Literal", "Action", "Plan", "Verdict"])
+    (Verdict(True), "valid"), (rule([], pos("p")), "effect")],
+    ids=["Literal", "Action", "Plan", "Verdict", "Rule"])
 def test_records_reject_assignment(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, getattr(record, field))

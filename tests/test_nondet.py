@@ -15,24 +15,10 @@ from kplan import (
     solve,
     spec_ki,
 )
-from kplan.model import NondetRule, action, conformant_problem, rule
 from kplan.translate import atom_name
 from kplan import generators, pddl
 
-
-def coin_problem():
-    """flip lands heads or tails; a conditional action reports heads."""
-    return conformant_problem(
-        ["heads", "tails", "flipped", "seen"],
-        [[neg("heads")], [neg("tails")], [neg("flipped")], [neg("seen")]],
-        [action("flip",
-                rules=[rule([], pos("flipped"))],
-                nondet_rules=[NondetRule(
-                    frozenset(),
-                    (frozenset([pos("heads")]), frozenset([pos("tails")])))]),
-         action("look", rules=[rule([pos("heads")], pos("seen")),
-                               rule([pos("tails")], pos("seen"))])],
-        [pos("flipped"), pos("seen")])
+from conftest import coin_problem
 
 
 def test_nondet_compile_shape():

@@ -1,17 +1,31 @@
 """The rewrite optimizations must keep translations sound and no weaker."""
 
+import pytest
+
 from kplan import (
+    PipelineConfig,
+    SolveStatus,
     build_context,
     bfs_optimal,
+    conformant_check,
+    drop_unread,
+    generators,
+    inject_reset_effects,
     ktm,
     neg,
+    nondet_compile,
+    pddl,
+    pipeline_solve,
     pos,
+    solve,
     spec_ki,
     spec_kmodels,
+    spec_ks0,
 )
 from kplan.translate import atom_name
 
-from conftest import build_pickdrop, is_conformant, random_suite
+from conftest import (build_pickdrop, coin_problem, compiled_instance,
+                      is_conformant, random_suite)
 
 
 def test_optimize_rebuilds_with_rewrites(pickdrop):
@@ -86,3 +100,127 @@ def test_optimized_build_is_deterministic(pickdrop):
     a = ktm(problem, spec, build_context(problem), optimized=True)
     b = ktm(problem, spec, build_context(problem), optimized=True)
     assert a == b
+
+
+# --- dropping the atoms nothing reads ---------------------------------------
+
+def read_atoms(K):
+    """The atoms K reads, as a fixpoint: those of the goal and of every
+    precondition, then the condition atoms of every rule that sets a read
+    atom."""
+    read = {l.fluent for l in K.goal}
+    read |= {l.fluent for a in K.actions for l in a.preconditions}
+    while True:
+        more = {l.fluent for a in K.actions for r in a.rules
+                if r.effect.fluent in read for l in r.condition} - read
+        if not more:
+            return read
+        read |= more
+
+
+def mentioned_atoms(K):
+    atoms = {l.fluent for l in K.init | K.goal}
+    for a in K.actions:
+        atoms |= {l.fluent for l in a.preconditions}
+        for r in a.rules:
+            atoms |= {r.effect.fluent} | {l.fluent for l in r.condition}
+    return atoms
+
+
+def check_drop_unread(K):
+    dropped = drop_unread(K)
+    read = read_atoms(K)
+    assert mentioned_atoms(dropped) <= dropped.fluents
+    # every kept atom is read, and every atom K reads is kept
+    assert dropped.fluents == read == read_atoms(dropped)
+    assert dropped.init == {l for l in K.init if l.fluent in read}
+    assert dropped.goal == K.goal
+    assert [(a.name, a.preconditions) for a in dropped.actions] == \
+        [(a.name, a.preconditions) for a in K.actions]
+    assert [a.rules for a in dropped.actions] == \
+        [tuple(r for r in a.rules if r.effect.fluent in read)
+         for a in K.actions]
+    assert drop_unread(dropped) == dropped
+
+
+SMALL_INSTANCES = [("safe", (4,)), ("bomb", (3, 3)), ("ring", (3,)),
+                   ("square-center", (3,)), ("corners-square", (4,)),
+                   ("sortnet", (3,)), ("disjtoy", (4,)), ("sgripper", (1,))]
+SPECS = {"ki:1": lambda ctx, every: spec_ki(ctx, 1, include_all=every),
+         "kmodels": lambda ctx, every: spec_kmodels(ctx, include_all=every),
+         "ks0": lambda ctx, every: spec_ks0(ctx, include_all=every)}
+
+
+def pipeline_encoding(problem, info, scheme, optimized=True):
+    """The classical problem the pipeline searches before dropping, with
+    the reset effects of oneof input."""
+    ctx = build_context(problem)
+    spec = SPECS[scheme](ctx, bool(info.resets))
+    K = ktm(problem, spec, ctx, optimized=optimized)
+    return inject_reset_effects(K, problem, spec, info)
+
+
+@pytest.mark.parametrize("scheme", sorted(SPECS))
+@pytest.mark.parametrize("family,params", SMALL_INSTANCES,
+                         ids=["-".join(map(str, (f, *p)))
+                              for f, p in SMALL_INSTANCES])
+def test_drop_unread_invariants_on_generated(family, params, scheme):
+    problem, info = compiled_instance(family, params)
+    K = pipeline_encoding(problem, info, scheme)
+    check_drop_unread(K)
+    assert len(drop_unread(K).fluents) < len(K.fluents)
+
+
+def test_drop_unread_invariants_on_random_suite():
+    for problem in random_suite(707, 20, max_fluents=5, max_actions=4):
+        ctx = build_context(problem)
+        for spec in (spec_ki(ctx, 1), spec_kmodels(ctx), spec_ks0(ctx)):
+            for optimized in (False, True):
+                check_drop_unread(ktm(problem, spec, ctx,
+                                      optimized=optimized))
+
+
+def test_drop_unread_keeps_the_optimal_plans_on_random_suite():
+    """Dropping never changes whether a plan exists, nor its optimal
+    length, and the plans found stay conformant."""
+    found = 0
+    for problem in random_suite(505, 15, max_fluents=5, max_actions=4):
+        ctx = build_context(problem)
+        for spec in (spec_ki(ctx, 1), spec_kmodels(ctx)):
+            K = ktm(problem, spec, ctx, optimized=True)
+            plan = bfs_optimal(K, depth_cap=4, max_states=30_000)
+            dropped = bfs_optimal(drop_unread(K), depth_cap=4,
+                                  max_states=30_000)
+            assert (plan is None) == (dropped is None), problem
+            if plan is not None:
+                found += 1
+                assert dropped.stripped_length == plan.stripped_length
+                assert is_conformant(problem, dropped.stripped()), problem
+    assert found > 0
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3])
+def test_oneof_plans_stay_conformant_when_dropping_after_the_resets(copies):
+    sgripper = pddl.load(*generators.sgripper(2))
+    for name, problem in (("coin", coin_problem()), ("sgripper-2", sgripper)):
+        compiled, info = nondet_compile(problem, copies)
+        for scheme in SPECS:
+            check_drop_unread(pipeline_encoding(compiled, info, scheme))
+        result = solve(drop_unread(pipeline_encoding(compiled, info, "ki:1")))
+        assert result.status is SolveStatus.SOLVED, name
+        assert conformant_check(compiled, result.plan.stripped()).valid, name
+        plan, report = pipeline_solve(problem,
+                                      PipelineConfig(max_copies=copies))
+        stage = report["stages"][-1]
+        judged = nondet_compile(problem, stage["copies"])[0]
+        assert conformant_check(judged, plan.steps).valid, name
+
+
+def test_dropping_before_the_resets_would_lose_atoms_they_read():
+    compiled, info = nondet_compile(coin_problem(), 1)
+    ctx = build_context(compiled)
+    spec = spec_ks0(ctx, include_all=True)
+    K = ktm(compiled, spec, ctx, optimized=True)
+    early = inject_reset_effects(drop_unread(K), compiled, spec, info)
+    assert not mentioned_atoms(early) <= early.fluents
+    check_drop_unread(inject_reset_effects(K, compiled, spec, info))
