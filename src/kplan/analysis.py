@@ -12,7 +12,6 @@ Covers four services used by the translations and the validators:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
                     Set, Tuple)
 
@@ -220,8 +219,8 @@ class MutexSet:
         return len(self.pairs)
 
 
-def mutex_set(problem: ConformantProblem, pi: Optional[PICNF] = None,
-              strengthened: bool = False) -> MutexSet:
+def mutex_set(problem: ConformantProblem, pi: Optional[PICNF] = None
+              ) -> MutexSet:
     """Greatest fixpoint of the mutex conditions.
 
     Start from every literal pair that is not jointly true in any possible
@@ -230,10 +229,11 @@ def mutex_set(problem: ConformantProblem, pi: Optional[PICNF] = None,
 
     * for two rules C -> L and C' -> L' of one action, C u C' is mutex;
     * for a rule C -> L and the partner literal L', either L' = ~L, or
-      C u {L'} is mutex, or C implies the body of some rule C' -> ~L' of
-      the same action ("implies" = mutex with the complement of every
-      literal of C' \\ C).  The strengthened variant checks the implication
-      from C u {L'} instead of C.
+      C u {L'} is mutex, or C u {L'} implies the body of some rule
+      C' -> ~L' of the same action ("implies" = mutex with the complement
+      of every literal of C' \\ (C u {L'})).  Whatever C implies, C u {L'}
+      implies too, so this keeps every pair that an implication from C
+      alone would keep.
 
     Action preconditions are pushed into every rule condition.  Since I is
     in prime-implicate form, L and L' are jointly false in every initial
@@ -317,7 +317,7 @@ def mutex_set(problem: ConformantProblem, pi: Optional[PICNF] = None,
                 for ids, mask in head_conds:
                     if partners[other] & mask or set_mutex(ids, mask):
                         continue
-                    base = mask | 1 << other if strengthened else mask
+                    base = mask | 1 << other
                     if not any(implies(base, ids2) for ids2, _ in deleting):
                         return False
         return True
@@ -338,37 +338,27 @@ def mutex_set(problem: ConformantProblem, pi: Optional[PICNF] = None,
 
 
 def consistency_check(problem: ConformantProblem,
-                      pi: Optional[PICNF] = None,
-                      strengthened: bool = False) -> bool:
+                      pi: Optional[PICNF] = None) -> bool:
     """True iff I is satisfiable and every complementary pair is mutex."""
     try:
         if pi is None:
             pi = prime_implicates(problem.init, problem.fluents)
     except InconsistentInit:
         return False
-    mx = mutex_set(problem, pi, strengthened)
+    mx = mutex_set(problem, pi)
     return all(mx.mutex(pos(f), neg(f)) for f in problem.fluents)
 
 
 # --- bundled analysis context ----------------------------------------------
 
-@dataclass
-class Context:
+class Context(NamedTuple):
     """Everything the translations need, computed once per problem."""
 
     problem: ConformantProblem
     pi: PICNF
     rel: RelevanceGraph
     ci: Tuple[Clause, ...]
-    _mutexes: Optional[MutexSet] = field(default=None, repr=False)
-    strengthened_mutex: bool = False
-
-    @property
-    def mutexes(self) -> MutexSet:
-        if self._mutexes is None:
-            self._mutexes = mutex_set(self.problem, self.pi,
-                                      self.strengthened_mutex)
-        return self._mutexes
+    mutexes: MutexSet
 
     def relevant_clause_set(self, L: Literal) -> RelevantClauseSet:
         return relevant_clauses(self.ci, L, self.rel)
@@ -376,11 +366,9 @@ class Context:
 
 def build_context(problem: ConformantProblem,
                   pi: Optional[PICNF] = None,
-                  pi_cap: Optional[int] = None,
-                  strengthened_mutex: bool = False) -> Context:
+                  pi_cap: Optional[int] = None) -> Context:
     if pi is None:
         kwargs = {} if pi_cap is None else {"cap": pi_cap}
         pi = prime_implicates(problem.init, problem.fluents, **kwargs)
-    rel = relevance(problem)
-    return Context(problem, pi, rel, c_i(pi),
-                   strengthened_mutex=strengthened_mutex)
+    return Context(problem, pi, relevance(problem), c_i(pi),
+                   mutex_set(problem, pi))

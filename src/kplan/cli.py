@@ -140,8 +140,7 @@ def cmd_translate(args) -> int:
     problem = _load_problem(args)
     compiled = cnf_goal_compile(problem)
     scheme, bound = args.scheme
-    ctx = build_context(compiled, pi_cap=args.caps[2],
-                        strengthened_mutex=args.strengthened_mutex)
+    ctx = build_context(compiled, pi_cap=args.caps[2])
     spec = _scheme_spec(scheme, bound, ctx, args.caps)
     K = ktm(compiled, spec, ctx, optimized=args.opt)
     if args.opt:
@@ -185,9 +184,7 @@ def _pipeline_config(args) -> PipelineConfig:
     nodes, seconds = args.budget
     state_cap, model_cap, pi_cap = args.caps
     return PipelineConfig(max_nodes=nodes, max_seconds=seconds,
-                          optimized=args.opt,
-                          strengthened_mutex=args.strengthened_mutex,
-                          max_copies=args.nondet_copies,
+                          optimized=args.opt, max_copies=args.nondet_copies,
                           state_cap=state_cap, model_cap=model_cap,
                           pi_cap=pi_cap)
 
@@ -351,12 +348,6 @@ def _opt(p: argparse.ArgumentParser):
     p.set_defaults(opt=_env("OPT", "1") not in ("0", "false", "no"))
 
 
-def _strengthened_mutex(p: argparse.ArgumentParser):
-    on = _env("STRENGTHENED_MUTEX", "0") not in ("0", "false", "no")
-    p.add_argument("--strengthened-mutex", action="store_true", default=on,
-                   help="use the strengthened mutex propagation variant")
-
-
 def _option(flag: str, env: str, default: Optional[str], **kwargs):
     return lambda p: p.add_argument(flag, default=_env(env, default),
                                     **kwargs)
@@ -398,11 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     # each subcommand takes the arguments its handler reads, and no others
     for name, func, help_text, arguments in (
             ("translate", cmd_translate, "translate to classical PDDL",
-             (_files, _opt, _caps, _strengthened_mutex, _export_pddl,
-              _report, _scheme)),
+             (_files, _opt, _caps, _export_pddl, _report, _scheme)),
             ("solve", cmd_solve, "solve end to end",
-             (_files, _opt, _caps, _budget, _strengthened_mutex,
-              _nondet_copies, _export_pddl, _report)),
+             (_files, _opt, _caps, _budget, _nondet_copies, _export_pddl,
+              _report)),
             ("validate", cmd_validate, "validate a plan file",
              (_files, _plan, _caps, _report)),
             ("width", cmd_width, "report conformant width",
@@ -410,8 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("gen", cmd_gen, "generate a benchmark instance",
              (_gen_arguments,)),
             ("bench", cmd_bench, "run the built-in benchmark sweep",
-             (_opt, _caps, _budget, _strengthened_mutex, _nondet_copies,
-              _report))):
+             (_opt, _caps, _budget, _nondet_copies, _report))):
         p = sub.add_parser(name, help=help_text)
         for add in arguments:
             add(p)

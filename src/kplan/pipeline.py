@@ -32,7 +32,6 @@ class PipelineConfig(NamedTuple):
     max_nodes: int = 200_000
     max_seconds: Optional[float] = None  # one deadline for the whole ladder
     optimized: bool = True
-    strengthened_mutex: bool = False
     max_copies: int = 3
     state_cap: int = DEFAULT_STATE_CAP
     model_cap: int = DEFAULT_MODEL_CAP
@@ -101,8 +100,7 @@ def pipeline_solve(problem: ConformantProblem,
         else:
             compiled, info = base, None
         try:
-            ctx = build_context(compiled, pi_cap=config.pi_cap,
-                                strengthened_mutex=config.strengthened_mutex)
+            ctx = build_context(compiled, pi_cap=config.pi_cap)
         except CapExceeded as exc:
             ctx, context_error = None, exc
         else:

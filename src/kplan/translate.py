@@ -480,9 +480,9 @@ def inject_reset_effects(K: ClassicalProblem, compiled: ConformantProblem,
                     # static and must survive the reset
                     continue
                 tagged = atom_name(L, t)
-                plain = atom_name(L, EMPTY_TAG)
-                if tagged not in K.fluents or tagged == plain:
+                if tagged not in K.fluents:
                     continue
+                plain = atom_name(L, EMPTY_TAG)
                 rules.add(Rule(frozenset((pos(plain),)), pos(tagged)))
                 rules.add(Rule(frozenset((Literal(plain, False),)),
                                Literal(tagged, False)))

@@ -118,9 +118,6 @@ def zero_approx_step(state: ThreeValuedState, action) -> ThreeValuedState:
                 for r in action.rules if r.effect == L.negate())
             if supported or persists:
                 nxt.add(L)
-    for L in known:  # fluents untouched by the action persist trivially
-        if L.fluent not in fluents:
-            nxt.add(L)
     return ThreeValuedState(frozenset(l for l in nxt if l.negate() not in nxt))
 
 

@@ -1,8 +1,10 @@
 """Command-line interface smoke and determinism tests."""
 
 import argparse
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -273,8 +275,7 @@ def test_solve_cap_error_is_a_stage_status_with_a_report(
     assert report["stages"][-1]["scheme"] == "kmodels"
 
 
-def test_bench_passes_caps_and_mutex_variant_to_the_pipeline(
-        tmp_path, capsys, monkeypatch):
+def test_bench_passes_caps_to_the_pipeline(tmp_path, capsys, monkeypatch):
     configs = []
 
     def fake_pipeline_solve(problem, config):
@@ -283,12 +284,11 @@ def test_bench_passes_caps_and_mutex_variant_to_the_pipeline(
 
     monkeypatch.setattr(cli, "pipeline_solve", fake_pipeline_solve)
     code, out, err = run_cli(capsys, "bench", "--caps", "7,8,9",
-                             "--strengthened-mutex",
                              "--report", str(tmp_path / "bench.json"))
     assert code == 0
     assert len(configs) == len(cli.DEFAULT_BENCH)
-    assert {(c.state_cap, c.model_cap, c.pi_cap, c.strengthened_mutex)
-            for c in configs} == {(7, 8, 9, True)}
+    assert {(c.state_cap, c.model_cap, c.pi_cap)
+            for c in configs} == {(7, 8, 9)}
 
 
 def test_width_command(tmp_path, capsys):
@@ -416,14 +416,12 @@ def test_bad_caps_budgets_and_copies_are_usage_errors(
 
 # the options each subcommand's handler reads, and so the only ones it takes
 OPTION_DESTS = {
-    "translate": {"opt", "caps", "strengthened_mutex", "export_pddl",
-                  "report", "scheme"},
-    "solve": {"opt", "caps", "budget", "strengthened_mutex", "nondet_copies",
-              "export_pddl", "report"},
+    "translate": {"opt", "caps", "export_pddl", "report", "scheme"},
+    "solve": {"opt", "caps", "budget", "nondet_copies", "export_pddl",
+              "report"},
     "validate": {"caps", "report"},
     "width": {"caps", "report"},
-    "bench": {"opt", "caps", "budget", "strengthened_mutex", "nondet_copies",
-              "report"},
+    "bench": {"opt", "caps", "budget", "nondet_copies", "report"},
     "gen": {"output_dir"},
 }
 
@@ -442,7 +440,9 @@ NOT_READ = ["--opt", "--no-opt", "--budget=10", "--strengthened-mutex",
 DROPPED = ([("validate", flag) for flag in NOT_READ]
            + [("width", flag) for flag in NOT_READ]
            + [("translate", "--budget=10"), ("translate", "--nondet-copies=2"),
-              ("bench", "--export-pddl=out")])
+              ("bench", "--export-pddl=out")]
+           + [(command, "--strengthened-mutex")
+              for command in ("translate", "solve", "bench")])
 
 
 @pytest.mark.parametrize("command,flag", DROPPED,
@@ -458,6 +458,7 @@ def test_an_option_the_handler_does_not_read_is_a_usage_error(
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:") and flag in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("env,value", [("BUDGET", "x"),
@@ -472,6 +473,27 @@ def test_an_override_the_subcommand_does_not_read_is_ignored(
     monkeypatch.setenv("KPLAN_" + env, value)
     code, out, err = run_cli(capsys, command, str(dom), str(prob), *plan)
     assert code == 0, err
+
+
+def overrides_read(source: str):
+    """The KPLAN_* names a cli source reads: the constant name of every
+    ``_env(NAME, ...)`` and ``_option(FLAG, NAME, ...)`` call."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            continue
+        position = {"_env": 0, "_option": 1}.get(node.func.id)
+        if position is not None and isinstance(node.args[position],
+                                                ast.Constant):
+            names.add("KPLAN_" + node.args[position].value)
+    return names
+
+
+def test_the_readme_names_exactly_the_overrides_the_cli_reads():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    documented = set(re.findall(r"KPLAN_[A-Z][A-Z_]*", readme.read_text()))
+    read = overrides_read(Path(cli.__file__).read_text())
+    assert read and documented == read
 
 
 def test_a_bad_environment_value_is_a_usage_error_in_a_process(tmp_path):

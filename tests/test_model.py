@@ -224,12 +224,12 @@ def keyed_containers(*roots):
 
 def built_objects(family, params, spec_of):
     """The analysis, translation, search and basis objects of one
-    instance, with every lazily built table filled."""
+    instance, after the translation and the basis have filled the
+    prime-implicate closure cache."""
     texts = generators.generate(family, params)
     problem = pddl.load(*texts)
     compiled, info = nondet_compile(cnf_goal_compile(problem), 1)
     ctx = build_context(compiled)
-    ctx.mutexes  # fills the lazily built mutex table
     spec = spec_of(ctx)
     K = ktm(compiled, spec, ctx)
     if not problem.deterministic:
