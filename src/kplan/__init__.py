@@ -72,6 +72,7 @@ from .translate import (
     ktm,
     make_spec,
     nondet_compile,
+    prune,
     spec_k0,
     spec_ki,
     spec_kmodels,

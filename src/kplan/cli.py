@@ -25,11 +25,12 @@ from .analysis import (
 from .errors import KplanError, NoPlanFound, UnknownAction, WidthSearchCap
 from .model import ConformantProblem, Plan, sorted_lits
 from .pi import DEFAULT_MODEL_CAP, DEFAULT_PI_CLAUSE_CAP, DEFAULT_STATE_CAP
-from .pipeline import PipelineConfig, pipeline_solve, translation_summary
+from .pipeline import (PipelineConfig, encoding_size, pipeline_solve,
+                       translation_summary)
 from .translate import (
     cnf_goal_compile,
-    drop_unread,
     ktm,
+    prune,
     spec_k0,
     spec_ki,
     spec_kmodels,
@@ -143,8 +144,9 @@ def cmd_translate(args) -> int:
     ctx = build_context(compiled, pi_cap=args.caps[2])
     spec = _scheme_spec(scheme, bound, ctx, args.caps)
     K = ktm(compiled, spec, ctx, optimized=args.opt)
+    built = encoding_size(K)
     if args.opt:
-        K = drop_unread(K)
+        K = prune(K)
     domain_text, problem_text = pddl.emit_classical(K)
     report = {
         "command": "translate",
@@ -156,6 +158,7 @@ def cmd_translate(args) -> int:
             "unknown_fluents": len(ctx.pi.unknown_fluents()),
         },
         "translation": translation_summary(K),
+        "built": built,
     }
     widths = report["widths"] = _width_report(compiled, ctx)
     if bound is not None and (widths["width"] is None
@@ -339,9 +342,10 @@ def _plan(p: argparse.ArgumentParser):
 def _opt(p: argparse.ArgumentParser):
     opt = p.add_mutually_exclusive_group()
     opt.add_argument("--opt", dest="opt", action="store_true",
-                     help="apply the rewrite optimizations, then drop "
-                          "the atoms that nothing reads, which keeps the "
-                          "same plans (default)")
+                     help="apply the rewrite optimizations, then prune "
+                          "the rules that never fire, the atoms that never "
+                          "change and the atoms that nothing reads, which "
+                          "keeps the same plans (default)")
     opt.add_argument("--no-opt", dest="opt", action="store_false",
                      help="use the literal K_T,M translation, without "
                           "the rewrites")

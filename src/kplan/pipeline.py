@@ -19,9 +19,9 @@ from .pi import DEFAULT_MODEL_CAP, DEFAULT_PI_CLAUSE_CAP, DEFAULT_STATE_CAP
 from .planner import SolveStatus, solve
 from .translate import (
     cnf_goal_compile,
-    drop_unread,
     inject_reset_effects,
     ktm,
+    prune,
     spec_ki,
     spec_kmodels,
 )
@@ -52,11 +52,17 @@ def _problem_summary(problem: ConformantProblem) -> Dict:
     }
 
 
-def translation_summary(K) -> Dict:
+def encoding_size(K) -> Dict:
     return {
         "atoms": len(K.fluents),
-        "actions": len(K.actions),
         "conditional_effects": sum(len(a.rules) for a in K.actions),
+    }
+
+
+def translation_summary(K) -> Dict:
+    return {
+        **encoding_size(K),
+        "actions": len(K.actions),
         "merge_actions": sum(is_merge(a.name) for a in K.actions),
     }
 
@@ -72,12 +78,13 @@ def pipeline_solve(problem: ConformantProblem,
     """Solve a conformant problem end to end.
 
     Returns the merge-stripped plan and a machine-readable report (stage
-    ladder, translation sizes, verdicts).  A stage that hits a cap is
-    recorded with status "cap-exceeded" and the error, and the ladder goes
-    on.  ``config.max_seconds`` bounds the searches of the whole ladder:
-    each stage searches for at most the time left.  Raises NoPlanFound
-    when every stage conclusively fails, and its subclass BudgetExhausted
-    when some stage ran out of search budget; both carry the stage trace.
+    ladder, the sizes ktm built and those searched, verdicts).  A stage
+    that hits a cap is recorded with status "cap-exceeded" and the error,
+    and the ladder goes on.  ``config.max_seconds`` bounds the searches
+    of the whole ladder: each stage searches for at most the time left.
+    Raises NoPlanFound when every stage conclusively fails, and its
+    subclass BudgetExhausted when some stage ran out of search budget;
+    both carry the stage trace.
     """
     config = config or PipelineConfig()
     deadline = (None if config.max_seconds is None
@@ -128,11 +135,13 @@ def pipeline_solve(problem: ConformantProblem,
                 _cap_exceeded(stage, exc)
                 continue
             K = ktm(compiled, spec, ctx, optimized=config.optimized)
+            stage["built"] = encoding_size(K)
             if info is not None:
                 K = inject_reset_effects(K, compiled, spec, info)
             if config.optimized:
                 # after the resets, whose rules read the plain KL atoms
-                K = drop_unread(K)
+                # and make tagged atoms settable again
+                K = prune(K)
             max_seconds = (None if deadline is None
                            else max(0.0, deadline - time.monotonic()))
             result = solve(K, max_nodes=config.max_nodes,

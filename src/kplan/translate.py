@@ -325,6 +325,59 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
                             tuple(actions), goal)
 
 
+def _read_atoms(goal: Iterable[Literal],
+                actions: Iterable[Action]) -> Set[str]:
+    """The atoms that the goal or a precondition mentions, closed under:
+    the condition atoms of every rule that sets a read atom are read."""
+    # atom -> the conditions of the rules that set it, each once
+    conditions: Dict[str, Set[FrozenSet[Literal]]] = {}
+    stack = [l.fluent for l in goal]
+    for a in actions:
+        stack += [l.fluent for l in a.preconditions]
+        for r in a.rules:
+            f = r.effect.fluent
+            if f in conditions:
+                conditions[f].add(r.condition)
+            else:
+                conditions[f] = {r.condition}
+    read: Set[str] = set()
+    while stack:
+        f = stack.pop()
+        if f not in read:
+            read.add(f)
+            for c in conditions.get(f, ()):
+                stack += [l.fluent for l in c]
+    return read
+
+
+def _keep_read(init: FrozenSet[Literal], goal: FrozenSet[Literal],
+               actions: Tuple[Action, ...],
+               fixed: FrozenSet[Literal] = frozenset()) -> ClassicalProblem:
+    """The problem over the read atoms (``_read_atoms``) that ``fixed``
+    does not mention, with the init literals and the rules over them;
+    every action is kept.  The literals of ``fixed`` hold in every
+    reachable state and no rule sets their atoms; they leave the goal,
+    the preconditions and the conditions."""
+    read = _read_atoms(goal, actions).difference([f for f, _ in fixed])
+    kept = []
+    for a in actions:
+        rules = [r for r in a.rules if r.effect.fluent in read]
+        pre = a.preconditions
+        if not pre.isdisjoint(fixed):
+            pre = pre - fixed
+        if fixed and not all(r.condition.isdisjoint(fixed) for r in rules):
+            # two rules may now be one
+            rules = list(dict.fromkeys([Rule(r.condition - fixed, r.effect)
+                                        for r in rules]))
+        elif len(rules) == len(a.rules) and pre is a.preconditions:
+            kept.append(a)
+            continue
+        kept.append(Action(a.name, pre, tuple(rules), a.nondet_rules))
+    return ClassicalProblem(frozenset(read),
+                            frozenset([l for l in init if l.fluent in read]),
+                            tuple(kept), goal - fixed)
+
+
 def drop_unread(K: ClassicalProblem) -> ClassicalProblem:
     """K without the atoms that nothing reads, and without their rules.
 
@@ -334,30 +387,103 @@ def drop_unread(K: ClassicalProblem) -> ClassicalProblem:
     becomes, or whether the goal holds, so K and the result have the same
     plans.  Every action is kept, even one left without rules.  (An
     action that would set an unread atom both true and false no longer
-    raises InconsistentResult.)
+    raises InconsistentResult.)  ``prune`` ends with this pass.
     """
-    # atom -> the conditions of the rules that set it, each once
-    conditions: Dict[str, Set[FrozenSet[Literal]]] = {}
+    return _keep_read(K.init, K.goal, K.actions)
+
+
+def prune(K: ClassicalProblem) -> ClassicalProblem:
+    """K without what relaxed reachability shows never matters, then
+    without the atoms that nothing reads (``drop_unread``).
+
+    From the initial state, a literal is reached once some rule sets it
+    whose action's preconditions and own condition are all reached; the
+    reached set only grows, so it holds every literal of every reachable
+    state.  The pass removes the actions whose preconditions are not all
+    reached and the rules whose conditions are not, since neither ever
+    fires.  An atom with one reached value never changes: it leaves the
+    fluents, the init, the preconditions, the conditions and the goal,
+    and the rules that set it go too.  On every reachable state the same
+    actions apply, the kept atoms get the same values and raise the same
+    InconsistentResults, and the goal test is the same, so K and the
+    result have the same plans.  (As in ``drop_unread``, a clash on an
+    atom the result drops no longer raises.)  If a goal literal is never
+    reached, the result is ``drop_unread(K)``, and a search on it ends at
+    once, as the goal is relaxed-unreachable.
+    """
+    # the initial state; a Literal equals the tuple (fluent, positive),
+    # so plain tuples stand for the false atoms, which are most of them
+    true0 = [l for l in K.init if l.positive]
+    reached = set(zip(K.fluents.difference([l.fluent for l in true0]),
+                      itertools.repeat(False)))
+    reached.update(true0)
+    # Counter and watcher worklist over what cannot fire at once: an
+    # action counts its unreached preconditions, a rule its unreached
+    # condition literals plus one while its action does not apply.  At
+    # zero, an action's rules count one less and a rule's effect is
+    # reached.
+    count: List[int] = []
+    effect: List[Optional[Literal]] = []  # None for an action
+    rules_of: Dict[int, List[int]] = {}  # action -> its rules' counters
+    watchers: Dict[Literal, List[int]] = {}
+    queue: List[Literal] = []
     for a in K.actions:
+        disabled = not a.preconditions <= reached
+        if disabled:
+            missing = a.preconditions - reached
+            for l in missing:
+                watchers.setdefault(l, []).append(len(count))
+            rule_counters = rules_of[len(count)] = []
+            count.append(len(missing))
+            effect.append(None)
         for r in a.rules:
-            conditions.setdefault(r.effect.fluent, set()).add(r.condition)
-    stack = [l.fluent for l in K.goal]
+            v, n = len(count), disabled
+            for l in r.condition:
+                if l not in reached:
+                    n += 1
+                    watchers.setdefault(l, []).append(v)
+            if not n:
+                queue.append(r.effect)
+                continue
+            if disabled:
+                rule_counters.append(v)
+            count.append(n)
+            effect.append(r.effect)
+    # a literal reached after the start is its atom's second value
+    changing: Set[str] = set()
+    while queue:
+        L = queue.pop()
+        if L in reached:
+            continue
+        reached.add(L)
+        changing.add(L.fluent)
+        for v in watchers.get(L, ()):
+            count[v] -= 1
+            if count[v]:
+                continue
+            if effect[v] is not None:
+                queue.append(effect[v])
+                continue
+            for j in rules_of[v]:
+                count[j] -= 1
+                if not count[j]:
+                    queue.append(effect[j])
+    if not K.goal <= reached:
+        return drop_unread(K)
+
+    # both literals of each atom that changes; the other atoms keep the
+    # one reached literal, which holds in every reachable state
+    live = set(zip(changing, itertools.repeat(True)))
+    live.update(zip(changing, itertools.repeat(False)))
+    actions = []
     for a in K.actions:
-        stack += [l.fluent for l in a.preconditions]
-    read: Set[str] = set()
-    while stack:
-        f = stack.pop()
-        if f not in read:
-            read.add(f)
-            for c in conditions.get(f, ()):
-                stack += [l.fluent for l in c]
-    actions = tuple([a._replace(rules=tuple([r for r in a.rules
-                                             if r.effect.fluent in read]))
-                     for a in K.actions])
-    return ClassicalProblem(frozenset(read),
-                            frozenset([l for l in K.init
-                                       if l.fluent in read]),
-                            actions, K.goal)
+        if a.preconditions <= reached:
+            rules = [r for r in a.rules
+                     if r.effect in live and r.condition <= reached]
+            actions.append(a if len(rules) == len(a.rules) else Action(
+                a.name, a.preconditions, tuple(rules), a.nondet_rules))
+    return _keep_read(K.init, K.goal, tuple(actions),
+                      frozenset(reached - live))
 
 
 # --- CNF goal compilation -----------------------------------------------

@@ -151,10 +151,53 @@ def translate_bomb_16_16(tmp_path, capsys, *flags):
 def test_translate_drops_the_atoms_nothing_reads(tmp_path, capsys):
     texts, report, _ = translate_bomb_16_16(tmp_path, capsys)
     sizes = report["translation"]
-    assert (sizes["atoms"], sizes["conditional_effects"]) == (112, 2320)
+    assert (sizes["atoms"], sizes["conditional_effects"]) == (64, 1056)
     emitted = kplan.pddl.load_classical(*texts)
-    assert len(emitted.fluents) == 112
-    assert sum(len(a.rules) for a in emitted.actions) == 2320
+    assert len(emitted.fluents) == 64
+    assert sum(len(a.rules) for a in emitted.actions) == 1056
+    # what ktm built, before the pruning
+    assert report["built"] == {"atoms": 1120, "conditional_effects": 2592}
+
+
+def optimized_ki1_sizes(family, *params):
+    """(atoms, effects) of the ki:1 encoding that `kplan translate` emits
+    under --opt."""
+    problem = kplan.cnf_goal_compile(
+        kplan.pddl.load(*kplan.generators.generate(family, params)))
+    ctx = kplan.build_context(problem)
+    K = kplan.prune(kplan.ktm(problem, kplan.spec_ki(ctx, 1), ctx,
+                              optimized=True))
+    return len(K.fluents), sum(len(a.rules) for a in K.actions)
+
+
+@pytest.mark.parametrize("n", [3, 25, 40])
+def test_pruned_safe_keeps_one_atom_and_one_effect_per_combination(n):
+    assert optimized_ki1_sizes("safe", n) == (n + 1, n + 1)
+
+
+@pytest.mark.parametrize("n", [10, 16, 20])
+def test_pruned_bomb_size_is_exact(n):
+    assert optimized_ki1_sizes("bomb", n, n) == (4 * n, 4 * n * n + 2 * n)
+
+
+# the instances of the benchmark's solve workload
+SOLVE_LADDER = (("bomb", (10, 10)), ("bomb", (12, 4)), ("safe", (25,)),
+                ("square-center", (6,)), ("corners-square", (8,)),
+                ("ring", (4,)), ("sgripper", (3,)))
+
+
+def test_solve_ladder_encoding_sizes():
+    """The encodings the solve ladder searches on these instances, summed
+    over every stage: a change that grows them fails here."""
+    atoms = effects = 0
+    for family, params in SOLVE_LADDER:
+        problem = kplan.pddl.load(*kplan.generators.generate(family, params))
+        _, report = kplan.pipeline_solve(problem)
+        for stage in report["stages"]:
+            atoms += stage["translation"]["atoms"]
+            effects += stage["translation"]["conditional_effects"]
+            assert stage["built"]["atoms"] >= stage["translation"]["atoms"]
+    assert (atoms, effects) == (389, 1617)
 
 
 def test_translate_no_opt_emits_the_literal_translation(tmp_path, capsys):

@@ -3,8 +3,11 @@
 import pytest
 
 from kplan import (
+    ClassicalProblem,
     PipelineConfig,
+    Rule,
     SolveStatus,
+    action,
     build_context,
     bfs_optimal,
     conformant_check,
@@ -17,6 +20,8 @@ from kplan import (
     pddl,
     pipeline_solve,
     pos,
+    prune,
+    rule,
     solve,
     spec_ki,
     spec_kmodels,
@@ -224,3 +229,215 @@ def test_dropping_before_the_resets_would_lose_atoms_they_read():
     early = inject_reset_effects(drop_unread(K), compiled, spec, info)
     assert not mentioned_atoms(early) <= early.fluents
     check_drop_unread(inject_reset_effects(K, compiled, spec, info))
+
+
+# --- pruning by relaxed reachability ----------------------------------------
+
+def reached_literals(K):
+    """The literals relaxed reachability reaches, as a fixpoint: those of
+    the initial state, then the effect of every rule whose action's
+    preconditions and own condition are reached."""
+    reached = set(K.initial_state())
+    while True:
+        more = {r.effect for a in K.actions if a.preconditions <= reached
+                for r in a.rules if r.condition <= reached} - reached
+        if not more:
+            return reached
+        reached |= more
+
+
+def constant_atoms(K, reached):
+    """The declared atoms with one reached value."""
+    return {f for f in K.fluents
+            if not {pos(f), neg(f)} <= reached}
+
+
+def reference_prune(K):
+    """``prune`` spelled out over ``reached_literals`` and
+    ``constant_atoms``: drop the unreached actions and rules, then the
+    constant atoms and the rules that set them, then the unread atoms."""
+    reached = reached_literals(K)
+    if not K.goal <= reached:
+        return drop_unread(K)
+    constant = constant_atoms(K, reached)
+
+    def strip(lits):
+        return frozenset(l for l in lits if l.fluent not in constant)
+
+    actions = tuple(
+        a._replace(preconditions=strip(a.preconditions),
+                   rules=tuple({Rule(strip(r.condition), r.effect)
+                                for r in a.rules
+                                if r.condition <= reached
+                                and r.effect.fluent not in constant}))
+        for a in K.actions if a.preconditions <= reached)
+    return drop_unread(ClassicalProblem(
+        K.fluents - constant,
+        frozenset(l for l in K.init if l.fluent not in constant),
+        actions, strip(K.goal)))
+
+
+def action_table(K):
+    return {a.name: (a.preconditions, frozenset(a.rules)) for a in K.actions}
+
+
+def check_prune(K):
+    pruned = prune(K)
+    reference = reference_prune(K)
+    assert mentioned_atoms(pruned) <= pruned.fluents
+    assert (pruned.fluents, pruned.init, pruned.goal) == \
+        (reference.fluents, reference.init, reference.goal)
+    assert action_table(pruned) == action_table(reference)
+    for a in pruned.actions:
+        assert len(set(a.rules)) == len(a.rules), a.name
+    # the kept actions keep their order
+    names = [a.name for a in K.actions]
+    assert [a.name for a in pruned.actions] == \
+        [n for n in names if n in action_table(pruned)]
+    assert pruned.fluents == read_atoms(pruned) <= read_atoms(K)
+    if K.goal <= reached_literals(K):
+        # nothing left is constant, or never fires
+        reached = reached_literals(pruned)
+        assert not constant_atoms(pruned, reached)
+        assert all(r.condition <= reached and a.preconditions <= reached
+                   for a in pruned.actions for r in a.rules)
+    else:
+        assert pruned == drop_unread(K)
+    assert prune(pruned) == pruned
+    return pruned
+
+
+@pytest.mark.parametrize("scheme", sorted(SPECS))
+@pytest.mark.parametrize("family,params", SMALL_INSTANCES,
+                         ids=["-".join(map(str, (f, *p)))
+                              for f, p in SMALL_INSTANCES])
+def test_prune_invariants_on_generated(family, params, scheme):
+    problem, info = compiled_instance(family, params)
+    for optimized in (False, True):
+        K = pipeline_encoding(problem, info, scheme, optimized)
+        pruned = check_prune(K)
+        assert len(pruned.fluents) <= len(drop_unread(K).fluents)
+
+
+def test_prune_invariants_on_random_suite():
+    for problem in random_suite(707, 20, max_fluents=5, max_actions=4):
+        ctx = build_context(problem)
+        for spec in (spec_ki(ctx, 1), spec_kmodels(ctx), spec_ks0(ctx)):
+            for optimized in (False, True):
+                check_prune(ktm(problem, spec, ctx, optimized=optimized))
+
+
+def test_prune_on_a_small_problem():
+    # c is true and never deleted, u is never set, and b needs u; without
+    # c, the two rules of d are one
+    K = ClassicalProblem(
+        frozenset(["c", "u", "x", "g"]), frozenset([pos("c")]),
+        (action("a", [pos("c")], [rule([pos("c")], pos("x")),
+                                   rule([pos("u")], pos("g")),
+                                   rule([], pos("c"))]),
+         action("b", [pos("u")], [rule([], pos("g"))]),
+         action("d", [], [rule([pos("x"), pos("c")], pos("g")),
+                          rule([pos("x")], pos("g"))])),
+        frozenset([pos("g"), pos("c")]))
+    pruned = check_prune(K)
+    assert pruned == ClassicalProblem(
+        frozenset(["x", "g"]), frozenset(),
+        (action("a", [], [rule([], pos("x"))]),
+         action("d", [], [rule([pos("x")], pos("g"))])),
+        frozenset([pos("g")]))
+
+
+def test_prune_leaves_an_unreachable_goal_to_the_planner():
+    K = ClassicalProblem(
+        frozenset(["p", "g", "q"]), frozenset(),
+        (action("a", [], [rule([pos("p")], pos("g")), rule([], pos("q"))]),),
+        frozenset([pos("g")]))
+    assert prune(K) == drop_unread(K)
+    assert solve(prune(K)).status is SolveStatus.UNSOLVABLE
+
+
+def step(s, a):
+    """The literals that applying ``a`` in state ``s`` adds."""
+    return {r.effect for r in a.rules if r.condition <= s}
+
+
+def clashes(add, atoms):
+    """The atoms among ``atoms`` that ``add`` sets both true and false,
+    on which applying the action raises InconsistentResult."""
+    return ({f for f, positive in add if positive}
+            & {f for f, positive in add if not positive} & atoms)
+
+
+@pytest.mark.parametrize("scheme", sorted(SPECS))
+@pytest.mark.parametrize("family,params", SMALL_INSTANCES,
+                         ids=["-".join(map(str, (f, *p)))
+                              for f, p in SMALL_INSTANCES])
+def test_prune_keeps_every_reachable_step(family, params, scheme):
+    """On every state reachable in K, the pruned problem applies the same
+    actions, gives its atoms the same values, raises on the same clashes
+    among its atoms, and tests the goal alike."""
+    problem, info = compiled_instance(family, params)
+    K = pipeline_encoding(problem, info, scheme)
+    pruned = prune(K)
+    kept = pruned.fluents
+    by_name = {a.name: a for a in pruned.actions}
+    start = K.initial_state()
+    assert pruned.initial_state() == {l for l in start if l.fluent in kept}
+    seen, frontier = {start}, [start]
+    while frontier:
+        s = frontier.pop()
+        p = frozenset(l for l in s if l.fluent in kept)
+        assert (K.goal <= s) == (pruned.goal <= p)
+        for a in K.actions:
+            b = by_name.get(a.name)
+            assert (a.preconditions <= s) == \
+                (b is not None and b.preconditions <= p)
+            if b is None or not b.preconditions <= p:
+                continue
+            add, pruned_add = step(s, a), step(p, b)
+            assert {l for l in add if l.fluent in kept} == pruned_add
+            assert clashes(add, kept) == clashes(pruned_add, kept)
+            if not clashes(add, K.fluents):
+                nxt = s.difference([l.negate() for l in add]) | add
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    assert len(seen) > 1
+
+
+def test_prune_keeps_the_optimal_plans_on_random_suite():
+    """Pruning never changes whether a plan exists, nor its optimal
+    length, and the plans found stay conformant."""
+    found = 0
+    for problem in random_suite(505, 15, max_fluents=5, max_actions=4):
+        ctx = build_context(problem)
+        for spec in (spec_ki(ctx, 1), spec_kmodels(ctx)):
+            for optimized in (False, True):
+                K = ktm(problem, spec, ctx, optimized=optimized)
+                plan = bfs_optimal(K, depth_cap=4, max_states=30_000)
+                pruned = bfs_optimal(prune(K), depth_cap=4,
+                                     max_states=30_000)
+                assert (plan is None) == (pruned is None), problem
+                if plan is not None:
+                    found += 1
+                    assert pruned.stripped_length == plan.stripped_length
+                    assert is_conformant(problem, pruned.stripped()), problem
+    assert found > 0
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_pruning_runs_after_the_resets(copies):
+    """The reset effects make tagged atoms settable again: pruning before
+    them keeps a different problem, whose reset rules mention atoms it no
+    longer declares."""
+    sgripper = pddl.load(*generators.sgripper(2))
+    for name, problem in (("coin", coin_problem()), ("sgripper-2", sgripper)):
+        compiled, info = nondet_compile(problem, copies)
+        ctx = build_context(compiled)
+        for scheme in SPECS:
+            spec = SPECS[scheme](ctx, True)
+            K = ktm(compiled, spec, ctx, optimized=True)
+            late = check_prune(inject_reset_effects(K, compiled, spec, info))
+            early = inject_reset_effects(prune(K), compiled, spec, info)
+            assert early != late, (name, scheme)
+            assert not mentioned_atoms(early) <= early.fluents, (name, scheme)

@@ -41,14 +41,15 @@ def test_pipeline_solves_and_validates():
     stage = report["stages"][-1]
     assert stage["status"] == "solved"
     assert set(stage) == {"scheme", "copies", "optimized", "consistent",
-                          "translation", "status", "expanded", "generated",
-                          "evaluated", "seconds", "plan_length",
+                          "built", "translation", "status", "expanded",
+                          "generated", "evaluated", "seconds", "plan_length",
                           "stripped_length", "verdict"}
     # one hadd call per generated state, except the goal state
     assert stage["evaluated"] == stage["generated"] > 0
     assert set(stage["translation"]) == {"atoms", "actions",
                                          "conditional_effects",
                                          "merge_actions"}
+    assert set(stage["built"]) == {"atoms", "conditional_effects"}
     assert report["problem"]["fluents"] == len(problem.fluents)
 
 
