@@ -71,6 +71,7 @@ from .translate import (
     inject_reset_effects,
     ktm,
     make_spec,
+    merge_atoms,
     nondet_compile,
     prune,
     spec_k0,

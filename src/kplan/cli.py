@@ -30,6 +30,7 @@ from .pipeline import (PipelineConfig, encoding_size, pipeline_solve,
 from .translate import (
     cnf_goal_compile,
     ktm,
+    merge_atoms,
     prune,
     spec_k0,
     spec_ki,
@@ -146,7 +147,7 @@ def cmd_translate(args) -> int:
     K = ktm(compiled, spec, ctx, optimized=args.opt)
     built = encoding_size(K)
     if args.opt:
-        K = prune(K)
+        K = merge_atoms(prune(K))
     domain_text, problem_text = pddl.emit_classical(K)
     report = {
         "command": "translate",
@@ -344,8 +345,10 @@ def _opt(p: argparse.ArgumentParser):
     opt.add_argument("--opt", dest="opt", action="store_true",
                      help="apply the rewrite optimizations, then prune "
                           "the rules that never fire, the atoms that never "
-                          "change and the atoms that nothing reads, which "
-                          "keeps the same plans (default)")
+                          "change and the atoms that nothing reads, and "
+                          "merge the atoms that are equal or complementary "
+                          "in every reachable state, which keeps the same "
+                          "plans (default)")
     opt.add_argument("--no-opt", dest="opt", action="store_false",
                      help="use the literal K_T,M translation, without "
                           "the rewrites")

@@ -486,6 +486,159 @@ def prune(K: ClassicalProblem) -> ClassicalProblem:
                       frozenset(reached - live))
 
 
+def merge_atoms(K: ClassicalProblem) -> ClassicalProblem:
+    """K with each class of atoms that are equal or complementary in every
+    reachable state replaced by one of its atoms.
+
+    An atom's normalized value in a state is its value there, negated
+    when the atom is true initially, so every atom starts out false.  A
+    partition of the atoms is stable when the members of each class have
+    the same signature: the set of (action, condition as (class,
+    normalized value) pairs, normalized effect value) over the rules that
+    set the atom, leaving out the rules whose condition holds a class at
+    both values.  On a stable partition, by induction over the steps of a
+    plan, the members of a class have one normalized value in every
+    reachable state: they do at the start, and in a state where they do,
+    a rule's condition depends only on the values of whole classes, so
+    the same normalized effects fire for every member of a class (a rule
+    left out never fires), and a member clashes exactly when the others
+    do.  So in every reachable state each member equals its class's
+    representative, the least-named member, or complements it when their
+    initial values differ.  The other members leave the fluents and the
+    init, and become the representative, or its negation, in the goal,
+    the preconditions and the conditions; their own rules go, as do the
+    rules whose condition becomes inconsistent, and rules that become
+    equal are one.  On every reachable state the same actions apply, the
+    kept atoms get the same values and raise the same
+    InconsistentResults, and the goal test is the same, so K and the
+    result have the same plans.  The argument holds for any rules, reset
+    effects and merge actions included.
+
+    The pass starts from the signatures under a single class, which tell
+    only whether a condition is empty or holds normalized values false or
+    true, and splits each class of two or more members by its members'
+    signatures until no class splits (Paige and Tarjan's coarsest stable
+    partition).  A split never separates two atoms that a stable
+    partition keeps together, so the partition found is the coarsest
+    stable one, and a second pass merges nothing.  K itself is returned
+    when no two atoms merge.
+    """
+    true0 = {l.fluent for l in K.init if l.positive}
+    # atom -> the key of the first partition: its signature under a single
+    # class, i.e. (action index, normalized effect value, 0 for an empty
+    # condition, else 1 plus the normalized value its literals share)
+    keys: Dict[str, Set[Tuple[int, bool, int]]] = {f: set()
+                                                   for f in K.fluents}
+    # atom -> (action index, the literal of a one-literal condition or a
+    # longer condition, normalized effect value) for each rule that sets it
+    # under a condition; the key holds the rest of the signature
+    setters: Dict[str, List[Tuple[int, object, bool]]] = {}
+    for i, a in enumerate(K.actions):
+        for cond, (f, positive) in a.rules:
+            e = positive != (f in true0)
+            if not cond:
+                keys[f].add((i, e, 0))
+                continue
+            if len(cond) == 1:
+                (l,) = cond
+                keys[f].add((i, e, 1 + (l.positive != (l.fluent in true0))))
+                entry = (i, l, e)
+            else:
+                values = {b != (g in true0) for g, b in cond}
+                if len(values) == 1:
+                    keys[f].add((i, e, 1 + values.pop()))
+                entry = (i, cond, e)
+            if f in setters:
+                setters[f].append(entry)
+            else:
+                setters[f] = [entry]
+    classes: Dict[FrozenSet, List[str]] = {}
+    for f, key in keys.items():
+        classes.setdefault(frozenset(key), []).append(f)
+    # literal -> 2 * its atom's class + its normalized value
+    code: Dict[Literal, int] = {}
+
+    def move(f: str, k: int):
+        t = f in true0
+        code[Literal(f, True)] = 2 * k + (not t)
+        code[Literal(f, False)] = 2 * k + t
+
+    unsplit = []  # the classes with two or more members
+    for k, members in enumerate(classes.values()):
+        for f in members:
+            move(f, k)
+        if len(members) > 1:
+            unsplit.append(members)
+    # split each class by its members' signatures until a round splits
+    # none; all parts of a split but the first get fresh classes at once
+    get = code.__getitem__
+    next_class = len(classes)
+    split = True
+    while split:
+        split = False
+        refined = []
+        for members in unsplit:
+            parts: Dict[FrozenSet, List[str]] = {}
+            for f in members:
+                sig = set()
+                for i, c, e in setters.get(f, ()):
+                    if isinstance(c, frozenset):
+                        c = frozenset(map(get, c))
+                        if len({x >> 1 for x in c}) < len(c):
+                            continue  # holds a class at both values
+                    else:
+                        c = code[c]
+                    sig.add((i, c, e))
+                parts.setdefault(frozenset(sig), []).append(f)
+            if len(parts) > 1:
+                split = True
+                for part in itertools.islice(parts.values(), 1, None):
+                    for f in part:
+                        move(f, next_class)
+                    next_class += 1
+            refined += [part for part in parts.values() if len(part) > 1]
+        unsplit = refined
+    if not unsplit:
+        return K
+
+    # each member but the representative -> the representative's literal
+    sub: Dict[Literal, Literal] = {}
+    for members in unsplit:
+        rep = min(members)
+        for f in members:
+            if f != rep:
+                flip = (f in true0) != (rep in true0)
+                sub[Literal(f, True)] = Literal(rep, not flip)
+                sub[Literal(f, False)] = Literal(rep, flip)
+    gone = frozenset(sub)
+    actions = list(K.actions)
+    for j, a in enumerate(actions):
+        rules = []
+        rewritten = False
+        for r in a.rules:
+            if r.effect in gone:
+                continue
+            if not r.condition.isdisjoint(gone):
+                rewritten = True
+                cond = frozenset([sub.get(l, l) for l in r.condition])
+                if len({f for f, _ in cond}) < len(cond):
+                    continue  # holds a class at both values: never fires
+                r = Rule(cond, r.effect)
+            rules.append(r)
+        pre = a.preconditions
+        if not pre.isdisjoint(gone):
+            pre = frozenset([sub.get(l, l) for l in pre])
+        elif not rewritten and len(rules) == len(a.rules):
+            continue
+        if rewritten:
+            rules = list(dict.fromkeys(rules))
+        actions[j] = Action(a.name, pre, tuple(rules), a.nondet_rules)
+    return ClassicalProblem(
+        K.fluents.difference([f for f, _ in gone]),
+        frozenset([l for l in K.init if l not in gone]), tuple(actions),
+        frozenset([sub.get(l, l) for l in K.goal]))
+
+
 # --- CNF goal compilation -----------------------------------------------
 
 def cnf_goal_compile(problem: ConformantProblem) -> ConformantProblem:

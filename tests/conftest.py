@@ -131,12 +131,19 @@ def coin_problem():
 # --- seeded random problem suite ------------------------------------------------
 
 def random_problem(rng: random.Random, max_fluents: int = 6,
-                   max_actions: int = 5) -> ConformantProblem:
+                   max_actions: int = 5,
+                   reachable_goal: bool = False) -> ConformantProblem:
     """A small consistent conformant problem.
 
     Within one action all rule heads are on distinct fluents, so applying
     an action can never add a complementary pair; this keeps progression
     total and keeps the basic translation in step with the weak semantics.
+
+    With ``reachable_goal`` the goal literals are rule heads, so that most
+    goals can be reached, and an action gives each head fluent one sign
+    but may set it by several rules, whose conditions may hold the head's
+    complement (C, ~L -> L).  Translations of these problems have rules
+    that pruning makes equal, and atoms that merge.
     """
     n = rng.randint(3, max_fluents)
     fluents = [f"f{i}" for i in range(1, n + 1)]
@@ -155,16 +162,33 @@ def random_problem(rng: random.Random, max_fluents: int = 6,
     for ai in range(rng.randint(1, max_actions)):
         heads = rng.sample(fluents, rng.randint(1, min(3, n)))
         rules = []
-        for hf in heads:
-            head = Literal(hf, rng.random() < 0.5)
-            others = [f for f in fluents if f != hf]
-            cond_fs = rng.sample(others, min(rng.randint(0, 2), len(others)))
-            rules.append(rule([Literal(f, rng.random() < 0.5)
-                               for f in cond_fs], head))
+        if reachable_goal:
+            signs = {hf: rng.random() < 0.5 for hf in heads}
+            for _ in range(rng.randint(len(heads), len(heads) + 2)):
+                hf = rng.choice(heads)
+                head = Literal(hf, signs[hf])
+                cond_fs = rng.sample(fluents, rng.randint(0, 2))
+                rules.append(rule([head.negate() if f == hf
+                                   else Literal(f, rng.random() < 0.5)
+                                   for f in cond_fs], head))
+        else:
+            for hf in heads:
+                head = Literal(hf, rng.random() < 0.5)
+                others = [f for f in fluents if f != hf]
+                cond_fs = rng.sample(others,
+                                     min(rng.randint(0, 2), len(others)))
+                rules.append(rule([Literal(f, rng.random() < 0.5)
+                                   for f in cond_fs], head))
         pre = []
         if rng.random() < 0.3:
             pre = [Literal(rng.choice(fluents), rng.random() < 0.5)]
         actions.append(action(f"a{ai}", pre, rules))
+    if reachable_goal:
+        heads = sorted({r.effect for a in actions for r in a.rules})
+        goal = {}
+        for l in rng.sample(heads, min(len(heads), rng.randint(1, 2))):
+            goal.setdefault(l.fluent, l)
+        return conformant_problem(fluents, init, actions, goal.values())
     goal = [Literal(f, rng.random() < 0.6)
             for f in rng.sample(fluents, rng.randint(1, 2))]
     return conformant_problem(fluents, init, actions, goal)

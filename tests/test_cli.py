@@ -151,33 +151,47 @@ def translate_bomb_16_16(tmp_path, capsys, *flags):
 def test_translate_drops_the_atoms_nothing_reads(tmp_path, capsys):
     texts, report, _ = translate_bomb_16_16(tmp_path, capsys)
     sizes = report["translation"]
-    assert (sizes["atoms"], sizes["conditional_effects"]) == (64, 1056)
+    assert (sizes["atoms"], sizes["conditional_effects"]) == (48, 800)
     emitted = kplan.pddl.load_classical(*texts)
-    assert len(emitted.fluents) == 64
-    assert sum(len(a.rules) for a in emitted.actions) == 1056
-    # what ktm built, before the pruning
+    assert len(emitted.fluents) == 48
+    assert sum(len(a.rules) for a in emitted.actions) == 800
+    # what ktm built, before the pruning and the merging
     assert report["built"] == {"atoms": 1120, "conditional_effects": 2592}
 
 
-def optimized_ki1_sizes(family, *params):
-    """(atoms, effects) of the ki:1 encoding that `kplan translate` emits
-    under --opt."""
+def optimized_sizes(family, *params, scheme="ki:1"):
+    """(atoms, effects) of the encoding that `kplan translate` emits under
+    --opt with the scheme ki:1 or ks0."""
     problem = kplan.cnf_goal_compile(
         kplan.pddl.load(*kplan.generators.generate(family, params)))
     ctx = kplan.build_context(problem)
-    K = kplan.prune(kplan.ktm(problem, kplan.spec_ki(ctx, 1), ctx,
-                              optimized=True))
+    spec = kplan.spec_ki(ctx, 1) if scheme == "ki:1" else kplan.spec_ks0(ctx)
+    K = kplan.merge_atoms(kplan.prune(kplan.ktm(problem, spec, ctx,
+                                                optimized=True)))
     return len(K.fluents), sum(len(a.rules) for a in K.actions)
 
 
 @pytest.mark.parametrize("n", [3, 25, 40])
 def test_pruned_safe_keeps_one_atom_and_one_effect_per_combination(n):
-    assert optimized_ki1_sizes("safe", n) == (n + 1, n + 1)
+    assert optimized_sizes("safe", n) == (n + 1, n + 1)
 
 
 @pytest.mark.parametrize("n", [10, 16, 20])
 def test_pruned_bomb_size_is_exact(n):
-    assert optimized_ki1_sizes("bomb", n, n) == (4 * n, 4 * n * n + 2 * n)
+    # K~armed/armed merges with Karmed/armed, as its complement
+    assert optimized_sizes("bomb", n, n) == (3 * n, 3 * n * n + 2 * n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_pruned_ring_size_is_exact(n):
+    assert optimized_sizes("ring", n) == (4 * n, 7 * n)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_pruned_square_center_ks0_size_is_exact(n):
+    # KL/t depends only on the values t gives the fluents relevant to L
+    assert optimized_sizes("square-center", n, scheme="ks0") == \
+        (2 * n * n + 4 * n, 8 * n * n + 10 * n - 12)
 
 
 # the instances of the benchmark's solve workload
@@ -197,7 +211,7 @@ def test_solve_ladder_encoding_sizes():
             atoms += stage["translation"]["atoms"]
             effects += stage["translation"]["conditional_effects"]
             assert stage["built"]["atoms"] >= stage["translation"]["atoms"]
-    assert (atoms, effects) == (389, 1617)
+    assert (atoms, effects) == (329, 1390)
 
 
 def test_translate_no_opt_emits_the_literal_translation(tmp_path, capsys):

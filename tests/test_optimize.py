@@ -1,5 +1,11 @@
 """The rewrite optimizations must keep translations sound and no weaker."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from kplan import (
@@ -15,6 +21,7 @@ from kplan import (
     generators,
     inject_reset_effects,
     ktm,
+    merge_atoms,
     neg,
     nondet_compile,
     pddl,
@@ -327,6 +334,45 @@ def test_prune_invariants_on_random_suite():
                 check_prune(ktm(problem, spec, ctx, optimized=optimized))
 
 
+def prune_rewrites(K):
+    """(conditions stripped, rules made one) by the pruning of K, counted
+    over ``reached_literals`` and ``constant_atoms``."""
+    reached = reached_literals(K)
+    if not K.goal <= reached:
+        return 0, 0
+    constant = constant_atoms(K, reached)
+    stripped = merged = 0
+    for a in K.actions:
+        if a.preconditions <= reached:
+            rules = [r for r in a.rules if r.condition <= reached
+                     and r.effect.fluent not in constant]
+            kept = {Rule(frozenset(l for l in r.condition
+                                   if l.fluent not in constant), r.effect)
+                    for r in rules}
+            stripped += len([r for r in rules if r not in kept])
+            merged += len(rules) - len(kept)
+    return stripped, merged
+
+
+def test_prune_strips_and_merges_rules_on_the_reachable_goal_suite():
+    """The 707 suite's goals are mostly relaxed-unreachable, and no rules
+    of its translations become one; this suite's translations strip
+    conditions and merge rules."""
+    reachable = stripped = merged = 0
+    for problem in random_suite(708, 20, max_fluents=5, max_actions=4,
+                                reachable_goal=True):
+        ctx = build_context(problem)
+        for spec in (spec_ki(ctx, 1), spec_kmodels(ctx), spec_ks0(ctx)):
+            for optimized in (False, True):
+                K = ktm(problem, spec, ctx, optimized=optimized)
+                check_prune(K)
+                reachable += K.goal <= reached_literals(K)
+                counts = prune_rewrites(K)
+                stripped += counts[0] > 0
+                merged += counts[1] > 0
+    assert reachable > 60 and stripped > 0 and merged > 0
+
+
 def test_prune_on_a_small_problem():
     # c is true and never deleted, u is never set, and b needs u; without
     # c, the two rules of d are one
@@ -441,3 +487,165 @@ def test_pruning_runs_after_the_resets(copies):
             early = inject_reset_effects(prune(K), compiled, spec, info)
             assert early != late, (name, scheme)
             assert not mentioned_atoms(early) <= early.fluents, (name, scheme)
+
+
+# --- merging the atoms tied in every reachable state ------------------------
+
+def check_merge(K):
+    """``merge_atoms(K)`` against a walk of every state reachable in K: the
+    merged problem applies the same actions, gives its atoms the same
+    values, raises on the same clashes and tests the goal alike, and each
+    atom it drops equals or complements a lesser-named atom it keeps.
+    The pass is idempotent."""
+    merged = merge_atoms(K)
+    kept = merged.fluents
+    assert kept <= K.fluents and mentioned_atoms(merged) <= kept
+    assert merge_atoms(merged) is merged
+    assert [a.name for a in merged.actions] == [a.name for a in K.actions]
+    for a in merged.actions:
+        assert len(set(a.rules)) == len(a.rules), a.name
+    start = K.initial_state()
+    assert merged.initial_state() == {l for l in start if l.fluent in kept}
+    seen, frontier = {start}, [start]
+    while frontier:
+        s = frontier.pop()
+        p = frozenset(l for l in s if l.fluent in kept)
+        assert (K.goal <= s) == (merged.goal <= p)
+        for a, b in zip(K.actions, merged.actions):
+            assert (a.preconditions <= s) == (b.preconditions <= p)
+            if not a.preconditions <= s:
+                continue
+            add, merged_add = step(s, a), step(p, b)
+            assert {l for l in add if l.fluent in kept} == merged_add
+            assert clashes(add, kept) == clashes(merged_add, kept)
+            # a clash on a dropped atom is one on its representative
+            assert bool(clashes(add, K.fluents)) == \
+                bool(clashes(merged_add, kept))
+            if not clashes(add, K.fluents):
+                nxt = s.difference([l.negate() for l in add]) | add
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    # each atom's value in every reachable state, negated when it starts
+    # true: a dropped atom has the column of some kept atom named before it
+    states = list(seen)
+    start_true = {l.fluent for l in start if l.positive}
+
+    def column(f):
+        return tuple((pos(f) in s) != (f in start_true) for s in states)
+
+    first_kept = {}
+    for f in sorted(kept):
+        first_kept.setdefault(column(f), f)
+    for f in K.fluents - kept:
+        assert first_kept.get(column(f), f) < f, f
+    return merged
+
+
+@pytest.mark.parametrize("scheme", sorted(SPECS))
+@pytest.mark.parametrize("family,params", SMALL_INSTANCES,
+                         ids=["-".join(map(str, (f, *p)))
+                              for f, p in SMALL_INSTANCES])
+def test_merge_atoms_keeps_every_reachable_step(family, params, scheme):
+    problem, info = compiled_instance(family, params)
+    check_merge(prune(pipeline_encoding(problem, info, scheme)))
+
+
+def test_merge_atoms_keeps_every_reachable_step_on_random_suites():
+    dropped = 0
+    for problem in (random_suite(707, 20, max_fluents=5, max_actions=4)
+                    + random_suite(708, 20, max_fluents=5, max_actions=4,
+                                   reachable_goal=True)):
+        ctx = build_context(problem)
+        for spec in (spec_ki(ctx, 1), spec_kmodels(ctx), spec_ks0(ctx)):
+            for optimized in (False, True):
+                K = prune(ktm(problem, spec, ctx, optimized=optimized))
+                dropped += len(check_merge(K).fluents) < len(K.fluents)
+    assert dropped > 0
+
+
+def test_merge_atoms_keeps_the_optimal_plans_on_random_suites():
+    """Merging never changes whether a plan exists, nor its optimal
+    length, and the plans found stay conformant."""
+    found = 0
+    for problem in (random_suite(505, 15, max_fluents=5, max_actions=4)
+                    + random_suite(708, 20, max_fluents=5, max_actions=4,
+                                   reachable_goal=True)):
+        ctx = build_context(problem)
+        for spec in (spec_ki(ctx, 1), spec_kmodels(ctx)):
+            K = prune(ktm(problem, spec, ctx, optimized=True))
+            plan = bfs_optimal(K, depth_cap=4, max_states=30_000)
+            merged = bfs_optimal(merge_atoms(K), depth_cap=4,
+                                 max_states=30_000)
+            assert (plan is None) == (merged is None), problem
+            if plan is not None:
+                found += 1
+                assert merged.stripped_length == plan.stripped_length
+                assert is_conformant(problem, merged.stripped()), problem
+    assert found > 0
+
+
+def test_merge_atoms_on_a_small_problem():
+    # x and y are equal, q is p's complement, m and n (and so u and v) are
+    # set by one action under atoms that differ, and g and h have the same
+    # rules but start apart, so they are neither equal nor complementary
+    K = ClassicalProblem(
+        frozenset("ghmnpqstuvxy"), frozenset([pos("g"), pos("p")]),
+        (action("both", [], [rule([pos("x")], pos("h")),
+                             rule([pos("y")], pos("h")),
+                             rule([pos("x"), neg("y")], neg("h"))]),
+         action("check", [pos("q"), pos("y")]),
+         action("clear", [], [rule([], neg("g")), rule([], neg("h"))]),
+         action("flip", [], [rule([], neg("p")), rule([], pos("q"))]),
+         action("go1", [], [rule([pos("s")], pos("m")),
+                            rule([pos("t")], pos("n"))]),
+         action("go2", [], [rule([pos("m")], pos("u")),
+                            rule([pos("n")], pos("v"))]),
+         action("mark", [], [rule([], pos("g")), rule([], pos("h"))]),
+         action("one", [], [rule([], pos("s"))]),
+         action("reset", [], [rule([], neg("x")), rule([], neg("y"))]),
+         action("set", [], [rule([], pos("x")), rule([], pos("y"))]),
+         action("two", [], [rule([], pos("t"))]),
+         action("unflip", [], [rule([], pos("p")), rule([], neg("q"))])),
+        frozenset([pos("q"), pos("u"), pos("y")]))
+    merged = check_merge(K)
+    assert merged == ClassicalProblem(
+        frozenset("ghmnpstuvx"), frozenset([pos("g"), pos("p")]),
+        (action("both", [], [rule([pos("x")], pos("h"))]),
+         action("check", [neg("p"), pos("x")]),
+         *K.actions[2:3],
+         action("flip", [], [rule([], neg("p"))]),
+         *K.actions[4:8],
+         action("reset", [], [rule([], neg("x"))]),
+         action("set", [], [rule([], pos("x"))]),
+         K.actions[10],
+         action("unflip", [], [rule([], pos("p"))])),
+        frozenset([neg("p"), pos("u"), pos("x")]))
+
+
+def merged_digest():
+    """The merged encodings of ``SMALL_INSTANCES`` x ``SPECS``, as text in
+    the order the program keeps them."""
+    out = []
+    for family, params in SMALL_INSTANCES:
+        problem, info = compiled_instance(family, params)
+        for scheme in sorted(SPECS):
+            M = merge_atoms(prune(pipeline_encoding(problem, info, scheme)))
+            out.append([sorted(M.fluents), sorted(M.init),
+                        [[a.name, sorted(a.preconditions),
+                          [[sorted(r.condition), r.effect] for r in a.rules]]
+                         for a in M.actions], sorted(M.goal)])
+    return json.dumps(out)
+
+
+def test_merge_atoms_is_the_same_under_other_hash_seeds():
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(here.parent / "src"), str(here)]))
+    code = "import test_optimize; print(test_optimize.merged_digest())"
+    digest = merged_digest()
+    for seed in ("0", "1"):
+        env["PYTHONHASHSEED"] = seed
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert run.stdout.strip() == digest, seed
