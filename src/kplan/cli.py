@@ -96,8 +96,12 @@ def _write_report(args, report: Dict):
 
 
 def _parse_scheme(text: str) -> Tuple[str, Optional[int]]:
-    """(scheme, N of ki:N or None) for k0 | ki:N (N >= 0) | kmodels | ks0."""
-    if text in ("k0", "ks0", "kmodels"):
+    """(scheme, its width bound) for k0 | ki:N (N >= 0) | kmodels | ks0:
+    k0 is complete up to width 0 like ki:0, ki:N up to N, and the bound
+    of kmodels and ks0 is None."""
+    if text == "k0":
+        return text, 0
+    if text in ("ks0", "kmodels"):
         return text, None
     bound = text[len("ki:"):] if text.startswith("ki:") else ""
     if not (bound.isascii() and bound.isdigit()):
@@ -107,10 +111,10 @@ def _parse_scheme(text: str) -> Tuple[str, Optional[int]]:
 
 
 def _scheme_spec(scheme: str, bound: Optional[int], ctx, caps):
-    if bound is not None:
-        return spec_ki(ctx, bound)
     if scheme == "k0":
         return spec_k0()
+    if bound is not None:
+        return spec_ki(ctx, bound)
     if scheme == "ks0":
         return spec_ks0(ctx, cap=caps[0])
     return spec_kmodels(ctx, cap=caps[1])

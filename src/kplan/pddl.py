@@ -164,7 +164,6 @@ class ActionSchema(NamedTuple):
 
 class DomainAst(NamedTuple):
     name: str
-    requirements: Tuple[str, ...]
     types: Dict[str, str]               # type -> parent
     constants: Tuple[Tuple[str, str], ...]
     predicates: Dict[str, Tuple[str, ...]]  # name -> parameter types
@@ -178,7 +177,7 @@ class InitEntry(NamedTuple):
 
 class ProblemAst(NamedTuple):
     name: str
-    domain_name: str
+    domain_name: str  # a Sym, which knows its position for errors
     objects: Tuple[Tuple[str, str], ...]
     init: Tuple[InitEntry, ...]
     goal_literals: Tuple[LiteralTemplate, ...]
@@ -267,11 +266,17 @@ def _sections(body: Sequence[SExpr]) -> List[List[SExpr]]:
     return [item for item in body if isinstance(item, list)]
 
 
+def _define_name(sexpr: SExpr, kind: str) -> str:
+    """NAME of the header (define (KIND NAME) ...)."""
+    if _head(sexpr) != "define" or len(sexpr) < 2 \
+            or _head(sexpr[1]) != kind or len(sexpr[1]) != 2 \
+            or not isinstance(sexpr[1][1], Sym):
+        raise _err(sexpr, f"expected (define ({kind} NAME) ...)")
+    return str(sexpr[1][1])
+
+
 def _parse_domain(sexpr: SExpr) -> DomainAst:
-    if _head(sexpr) != "define" or _head(sexpr[1]) != "domain":
-        raise _err(sexpr, "expected (define (domain ...) ...)")
-    name = str(sexpr[1][1])
-    requirements: Tuple[str, ...] = ()
+    name = _define_name(sexpr, "domain")
     types: Dict[str, str] = {}
     constants: Tuple[Tuple[str, str], ...] = ()
     predicates: Dict[str, Tuple[str, ...]] = {}
@@ -279,7 +284,7 @@ def _parse_domain(sexpr: SExpr) -> DomainAst:
     for section in _sections(sexpr[2:]):
         key = _head(section)
         if key == ":requirements":
-            requirements = tuple(str(x) for x in section[1:])
+            pass  # the input subset is fixed; the flags change nothing
         elif key == ":types":
             for t, parent in _parse_typed_list(section[1:]):
                 types[t] = parent
@@ -298,8 +303,7 @@ def _parse_domain(sexpr: SExpr) -> DomainAst:
             raise UnsupportedFeature(f"section '{key}' is not supported")
         else:
             raise _err(section, f"unknown domain section '{key}'")
-    return DomainAst(name, requirements, types, constants, predicates,
-                     tuple(actions))
+    return DomainAst(name, types, constants, predicates, tuple(actions))
 
 
 def _parse_action(section: Sequence[SExpr]) -> ActionSchema:
@@ -334,9 +338,7 @@ def _parse_action(section: Sequence[SExpr]) -> ActionSchema:
 
 
 def _parse_problem(sexpr: SExpr) -> ProblemAst:
-    if _head(sexpr) != "define" or _head(sexpr[1]) != "problem":
-        raise _err(sexpr, "expected (define (problem ...) ...)")
-    name = str(sexpr[1][1])
+    name = _define_name(sexpr, "problem")
     domain_name = ""
     objects: Tuple[Tuple[str, str], ...] = ()
     init: List[InitEntry] = []
@@ -345,7 +347,9 @@ def _parse_problem(sexpr: SExpr) -> ProblemAst:
     for section in _sections(sexpr[2:]):
         key = _head(section)
         if key == ":domain":
-            domain_name = str(section[1])
+            if len(section) != 2 or not isinstance(section[1], Sym):
+                raise _err(section, "':domain' takes one name")
+            domain_name = section[1]
         elif key == ":objects":
             objects = objects + _parse_typed_list(section[1:])
         elif key == ":init":
@@ -376,6 +380,8 @@ def _parse_problem(sexpr: SExpr) -> ProblemAst:
                     goal_literals.append(_parse_literal(part))
         else:
             raise _err(section, f"unknown problem section '{key}'")
+    if not domain_name:
+        raise _err(sexpr, "expected a (:domain NAME) section")
     return ProblemAst(name, domain_name, objects, tuple(init),
                       tuple(goal_literals), tuple(goal_clauses))
 
@@ -387,7 +393,13 @@ def parse(domain_text: str, problem_text: str) -> Tuple[DomainAst, ProblemAst]:
         raise PddlSyntaxError("expected exactly one (define ...) in the domain")
     if len(problems) != 1:
         raise PddlSyntaxError("expected exactly one (define ...) in the problem")
-    return _parse_domain(domains[0]), _parse_problem(problems[0])
+    domain = _parse_domain(domains[0])
+    problem = _parse_problem(problems[0])
+    if problem.domain_name != domain.name:
+        raise _err(problem.domain_name,
+                   f"the problem is for domain '{problem.domain_name}', "
+                   f"not '{domain.name}'")
+    return domain, problem
 
 
 # --- grounding ---------------------------------------------------------------

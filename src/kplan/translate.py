@@ -40,9 +40,6 @@ from .model import (
 from .pi import DEFAULT_MODEL_CAP, DEFAULT_STATE_CAP, EMPTY_TAG, Merge, Tag
 
 SEPARATOR = "__"
-# the static-disjunction deduction action is internal like the merges, so
-# its name carries the merge prefix and is stripped from reported plans
-STATIC_ACTION_NAME = MERGE_PREFIX + "static-disjunctions"
 
 
 def tag_suffix(tag: Tag) -> str:
@@ -166,7 +163,6 @@ class TagTable(NamedTuple):
     names: Dict[Literal, str]       # L -> name of KL/t, or of KL if collapsed
     collapsed: FrozenSet[Literal]   # KL/t is KL (optimized only)
     emitted: FrozenSet[Literal]     # heads whose rules are kept at t
-    decided: FrozenSet[str]         # fluents with a polarity in t*
 
 
 def tag_table(t: Tag, ctx: Context, plain: Dict[Literal, str],
@@ -177,9 +173,9 @@ def tag_table(t: Tag, ctx: Context, plain: Dict[Literal, str],
 
     Every head keeps its rules unless optimizing at a non-empty t.  Then
     KL/t collapses onto KL when t* holds nothing relevant to L, i.e. L is
-    reachable from no literal of t*, and the rules with head L are kept
-    only when KL/t does not collapse and L is relevant to a literal merged
-    through t.
+    reachable from no literal of t* (``ktm``'s rewrite (1)), and the rules
+    with head L are kept only when KL/t does not collapse and L is
+    relevant to a literal merged through t (rewrite (2)).
     """
     closure = ctx.pi.closure(t)
     rel = ctx.rel
@@ -193,8 +189,7 @@ def tag_table(t: Tag, ctx: Context, plain: Dict[Literal, str],
     suffix = tag_suffix(t)
     names = {L: name if L in collapsed else name + suffix
              for L, name in plain.items()}
-    return TagTable(closure, names, collapsed, emitted,
-                    frozenset(l.fluent for l in closure))
+    return TagTable(closure, names, collapsed, emitted)
 
 
 def ktm(problem: ConformantProblem, spec: TranslationSpec,
@@ -202,19 +197,24 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
         optimized: bool = False) -> ClassicalProblem:
     """Build the classical problem induced by a tag/merge spec.
 
-    With ``optimized`` the builder applies, in order: (1) tagged atoms
-    whose tag closure carries nothing relevant to their literal collapse
-    onto the untagged atom; (2) support/cancellation rules are dropped at
-    tags through which nothing relevant to their head is merged; (3)
-    support and cancellation collapse into one rule where the tag decides
-    every fluent relevant to the head; (4) effects C,~L -> L of actions
-    that never delete L yield the extra deduction rule KC -> KL; (5) each
-    static disjunction yields case-elimination rules K~L_j (j != i) -> KL_i
-    on a dedicated action.
+    With ``optimized`` the builder applies three rewrites.  ``prune`` and
+    ``merge_atoms``, which run after it, reach the same final encodings
+    without (1) and (2), so those two only keep the build small:
+    (1) tagged atoms whose tag closure carries nothing relevant to their
+    literal collapse onto the untagged atom.  Without it, disjtoy-9
+    ``ks0`` builds 10240 atoms instead of 5641, and its translate process
+    peaks about 1 MB higher.
+    (2) support/cancellation rules are dropped at tags through which
+    nothing relevant to their head is merged.  Without it, bomb-16-16
+    ``ki:1`` builds 18736 effects instead of 2352, and ``ktm`` takes
+    about six times as long.
+    (3) effects C,~L -> L of actions that never delete L yield the extra
+    deduction rule KC -> KL.  This one changes the search: without it,
+    the ``ki:1`` search of bomb-12-4 expands 63124 nodes instead of 116.
 
     Every decision depends only on a literal and a tag, so it is read from
-    a table per tag (``tag_table``) and a table per literal (the plain
-    name KL and the fluents relevant to L), each computed once.
+    a table per tag (``tag_table``) and the plain name KL of each literal,
+    each computed once.
     """
     if problem.goal_clauses:
         raise UnsupportedFeature("compile clause goals away first")
@@ -232,8 +232,6 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
                 raise InvalidSpec(f"invalid merge for {m.target}")
 
     plain = {L: atom_name(L) for L in analysis.all_literals(problem.fluents)}
-    relevant_fluents = {L: frozenset(l.fluent for l in ctx.rel.relevant_to(L))
-                        for L in plain}
     merged_through: Dict[Tag, Set[Literal]] = {}
     for m in spec.merges:
         for t in m.tags:
@@ -263,24 +261,15 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
             L = r.effect
             nL = L.negate()
             negated_cond = [c.negate() for c in r.condition]
-            relevant = relevant_fluents[L]
-            support_at = kept_at[L]
-            cancel_at = kept_at[nL]
-            for k in support_at | cancel_at:
-                tab = tables[k]
-                names = tab.names
-                support_cond = frozenset(pos(names[c]) for c in r.condition)
-                if optimized and relevant <= tab.decided:
-                    # grouped support + cancellation
-                    rules.add(Rule(support_cond, pos(names[L])))
-                    rules.add(Rule(support_cond, Literal(names[nL], False)))
-                    continue
-                if k in support_at:
-                    rules.add(Rule(support_cond, pos(names[L])))
-                if k in cancel_at:
-                    cancel_cond = frozenset(Literal(names[c], False)
-                                            for c in negated_cond)
-                    rules.add(Rule(cancel_cond, Literal(names[nL], False)))
+            for k in kept_at[L]:  # support KC/t -> KL/t
+                names = tables[k].names
+                rules.add(Rule(frozenset(pos(names[c]) for c in r.condition),
+                               pos(names[L])))
+            for k in kept_at[nL]:  # cancellation ~K~C/t -> ~K~L/t
+                names = tables[k].names
+                rules.add(Rule(frozenset(Literal(names[c], False)
+                                         for c in negated_cond),
+                               Literal(names[nL], False)))
         if optimized:
             # extra deduction: a: C,~L -> L with no a-rule deleting L
             heads = {r.effect for r in a.rules}
@@ -293,21 +282,6 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
         precs = frozenset(pos(plain[L]) for L in a.preconditions)
         actions.append(Action(a.name, precs,
                               tuple(sorted(rules, key=Rule.sort_key))))
-
-    if optimized:
-        static_rules: Set[Rule] = set()
-        heads_anywhere = {r.effect for act in problem.actions for r in act.rules}
-        for c in pi.nonunit_clauses:
-            if any(l.negate() in heads_anywhere for l in c):
-                continue  # some literal of the clause can be deleted
-            for l in c:
-                cond = frozenset(pos(plain[o.negate()]) for o in c if o != l)
-                static_rules.add(Rule(cond, pos(plain[l])))
-        if static_rules:
-            # pure deduction: bookkeeping like a merge, stripped from plans
-            actions.append(Action(STATIC_ACTION_NAME, frozenset(),
-                                  tuple(sorted(static_rules,
-                                               key=Rule.sort_key))))
 
     table_of = dict(zip(spec.tags, tables))
     for m in dict.fromkeys(spec.merges):  # a merge listed twice is one action

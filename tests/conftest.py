@@ -39,7 +39,6 @@ from kplan.model import (Action, ClassicalProblem, Clause, NondetRule,
 from kplan.pi import EMPTY_TAG, Tag, prime_implicates
 from kplan.planner import INF, SolveResult, SolveStatus
 from kplan.translate import (
-    STATIC_ACTION_NAME,
     TranslationSpec,
     atom_name,
     cnf_goal_compile,
@@ -711,10 +710,6 @@ def reference_enumerate_states(clauses: Iterable[Clause],
 
 # --- reference translation builder ------------------------------------------------
 
-def _reference_relevant_fluents(ctx: Context, L: Literal) -> FrozenSet[str]:
-    return frozenset(l.fluent for l in ctx.rel.relevant_to(L))
-
-
 def reference_ktm(problem: ConformantProblem, spec: TranslationSpec,
                   ctx: Optional[Context] = None, optimized: bool = False,
                   validate: Optional[bool] = None) -> ClassicalProblem:
@@ -726,11 +721,8 @@ def reference_ktm(problem: ConformantProblem, spec: TranslationSpec,
     whose tag closure carries nothing relevant to their literal collapse
     onto the untagged atom; (2) support/cancellation rules are dropped at
     tags through which nothing relevant to their head is merged; (3)
-    support and cancellation collapse into one rule where the tag decides
-    every fluent relevant to the head; (4) effects C,~L -> L of actions
-    that never delete L yield the extra deduction rule KC -> KL; (5) each
-    static disjunction yields case-elimination rules K~L_j (j != i) -> KL_i
-    on a dedicated action.
+    effects C,~L -> L of actions that never delete L yield the extra
+    deduction rule KC -> KL.
     """
     if problem.goal_clauses:
         raise UnsupportedFeature("compile clause goals away first")
@@ -785,13 +777,6 @@ def reference_ktm(problem: ConformantProblem, spec: TranslationSpec,
 
     goal = frozenset(pos(atom(L, EMPTY_TAG)) for L in problem.goal)
 
-    def decided(L: Literal, t: Tag) -> bool:
-        cl = pi.closure(t)
-        for f in _reference_relevant_fluents(ctx, L):
-            if pos(f) not in cl and neg(f) not in cl:
-                return False
-        return True
-
     actions: List[Action] = []
     for a in problem.actions:
         rules: Set[Rule] = set()
@@ -802,16 +787,9 @@ def reference_ktm(problem: ConformantProblem, spec: TranslationSpec,
                 head_cancel = not (optimized and collapses(L.negate(), t) and t)
                 emit_support = head_support and useful(L, t)
                 emit_cancel = head_cancel and useful(L.negate(), t)
-                if not emit_support and not emit_cancel:
-                    continue
-                support_cond = frozenset(pos(atom(c, t)) for c in r.condition)
-                if optimized and decided(L, t):
-                    # grouped support + cancellation
-                    rules.add(Rule(support_cond, pos(atom(L, t))))
-                    rules.add(Rule(support_cond,
-                                   Literal(atom(L.negate(), t), False)))
-                    continue
                 if emit_support:
+                    support_cond = frozenset(pos(atom(c, t))
+                                             for c in r.condition)
                     rules.add(Rule(support_cond, pos(atom(L, t))))
                 if emit_cancel:
                     cancel_cond = frozenset(
@@ -833,23 +811,6 @@ def reference_ktm(problem: ConformantProblem, spec: TranslationSpec,
                               tuple(sorted(rules, key=Rule.sort_key))))
 
     merge_names: Set[str] = set()
-    if optimized:
-        static_rules: Set[Rule] = set()
-        heads_anywhere = {r.effect for act in problem.actions for r in act.rules}
-        for c in pi.nonunit_clauses:
-            if any(l.negate() in heads_anywhere for l in c):
-                continue  # some literal of the clause can be deleted
-            for l in c:
-                cond = frozenset(pos(atom(o.negate(), EMPTY_TAG))
-                                 for o in c if o != l)
-                static_rules.add(Rule(cond, pos(atom(l, EMPTY_TAG))))
-        if static_rules:
-            # pure deduction: bookkeeping like a merge, stripped from plans
-            actions.append(Action(STATIC_ACTION_NAME, frozenset(),
-                                  tuple(sorted(static_rules,
-                                               key=Rule.sort_key))))
-            merge_names.add(STATIC_ACTION_NAME)
-
     for m in spec.merges:
         name = merge_action_name(m)
         if name in merge_names:

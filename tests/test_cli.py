@@ -90,6 +90,24 @@ def test_translate_warns_when_width_exceeds_bound(tmp_path, capsys):
     assert "warning" in out
 
 
+def test_k0_warns_like_ki_0(tmp_path, capsys):
+    # k0 and ki:0 build the same spec, complete up to width 0
+    dom, prob = gen_instance(tmp_path, "safe", 4)
+    warnings = []
+    for scheme in ("k0", "ki:0"):
+        report_path = tmp_path / f"{scheme}.json"
+        code, out, err = run_cli(capsys, "translate", str(dom), str(prob),
+                                 "--scheme", scheme,
+                                 "--report", str(report_path))
+        assert code == 0
+        warning = json.loads(report_path.read_text())["warning"]
+        assert f"warning: {warning}\n" in out
+        warnings.append(warning)
+    assert warnings[0] == warnings[1] == (
+        "problem width 1 exceeds the bound 0; completeness is not "
+        "guaranteed")
+
+
 def test_translate_warns_when_a_width_search_hits_its_cap(
         tmp_path, capsys, monkeypatch):
     real = cli.width_of_literal
@@ -156,7 +174,7 @@ def test_translate_drops_the_atoms_nothing_reads(tmp_path, capsys):
     assert len(emitted.fluents) == 48
     assert sum(len(a.rules) for a in emitted.actions) == 800
     # what ktm built, before the pruning and the merging
-    assert report["built"] == {"atoms": 1120, "conditional_effects": 2592}
+    assert report["built"] == {"atoms": 1120, "conditional_effects": 2352}
 
 
 def optimized_sizes(family, *params, scheme="ki:1"):
@@ -211,7 +229,7 @@ def test_solve_ladder_encoding_sizes():
             atoms += stage["translation"]["atoms"]
             effects += stage["translation"]["conditional_effects"]
             assert stage["built"]["atoms"] >= stage["translation"]["atoms"]
-    assert (atoms, effects) == (329, 1390)
+    assert (atoms, effects) == (329, 1392)
 
 
 def test_translate_no_opt_emits_the_literal_translation(tmp_path, capsys):
@@ -583,6 +601,20 @@ def test_an_error_exit_writes_a_report(tmp_path, capsys):
     report = json.loads(report_path.read_text())
     assert report["command"] == "translate"
     assert report["error"].startswith("PiBlowup: ")
+
+
+def test_a_problem_for_another_domain_exits_2_with_a_report(tmp_path,
+                                                            capsys):
+    dom, _ = gen_instance(tmp_path, "safe", 4)
+    _, prob = gen_instance(tmp_path, "bomb", 3, 3)
+    report_path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "solve", str(dom), str(prob),
+                             "--report", str(report_path))
+    assert code == 2 and err.startswith("error: the problem is for domain")
+    report = json.loads(report_path.read_text())
+    assert report["command"] == "solve"
+    assert report["error"].startswith("PddlSyntaxError: the problem is for "
+                                      "domain ")
 
 
 def test_an_unwritable_error_report_still_exits_2(tmp_path, capsys):

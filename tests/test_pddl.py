@@ -69,6 +69,30 @@ def test_syntax_errors_carry_positions():
              "(define (problem x) (:domain d) (:init (q)) (:goal (p)))")
 
 
+@pytest.mark.parametrize("domain_section,message", [
+    ("(:domain other)", "the problem is for domain 'other', not 'toy'"),
+    ("(:domain)", "':domain' takes one name"),
+    ("", "expected a (:domain NAME) section")])
+def test_a_problem_must_name_its_domain(domain_section, message):
+    problem = PROBLEM.replace("(:domain toy)", domain_section)
+    with pytest.raises(PddlSyntaxError) as exc:
+        load(DOMAIN, problem)
+    assert str(exc.value).startswith(message)
+    assert exc.value.line == (3 if domain_section else 2)
+
+
+@pytest.mark.parametrize("domain,problem,message", [
+    ("(define)", PROBLEM, "expected (define (domain NAME) ...)"),
+    ("(define (domain))", PROBLEM, "expected (define (domain NAME) ...)"),
+    (DOMAIN, "(define (problem) (:domain toy))",
+     "expected (define (problem NAME) ...)"),
+    (DOMAIN, "(define (domain toy))", "expected (define (problem NAME) ...)")])
+def test_a_define_header_needs_its_kind_and_name(domain, problem, message):
+    with pytest.raises(PddlSyntaxError) as exc:
+        load(domain, problem)
+    assert str(exc.value).startswith(message)
+
+
 def test_undeclared_and_type_errors():
     dom = """(define (domain d) (:requirements :typing) (:types t)
              (:predicates (p ?x - t))

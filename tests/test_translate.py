@@ -25,8 +25,6 @@ from kplan.analysis import all_literals
 from kplan.errors import CapExceeded, UnsupportedFeature
 from kplan.model import NondetRule, action, conformant_problem, rule
 from kplan.translate import (
-    MERGE_PREFIX,
-    STATIC_ACTION_NAME,
     TranslationSpec,
     atom_name,
     inject_reset_effects,
@@ -209,26 +207,6 @@ def test_cnf_goal_compile_noop_without_clause_goals(tiny):
     assert cnf_goal_compile(tiny) is tiny
 
 
-def test_optimized_static_disjunction_action(tiny):
-    # tiny has no static non-unit clauses, so no deduction action
-    ctx = build_context(tiny)
-    K = ktm(tiny, spec_k0(), ctx, optimized=True)
-    names = {a.name for a in K.actions}
-    assert STATIC_ACTION_NAME not in names
-    # a purely static disjunction yields case-elimination rules
-    static = conformant_problem(
-        ["x1", "x2", "g"],
-        [[pos("x1"), pos("x2")], [neg("g")]],
-        [action("go1", rules=[rule([pos("x1")], pos("g"))]),
-         action("go2", rules=[rule([pos("x2")], pos("g"))])],
-        [pos("g")])
-    K2 = ktm(static, spec_ki(build_context(static), 1),
-             build_context(static), optimized=True)
-    assert STATIC_ACTION_NAME in {a.name for a in K2.actions}
-    assert STATIC_ACTION_NAME in K2.merges
-    assert STATIC_ACTION_NAME.startswith(MERGE_PREFIX)
-
-
 def test_merge_actions_conclude_and_are_repeatable(pickdrop):
     problem, spec, t1, t2 = pickdrop
     K = ktm(problem, spec)
@@ -369,6 +347,5 @@ def test_merges_are_the_merge_actions_ktm_adds(family, params):
         minted = {merge_action_name(m) for m in spec.merges}
         for optimized in (True, False):
             K = ktm(problem, spec, ctx, optimized=optimized)
-            names = {a.name for a in K.actions}
-            assert K.merges == minted | (names & {STATIC_ACTION_NAME})
-            assert names - K.merges == source
+            assert K.merges == minted
+            assert {a.name for a in K.actions} - K.merges == source
