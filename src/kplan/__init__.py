@@ -67,13 +67,11 @@ from .analysis import (
 from .translate import (
     TranslationSpec,
     cnf_goal_compile,
-    drop_unread,
     inject_reset_effects,
     ktm,
     make_spec,
-    merge_atoms,
     nondet_compile,
-    prune,
+    simplify,
     spec_k0,
     spec_ki,
     spec_kmodels,

@@ -30,8 +30,7 @@ from .pipeline import (PipelineConfig, encoding_size, pipeline_solve,
 from .translate import (
     cnf_goal_compile,
     ktm,
-    merge_atoms,
-    prune,
+    simplify,
     spec_k0,
     spec_ki,
     spec_kmodels,
@@ -98,7 +97,8 @@ def _write_report(args, report: Dict):
 def _parse_scheme(text: str) -> Tuple[str, Optional[int]]:
     """(scheme, its width bound) for k0 | ki:N (N >= 0) | kmodels | ks0:
     k0 is complete up to width 0 like ki:0, ki:N up to N, and the bound
-    of kmodels and ks0 is None."""
+    of kmodels and ks0 is None.  N is given back without leading zeros,
+    so ki:01 is ki:1."""
     if text == "k0":
         return text, 0
     if text in ("ks0", "kmodels"):
@@ -107,7 +107,7 @@ def _parse_scheme(text: str) -> Tuple[str, Optional[int]]:
     if not (bound.isascii() and bound.isdigit()):
         raise argparse.ArgumentTypeError(
             f"unknown scheme '{text}' (expected k0 | ki:N | kmodels | ks0)")
-    return text, int(bound)
+    return f"ki:{int(bound)}", int(bound)
 
 
 def _scheme_spec(scheme: str, bound: Optional[int], ctx, caps):
@@ -151,7 +151,7 @@ def cmd_translate(args) -> int:
     K = ktm(compiled, spec, ctx, optimized=args.opt)
     built = encoding_size(K)
     if args.opt:
-        K = merge_atoms(prune(K))
+        K = simplify(K)
     domain_text, problem_text = pddl.emit_classical(K)
     report = {
         "command": "translate",
@@ -347,12 +347,13 @@ def _plan(p: argparse.ArgumentParser):
 def _opt(p: argparse.ArgumentParser):
     opt = p.add_mutually_exclusive_group()
     opt.add_argument("--opt", dest="opt", action="store_true",
-                     help="apply the rewrite optimizations, then prune "
+                     help="apply the rewrite optimizations, then drop "
                           "the rules that never fire, the atoms that never "
-                          "change and the atoms that nothing reads, and "
-                          "merge the atoms that are equal or complementary "
-                          "in every reachable state, which keeps the same "
-                          "plans (default)")
+                          "change, the atoms that nothing reads and the "
+                          "actions that change no atom left, and merge the "
+                          "atoms that are equal or complementary in every "
+                          "reachable state, which keeps the same plans "
+                          "(default)")
     opt.add_argument("--no-opt", dest="opt", action="store_false",
                      help="use the literal K_T,M translation, without "
                           "the rewrites")

@@ -21,8 +21,7 @@ from .translate import (
     cnf_goal_compile,
     inject_reset_effects,
     ktm,
-    merge_atoms,
-    prune,
+    simplify,
     spec_ki,
     spec_kmodels,
 )
@@ -142,7 +141,7 @@ def pipeline_solve(problem: ConformantProblem,
             if config.optimized:
                 # after the resets, whose rules read the plain KL atoms
                 # and make tagged atoms settable again
-                K = merge_atoms(prune(K))
+                K = simplify(K)
             max_seconds = (None if deadline is None
                            else max(0.0, deadline - time.monotonic()))
             result = solve(K, max_nodes=config.max_nodes,

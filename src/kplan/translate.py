@@ -197,9 +197,9 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
         optimized: bool = False) -> ClassicalProblem:
     """Build the classical problem induced by a tag/merge spec.
 
-    With ``optimized`` the builder applies three rewrites.  ``prune`` and
-    ``merge_atoms``, which run after it, reach the same final encodings
-    without (1) and (2), so those two only keep the build small:
+    With ``optimized`` the builder applies three rewrites.  ``simplify``,
+    which runs after it, reaches the same final encodings without (1) and
+    (2), so those two only keep the build small:
     (1) tagged atoms whose tag closure carries nothing relevant to their
     literal collapse onto the untagged atom.  Without it, disjtoy-9
     ``ks0`` builds 10240 atoms instead of 5641, and its translate process
@@ -299,98 +299,59 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
                             tuple(actions), goal)
 
 
-def _read_atoms(goal: Iterable[Literal],
-                actions: Iterable[Action]) -> Set[str]:
-    """The atoms that the goal or a precondition mentions, closed under:
-    the condition atoms of every rule that sets a read atom are read."""
-    # atom -> the conditions of the rules that set it, each once
-    conditions: Dict[str, Set[FrozenSet[Literal]]] = {}
-    stack = [l.fluent for l in goal]
-    for a in actions:
-        stack += [l.fluent for l in a.preconditions]
-        for r in a.rules:
-            f = r.effect.fluent
-            if f in conditions:
-                conditions[f].add(r.condition)
-            else:
-                conditions[f] = {r.condition}
-    read: Set[str] = set()
-    while stack:
-        f = stack.pop()
-        if f not in read:
-            read.add(f)
-            for c in conditions.get(f, ()):
-                stack += [l.fluent for l in c]
-    return read
+def simplify(K: ClassicalProblem) -> ClassicalProblem:
+    """K reduced to what decides its plans: three analyses over the rules
+    of K, then one rewrite that builds each kept action once.
 
+    (1) Relaxed reachability: from the initial state, a literal is
+    reached once a rule sets it whose action's preconditions and own
+    condition are reached, so the reached set holds every literal of
+    every reachable state.  Such a rule *fires*.  The one reached literal
+    of an atom that never changes is *fixed*: it holds in every reachable
+    state.  An unreached goal literal keeps its atom, which no rule sets,
+    so a search ends at its first state.
+    (2) The coarsest stable partition (Paige and Tarjan) of the atoms
+    that change and of those of the unreached goal literals, over the
+    firing rules without their fixed literals.  With each atom's values
+    negated when it starts true (normalized), a partition is stable when
+    the members of each class have the same signature: the set of
+    (action, condition as (class, normalized value) pairs, normalized
+    effect value) over the rules that set the atom, less the rules whose
+    condition holds a class at both values.  From a single class, the
+    pass splits classes by signature until none splits; a split never
+    separates two atoms that a stable partition joins.
+    (3) The read closure: the goal's atoms, then the atoms of the
+    condition and of the action's preconditions of each rule of a
+    signature of (2) that sets a read atom.
 
-def _keep_read(init: FrozenSet[Literal], goal: FrozenSet[Literal],
-               actions: Tuple[Action, ...],
-               fixed: FrozenSet[Literal] = frozenset()) -> ClassicalProblem:
-    """The problem over the read atoms (``_read_atoms``) that ``fixed``
-    does not mention, with the init literals and the rules over them;
-    every action is kept.  The literals of ``fixed`` hold in every
-    reachable state and no rule sets their atoms; they leave the goal,
-    the preconditions and the conditions."""
-    read = _read_atoms(goal, actions).difference([f for f, _ in fixed])
-    kept = []
-    for a in actions:
-        rules = [r for r in a.rules if r.effect.fluent in read]
-        pre = a.preconditions
-        if not pre.isdisjoint(fixed):
-            pre = pre - fixed
-        if fixed and not all(r.condition.isdisjoint(fixed) for r in rules):
-            # two rules may now be one
-            rules = list(dict.fromkeys([Rule(r.condition - fixed, r.effect)
-                                        for r in rules]))
-        elif len(rules) == len(a.rules) and pre is a.preconditions:
-            kept.append(a)
-            continue
-        kept.append(Action(a.name, pre, tuple(rules), a.nondet_rules))
-    return ClassicalProblem(frozenset(read),
-                            frozenset([l for l in init if l.fluent in read]),
-                            tuple(kept), goal - fixed)
+    The rewrite keeps the read atoms, each class as its least-named read
+    member, the representative, and the actions with a rule of (3), with
+    those rules.  The other members of a class go, with their rules: they
+    become the representative, or its negation when their initial values
+    differ, in the goal, the preconditions and the conditions, which also
+    lose the fixed literals.  Rules that become equal are one.
 
-
-def drop_unread(K: ClassicalProblem) -> ClassicalProblem:
-    """K without the atoms that nothing reads, and without their rules.
-
-    An atom is read when the goal or a precondition mentions it, or when
-    it is in the condition of a rule that sets a read atom.  The other
-    atoms never decide whether an action applies, what a read atom
-    becomes, or whether the goal holds, so K and the result have the same
-    plans.  Every action is kept, even one left without rules.  (An
-    action that would set an unread atom both true and false no longer
-    raises InconsistentResult.)  ``prune`` ends with this pass.
-    """
-    return _keep_read(K.init, K.goal, K.actions)
-
-
-def prune(K: ClassicalProblem) -> ClassicalProblem:
-    """K without what relaxed reachability shows never matters, then
-    without the atoms that nothing reads (``drop_unread``).
-
-    From the initial state, a literal is reached once some rule sets it
-    whose action's preconditions and own condition are all reached; the
-    reached set only grows, so it holds every literal of every reachable
-    state.  The pass removes the actions whose preconditions are not all
-    reached and the rules whose conditions are not, since neither ever
-    fires.  An atom with one reached value never changes: it leaves the
-    fluents, the init, the preconditions, the conditions and the goal,
-    and the rules that set it go too.  On every reachable state the same
-    actions apply, the kept atoms get the same values and raise the same
-    InconsistentResults, and the goal test is the same, so K and the
-    result have the same plans.  (As in ``drop_unread``, a clash on an
-    atom the result drops no longer raises.)  If a goal literal is never
-    reached, the result is ``drop_unread(K)``, and a search on it ends at
-    once, as the goal is relaxed-unreachable.
+    By induction over the steps of a plan, in every state reachable in K
+    the fixed literals hold and the members of a class have one
+    normalized value: they do at the start, and where they do, a
+    condition depends only on whole classes, so the same normalized
+    effects fire for every member, and a member clashes exactly when the
+    others do.  So a kept action applies exactly when it does in K, the
+    kept atoms, which depend on read atoms only, get the same values and
+    raise the same InconsistentResults, the goal test is the same, and an
+    action that goes never applies or changes no kept atom.  K and the
+    result have the same plans, less the steps that change no kept atom;
+    a clash on an atom the result drops no longer raises.  This holds for
+    any rules, reset effects and merge actions included.  A second pass
+    changes nothing, unless (2) finds that a rule which (1) lets fire
+    never fires and that rule alone changed an atom: only the second pass
+    finds that atom fixed.
     """
     # the initial state; a Literal equals the tuple (fluent, positive),
     # so plain tuples stand for the false atoms, which are most of them
-    true0 = [l for l in K.init if l.positive]
-    reached = set(zip(K.fluents.difference([l.fluent for l in true0]),
-                      itertools.repeat(False)))
-    reached.update(true0)
+    true0 = {l.fluent for l in K.init if l.positive}
+    reached = set(zip(K.fluents - true0, itertools.repeat(False)))
+    reached.update([l for l in K.init if l.positive])
     # Counter and watcher worklist over what cannot fire at once: an
     # action counts its unreached preconditions, a rule its unreached
     # condition literals plus one while its action does not apply.  At
@@ -442,93 +403,34 @@ def prune(K: ClassicalProblem) -> ClassicalProblem:
                 count[j] -= 1
                 if not count[j]:
                     queue.append(effect[j])
-    if not K.goal <= reached:
-        return drop_unread(K)
-
     # both literals of each atom that changes; the other atoms keep the
-    # one reached literal, which holds in every reachable state
+    # one reached literal, which is fixed
     live = set(zip(changing, itertools.repeat(True)))
     live.update(zip(changing, itertools.repeat(False)))
-    actions = []
-    for a in K.actions:
-        if a.preconditions <= reached:
-            rules = [r for r in a.rules
-                     if r.effect in live and r.condition <= reached]
-            actions.append(a if len(rules) == len(a.rules) else Action(
-                a.name, a.preconditions, tuple(rules), a.nondet_rules))
-    return _keep_read(K.init, K.goal, tuple(actions),
-                      frozenset(reached - live))
+    fixed = frozenset(reached - live)
 
-
-def merge_atoms(K: ClassicalProblem) -> ClassicalProblem:
-    """K with each class of atoms that are equal or complementary in every
-    reachable state replaced by one of its atoms.
-
-    An atom's normalized value in a state is its value there, negated
-    when the atom is true initially, so every atom starts out false.  A
-    partition of the atoms is stable when the members of each class have
-    the same signature: the set of (action, condition as (class,
-    normalized value) pairs, normalized effect value) over the rules that
-    set the atom, leaving out the rules whose condition holds a class at
-    both values.  On a stable partition, by induction over the steps of a
-    plan, the members of a class have one normalized value in every
-    reachable state: they do at the start, and in a state where they do,
-    a rule's condition depends only on the values of whole classes, so
-    the same normalized effects fire for every member of a class (a rule
-    left out never fires), and a member clashes exactly when the others
-    do.  So in every reachable state each member equals its class's
-    representative, the least-named member, or complements it when their
-    initial values differ.  The other members leave the fluents and the
-    init, and become the representative, or its negation, in the goal,
-    the preconditions and the conditions; their own rules go, as do the
-    rules whose condition becomes inconsistent, and rules that become
-    equal are one.  On every reachable state the same actions apply, the
-    kept atoms get the same values and raise the same
-    InconsistentResults, and the goal test is the same, so K and the
-    result have the same plans.  The argument holds for any rules, reset
-    effects and merge actions included.
-
-    The pass starts from the signatures under a single class, which tell
-    only whether a condition is empty or holds normalized values false or
-    true, and splits each class of two or more members by its members'
-    signatures until no class splits (Paige and Tarjan's coarsest stable
-    partition).  A split never separates two atoms that a stable
-    partition keeps together, so the partition found is the coarsest
-    stable one, and a second pass merges nothing.  K itself is returned
-    when no two atoms merge.
-    """
-    true0 = {l.fluent for l in K.init if l.positive}
-    # atom -> the key of the first partition: its signature under a single
-    # class, i.e. (action index, normalized effect value, 0 for an empty
-    # condition, else 1 plus the normalized value its literals share)
-    keys: Dict[str, Set[Tuple[int, bool, int]]] = {f: set()
-                                                   for f in K.fluents}
-    # atom -> (action index, the literal of a one-literal condition or a
-    # longer condition, normalized effect value) for each rule that sets it
-    # under a condition; the key holds the rest of the signature
-    setters: Dict[str, List[Tuple[int, object, bool]]] = {}
+    # per atom of (2): (action index, rule index, the literal of a
+    # one-literal condition or the condition, normalized effect value) for
+    # each firing rule that sets it, less the fixed literals; and its
+    # signature under a single class, the key of the first partition:
+    # (action index, normalized effect value, 0 for an empty condition,
+    # else 1 plus the normalized value its literals share)
+    setters: Dict[str, List[Tuple[int, int, object, bool]]] = {
+        f: [] for f in changing.union([l.fluent for l in K.goal
+                                       if l not in reached])}
+    keys: Dict[str, Set[Tuple[int, bool, int]]] = {f: set() for f in setters}
     for i, a in enumerate(K.actions):
-        for cond, (f, positive) in a.rules:
-            e = positive != (f in true0)
-            if not cond:
-                keys[f].add((i, e, 0))
-                continue
-            if len(cond) == 1:
-                (l,) = cond
-                keys[f].add((i, e, 1 + (l.positive != (l.fluent in true0))))
-                entry = (i, l, e)
-            else:
-                values = {b != (g in true0) for g, b in cond}
-                if len(values) == 1:
-                    keys[f].add((i, e, 1 + values.pop()))
-                entry = (i, cond, e)
-            if f in setters:
-                setters[f].append(entry)
-            else:
-                setters[f] = [entry]
-    classes: Dict[FrozenSet, List[str]] = {}
-    for f, key in keys.items():
-        classes.setdefault(frozenset(key), []).append(f)
+        if a.preconditions <= reached:
+            for j, (cond, L) in enumerate(a.rules):
+                if L in live and cond <= reached:
+                    cond = cond if cond.isdisjoint(fixed) else cond - fixed
+                    e = L.positive != (L.fluent in true0)
+                    values = {b != (g in true0) for g, b in cond}
+                    if len(values) < 2:
+                        keys[L.fluent].add((i, e, len(values) + any(values)))
+                    c = next(iter(cond)) if len(cond) == 1 else cond
+                    setters[L.fluent].append((i, j, c, e))
+
     # literal -> 2 * its atom's class + its normalized value
     code: Dict[Literal, int] = {}
 
@@ -537,12 +439,13 @@ def merge_atoms(K: ClassicalProblem) -> ClassicalProblem:
         code[Literal(f, True)] = 2 * k + (not t)
         code[Literal(f, False)] = 2 * k + t
 
-    unsplit = []  # the classes with two or more members
+    classes: Dict[FrozenSet, List[str]] = {}
+    for f, key in keys.items():
+        classes.setdefault(frozenset(key), []).append(f)
     for k, members in enumerate(classes.values()):
         for f in members:
             move(f, k)
-        if len(members) > 1:
-            unsplit.append(members)
+    unsplit = [members for members in classes.values() if len(members) > 1]
     # split each class by its members' signatures until a round splits
     # none; all parts of a split but the first get fresh classes at once
     get = code.__getitem__
@@ -555,8 +458,10 @@ def merge_atoms(K: ClassicalProblem) -> ClassicalProblem:
             parts: Dict[FrozenSet, List[str]] = {}
             for f in members:
                 sig = set()
-                for i, c, e in setters.get(f, ()):
+                for i, _, c, e in setters[f]:
                     if isinstance(c, frozenset):
+                        if not c:
+                            continue
                         c = frozenset(map(get, c))
                         if len({x >> 1 for x in c}) < len(c):
                             continue  # holds a class at both values
@@ -572,45 +477,60 @@ def merge_atoms(K: ClassicalProblem) -> ClassicalProblem:
                     next_class += 1
             refined += [part for part in parts.values() if len(part) > 1]
         unsplit = refined
-    if not unsplit:
-        return K
 
-    # each member but the representative -> the representative's literal
+    # the read closure, and per used action the indexes of its kept rules
+    read: Set[str] = set()
+    used: Dict[int, Set[int]] = {}
+    stack = [l.fluent for l in K.goal if l not in fixed]
+    while stack:
+        f = stack.pop()
+        if f in read:
+            continue
+        read.add(f)
+        for i, j, c, _ in setters[f]:
+            if isinstance(c, frozenset):
+                codes = set(map(get, c))
+                if len({x >> 1 for x in codes}) < len(codes):
+                    continue  # holds a class at both values
+                stack += [l.fluent for l in c]
+            else:
+                stack.append(c.fluent)
+            if i not in used:
+                used[i] = set()
+                stack += [l.fluent for l in K.actions[i].preconditions
+                          if l not in fixed]
+            used[i].add(j)
+
+    # each read member of a class but the least-named -> the literal of
+    # that representative
     sub: Dict[Literal, Literal] = {}
     for members in unsplit:
-        rep = min(members)
-        for f in members:
-            if f != rep:
-                flip = (f in true0) != (rep in true0)
-                sub[Literal(f, True)] = Literal(rep, not flip)
-                sub[Literal(f, False)] = Literal(rep, flip)
+        rep, *others = sorted(read.intersection(members)) or [None]
+        for f in others:
+            flip = (f in true0) != (rep in true0)
+            sub[Literal(f, True)] = Literal(rep, not flip)
+            sub[Literal(f, False)] = Literal(rep, flip)
     gone = frozenset(sub)
-    actions = list(K.actions)
-    for j, a in enumerate(actions):
-        rules = []
-        rewritten = False
-        for r in a.rules:
-            if r.effect in gone:
-                continue
-            if not r.condition.isdisjoint(gone):
-                rewritten = True
-                cond = frozenset([sub.get(l, l) for l in r.condition])
-                if len({f for f, _ in cond}) < len(cond):
-                    continue  # holds a class at both values: never fires
-                r = Rule(cond, r.effect)
-            rules.append(r)
-        pre = a.preconditions
-        if not pre.isdisjoint(gone):
-            pre = frozenset([sub.get(l, l) for l in pre])
-        elif not rewritten and len(rules) == len(a.rules):
-            continue
-        if rewritten:
-            rules = list(dict.fromkeys(rules))
-        actions[j] = Action(a.name, pre, tuple(rules), a.nondet_rules)
+
+    def rewrite(lits: FrozenSet[Literal]) -> FrozenSet[Literal]:
+        if not lits.isdisjoint(fixed):
+            lits = lits - fixed
+        if lits.isdisjoint(gone):
+            return lits
+        return frozenset([sub.get(l, l) for l in lits])
+
+    actions = []
+    for i, a in enumerate(K.actions):
+        if i in used:
+            rules = [Rule(rewrite(r.condition), r.effect)
+                     for r in map(a.rules.__getitem__, sorted(used[i]))
+                     if r.effect not in gone]
+            actions.append(a._replace(preconditions=rewrite(a.preconditions),
+                                      rules=tuple(dict.fromkeys(rules))))
     return ClassicalProblem(
-        K.fluents.difference([f for f, _ in gone]),
-        frozenset([l for l in K.init if l not in gone]), tuple(actions),
-        frozenset([sub.get(l, l) for l in K.goal]))
+        frozenset(read).difference([f for f, _ in gone]),
+        frozenset([l for l in K.init if l.fluent in read and l not in gone]),
+        tuple(actions), rewrite(K.goal))
 
 
 # --- CNF goal compilation -----------------------------------------------

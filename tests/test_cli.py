@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import importlib
 import json
 import os
 import re
@@ -173,7 +174,7 @@ def test_translate_drops_the_atoms_nothing_reads(tmp_path, capsys):
     emitted = kplan.pddl.load_classical(*texts)
     assert len(emitted.fluents) == 48
     assert sum(len(a.rules) for a in emitted.actions) == 800
-    # what ktm built, before the pruning and the merging
+    # what ktm built, before the simplification
     assert report["built"] == {"atoms": 1120, "conditional_effects": 2352}
 
 
@@ -184,8 +185,7 @@ def optimized_sizes(family, *params, scheme="ki:1"):
         kplan.pddl.load(*kplan.generators.generate(family, params)))
     ctx = kplan.build_context(problem)
     spec = kplan.spec_ki(ctx, 1) if scheme == "ki:1" else kplan.spec_ks0(ctx)
-    K = kplan.merge_atoms(kplan.prune(kplan.ktm(problem, spec, ctx,
-                                                optimized=True)))
+    K = kplan.simplify(kplan.ktm(problem, spec, ctx, optimized=True))
     return len(K.fluents), sum(len(a.rules) for a in K.actions)
 
 
@@ -210,6 +210,24 @@ def test_pruned_square_center_ks0_size_is_exact(n):
     # KL/t depends only on the values t gives the fluents relevant to L
     assert optimized_sizes("square-center", n, scheme="ks0") == \
         (2 * n * n + 4 * n, 8 * n * n + 10 * n - 12)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7])
+def test_translate_keeps_only_the_unreachable_goal_of_sortnet(tmp_path, capsys,
+                                                              n):
+    # under ki:1 the compiled goal atoms are relaxed-unreachable; they
+    # fall into one class, which no rule sets, and nothing else is read
+    dom, prob = gen_instance(tmp_path, "sortnet", n)
+    report_path = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, "translate", str(dom), str(prob),
+                           "--scheme", "ki:1", "--report", str(report_path))
+    assert code == 0
+    report = json.loads(report_path.read_text())
+    sizes = report["translation"]
+    assert (sizes["atoms"], sizes["conditional_effects"],
+            sizes["actions"]) == (1, 0, 0)
+    assert f"warning: {report['warning']}\n" in out
+    assert "completeness is not guaranteed" in report["warning"]
 
 
 # the instances of the benchmark's solve workload
@@ -457,6 +475,21 @@ def test_translate_rejects_a_bad_scheme_before_reading_files(
     assert f"'{scheme}'" in capsys.readouterr().err
 
 
+def test_a_ki_bound_is_read_without_leading_zeros(tmp_path, capsys):
+    dom, prob = gen_instance(tmp_path, "safe", 4)
+    capsys.readouterr()
+    runs = []
+    for scheme in ("ki:01", "ki:1"):
+        report_path = tmp_path / "report.json"
+        code, out, _ = run_cli(capsys, "translate", str(dom), str(prob),
+                               "--scheme", scheme,
+                               "--report", str(report_path))
+        assert code == 0
+        runs.append((out, strip_timings(json.loads(report_path.read_text()))))
+    assert runs[0] == runs[1]
+    assert runs[0][1]["scheme"] == "ki:1"
+
+
 BAD_VALUES = [("--caps", "CAPS", "1,2"), ("--caps", "CAPS", "-1,5,5"),
               ("--caps", "CAPS", "0,0,0"), ("--caps", "CAPS", "a,b,c"),
               ("--budget", "BUDGET", "x"), ("--budget", "BUDGET", "0"),
@@ -569,6 +602,27 @@ def test_the_readme_names_exactly_the_overrides_the_cli_reads():
     documented = set(re.findall(r"KPLAN_[A-Z][A-Z_]*", readme.read_text()))
     read = overrides_read(Path(cli.__file__).read_text())
     assert read and documented == read
+
+
+def test_the_readme_names_only_what_the_modules_define():
+    """Every backticked ``module.name`` in README.md whose first part (after
+    an optional ``kplan.``) is a kplan module names an attribute there."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    modules = {p.stem for p in Path(kplan.__file__).parent.glob("*.py")}
+    checked = []
+    for ref in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`",
+                          readme.read_text()):
+        parts = ref.split(".")
+        if parts[0] == "kplan":
+            parts = parts[1:]
+        if parts[0] not in modules:
+            continue
+        target = importlib.import_module("kplan." + parts[0])
+        for name in parts[1:]:
+            assert hasattr(target, name), ref
+            target = getattr(target, name)
+        checked.append(ref)
+    assert len(checked) >= 5
 
 
 def test_a_bad_environment_value_is_a_usage_error_in_a_process(tmp_path):

@@ -17,18 +17,16 @@ from kplan import (
     build_context,
     bfs_optimal,
     conformant_check,
-    drop_unread,
     generators,
     inject_reset_effects,
     ktm,
-    merge_atoms,
     neg,
     nondet_compile,
     pddl,
     pipeline_solve,
     pos,
-    prune,
     rule,
+    simplify,
     solve,
     spec_ki,
     spec_kmodels,
@@ -114,7 +112,7 @@ def test_optimized_build_is_deterministic(pickdrop):
     assert a == b
 
 
-# --- dropping the atoms nothing reads ---------------------------------------
+# --- the simplification pass: the atoms nothing reads ----------------------
 
 def read_atoms(K):
     """The atoms K reads, as a fixpoint: those of the goal and of every
@@ -140,35 +138,33 @@ def mentioned_atoms(K):
 
 
 def check_drop_unread(K):
-    dropped = drop_unread(K)
-    read = read_atoms(K)
-    assert mentioned_atoms(dropped) <= dropped.fluents
-    # every kept atom is read, and every atom K reads is kept
-    assert dropped.fluents == read == read_atoms(dropped)
-    assert dropped.init == {l for l in K.init if l.fluent in read}
-    assert dropped.goal == K.goal
-    assert [(a.name, a.preconditions) for a in dropped.actions] == \
-        [(a.name, a.preconditions) for a in K.actions]
-    assert [a.rules for a in dropped.actions] == \
-        [tuple(r for r in a.rules if r.effect.fluent in read)
-         for a in K.actions]
-    assert drop_unread(dropped) == dropped
+    """``simplify(K)`` keeps only atoms that it reads and that K reads,
+    with their init literals, and only actions with a rule, in K's order,
+    each rule once.  A second pass changes nothing."""
+    S = simplify(K)
+    assert mentioned_atoms(S) <= S.fluents
+    assert S.fluents == read_atoms(S) <= read_atoms(K)
+    assert S.init == {l for l in K.init if l.fluent in S.fluents}
+    kept = {a.name for a in S.actions}
+    assert [a.name for a in S.actions] == \
+        [a.name for a in K.actions if a.name in kept]
+    for a in S.actions:
+        assert a.rules and len(set(a.rules)) == len(a.rules), a.name
+    assert simplify(S) == S
+    return S
 
 
 SMALL_INSTANCES = [("safe", (4,)), ("bomb", (3, 3)), ("ring", (3,)),
                    ("square-center", (3,)), ("corners-square", (4,)),
                    ("sortnet", (3,)), ("disjtoy", (4,)), ("sgripper", (1,))]
-# (family, scheme) of the small instances on which ktm builds no unread atom
-NOTHING_UNREAD = {("square-center", "ki:1"), ("square-center", "kmodels"),
-                  ("square-center", "ks0"), ("corners-square", "ks0")}
 SPECS = {"ki:1": lambda ctx, every: spec_ki(ctx, 1, include_all=every),
          "kmodels": lambda ctx, every: spec_kmodels(ctx, include_all=every),
          "ks0": lambda ctx, every: spec_ks0(ctx, include_all=every)}
 
 
 def pipeline_encoding(problem, info, scheme, optimized=True):
-    """The classical problem the pipeline searches before dropping, with
-    the reset effects of oneof input."""
+    """The classical problem the pipeline simplifies, with the reset
+    effects of oneof input."""
     ctx = build_context(problem)
     spec = SPECS[scheme](ctx, bool(info.resets))
     K = ktm(problem, spec, ctx, optimized=optimized)
@@ -182,11 +178,7 @@ def pipeline_encoding(problem, info, scheme, optimized=True):
 def test_drop_unread_invariants_on_generated(family, params, scheme):
     problem, info = compiled_instance(family, params)
     K = pipeline_encoding(problem, info, scheme)
-    check_drop_unread(K)
-    if (family, scheme) in NOTHING_UNREAD:
-        assert drop_unread(K) == K
-    else:
-        assert len(drop_unread(K).fluents) < len(K.fluents)
+    assert len(check_drop_unread(K).fluents) < len(K.fluents)
 
 
 def test_drop_unread_invariants_on_random_suite():
@@ -198,23 +190,18 @@ def test_drop_unread_invariants_on_random_suite():
                                       optimized=optimized))
 
 
-def test_drop_unread_keeps_the_optimal_plans_on_random_suite():
-    """Dropping never changes whether a plan exists, nor its optimal
-    length, and the plans found stay conformant."""
-    found = 0
-    for problem in random_suite(505, 15, max_fluents=5, max_actions=4):
-        ctx = build_context(problem)
-        for spec in (spec_ki(ctx, 1), spec_kmodels(ctx)):
-            K = ktm(problem, spec, ctx, optimized=True)
-            plan = bfs_optimal(K, depth_cap=4, max_states=30_000)
-            dropped = bfs_optimal(drop_unread(K), depth_cap=4,
-                                  max_states=30_000)
-            assert (plan is None) == (dropped is None), problem
-            if plan is not None:
-                found += 1
-                assert dropped.stripped_length == plan.stripped_length
-                assert is_conformant(problem, dropped.stripped()), problem
-    assert found > 0
+def test_an_action_that_changes_no_read_atom_goes_with_its_preconditions():
+    # b reads p, which only a sets; b changes only q, which nothing
+    # reads, so b goes, then p, then a.  Were b's precondition read, a
+    # would stay in the first pass and go in the second.
+    K = ClassicalProblem(
+        frozenset("gpq"), frozenset(),
+        (action("a", [], [rule([], pos("p"))]),
+         action("b", [pos("p")], [rule([], pos("q"))]),
+         action("c", [], [rule([], pos("g"))])),
+        frozenset([pos("g")]))
+    assert check_drop_unread(K) == ClassicalProblem(
+        frozenset("g"), frozenset(), K.actions[2:], K.goal)
 
 
 @pytest.mark.parametrize("copies", [1, 2, 3])
@@ -224,7 +211,7 @@ def test_oneof_plans_stay_conformant_when_dropping_after_the_resets(copies):
         compiled, info = nondet_compile(problem, copies)
         for scheme in SPECS:
             check_drop_unread(pipeline_encoding(compiled, info, scheme))
-        result = solve(drop_unread(pipeline_encoding(compiled, info, "ki:1")))
+        result = solve(simplify(pipeline_encoding(compiled, info, "ki:1")))
         assert result.status is SolveStatus.SOLVED, name
         assert conformant_check(compiled, result.plan.stripped()).valid, name
         plan, report = pipeline_solve(problem,
@@ -234,17 +221,7 @@ def test_oneof_plans_stay_conformant_when_dropping_after_the_resets(copies):
         assert conformant_check(judged, plan.steps).valid, name
 
 
-def test_dropping_before_the_resets_would_lose_atoms_they_read():
-    compiled, info = nondet_compile(coin_problem(), 1)
-    ctx = build_context(compiled)
-    spec = spec_ks0(ctx, include_all=True)
-    K = ktm(compiled, spec, ctx, optimized=True)
-    early = inject_reset_effects(drop_unread(K), compiled, spec, info)
-    assert not mentioned_atoms(early) <= early.fluents
-    check_drop_unread(inject_reset_effects(K, compiled, spec, info))
-
-
-# --- pruning by relaxed reachability ----------------------------------------
+# --- the simplification pass: relaxed reachability --------------------------
 
 def reached_literals(K):
     """The literals relaxed reachability reaches, as a fixpoint: those of
@@ -266,28 +243,39 @@ def constant_atoms(K, reached):
 
 
 def reference_prune(K):
-    """``prune`` spelled out over ``reached_literals`` and
-    ``constant_atoms``: drop the unreached actions and rules, then the
-    constant atoms and the rules that set them, then the unread atoms."""
+    """What ``simplify`` keeps before it merges atoms, spelled out over
+    ``reached_literals`` and ``constant_atoms``: drop the unreached
+    actions and rules, then the constant atoms, whose reached literals
+    leave the goal, the preconditions and the conditions, and the rules
+    that set them; an unreached goal literal keeps its atom.  Then keep
+    the atoms read as a fixpoint: those of the goal, then the atoms of
+    the condition and of the action's preconditions of every rule that
+    sets a read atom; and keep the rules that set them, and the actions
+    with such a rule."""
     reached = reached_literals(K)
-    if not K.goal <= reached:
-        return drop_unread(K)
     constant = constant_atoms(K, reached)
-
-    def strip(lits):
-        return frozenset(l for l in lits if l.fluent not in constant)
-
-    actions = tuple(
-        a._replace(preconditions=strip(a.preconditions),
-                   rules=tuple({Rule(strip(r.condition), r.effect)
-                                for r in a.rules
-                                if r.condition <= reached
-                                and r.effect.fluent not in constant}))
-        for a in K.actions if a.preconditions <= reached)
-    return drop_unread(ClassicalProblem(
-        K.fluents - constant,
-        frozenset(l for l in K.init if l.fluent not in constant),
-        actions, strip(K.goal)))
+    fixed = {l for l in reached if l.fluent in constant}
+    actions = [a._replace(preconditions=a.preconditions - fixed,
+                          rules={Rule(r.condition - fixed, r.effect)
+                                 for r in a.rules if r.condition <= reached
+                                 and r.effect not in fixed})
+               for a in K.actions if a.preconditions <= reached]
+    goal = K.goal - fixed
+    # (the atom a rule sets, the atoms it reads when that atom is read)
+    reads = [(r.effect.fluent, {l.fluent for l in r.condition | a.preconditions})
+             for a in actions for r in a.rules]
+    read = {l.fluent for l in goal}
+    while True:
+        more = set().union(*[atoms for f, atoms in reads if f in read]) - read
+        if not more:
+            break
+        read |= more
+    actions = [a._replace(rules=tuple(r for r in a.rules
+                                      if r.effect.fluent in read))
+               for a in actions]
+    return ClassicalProblem(
+        frozenset(read), frozenset(l for l in K.init if l.fluent in read),
+        tuple(a for a in actions if a.rules), goal)
 
 
 def action_table(K):
@@ -295,29 +283,25 @@ def action_table(K):
 
 
 def check_prune(K):
-    pruned = prune(K)
-    reference = reference_prune(K)
-    assert mentioned_atoms(pruned) <= pruned.fluents
-    assert (pruned.fluents, pruned.init, pruned.goal) == \
-        (reference.fluents, reference.init, reference.goal)
-    assert action_table(pruned) == action_table(reference)
-    for a in pruned.actions:
-        assert len(set(a.rules)) == len(a.rules), a.name
-    # the kept actions keep their order
-    names = [a.name for a in K.actions]
-    assert [a.name for a in pruned.actions] == \
-        [n for n in names if n in action_table(pruned)]
-    assert pruned.fluents == read_atoms(pruned) <= read_atoms(K)
-    if K.goal <= reached_literals(K):
-        # nothing left is constant, or never fires
-        reached = reached_literals(pruned)
-        assert not constant_atoms(pruned, reached)
-        assert all(r.condition <= reached and a.preconditions <= reached
-                   for a in pruned.actions for r in a.rules)
-    else:
-        assert pruned == drop_unread(K)
-    assert prune(pruned) == pruned
-    return pruned
+    """``simplify(K)`` against ``reference_prune(K)``: simplifying the
+    reference's result gives the same problem, so the pass drops what the
+    reference drops.  What is left fires and changes, except the atoms of
+    the unreached goal literals, which no rule sets."""
+    S = check_drop_unread(K)
+    R = reference_prune(K)
+    T = simplify(R)
+    assert (T.fluents, T.init, T.goal) == (S.fluents, S.init, S.goal)
+    assert action_table(T) == action_table(S)
+    assert S.fluents <= R.fluents
+    reached = reached_literals(S)
+    assert all(r.condition <= reached and a.preconditions <= reached
+               for a in S.actions for r in a.rules)
+    unreached = {l.fluent for l in S.goal if l not in reached}
+    assert constant_atoms(S, reached) == unreached
+    assert not [r for a in S.actions for r in a.rules
+                if r.effect.fluent in unreached]
+    assert bool(unreached) == (not K.goal <= reached_literals(K))
+    return S
 
 
 @pytest.mark.parametrize("scheme", sorted(SPECS))
@@ -327,9 +311,7 @@ def check_prune(K):
 def test_prune_invariants_on_generated(family, params, scheme):
     problem, info = compiled_instance(family, params)
     for optimized in (False, True):
-        K = pipeline_encoding(problem, info, scheme, optimized)
-        pruned = check_prune(K)
-        assert len(pruned.fluents) <= len(drop_unread(K).fluents)
+        check_prune(pipeline_encoding(problem, info, scheme, optimized))
 
 
 def test_prune_invariants_on_random_suite():
@@ -391,8 +373,7 @@ def test_prune_on_a_small_problem():
          action("d", [], [rule([pos("x"), pos("c")], pos("g")),
                           rule([pos("x")], pos("g"))])),
         frozenset([pos("g"), pos("c")]))
-    pruned = check_prune(K)
-    assert pruned == ClassicalProblem(
+    assert check_prune(K) == ClassicalProblem(
         frozenset(["x", "g"]), frozenset(),
         (action("a", [], [rule([], pos("x"))]),
          action("d", [], [rule([pos("x")], pos("g"))])),
@@ -400,12 +381,17 @@ def test_prune_on_a_small_problem():
 
 
 def test_prune_leaves_an_unreachable_goal_to_the_planner():
+    # g is never reached: its atom stays, with no rule to set it, and the
+    # search ends at the root
     K = ClassicalProblem(
         frozenset(["p", "g", "q"]), frozenset(),
         (action("a", [], [rule([pos("p")], pos("g")), rule([], pos("q"))]),),
         frozenset([pos("g")]))
-    assert prune(K) == drop_unread(K)
-    assert solve(prune(K)).status is SolveStatus.UNSOLVABLE
+    assert check_prune(K) == ClassicalProblem(
+        frozenset(["g"]), frozenset(), (), frozenset([pos("g")]))
+    result = solve(simplify(K))
+    assert result.status is SolveStatus.UNSOLVABLE
+    assert (result.expanded, result.evaluated) == (0, 1)
 
 
 def step(s, a):
@@ -420,45 +406,63 @@ def clashes(add, atoms):
             & {f for f, positive in add if not positive} & atoms)
 
 
-@pytest.mark.parametrize("scheme", sorted(SPECS))
-@pytest.mark.parametrize("family,params", SMALL_INSTANCES,
-                         ids=["-".join(map(str, (f, *p)))
-                              for f, p in SMALL_INSTANCES])
-def test_prune_keeps_every_reachable_step(family, params, scheme):
-    """On every state reachable in K, the pruned problem applies the same
-    actions, gives its atoms the same values, raises on the same clashes
-    among its atoms, and tests the goal alike."""
-    problem, info = compiled_instance(family, params)
-    K = pipeline_encoding(problem, info, scheme)
-    pruned = prune(K)
-    kept = pruned.fluents
-    by_name = {a.name: a for a in pruned.actions}
+def check_steps(K, S, every_clash=False):
+    """Walk every state reachable in K and compare S there: S starts with
+    K's values of its atoms, tests the goal alike, applies the same
+    actions, gives its atoms the same values and raises on the same
+    clashes among them; an action that S drops changes none of its
+    atoms.  With ``every_clash``, S raises exactly when K does.  Returns
+    the states."""
+    kept = S.fluents
+    by_name = {a.name: a for a in S.actions}
     start = K.initial_state()
-    assert pruned.initial_state() == {l for l in start if l.fluent in kept}
+    assert S.initial_state() == {l for l in start if l.fluent in kept}
     seen, frontier = {start}, [start]
     while frontier:
         s = frontier.pop()
         p = frozenset(l for l in s if l.fluent in kept)
-        assert (K.goal <= s) == (pruned.goal <= p)
+        assert (K.goal <= s) == (S.goal <= p)
         for a in K.actions:
             b = by_name.get(a.name)
-            assert (a.preconditions <= s) == \
-                (b is not None and b.preconditions <= p)
-            if b is None or not b.preconditions <= p:
+            if not a.preconditions <= s:
+                assert b is None or not b.preconditions <= p
                 continue
-            add, pruned_add = step(s, a), step(p, b)
-            assert {l for l in add if l.fluent in kept} == pruned_add
-            assert clashes(add, kept) == clashes(pruned_add, kept)
+            add = step(s, a)
+            if b is None:
+                assert {l for l in add if l.fluent in kept} <= p
+                assert not clashes(add, kept)
+            else:
+                assert b.preconditions <= p
+                kept_add = step(p, b)
+                assert {l for l in add if l.fluent in kept} == kept_add
+                assert clashes(add, kept) == clashes(kept_add, kept)
+                if every_clash:
+                    # a clash on a dropped atom is one on its representative
+                    assert bool(clashes(add, K.fluents)) == \
+                        bool(clashes(kept_add, kept))
             if not clashes(add, K.fluents):
                 nxt = s.difference([l.negate() for l in add]) | add
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
-    assert len(seen) > 1
+    return seen
+
+
+@pytest.mark.parametrize("scheme", sorted(SPECS))
+@pytest.mark.parametrize("family,params", SMALL_INSTANCES,
+                         ids=["-".join(map(str, (f, *p)))
+                              for f, p in SMALL_INSTANCES])
+def test_prune_keeps_every_reachable_step(family, params, scheme):
+    """On every state reachable in K, the simplified problem applies the
+    same actions, gives its atoms the same values, raises on the same
+    clashes among its atoms, and tests the goal alike."""
+    problem, info = compiled_instance(family, params)
+    K = pipeline_encoding(problem, info, scheme)
+    assert len(check_steps(K, simplify(K))) > 1
 
 
 def test_prune_keeps_the_optimal_plans_on_random_suite():
-    """Pruning never changes whether a plan exists, nor its optimal
+    """Simplifying never changes whether a plan exists, nor its optimal
     length, and the plans found stay conformant."""
     found = 0
     for problem in random_suite(505, 15, max_fluents=5, max_actions=4):
@@ -467,21 +471,23 @@ def test_prune_keeps_the_optimal_plans_on_random_suite():
             for optimized in (False, True):
                 K = ktm(problem, spec, ctx, optimized=optimized)
                 plan = bfs_optimal(K, depth_cap=4, max_states=30_000)
-                pruned = bfs_optimal(prune(K), depth_cap=4,
-                                     max_states=30_000)
-                assert (plan is None) == (pruned is None), problem
+                simplified = bfs_optimal(simplify(K), depth_cap=4,
+                                         max_states=30_000)
+                assert (plan is None) == (simplified is None), problem
                 if plan is not None:
                     found += 1
-                    assert pruned.stripped_length == plan.stripped_length
-                    assert is_conformant(problem, pruned.stripped()), problem
+                    assert simplified.stripped_length == \
+                        plan.stripped_length
+                    assert is_conformant(problem, simplified.stripped()), \
+                        problem
     assert found > 0
 
 
 @pytest.mark.parametrize("copies", [1, 2])
 def test_pruning_runs_after_the_resets(copies):
-    """The reset effects make tagged atoms settable again: pruning before
-    them keeps a different problem, whose reset rules mention atoms it no
-    longer declares."""
+    """The reset effects read the plain KL atoms and make tagged atoms
+    settable again: simplifying before them keeps a different problem,
+    whose reset rules mention atoms it no longer declares."""
     sgripper = pddl.load(*generators.sgripper(2))
     for name, problem in (("coin", coin_problem()), ("sgripper-2", sgripper)):
         compiled, info = nondet_compile(problem, copies)
@@ -490,52 +496,27 @@ def test_pruning_runs_after_the_resets(copies):
             spec = SPECS[scheme](ctx, True)
             K = ktm(compiled, spec, ctx, optimized=True)
             late = check_prune(inject_reset_effects(K, compiled, spec, info))
-            early = inject_reset_effects(prune(K), compiled, spec, info)
+            early = inject_reset_effects(simplify(K), compiled, spec, info)
             assert early != late, (name, scheme)
             assert not mentioned_atoms(early) <= early.fluents, (name, scheme)
 
 
-# --- merging the atoms tied in every reachable state ------------------------
+# --- the simplification pass: merging the atoms tied in every reachable state
 
 def check_merge(K):
-    """``merge_atoms(K)`` against a walk of every state reachable in K: the
-    merged problem applies the same actions, gives its atoms the same
-    values, raises on the same clashes and tests the goal alike, and each
-    atom it drops equals or complements a lesser-named atom it keeps.
-    The pass is idempotent."""
-    merged = merge_atoms(K)
+    """``simplify(K)``, for a K that ``reference_prune`` leaves as it is,
+    against a walk of every state reachable in K: the result keeps every
+    action, applies the same actions, gives its atoms the same values,
+    raises on the same clashes and tests the goal alike, and each atom it
+    drops equals or complements a lesser-named atom it keeps."""
+    merged = check_drop_unread(K)
     kept = merged.fluents
-    assert kept <= K.fluents and mentioned_atoms(merged) <= kept
-    assert merge_atoms(merged) is merged
+    assert kept <= K.fluents
     assert [a.name for a in merged.actions] == [a.name for a in K.actions]
-    for a in merged.actions:
-        assert len(set(a.rules)) == len(a.rules), a.name
-    start = K.initial_state()
-    assert merged.initial_state() == {l for l in start if l.fluent in kept}
-    seen, frontier = {start}, [start]
-    while frontier:
-        s = frontier.pop()
-        p = frozenset(l for l in s if l.fluent in kept)
-        assert (K.goal <= s) == (merged.goal <= p)
-        for a, b in zip(K.actions, merged.actions):
-            assert (a.preconditions <= s) == (b.preconditions <= p)
-            if not a.preconditions <= s:
-                continue
-            add, merged_add = step(s, a), step(p, b)
-            assert {l for l in add if l.fluent in kept} == merged_add
-            assert clashes(add, kept) == clashes(merged_add, kept)
-            # a clash on a dropped atom is one on its representative
-            assert bool(clashes(add, K.fluents)) == \
-                bool(clashes(merged_add, kept))
-            if not clashes(add, K.fluents):
-                nxt = s.difference([l.negate() for l in add]) | add
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
+    states = list(check_steps(K, merged, every_clash=True))
     # each atom's value in every reachable state, negated when it starts
     # true: a dropped atom has the column of some kept atom named before it
-    states = list(seen)
-    start_true = {l.fluent for l in start if l.positive}
+    start_true = {l.fluent for l in K.init if l.positive}
 
     def column(f):
         return tuple((pos(f) in s) != (f in start_true) for s in states)
@@ -554,7 +535,7 @@ def check_merge(K):
                               for f, p in SMALL_INSTANCES])
 def test_merge_atoms_keeps_every_reachable_step(family, params, scheme):
     problem, info = compiled_instance(family, params)
-    check_merge(prune(pipeline_encoding(problem, info, scheme)))
+    check_merge(reference_prune(pipeline_encoding(problem, info, scheme)))
 
 
 def test_merge_atoms_keeps_every_reachable_step_on_random_suites():
@@ -565,7 +546,8 @@ def test_merge_atoms_keeps_every_reachable_step_on_random_suites():
         ctx = build_context(problem)
         for spec in (spec_ki(ctx, 1), spec_kmodels(ctx), spec_ks0(ctx)):
             for optimized in (False, True):
-                K = prune(ktm(problem, spec, ctx, optimized=optimized))
+                K = reference_prune(ktm(problem, spec, ctx,
+                                        optimized=optimized))
                 dropped += len(check_merge(K).fluents) < len(K.fluents)
     assert dropped > 0
 
@@ -579,9 +561,9 @@ def test_merge_atoms_keeps_the_optimal_plans_on_random_suites():
                                    reachable_goal=True)):
         ctx = build_context(problem)
         for spec in (spec_ki(ctx, 1), spec_kmodels(ctx)):
-            K = prune(ktm(problem, spec, ctx, optimized=True))
+            K = reference_prune(ktm(problem, spec, ctx, optimized=True))
             plan = bfs_optimal(K, depth_cap=4, max_states=30_000)
-            merged = bfs_optimal(merge_atoms(K), depth_cap=4,
+            merged = bfs_optimal(simplify(K), depth_cap=4,
                                  max_states=30_000)
             assert (plan is None) == (merged is None), problem
             if plan is not None:
@@ -594,13 +576,14 @@ def test_merge_atoms_keeps_the_optimal_plans_on_random_suites():
 def test_merge_atoms_on_a_small_problem():
     # x and y are equal, q is p's complement, m and n (and so u and v) are
     # set by one action under atoms that differ, and g and h have the same
-    # rules but start apart, so they are neither equal nor complementary
+    # rules but start apart, so they are neither equal nor complementary.
+    # The goal and check's precondition read every atom.
     K = ClassicalProblem(
-        frozenset("ghmnpqstuvxy"), frozenset([pos("g"), pos("p")]),
+        frozenset("ghmnpqstuvwxy"), frozenset([pos("g"), pos("p")]),
         (action("both", [], [rule([pos("x")], pos("h")),
                              rule([pos("y")], pos("h")),
                              rule([pos("x"), neg("y")], neg("h"))]),
-         action("check", [pos("q"), pos("y")]),
+         action("check", [pos("q"), pos("y")], [rule([], pos("w"))]),
          action("clear", [], [rule([], neg("g")), rule([], neg("h"))]),
          action("flip", [], [rule([], neg("p")), rule([], pos("q"))]),
          action("go1", [], [rule([pos("s")], pos("m")),
@@ -613,12 +596,15 @@ def test_merge_atoms_on_a_small_problem():
          action("set", [], [rule([], pos("x")), rule([], pos("y"))]),
          action("two", [], [rule([], pos("t"))]),
          action("unflip", [], [rule([], pos("p")), rule([], neg("q"))])),
-        frozenset([pos("q"), pos("u"), pos("y")]))
-    merged = check_merge(K)
-    assert merged == ClassicalProblem(
-        frozenset("ghmnpstuvx"), frozenset([pos("g"), pos("p")]),
+        frozenset([pos("g"), pos("h"), pos("p"), pos("u"), pos("v"),
+                   pos("w")]))
+    R = reference_prune(K)
+    assert (R.fluents, R.init, R.goal) == (K.fluents, K.init, K.goal)
+    assert action_table(R) == action_table(K)
+    assert check_merge(K) == ClassicalProblem(
+        frozenset("ghmnpstuvwx"), frozenset([pos("g"), pos("p")]),
         (action("both", [], [rule([pos("x")], pos("h"))]),
-         action("check", [neg("p"), pos("x")]),
+         action("check", [neg("p"), pos("x")], [rule([], pos("w"))]),
          *K.actions[2:3],
          action("flip", [], [rule([], neg("p"))]),
          *K.actions[4:8],
@@ -626,17 +612,17 @@ def test_merge_atoms_on_a_small_problem():
          action("set", [], [rule([], pos("x"))]),
          K.actions[10],
          action("unflip", [], [rule([], pos("p"))])),
-        frozenset([neg("p"), pos("u"), pos("x")]))
+        K.goal)
 
 
-def merged_digest():
-    """The merged encodings of ``SMALL_INSTANCES`` x ``SPECS``, as text in
-    the order the program keeps them."""
+def simplified_digest():
+    """The simplified encodings of ``SMALL_INSTANCES`` x ``SPECS``, as
+    text in the order the program keeps them."""
     out = []
     for family, params in SMALL_INSTANCES:
         problem, info = compiled_instance(family, params)
         for scheme in sorted(SPECS):
-            M = merge_atoms(prune(pipeline_encoding(problem, info, scheme)))
+            M = simplify(pipeline_encoding(problem, info, scheme))
             out.append([sorted(M.fluents), sorted(M.init),
                         [[a.name, sorted(a.preconditions),
                           [[sorted(r.condition), r.effect] for r in a.rules]]
@@ -648,8 +634,8 @@ def test_merge_atoms_is_the_same_under_other_hash_seeds():
     here = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(here.parent / "src"), str(here)]))
-    code = "import test_optimize; print(test_optimize.merged_digest())"
-    digest = merged_digest()
+    code = "import test_optimize; print(test_optimize.simplified_digest())"
+    digest = simplified_digest()
     for seed in ("0", "1"):
         env["PYTHONHASHSEED"] = seed
         run = subprocess.run([sys.executable, "-c", code], env=env,

@@ -99,6 +99,9 @@ def test_pipeline_cap_error_ends_one_stage_not_the_ladder():
         pipeline_solve(problem, PipelineConfig(model_cap=1))
     bounded, kmodels = exc.value.trace
     assert bounded["scheme"] == "ki:1" and bounded["status"] == "unsolvable"
+    # its compiled goal atoms are relaxed-unreachable, so the search
+    # evaluates the first state and stops
+    assert (bounded["expanded"], bounded["evaluated"]) == (0, 1)
     assert kmodels["status"] == "cap-exceeded"
     assert kmodels["error"].startswith("TooManyModels: ")
 
