@@ -55,7 +55,6 @@ from .analysis import (
     RelevanceGraph,
     build_context,
     c_i,
-    consistency_check,
     cover,
     mutex_set,
     relevance,

@@ -6,7 +6,7 @@ Covers four services used by the translations and the validators:
   rules' condition -> effect edges and their complements),
 * extraction of the uncertainty clauses relevant to a target literal,
 * covers / satisfaction / conformant width,
-* literal mutexes and the problem consistency check.
+* literal mutexes.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import itertools
 from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
                     Set, Tuple)
 
-from .errors import InconsistentInit, UnsupportedFeature, WidthSearchCap
+from .errors import UnsupportedFeature, WidthSearchCap
 from .model import Clause, ConformantProblem, Literal, neg, pos, sorted_lits
-from .pi import PICNF, prime_implicates
+from .pi import DEFAULT_PI_CLAUSE_CAP, PICNF, prime_implicates
 
 
 def all_literals(fluents: Iterable[str]) -> List[Literal]:
@@ -180,18 +180,16 @@ def target_literals(problem: ConformantProblem,
     return tuple(sorted(lits))
 
 
-def width(problem: ConformantProblem, pi: Optional[PICNF] = None,
-          cap: Optional[int] = None) -> int:
-    if pi is None:
-        pi = prime_implicates(problem.init, problem.fluents)
+def width(problem: ConformantProblem) -> int:
+    pi = prime_implicates(problem.init, problem.fluents)
     rel = relevance(problem)
     ci_clauses = c_i(pi)
-    widths = [width_of_literal(ci_clauses, L, rel, pi, cap)[0]
+    widths = [width_of_literal(ci_clauses, L, rel, pi)[0]
               for L in target_literals(problem)]
     return max(widths, default=0)
 
 
-# --- mutexes and consistency ------------------------------------------------
+# --- mutexes ---------------------------------------------------------------
 
 class MutexSet:
     """A symmetric set of mutex pairs of distinct literals, indexed by a
@@ -337,18 +335,6 @@ def mutex_set(problem: ConformantProblem, pi: Optional[PICNF] = None
                               for i, j in alive))
 
 
-def consistency_check(problem: ConformantProblem,
-                      pi: Optional[PICNF] = None) -> bool:
-    """True iff I is satisfiable and every complementary pair is mutex."""
-    try:
-        if pi is None:
-            pi = prime_implicates(problem.init, problem.fluents)
-    except InconsistentInit:
-        return False
-    mx = mutex_set(problem, pi)
-    return all(mx.mutex(pos(f), neg(f)) for f in problem.fluents)
-
-
 # --- bundled analysis context ----------------------------------------------
 
 class Context(NamedTuple):
@@ -365,10 +351,7 @@ class Context(NamedTuple):
 
 
 def build_context(problem: ConformantProblem,
-                  pi: Optional[PICNF] = None,
-                  pi_cap: Optional[int] = None) -> Context:
-    if pi is None:
-        kwargs = {} if pi_cap is None else {"cap": pi_cap}
-        pi = prime_implicates(problem.init, problem.fluents, **kwargs)
+                  pi_cap: int = DEFAULT_PI_CLAUSE_CAP) -> Context:
+    pi = prime_implicates(problem.init, problem.fluents, pi_cap)
     return Context(problem, pi, relevance(problem), c_i(pi),
                    mutex_set(problem, pi))

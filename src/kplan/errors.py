@@ -49,7 +49,7 @@ class UnsupportedFeature(KplanError):
 
 
 class GroundingBlowup(CapExceeded):
-    """Grounding would exceed the configured instance cap."""
+    """Grounding would exceed the fixed rule-instance cap (pddl.RULE_CAP)."""
 
 
 class UnknownAction(KplanError):

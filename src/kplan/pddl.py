@@ -33,7 +33,8 @@ from .model import (
     sorted_lits,
 )
 
-DEFAULT_RULE_CAP = 1_000_000
+# grounding stops with GroundingBlowup past this many rule instances
+RULE_CAP = 1_000_000
 
 
 # --- s-expressions -----------------------------------------------------------
@@ -186,8 +187,7 @@ class ProblemAst(NamedTuple):
 
 # --- parsing -----------------------------------------------------------------
 
-def _parse_typed_list(items: Sequence[SExpr], default_type: str = "object"
-                      ) -> Tuple[Tuple[str, str], ...]:
+def _parse_typed_list(items: Sequence[SExpr]) -> Tuple[Tuple[str, str], ...]:
     """Parse "a b - t c d - t2 e" into ((a,t),(b,t),(c,t2),(d,t2),(e,object))."""
     out: List[Tuple[str, str]] = []
     pending: List[str] = []
@@ -206,7 +206,7 @@ def _parse_typed_list(items: Sequence[SExpr], default_type: str = "object"
         else:
             pending.append(str(item))
             i += 1
-    out += [(name, default_type) for name in pending]
+    out += [(name, "object") for name in pending]
     return tuple(out)
 
 
@@ -437,19 +437,18 @@ def ground_atom_name(predicate: str, args: Sequence[str]) -> str:
 
 
 class _Grounder:
-    def __init__(self, domain: DomainAst, problem: ProblemAst, rule_cap: int):
+    def __init__(self, domain: DomainAst, problem: ProblemAst):
         self.domain = domain
         self.problem = problem
-        self.rule_cap = rule_cap
         self.rule_count = 0
         self.objects = _objects_by_type(domain, problem)
         self.fluents = self._fluent_universe()
 
     def _tick(self, n: int = 1):
         self.rule_count += n
-        if self.rule_count > self.rule_cap:
+        if self.rule_count > RULE_CAP:
             raise GroundingBlowup(
-                f"grounding exceeded {self.rule_cap} rule instances")
+                f"grounding exceeded {RULE_CAP} rule instances")
 
     def _fluent_universe(self) -> Set[str]:
         out: Set[str] = set()
@@ -574,20 +573,18 @@ class _Grounder:
         return lits, clauses
 
 
-def ground(domain: DomainAst, problem: ProblemAst,
-           rule_cap: int = DEFAULT_RULE_CAP) -> ConformantProblem:
-    g = _Grounder(domain, problem, rule_cap)
+def ground(domain: DomainAst, problem: ProblemAst) -> ConformantProblem:
+    g = _Grounder(domain, problem)
     actions = g.ground_actions()
     init = g.ground_init()
     goal, goal_clauses = g.ground_goal()
     return conformant_problem(g.fluents, init, actions, goal, goal_clauses)
 
 
-def load(domain_text: str, problem_text: str,
-         rule_cap: int = DEFAULT_RULE_CAP) -> ConformantProblem:
+def load(domain_text: str, problem_text: str) -> ConformantProblem:
     """Parse and ground a source problem.  Ground action names starting
     with ``MERGE_PREFIX`` are reserved for the actions a translation adds."""
-    problem = ground(*parse(domain_text, problem_text), rule_cap)
+    problem = ground(*parse(domain_text, problem_text))
     reserved = [a.name for a in problem.actions if is_merge(a.name)]
     if reserved:
         raise UnsupportedFeature(
@@ -610,17 +607,14 @@ def _emit_condition(cond: Iterable[Literal]) -> str:
         if lits else "(and)"
 
 
-def emit_classical(K: ClassicalProblem,
-                   domain_name: str = "kplan-classical",
-                   problem_name: str = "kplan-classical-1"
-                   ) -> Tuple[str, str]:
+def emit_classical(K: ClassicalProblem) -> Tuple[str, str]:
     """Serialize a translated problem as classical PDDL text.
 
     Every atom becomes a nullary predicate, so parsing and grounding the
     emission reproduces the problem exactly (see load_classical).
     """
     lines = [
-        f"(define (domain {domain_name})",
+        "(define (domain kplan-classical)",
         "  (:requirements :strips :negative-preconditions"
         " :conditional-effects)",
         "  (:predicates",
@@ -647,8 +641,8 @@ def emit_classical(K: ClassicalProblem,
     domain_text = "\n".join(lines) + "\n"
 
     plines = [
-        f"(define (problem {problem_name})",
-        f"  (:domain {domain_name})",
+        "(define (problem kplan-classical-1)",
+        "  (:domain kplan-classical)",
         "  (:init",
     ]
     for l in sorted_lits(K.init):

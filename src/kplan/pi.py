@@ -159,24 +159,6 @@ class PICNF:
         known = {l.fluent for l in self.units}
         return tuple(f for f in self.fluents if f not in known)
 
-    def entails_literal(self, t: Tag, L: Literal) -> bool:
-        """I, t |= L  iff  the clause (~t | L) is a tautology or subsumed."""
-        if L in t:
-            return True
-        target = frozenset(l.negate() for l in t) | {L}
-        if is_tautology(target):
-            return True
-        # subsumed by some clause of I containing one of target's literals
-        candidates = self._index.get(L, [])
-        if any(c <= target for c in candidates):
-            return True
-        for l in target:
-            if l is L:
-                continue
-            if any(c <= target for c in self._index.get(l, [])):
-                return True
-        return False
-
     def closure(self, t: Tag) -> FrozenSet[Literal]:
         """t* = all literals entailed by I together with t.
 
@@ -186,8 +168,8 @@ class PICNF:
         removed; if nothing is left of such a clause, or t is complementary,
         I u t is inconsistent and t* is every literal of the universe
         (the fluents and those t mentions).  Literals outside the universe
-        are left out.  ``entails_literal`` is the literal-by-literal
-        specification.
+        are left out.  ``reference_entails_literal`` in the tests is the
+        literal-by-literal specification.
         """
         t = frozenset(t)
         cached = self._closure_cache.get(t)
@@ -237,13 +219,13 @@ class PICNF:
         return enumerate_models(constraints, varset,
                                 [l for l in forced if l.fluent in varset], cap)
 
-    def merge_valid(self, m: Merge, cap: int = DEFAULT_MODEL_CAP) -> bool:
+    def merge_valid(self, m: Merge) -> bool:
         """Check I |= V_{t in m} t by model enumeration.
 
         Enumerates models of I restricted to the variables of the merge and
         every clause of I touching them (transitively), and requires each
-        model to satisfy some tag.  Exact at desk scale; the cap guards the
-        inherently hard general case.
+        model to satisfy some tag.  Exact at desk scale; the model cap
+        guards the inherently hard general case.
         """
         merge_vars = {l.fluent for t in m.tags for l in t}
         # close under I-neighborhood so that ignoring outside clauses is sound
@@ -256,7 +238,7 @@ class PICNF:
                 if cv & vars_closed and not cv <= vars_closed:
                     vars_closed |= cv
                     changed = True
-        for model in self.models(vars_closed, cap=cap):
+        for model in self.models(vars_closed):
             model_map = {l.fluent: l.positive for l in model}
             if not any(all(model_map.get(l.fluent, l.positive) == l.positive
                            for l in t) for t in m.tags):

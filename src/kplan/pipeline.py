@@ -103,9 +103,9 @@ def pipeline_solve(problem: ConformantProblem,
     for copies in copy_counts:
         if nondet:
             from .translate import nondet_compile
-            compiled, info = nondet_compile(base, copies)
+            compiled, resets = nondet_compile(base, copies)
         else:
-            compiled, info = base, None
+            compiled, resets = base, {}
         try:
             ctx = build_context(compiled, pi_cap=config.pi_cap)
         except CapExceeded as exc:
@@ -136,8 +136,8 @@ def pipeline_solve(problem: ConformantProblem,
                 continue
             K = ktm(compiled, spec, ctx, optimized=config.optimized)
             stage["built"] = encoding_size(K)
-            if info is not None:
-                K = inject_reset_effects(K, compiled, spec, info)
+            if resets:
+                K = inject_reset_effects(K, compiled, spec, resets)
             if config.optimized:
                 # after the resets, whose rules read the plain KL atoms
                 # and make tagged atoms settable again

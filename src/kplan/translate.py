@@ -465,6 +465,8 @@ def simplify(K: ClassicalProblem) -> ClassicalProblem:
                         c = frozenset(map(get, c))
                         if len({x >> 1 for x in c}) < len(c):
                             continue  # holds a class at both values
+                        if len(c) == 1:  # signs like a one-literal condition
+                            (c,) = c
                     else:
                         c = code[c]
                     sig.add((i, c, e))
@@ -561,35 +563,27 @@ def cnf_goal_compile(problem: ConformantProblem) -> ConformantProblem:
 
 # --- nondeterministic front-end -------------------------------------------
 
-class NondetInfo(NamedTuple):
-    """Reset bookkeeping: reset action name -> its copy's hidden fluents."""
-
-    resets: Tuple[Tuple[str, Tuple[str, ...]], ...] = ()
-    copies: int = 1
-
-    def reset_map(self) -> Dict[str, Tuple[str, ...]]:
-        return dict(self.resets)
-
-
-def nondet_compile(problem: ConformantProblem,
-                   copies: int = 1) -> Tuple[ConformantProblem, NondetInfo]:
+def nondet_compile(problem: ConformantProblem, copies: int = 1
+                   ) -> Tuple[ConformantProblem, Dict[str, Tuple[str, ...]]]:
     """Determinize oneof effects with hidden outcome-selector fluents.
 
     Each nondeterministic action yields ``copies`` single-use deterministic
     copies: copy k resolves every oneof through fresh hidden fluents
     constrained by a oneof clause in I, is gated by an ``enabled`` fluent it
-    consumes, and gets a reset action that re-enables it.  The reset's
+    consumes, and gets a reset action that re-enables it.  Returns the
+    compiled problem and the map from each reset action's name to its
+    copy's hidden fluents (empty for deterministic input).  The reset's
     knowledge-erasing conditional effects live at the classical level and
     are injected after translation (see inject_reset_effects).
     """
     if copies < 1:
         raise ValueError("copies must be >= 1")
     if problem.deterministic:
-        return problem, NondetInfo((), copies)
+        return problem, {}
     fluents = set(problem.fluents)
     init = list(problem.init)
     actions: List[Action] = []
-    resets: List[Tuple[str, Tuple[str, ...]]] = []
+    resets: Dict[str, Tuple[str, ...]] = {}
     for a in sorted(problem.actions, key=lambda x: x.name):
         if a.deterministic:
             actions.append(a)
@@ -618,26 +612,26 @@ def nondet_compile(problem: ConformantProblem,
             reset_name = f"reset-{name}"
             actions.append(Action(reset_name, frozenset(),
                                   (Rule(frozenset(), pos(enabler)),)))
-            resets.append((reset_name, tuple(hidden_all)))
+            resets[reset_name] = tuple(hidden_all)
     compiled = conformant_problem(fluents, init, actions, problem.goal,
                                   problem.goal_clauses)
-    return compiled, NondetInfo(tuple(resets), copies)
+    return compiled, resets
 
 
 def inject_reset_effects(K: ClassicalProblem, compiled: ConformantProblem,
                          spec: TranslationSpec,
-                         info: NondetInfo) -> ClassicalProblem:
+                         resets: Dict[str, Tuple[str, ...]]
+                         ) -> ClassicalProblem:
     """Add the knowledge-erasing effects to each reset action: for every
     tag t mentioning the copy's hidden fluents and every literal L,
     KL -> KL/t and ~KL -> ~KL/t (assumption-dependent knowledge is reset
     to the unconditional knowledge)."""
-    reset_map = info.reset_map()
-    if not reset_map:
+    if not resets:
         return K
     lits = analysis.all_literals(compiled.fluents)
     new_actions = []
     for a in K.actions:
-        hidden = reset_map.get(a.name)
+        hidden = resets.get(a.name)
         if hidden is None:
             new_actions.append(a)
             continue

@@ -33,7 +33,7 @@ from .model import (
     sorted_lits,
     state_satisfies,
 )
-from .pi import DEFAULT_STATE_CAP, PICNF, Tag, enumerate_models, prime_implicates
+from .pi import DEFAULT_STATE_CAP, Tag, enumerate_models, prime_implicates
 from .translate import TranslationSpec
 
 
@@ -121,14 +121,13 @@ def zero_approx_step(state: ThreeValuedState, action) -> ThreeValuedState:
     return ThreeValuedState(frozenset(l for l in nxt if l.negate() not in nxt))
 
 
-def zero_approx_run(problem: ConformantProblem, steps: Iterable[str],
-                    pi: Optional[PICNF] = None) -> Verdict:
+def zero_approx_run(problem: ConformantProblem,
+                    steps: Iterable[str]) -> Verdict:
     """Validate a plan under the weak semantics: start from the literals
     entailed by I, require preconditions known at every step, and require
     all goal literals, and a literal of every goal clause, known at the
     end."""
-    if pi is None:
-        pi = prime_implicates(problem.init, problem.fluents)
+    pi = prime_implicates(problem.init, problem.fluents)
     state = ThreeValuedState(frozenset(
         l for l in pi.closure(frozenset()) if l.fluent in problem.fluents))
     for idx, name in enumerate(tuple(steps)):
@@ -155,15 +154,15 @@ def zero_approx_run(problem: ConformantProblem, steps: Iterable[str],
 
 # --- exact belief-space search ----------------------------------------------
 
-def belief_bfs(problem: ConformantProblem, depth_cap: int = 10,
-               cap: Optional[int] = DEFAULT_STATE_CAP) -> Optional[Plan]:
+def belief_bfs(problem: ConformantProblem,
+               depth_cap: int = 10) -> Optional[Plan]:
     """Shortest conformant plan by breadth-first search over belief states
     (sets of possible states), or None within the depth cap.
 
     An action is applicable in a belief state iff its preconditions hold
     in every member state; it progresses every member in parallel.
     """
-    states = initial_states(problem, cap)
+    states = initial_states(problem)
     if not states:
         return None
     actions = sorted((a for a in problem.actions), key=lambda a: a.name)

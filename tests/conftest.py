@@ -35,7 +35,8 @@ from kplan.analysis import (Context, all_literals, build_context, cover,
 from kplan.errors import (CapExceeded, InvalidSpec, TooManyInitialStates,
                           UnsupportedFeature)
 from kplan.model import (Action, ClassicalProblem, Clause, NondetRule,
-                         Rule, State, lits_consistent, sorted_lits)
+                         Rule, State, is_tautology, lits_consistent,
+                         sorted_lits)
 from kplan.pi import EMPTY_TAG, Tag, prime_implicates
 from kplan.planner import INF, SolveResult, SolveStatus
 from kplan.translate import (
@@ -305,6 +306,16 @@ def reference_relevance(problem: ConformantProblem,
                 reach[L] = new
                 changed = True
     return analysis.RelevanceGraph({l: frozenset(s) for l, s in reach.items()})
+
+
+def reference_entails_literal(pi, t: Tag, L: Literal) -> bool:
+    """I, t |= L for I in prime-implicate form: L is in t, or the clause
+    ~t | L is a tautology or contains a prime implicate of I.  The
+    literal-by-literal specification of ``PICNF.closure``."""
+    if L in t:
+        return True
+    target = frozenset(l.negate() for l in t) | {L}
+    return is_tautology(target) or any(c <= target for c in pi.clauses)
 
 
 def reference_cover(C: Iterable[Clause], pi) -> Tuple[FrozenSet[Literal], ...]:

@@ -1,4 +1,4 @@
-"""Relevance, relevant clauses, covers, width, mutexes, consistency."""
+"""Relevance, relevant clauses, covers, width, mutexes, contexts."""
 
 import itertools
 
@@ -7,7 +7,6 @@ import pytest
 from kplan import (
     build_context,
     c_i,
-    consistency_check,
     cover,
     mutex_set,
     neg,
@@ -20,7 +19,7 @@ from kplan import (
     width_of_literal,
 )
 from kplan.analysis import all_literals, target_literals
-from kplan.errors import WidthSearchCap
+from kplan.errors import InconsistentInit, WidthSearchCap
 from kplan.model import action, conformant_problem, rule
 
 from conftest import (
@@ -146,7 +145,6 @@ def test_mutex_complementary_pairs(tiny):
     mx = mutex_set(tiny)
     for f in tiny.fluents:
         assert mx.mutex(pos(f), neg(f))
-    assert consistency_check(tiny)
 
 
 def test_mutex_soundness_on_random_suite():
@@ -217,10 +215,11 @@ def test_mutex_set_matches_reference_on_nondet_copies():
             compiled_instance("sgripper", (2,), copies)[0])
 
 
-def test_consistency_check_rejects_unsat_init():
+def test_build_context_rejects_unsat_init():
     problem = conformant_problem(
         ["p"], [[pos("p")], [neg("p")]], [action("a")], [pos("p")])
-    assert not consistency_check(problem)
+    with pytest.raises(InconsistentInit):
+        build_context(problem)
 
 
 def test_ci_of_fully_known_init_is_empty():

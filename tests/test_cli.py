@@ -16,7 +16,7 @@ import kplan
 
 from kplan import cli
 from kplan.cli import main
-from kplan.errors import NoPlanFound, WidthSearchCap
+from kplan.errors import GroundingBlowup, NoPlanFound, WidthSearchCap
 
 
 def run_cli(capsys, *argv):
@@ -543,6 +543,23 @@ def test_each_subcommand_takes_only_the_options_its_handler_reads():
             for name, sub in subparsers.choices.items()} == OPTION_DESTS
 
 
+def test_the_readme_flag_table_is_the_parser():
+    """Each row of README's subcommand table lists exactly the option
+    strings of that subcommand's parser, less -h/--help."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = {
+        name: set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*",
+                             " ".join(re.findall(r"`([^`]*)`", flags))))
+        for name, flags in re.findall(r"^\| `(\w+)[^`]*` \| (.*) \|$",
+                                      readme, re.M)}
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert documented == {
+        name: {s for a in sub._actions for s in a.option_strings}
+        - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()}
+
+
 NOT_READ = ["--opt", "--no-opt", "--budget=10", "--strengthened-mutex",
             "--nondet-copies=2", "--export-pddl=out"]
 DROPPED = ([("validate", flag) for flag in NOT_READ]
@@ -655,6 +672,22 @@ def test_an_error_exit_writes_a_report(tmp_path, capsys):
     report = json.loads(report_path.read_text())
     assert report["command"] == "translate"
     assert report["error"].startswith("PiBlowup: ")
+
+
+def test_grounding_past_the_rule_cap_exits_2_with_a_report(tmp_path, capsys,
+                                                           monkeypatch):
+    dom, prob = gen_instance(tmp_path, "safe", 6)
+    monkeypatch.setattr(kplan.pddl, "RULE_CAP", 10)
+    message = "grounding exceeded 10 rule instances"
+    with pytest.raises(GroundingBlowup) as raised:
+        kplan.pddl.load(dom.read_text(), prob.read_text())
+    assert str(raised.value) == message
+    report_path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "solve", str(dom), str(prob),
+                             "--report", str(report_path))
+    assert code == 2 and err == f"error: {message}\n"
+    assert json.loads(report_path.read_text()) == {
+        "command": "solve", "error": f"GroundingBlowup: {message}"}
 
 
 def test_a_problem_for_another_domain_exits_2_with_a_report(tmp_path,

@@ -1,4 +1,5 @@
-"""Every name kplan defines is used, and every record field is read.
+"""Every name kplan defines is used, every record field is read, and every
+parameter default is overridden by some call.
 
 The repository has no linter; this parses each module of the package
 and fails on a module-level function, class or constant, or a method,
@@ -9,6 +10,13 @@ as a name, an attribute, an imported name or a string that is exactly
 the name (``getattr``, ``monkeypatch.setattr``).  Dunder names are
 exempt.  The scan goes by name alone, so a name used for one thing
 counts as used for every thing it names.
+
+A second scan fails on a parameter with a default, of a function or a
+method, that no call in those directories sets, by keyword or by
+position: the default is then the only value it takes.  A call matches
+every definition of its name; a call to a class is a call to its
+``__init__``.  An argument unpacked with ``*`` sets every positional
+parameter from its place on, and one unpacked with ``**`` sets all.
 """
 
 import ast
@@ -128,3 +136,92 @@ def test_the_scan_finds_dead_names_and_unread_fields():
 def test_every_definition_is_used_and_every_field_read():
     assert dead([(p.stem, p.read_text()) for p in PACKAGE],
                 [p.read_text() for p in SCANNED]) == ([], [])
+
+
+def defaulted_parameters(source: str):
+    """(qualified name, name, positional parameters, defaulted parameter)
+    for each parameter with a default of each function and method the
+    source defines; a method's positional parameters leave out ``self``
+    or ``cls``, which the call does not pass."""
+    out = []
+
+    def visit(body, prefix: str, in_class: bool):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                positional = [x.arg for x in a.posonlyargs + a.args]
+                static = any(getattr(d, "id", "") == "staticmethod"
+                             for d in node.decorator_list)
+                bound = positional[1:] if in_class and not static \
+                    else positional
+                defaulted = positional[len(positional) - len(a.defaults):] \
+                    if a.defaults else []
+                defaulted += [k.arg for k, d in zip(a.kwonlyargs,
+                                                    a.kw_defaults)
+                              if d is not None]
+                out.extend((prefix + node.name, node.name, bound, p)
+                           for p in defaulted)
+            elif isinstance(node, ast.ClassDef):
+                visit(node.body, prefix + node.name + ".", True)
+
+    visit(ast.parse(source).body, "", False)
+    return out
+
+
+def _sets(call: ast.Call, positional, parameter: str) -> bool:
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            if parameter in positional[i:]:
+                return True
+            break
+        if i < len(positional) and positional[i] == parameter:
+            return True
+    return any(k.arg in (None, parameter) for k in call.keywords)
+
+
+def dead_parameters(package, scanned):
+    """The defaulted parameters, as ``module.function(parameter)``, of the
+    package's (module, source) pairs that no call in the scanned sources
+    sets."""
+    calls = {}
+    for source in scanned:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or \
+                    getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    dead = []
+    for module, source in package:
+        for qualified, name, positional, parameter in \
+                defaulted_parameters(source):
+            callers = calls.get(name, [])
+            if name == "__init__":
+                callers = callers + calls.get(qualified.split(".")[-2], [])
+            if not any(_sets(c, positional, parameter) for c in callers):
+                dead.append(f"{module}.{qualified}({parameter})")
+    return dead
+
+
+def test_the_scan_finds_parameters_no_call_sets():
+    package = ("class C:\n"
+               "    def __init__(self, a, b=1):\n"
+               "        pass\n"
+               "    def m(self, x, y=2, *, z=3):\n"
+               "        pass\n"
+               "def f(p, q=0, r=0, s=0):\n"
+               "    pass\n"
+               "def g(u=0):\n"
+               "    pass\n")
+    caller = ("C(1, 2).m(0, z=4)\n"
+              "f(1, 2)\n"
+              "f(*args)\n"
+              "g(**options)\n")
+    assert dead_parameters([("m", package)], [caller]) == ["m.C.m(y)"]
+    caller = "C(1).m(0, 1)\nf(p=1, s=2)\n"
+    assert dead_parameters([("m", package)], [caller]) == [
+        "m.C.__init__(b)", "m.C.m(z)", "m.f(q)", "m.f(r)", "m.g(u)"]
+
+
+def test_every_parameter_with_a_default_is_set_by_some_call():
+    assert dead_parameters([(p.stem, p.read_text()) for p in PACKAGE],
+                           [p.read_text() for p in SCANNED]) == []

@@ -228,13 +228,13 @@ def built_objects(family, params, spec_of):
     prime-implicate closure cache."""
     texts = generators.generate(family, params)
     problem = pddl.load(*texts)
-    compiled, info = nondet_compile(cnf_goal_compile(problem), 1)
+    compiled, resets = nondet_compile(cnf_goal_compile(problem), 1)
     ctx = build_context(compiled)
     spec = spec_of(ctx)
     K = ktm(compiled, spec, ctx)
     if not problem.deterministic:
-        K = inject_reset_effects(K, compiled, spec, info)
-    return [pddl.parse(*texts), problem, compiled, info, ctx, spec, K,
+        K = inject_reset_effects(K, compiled, spec, resets)
+    return [pddl.parse(*texts), problem, compiled, resets, ctx, spec, K,
             Grounded(K), build_basis(compiled, spec, ctx)]
 
 

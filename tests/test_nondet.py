@@ -22,14 +22,13 @@ from conftest import coin_problem
 
 
 def test_nondet_compile_shape():
-    compiled, info = nondet_compile(coin_problem(), copies=2)
+    compiled, resets = nondet_compile(coin_problem(), copies=2)
     assert compiled.deterministic
     names = {a.name for a in compiled.actions}
     assert {"flip-c1", "flip-c2", "reset-flip-c1", "reset-flip-c2",
             "look"} <= names
-    assert info.copies == 2
-    assert set(info.reset_map()) == {"reset-flip-c1", "reset-flip-c2"}
-    hidden = info.reset_map()["reset-flip-c1"]
+    assert set(resets) == {"reset-flip-c1", "reset-flip-c2"}
+    hidden = resets["reset-flip-c1"]
     assert len(hidden) == 2 and all(h.startswith("h-flip-c1") for h in hidden)
     # each copy is gated by a consumed enabler
     c1 = compiled.action_by_name("flip-c1")
@@ -40,8 +39,8 @@ def test_nondet_compile_shape():
 
 
 def test_nondet_compile_noop_on_deterministic_input(tiny):
-    compiled, info = nondet_compile(tiny, copies=3)
-    assert compiled is tiny and info.resets == ()
+    compiled, resets = nondet_compile(tiny, copies=3)
+    assert compiled is tiny and resets == {}
     with pytest.raises(ValueError):
         nondet_compile(coin_problem(), copies=0)
 
@@ -57,13 +56,13 @@ def test_determinization_covers_every_outcome():
 
 
 def test_reset_erases_assumption_knowledge_but_not_selector_facts():
-    compiled, info = nondet_compile(coin_problem(), copies=1)
+    compiled, resets = nondet_compile(coin_problem(), copies=1)
     ctx = build_context(compiled)
     spec = spec_ki(ctx, 1, include_all=True)
     K = inject_reset_effects(ktm(compiled, spec, ctx),
-                             compiled, spec, info)
+                             compiled, spec, resets)
     reset = K.action_by_name("reset-flip-c1")
-    hidden = set(info.reset_map()["reset-flip-c1"])
+    hidden = set(resets["reset-flip-c1"])
     hidden_tags = [t for t in spec.tags
                    if any(l.fluent in hidden for l in t)]
     assert hidden_tags, "expected tags over the hidden selectors"

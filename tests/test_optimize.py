@@ -162,13 +162,13 @@ SPECS = {"ki:1": lambda ctx, every: spec_ki(ctx, 1, include_all=every),
          "ks0": lambda ctx, every: spec_ks0(ctx, include_all=every)}
 
 
-def pipeline_encoding(problem, info, scheme, optimized=True):
+def pipeline_encoding(problem, resets, scheme, optimized=True):
     """The classical problem the pipeline simplifies, with the reset
     effects of oneof input."""
     ctx = build_context(problem)
-    spec = SPECS[scheme](ctx, bool(info.resets))
+    spec = SPECS[scheme](ctx, bool(resets))
     K = ktm(problem, spec, ctx, optimized=optimized)
-    return inject_reset_effects(K, problem, spec, info)
+    return inject_reset_effects(K, problem, spec, resets)
 
 
 @pytest.mark.parametrize("scheme", sorted(SPECS))
@@ -176,8 +176,8 @@ def pipeline_encoding(problem, info, scheme, optimized=True):
                          ids=["-".join(map(str, (f, *p)))
                               for f, p in SMALL_INSTANCES])
 def test_drop_unread_invariants_on_generated(family, params, scheme):
-    problem, info = compiled_instance(family, params)
-    K = pipeline_encoding(problem, info, scheme)
+    problem, resets = compiled_instance(family, params)
+    K = pipeline_encoding(problem, resets, scheme)
     assert len(check_drop_unread(K).fluents) < len(K.fluents)
 
 
@@ -208,10 +208,10 @@ def test_an_action_that_changes_no_read_atom_goes_with_its_preconditions():
 def test_oneof_plans_stay_conformant_when_dropping_after_the_resets(copies):
     sgripper = pddl.load(*generators.sgripper(2))
     for name, problem in (("coin", coin_problem()), ("sgripper-2", sgripper)):
-        compiled, info = nondet_compile(problem, copies)
+        compiled, resets = nondet_compile(problem, copies)
         for scheme in SPECS:
-            check_drop_unread(pipeline_encoding(compiled, info, scheme))
-        result = solve(simplify(pipeline_encoding(compiled, info, "ki:1")))
+            check_drop_unread(pipeline_encoding(compiled, resets, scheme))
+        result = solve(simplify(pipeline_encoding(compiled, resets, "ki:1")))
         assert result.status is SolveStatus.SOLVED, name
         assert conformant_check(compiled, result.plan.stripped()).valid, name
         plan, report = pipeline_solve(problem,
@@ -309,9 +309,9 @@ def check_prune(K):
                          ids=["-".join(map(str, (f, *p)))
                               for f, p in SMALL_INSTANCES])
 def test_prune_invariants_on_generated(family, params, scheme):
-    problem, info = compiled_instance(family, params)
+    problem, resets = compiled_instance(family, params)
     for optimized in (False, True):
-        check_prune(pipeline_encoding(problem, info, scheme, optimized))
+        check_prune(pipeline_encoding(problem, resets, scheme, optimized))
 
 
 def test_prune_invariants_on_random_suite():
@@ -456,8 +456,8 @@ def test_prune_keeps_every_reachable_step(family, params, scheme):
     """On every state reachable in K, the simplified problem applies the
     same actions, gives its atoms the same values, raises on the same
     clashes among its atoms, and tests the goal alike."""
-    problem, info = compiled_instance(family, params)
-    K = pipeline_encoding(problem, info, scheme)
+    problem, resets = compiled_instance(family, params)
+    K = pipeline_encoding(problem, resets, scheme)
     assert len(check_steps(K, simplify(K))) > 1
 
 
@@ -490,13 +490,13 @@ def test_pruning_runs_after_the_resets(copies):
     whose reset rules mention atoms it no longer declares."""
     sgripper = pddl.load(*generators.sgripper(2))
     for name, problem in (("coin", coin_problem()), ("sgripper-2", sgripper)):
-        compiled, info = nondet_compile(problem, copies)
+        compiled, resets = nondet_compile(problem, copies)
         ctx = build_context(compiled)
         for scheme in SPECS:
             spec = SPECS[scheme](ctx, True)
             K = ktm(compiled, spec, ctx, optimized=True)
-            late = check_prune(inject_reset_effects(K, compiled, spec, info))
-            early = inject_reset_effects(simplify(K), compiled, spec, info)
+            late = check_prune(inject_reset_effects(K, compiled, spec, resets))
+            early = inject_reset_effects(simplify(K), compiled, spec, resets)
             assert early != late, (name, scheme)
             assert not mentioned_atoms(early) <= early.fluents, (name, scheme)
 
@@ -534,8 +534,8 @@ def check_merge(K):
                          ids=["-".join(map(str, (f, *p)))
                               for f, p in SMALL_INSTANCES])
 def test_merge_atoms_keeps_every_reachable_step(family, params, scheme):
-    problem, info = compiled_instance(family, params)
-    check_merge(reference_prune(pipeline_encoding(problem, info, scheme)))
+    problem, resets = compiled_instance(family, params)
+    check_merge(reference_prune(pipeline_encoding(problem, resets, scheme)))
 
 
 def test_merge_atoms_keeps_every_reachable_step_on_random_suites():
@@ -615,14 +615,30 @@ def test_merge_atoms_on_a_small_problem():
         K.goal)
 
 
+# (seed, index in random_suite(seed, 40), scheme, optimized) where a
+# setter whose condition holds two literals of one class at one value
+# once signed unlike a one-literal setter, so a second pass merged more
+SECOND_PASS_CASES = [(4, 20, "ks0", False), (18, 26, "ki:1", True),
+                     (18, 26, "ki:1", False), (24, 12, "ki:1", False)]
+
+
+@pytest.mark.parametrize("seed,index,scheme,optimized", SECOND_PASS_CASES)
+def test_a_second_pass_changes_nothing(seed, index, scheme, optimized):
+    problem = random_suite(seed, 40)[index]
+    ctx = build_context(problem)
+    S = simplify(ktm(problem, SPECS[scheme](ctx, False), ctx,
+                     optimized=optimized))
+    assert simplify(S) == S
+
+
 def simplified_digest():
     """The simplified encodings of ``SMALL_INSTANCES`` x ``SPECS``, as
     text in the order the program keeps them."""
     out = []
     for family, params in SMALL_INSTANCES:
-        problem, info = compiled_instance(family, params)
+        problem, resets = compiled_instance(family, params)
         for scheme in sorted(SPECS):
-            M = simplify(pipeline_encoding(problem, info, scheme))
+            M = simplify(pipeline_encoding(problem, resets, scheme))
             out.append([sorted(M.fluents), sorted(M.init),
                         [[a.name, sorted(a.preconditions),
                           [[sorted(r.condition), r.effect] for r in a.rules]]

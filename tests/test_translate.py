@@ -234,14 +234,14 @@ SPECS = {
 }
 
 
-def _check_against_reference(problem, spec, ctx, info=None):
+def _check_against_reference(problem, spec, ctx, resets=None):
     for optimized in (True, False):
         got = ktm(problem, spec, ctx, optimized=optimized)
         want = reference_ktm(problem, spec, ctx, optimized=optimized,
                              validate=False)
-        if info is not None:
-            got = inject_reset_effects(got, problem, spec, info)
-            want = inject_reset_effects(want, problem, spec, info)
+        if resets is not None:
+            got = inject_reset_effects(got, problem, spec, resets)
+            want = inject_reset_effects(want, problem, spec, resets)
         assert got == want, (spec.scheme, optimized)
         assert pddl.emit_classical(got) == pddl.emit_classical(want)
 
@@ -278,20 +278,20 @@ BENCH_TRANSLATIONS = (
     "family,params,scheme", BENCH_TRANSLATIONS,
     ids=["-".join(map(str, (f, *p, s))) for f, p, s in BENCH_TRANSLATIONS])
 def test_ktm_matches_reference_on_benchmark_instances(family, params, scheme):
-    problem, info = compiled_instance(family, params)
+    problem, resets = compiled_instance(family, params)
     ctx = build_context(problem)
     # the pipeline targets every literal on oneof input
-    spec = SPECS[scheme](ctx, bool(info.resets))
-    _check_against_reference(problem, spec, ctx, info)
+    spec = SPECS[scheme](ctx, bool(resets))
+    _check_against_reference(problem, spec, ctx, resets)
 
 
 def test_ktm_matches_reference_on_nondet_gripper_with_resets():
     for copies in (1, 2):
-        problem, info = compiled_instance("sgripper", (2,), copies)
+        problem, resets = compiled_instance("sgripper", (2,), copies)
         ctx = build_context(problem)
         for scheme in ("ki:1", "kmodels"):
             _check_against_reference(problem, SPECS[scheme](ctx, True),
-                                     ctx, info)
+                                     ctx, resets)
 
 
 def test_tag_table_names_follow_atom_name():
@@ -331,9 +331,9 @@ def test_spec_ki_matches_reference_on_random_suite():
                          ids=["-".join(map(str, (f, *p)))
                               for f, p in BENCH_INSTANCES])
 def test_spec_ki_matches_reference_on_generated(family, params):
-    problem, info = compiled_instance(family, params)
+    problem, resets = compiled_instance(family, params)
     _check_spec_ki_against_reference(build_context(problem),
-                                     bool(info.resets))
+                                     bool(resets))
 
 
 @pytest.mark.parametrize("family,params", BENCH_INSTANCES,
