@@ -31,7 +31,7 @@ class NotAPossibleInitialState(KplanError):
     """A state handed to restrict() violates the initial clause set."""
 
 
-# --- pddl_io ------------------------------------------------------------
+# --- pddl ---------------------------------------------------------------
 
 class PddlSyntaxError(KplanError):
     """Malformed input text; carries line/column information."""
@@ -56,7 +56,7 @@ class UnknownAction(KplanError):
     """A plan file references an action name not present in the problem."""
 
 
-# --- pi_engine ----------------------------------------------------------
+# --- pi -----------------------------------------------------------------
 
 class InconsistentInit(KplanError):
     """The initial clause set is unsatisfiable (empty clause derived)."""

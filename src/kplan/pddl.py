@@ -3,19 +3,23 @@
 Input language: typed STRIPS schemas with conditional effects (and /
 when / not / forall, plus oneof effects for nondeterministic actions) and
 an :init accepting literals, (or ...), (oneof ...) and (unknown f).
+Parsing yields the grounder's forms: preconditions, conditions and goals
+are literal conjunctions, and each :init entry is a list of clauses.
 Output: standard classical PDDL with conditional effects, with tagged
 atoms serialized as flat predicate names.
 
 Grounding is deliberately plain: instantiate schemas over typed objects,
-name ground atoms and actions by joining the pieces with "-", and prune
-instances whose conditions are internally contradictory.
+name ground atoms and actions by joining the pieces with "-" (two that
+print alike are an input error), and prune instances whose conditions
+are internally contradictory.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
-                    Sequence, Set, Tuple, Union)
+import math
+from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Sequence,
+                    Set, Tuple, Union)
 
 from .errors import GroundingBlowup, PddlSyntaxError, UnsupportedFeature
 from .model import (
@@ -129,11 +133,10 @@ class LiteralTemplate(NamedTuple):
     positive: bool = True
 
 
-# effect tree nodes
-class EffLit(NamedTuple):
-    literal: LiteralTemplate
+ClauseTemplate = Tuple[LiteralTemplate, ...]
 
 
+# effect tree nodes; a leaf is a LiteralTemplate
 class EffAnd(NamedTuple):
     parts: Tuple["EffNode", ...]
 
@@ -153,7 +156,7 @@ class EffOneof(NamedTuple):
     outcomes: Tuple["EffNode", ...]
 
 
-EffNode = Union[EffLit, EffAnd, EffWhen, EffForall, EffOneof]
+EffNode = Union[LiteralTemplate, EffAnd, EffWhen, EffForall, EffOneof]
 
 
 class ActionSchema(NamedTuple):
@@ -171,18 +174,13 @@ class DomainAst(NamedTuple):
     actions: Tuple[ActionSchema, ...]
 
 
-class InitEntry(NamedTuple):
-    kind: str  # "lit" | "or" | "oneof" | "unknown"
-    literals: Tuple[LiteralTemplate, ...]
-
-
 class ProblemAst(NamedTuple):
     name: str
     domain_name: str  # a Sym, which knows its position for errors
     objects: Tuple[Tuple[str, str], ...]
-    init: Tuple[InitEntry, ...]
+    init: Tuple[ClauseTemplate, ...]
     goal_literals: Tuple[LiteralTemplate, ...]
-    goal_clauses: Tuple[Tuple[LiteralTemplate, ...], ...]
+    goal_clauses: Tuple[ClauseTemplate, ...]
 
 
 # --- parsing -----------------------------------------------------------------
@@ -225,15 +223,42 @@ def _parse_literal(node: SExpr) -> LiteralTemplate:
     return LiteralTemplate(_parse_atom(node), True)
 
 
-def _parse_literal_conjunction(node: SExpr) -> Tuple[LiteralTemplate, ...]:
+def _conjuncts(node: SExpr) -> List[SExpr]:
+    """The conjuncts of a formula: nested (and ...) are flattened, and ()
+    is the empty conjunction."""
     if isinstance(node, list) and not node:
-        return ()
+        return []
     if _head(node) == "and":
-        out: List[LiteralTemplate] = []
-        for sub in node[1:]:
-            out.extend(_parse_literal_conjunction(sub))
-        return tuple(out)
-    return (_parse_literal(node),)
+        return [c for sub in node[1:] for c in _conjuncts(sub)]
+    return [node]
+
+
+def _disjuncts(node: SExpr) -> ClauseTemplate:
+    """The members of (or ...) or (oneof ...), at least one."""
+    if len(node) < 2:
+        raise _err(node, f"'{node[0]}' needs at least one literal")
+    return tuple(_parse_literal(x) for x in node[1:])
+
+
+def _init_clauses(entry: SExpr) -> List[ClauseTemplate]:
+    """An :init entry as clauses: a literal is a unit clause, (or ...) a
+    clause, (oneof ...) the disjunction plus the pairwise exclusions, and
+    (unknown f) the clause f | ~f, which mentions f and constrains nothing."""
+    head = _head(entry)
+    if head == "or":
+        return [_disjuncts(entry)]
+    if head == "oneof":
+        if len(entry) < 3:
+            raise _err(entry, "'oneof' needs at least two members")
+        lits = _disjuncts(entry)
+        negated = [LiteralTemplate(l.atom, not l.positive) for l in lits]
+        return [lits, *itertools.combinations(negated, 2)]
+    if head == "unknown":
+        if len(entry) != 2:
+            raise _err(entry, "'unknown' takes one atom")
+        atom = _parse_atom(entry[1])
+        return [(LiteralTemplate(atom), LiteralTemplate(atom, False))]
+    return [(_parse_literal(entry),)]
 
 
 def _parse_effect(node: SExpr) -> EffNode:
@@ -243,7 +268,7 @@ def _parse_effect(node: SExpr) -> EffNode:
     if head == "when":
         if len(node) != 3:
             raise _err(node, "'when' takes a condition and an effect")
-        return EffWhen(_parse_literal_conjunction(node[1]),
+        return EffWhen(tuple(map(_parse_literal, _conjuncts(node[1]))),
                        _parse_effect(node[2]))
     if head == "forall":
         if len(node) != 3:
@@ -259,7 +284,7 @@ def _parse_effect(node: SExpr) -> EffNode:
         return EffOneof(tuple(_parse_effect(sub) for sub in node[1:]))
     if head in ("increase", "decrease", "assign", "scale-up", "scale-down"):
         raise UnsupportedFeature(f"numeric effect '{head}' is not supported")
-    return EffLit(_parse_literal(node))
+    return _parse_literal(node)
 
 
 def _sections(body: Sequence[SExpr]) -> List[List[SExpr]]:
@@ -292,11 +317,11 @@ def _parse_domain(sexpr: SExpr) -> DomainAst:
             constants = constants + _parse_typed_list(section[1:])
         elif key == ":predicates":
             for p in section[1:]:
-                if not isinstance(p, list) or not p:
-                    raise _err(p, "expected a predicate declaration")
-                pname = str(p[0])
+                if not _head(p):
+                    raise _err(p, "expected a predicate declaration "
+                                  "(name parameters...)")
                 ptypes = tuple(t for _, t in _parse_typed_list(p[1:]))
-                predicates[pname] = ptypes
+                predicates[str(p[0])] = ptypes
         elif key == ":action":
             actions.append(_parse_action(section))
         elif key in (":functions", ":derived", ":constraints"):
@@ -312,7 +337,7 @@ def _parse_action(section: Sequence[SExpr]) -> ActionSchema:
     name = str(section[1])
     params: Tuple[Tuple[str, str], ...] = ()
     precondition: Tuple[LiteralTemplate, ...] = ()
-    effect: Optional[EffNode] = None
+    effect: EffNode = EffAnd(())
     i = 2
     while i < len(section):
         key = section[i]
@@ -326,14 +351,12 @@ def _parse_action(section: Sequence[SExpr]) -> ActionSchema:
                 raise _err(value, ":parameters needs a list")
             params = _parse_typed_list(value)
         elif key == ":precondition":
-            precondition = _parse_literal_conjunction(value)
+            precondition = tuple(map(_parse_literal, _conjuncts(value)))
         elif key == ":effect":
             effect = _parse_effect(value)
         else:
             raise UnsupportedFeature(f"action keyword '{key}' is not supported")
         i += 2
-    if effect is None:
-        effect = EffAnd(())
     return ActionSchema(name, params, precondition, effect)
 
 
@@ -341,9 +364,9 @@ def _parse_problem(sexpr: SExpr) -> ProblemAst:
     name = _define_name(sexpr, "problem")
     domain_name = ""
     objects: Tuple[Tuple[str, str], ...] = ()
-    init: List[InitEntry] = []
+    init: List[ClauseTemplate] = []
     goal_literals: List[LiteralTemplate] = []
-    goal_clauses: List[Tuple[LiteralTemplate, ...]] = []
+    goal_clauses: List[ClauseTemplate] = []
     for section in _sections(sexpr[2:]):
         key = _head(section)
         if key == ":domain":
@@ -354,28 +377,13 @@ def _parse_problem(sexpr: SExpr) -> ProblemAst:
             objects = objects + _parse_typed_list(section[1:])
         elif key == ":init":
             for entry in section[1:]:
-                head = _head(entry)
-                if head == "or":
-                    init.append(InitEntry(
-                        "or", tuple(_parse_literal(x) for x in entry[1:])))
-                elif head == "oneof":
-                    lits = tuple(_parse_literal(x) for x in entry[1:])
-                    if len(lits) < 2:
-                        raise _err(entry, "'oneof' needs at least two members")
-                    init.append(InitEntry("oneof", lits))
-                elif head == "unknown":
-                    if len(entry) != 2:
-                        raise _err(entry, "'unknown' takes one atom")
-                    init.append(InitEntry(
-                        "unknown", (LiteralTemplate(_parse_atom(entry[1])),)))
-                else:
-                    init.append(InitEntry("lit", (_parse_literal(entry),)))
+                init += _init_clauses(entry)
         elif key == ":goal":
-            goal = section[1]
-            for part in ([goal] if _head(goal) != "and" else goal[1:]):
+            if len(section) != 2:
+                raise _err(section, "':goal' takes one formula")
+            for part in _conjuncts(section[1]):
                 if _head(part) == "or":
-                    goal_clauses.append(
-                        tuple(_parse_literal(x) for x in part[1:]))
+                    goal_clauses.append(_disjuncts(part))
                 else:
                     goal_literals.append(_parse_literal(part))
         else:
@@ -436,13 +444,33 @@ def ground_atom_name(predicate: str, args: Sequence[str]) -> str:
     return "-".join([predicate, *args]) if args else predicate
 
 
+def _unique_name(names: Dict[str, Tuple[str, ...]], kind: str,
+                 source: Tuple[str, ...]) -> str:
+    """The ground name of ``source`` (a predicate or schema and its
+    arguments), entered in ``names``; another source that prints alike,
+    a second schema of the same name included, is an input error."""
+    name = ground_atom_name(source[0], source[1:])
+    first = names.setdefault(name, source)
+    if first is not source:
+        raise UnsupportedFeature(
+            f"the {kind}s ({' '.join(first)}) and ({' '.join(source)}) "
+            f"both ground to the name '{name}'")
+    return name
+
+
 class _Grounder:
     def __init__(self, domain: DomainAst, problem: ProblemAst):
         self.domain = domain
-        self.problem = problem
         self.rule_count = 0
         self.objects = _objects_by_type(domain, problem)
-        self.fluents = self._fluent_universe()
+        self.ground_lits: Dict[LiteralTemplate, Literal] = {}
+        # ground atom name -> (predicate, *arguments)
+        self.fluents: Dict[str, Tuple[str, ...]] = {}
+        for pname, ptypes in domain.predicates.items():
+            pools = [self.objects.get(t, []) for t in ptypes]
+            self._tick(math.prod(map(len, pools)))
+            for combo in itertools.product(*pools):
+                _unique_name(self.fluents, "atom", (pname, *combo))
 
     def _tick(self, n: int = 1):
         self.rule_count += n
@@ -450,25 +478,14 @@ class _Grounder:
             raise GroundingBlowup(
                 f"grounding exceeded {RULE_CAP} rule instances")
 
-    def _fluent_universe(self) -> Set[str]:
-        out: Set[str] = set()
-        for pname, ptypes in self.domain.predicates.items():
-            pools = [self.objects.get(t, []) for t in ptypes]
-            count = 1
-            for p in pools:
-                count *= len(p)
-            self._tick(count if ptypes else 1)
-            for combo in itertools.product(*pools):
-                out.add(ground_atom_name(pname, combo))
-        return out
-
-    def _ground_atom(self, t: AtomTemplate, binding: Dict[str, str],
-                     where: str) -> str:
-        if t.predicate not in self.domain.predicates:
+    def _ground_literal(self, t: LiteralTemplate, binding: Dict[str, str],
+                        where: str) -> Literal:
+        atom = t.atom
+        if atom.predicate not in self.domain.predicates:
             raise PddlSyntaxError(
-                f"undeclared predicate '{t.predicate}' in {where}")
+                f"undeclared predicate '{atom.predicate}' in {where}")
         args = []
-        for a in t.args:
+        for a in atom.args:
             if a.startswith("?"):
                 if a not in binding:
                     raise PddlSyntaxError(
@@ -476,23 +493,27 @@ class _Grounder:
                 args.append(binding[a])
             else:
                 args.append(a)
-        name = ground_atom_name(t.predicate, args)
-        if name not in self.fluents:
+        name = ground_atom_name(atom.predicate, args)
+        if self.fluents.get(name) != (atom.predicate, *args):
             raise PddlSyntaxError(
                 f"atom '{name}' uses objects of the wrong type in {where}")
-        return name
+        return Literal(name, t.positive)
 
-    def _ground_literal(self, t: LiteralTemplate, binding, where) -> Literal:
-        return Literal(self._ground_atom(t.atom, binding, where), t.positive)
+    def clause(self, c: ClauseTemplate, where: str) -> Clause:
+        # a oneof of n members repeats each in n - 1 exclusions: ground
+        # each variable-free literal once
+        for l in c:
+            if l not in self.ground_lits:
+                self.ground_lits[l] = self._ground_literal(l, {}, where)
+        return frozenset(self.ground_lits[l] for l in c)
 
     def _walk_effect(self, node: EffNode, binding: Dict[str, str],
                      condition: FrozenSet[Literal], where: str,
                      rules: List[Rule], nondet: List[NondetRule]):
-        if isinstance(node, EffLit):
+        if isinstance(node, LiteralTemplate):
             self._tick()
             rules.append(Rule(condition,
-                              self._ground_literal(node.literal, binding,
-                                                   where)))
+                              self._ground_literal(node, binding, where)))
         elif isinstance(node, EffAnd):
             for part in node.parts:
                 self._walk_effect(part, binding, condition, where, rules,
@@ -526,14 +547,19 @@ class _Grounder:
         else:  # pragma: no cover
             raise UnsupportedFeature(f"effect node {node!r}")
 
-    def ground_actions(self) -> List[Action]:
+    def ground_actions(self, source: bool) -> List[Action]:
         out: List[Action] = []
+        names: Dict[str, Tuple[str, ...]] = {}
         for schema in self.domain.actions:
             pools = [self.objects.get(t, []) for _, t in schema.params]
             for combo in itertools.product(*pools):
+                name = _unique_name(names, "action", (schema.name, *combo))
+                if source and is_merge(name):
+                    raise UnsupportedFeature(
+                        f"action '{name}': names starting with "
+                        f"{MERGE_PREFIX!r} are reserved for merge actions")
                 binding = {var: obj
                            for (var, _), obj in zip(schema.params, combo)}
-                name = ground_atom_name(schema.name, combo)
                 where = f"action {name}"
                 pre = frozenset(self._ground_literal(l, binding, where)
                                 for l in schema.precondition)
@@ -546,51 +572,23 @@ class _Grounder:
                 out.append(Action(name, pre, tuple(rules), tuple(nondet)))
         return out
 
-    def ground_init(self) -> List[Clause]:
-        clauses: List[Clause] = []
-        for entry in self.problem.init:
-            lits = [self._ground_literal(l, {}, ":init")
-                    for l in entry.literals]
-            if entry.kind == "lit":
-                clauses.append(frozenset(lits))
-            elif entry.kind == "or":
-                clauses.append(frozenset(lits))
-            elif entry.kind == "oneof":
-                clauses.append(frozenset(lits))
-                for a, b in itertools.combinations(lits, 2):
-                    clauses.append(frozenset((a.negate(), b.negate())))
-            elif entry.kind == "unknown":
-                (lit,) = lits
-                clauses.append(frozenset((lit, lit.negate())))
-        return clauses
 
-    def ground_goal(self) -> Tuple[FrozenSet[Literal], Tuple[Clause, ...]]:
-        lits = frozenset(self._ground_literal(l, {}, ":goal")
-                         for l in self.problem.goal_literals)
-        clauses = tuple(frozenset(self._ground_literal(l, {}, ":goal")
-                                  for l in c)
-                        for c in self.problem.goal_clauses)
-        return lits, clauses
-
-
-def ground(domain: DomainAst, problem: ProblemAst) -> ConformantProblem:
+def ground(domain: DomainAst, problem: ProblemAst,
+           source: bool) -> ConformantProblem:
+    """Ground a parsed problem.  In a ``source`` problem, action names
+    starting with ``MERGE_PREFIX`` are an input error: they are reserved
+    for the actions a translation adds, which a classical one carries."""
     g = _Grounder(domain, problem)
-    actions = g.ground_actions()
-    init = g.ground_init()
-    goal, goal_clauses = g.ground_goal()
+    actions = g.ground_actions(source)
+    init = [g.clause(c, ":init") for c in problem.init]
+    goal = g.clause(problem.goal_literals, ":goal")
+    goal_clauses = [g.clause(c, ":goal") for c in problem.goal_clauses]
     return conformant_problem(g.fluents, init, actions, goal, goal_clauses)
 
 
 def load(domain_text: str, problem_text: str) -> ConformantProblem:
-    """Parse and ground a source problem.  Ground action names starting
-    with ``MERGE_PREFIX`` are reserved for the actions a translation adds."""
-    problem = ground(*parse(domain_text, problem_text))
-    reserved = [a.name for a in problem.actions if is_merge(a.name)]
-    if reserved:
-        raise UnsupportedFeature(
-            f"action names starting with {MERGE_PREFIX!r} are reserved "
-            f"for merge actions: {reserved}")
-    return problem
+    """Parse and ground a source problem."""
+    return ground(*parse(domain_text, problem_text), True)
 
 
 # --- classical emission ------------------------------------------------------
@@ -658,7 +656,7 @@ def emit_classical(K: ClassicalProblem) -> Tuple[str, str]:
 
 def load_classical(domain_text: str, problem_text: str) -> ClassicalProblem:
     """Parse classical PDDL as produced by emit_classical."""
-    p = ground(*parse(domain_text, problem_text))
+    p = ground(*parse(domain_text, problem_text), False)
     if not p.deterministic:
         raise UnsupportedFeature("classical input cannot contain 'oneof'")
     init: Set[Literal] = set()

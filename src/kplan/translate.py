@@ -535,6 +535,24 @@ def simplify(K: ClassicalProblem) -> ClassicalProblem:
         tuple(actions), rewrite(K.goal))
 
 
+# --- front ends ------------------------------------------------------------
+
+def _fresh_names(problem: ConformantProblem, front_end: str):
+    """The function through which a front end mints its names: it refuses
+    a name that the input or an earlier minting already took."""
+    taken = {"fluent": set(problem.fluents),
+             "action": {a.name for a in problem.actions}}
+
+    def fresh(kind: str, name: str) -> str:
+        if name in taken[kind]:
+            raise UnsupportedFeature(
+                f"{front_end} cannot mint the {kind} name '{name}': a "
+                f"source {kind} or another minted name takes it")
+        taken[kind].add(name)
+        return name
+    return fresh
+
+
 # --- CNF goal compilation -----------------------------------------------
 
 def cnf_goal_compile(problem: ConformantProblem) -> ConformantProblem:
@@ -547,16 +565,17 @@ def cnf_goal_compile(problem: ConformantProblem) -> ConformantProblem:
     actions = list(problem.actions)
     goal = set(problem.goal)
     clauses = sorted(problem.goal_clauses, key=sorted_lits)
+    fresh = _fresh_names(problem, "the clause-goal front end")
     for idx, c in enumerate(clauses):
-        gatom = f"goal-c{idx}"
-        enabler = f"goal-e{idx}"
+        gatom = fresh("fluent", f"goal-c{idx}")
+        enabler = fresh("fluent", f"goal-e{idx}")
         fluents |= {gatom, enabler}
         init.append(frozenset((neg(gatom),)))
         init.append(frozenset((pos(enabler),)))
         rules = [Rule(frozenset(), neg(enabler))]
         rules += [Rule(frozenset((l,)), pos(gatom)) for l in sorted(c)]
-        actions.append(Action(f"eval-goal-c{idx}", frozenset((pos(enabler),)),
-                              tuple(rules)))
+        actions.append(Action(fresh("action", f"eval-goal-c{idx}"),
+                              frozenset((pos(enabler),)), tuple(rules)))
         goal.add(pos(gatom))
     return conformant_problem(fluents, init, actions, goal)
 
@@ -584,20 +603,21 @@ def nondet_compile(problem: ConformantProblem, copies: int = 1
     init = list(problem.init)
     actions: List[Action] = []
     resets: Dict[str, Tuple[str, ...]] = {}
+    fresh = _fresh_names(problem, "the oneof front end")
     for a in sorted(problem.actions, key=lambda x: x.name):
         if a.deterministic:
             actions.append(a)
             continue
         for k in range(1, copies + 1):
-            name = f"{a.name}-c{k}"
-            enabler = f"enabled-{name}"
+            name = fresh("action", f"{a.name}-c{k}")
+            enabler = fresh("fluent", f"enabled-{name}")
             fluents.add(enabler)
             init.append(frozenset((pos(enabler),)))
             rules = list(a.rules)
             rules.append(Rule(frozenset(), neg(enabler)))
             hidden_all: List[str] = []
             for ridx, nr in enumerate(a.nondet_rules):
-                hidden = [f"h-{name}-r{ridx}-o{o}"
+                hidden = [fresh("fluent", f"h-{name}-r{ridx}-o{o}")
                           for o in range(len(nr.outcomes))]
                 hidden_all += hidden
                 fluents |= set(hidden)
@@ -609,7 +629,7 @@ def nondet_compile(problem: ConformantProblem, copies: int = 1
                         rules.append(Rule(nr.condition | {pos(h)}, lit))
             actions.append(Action(name, a.preconditions | {pos(enabler)},
                                   tuple(rules)))
-            reset_name = f"reset-{name}"
+            reset_name = fresh("action", f"reset-{name}")
             actions.append(Action(reset_name, frozenset(),
                                   (Rule(frozenset(), pos(enabler)),)))
             resets[reset_name] = tuple(hidden_all)

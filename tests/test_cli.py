@@ -690,6 +690,71 @@ def test_grounding_past_the_rule_cap_exits_2_with_a_report(tmp_path, capsys,
         "command": "solve", "error": f"GroundingBlowup: {message}"}
 
 
+def _domain(predicates, *actions):
+    return (f"(define (domain d) (:predicates {predicates})"
+            + "".join(f" (:action {name} :parameters ({params})"
+                      f" :precondition (and) :effect {effect})"
+                      for name, params, effect in actions) + ")")
+
+
+def _problem(init, goal, objects=""):
+    return (f"(define (problem d1) (:domain d) (:objects {objects})"
+            f" (:init {init}) {goal})")
+
+
+SET_P = ("a", "", "(p)")
+
+
+@pytest.mark.parametrize("domain,problem,error,parts", [
+    (_domain("(p)", SET_P), _problem("", "(:goal)"),
+     "PddlSyntaxError", ["':goal' takes one formula (line 1"]),
+    (_domain("(p)", SET_P), _problem("(or)", "(:goal (p))"),
+     "PddlSyntaxError", ["'or' needs at least one literal (line 1"]),
+    (_domain("(p)", SET_P), _problem("", "(:goal (and (p) (or)))"),
+     "PddlSyntaxError", ["'or' needs at least one literal (line 1"]),
+    (_domain("((p)) (q)", SET_P), _problem("", "(:goal (p))"),
+     "PddlSyntaxError", ["expected a predicate declaration"]),
+    (_domain("(p ?x) (p-a ?x)", ("set", "", "(p-a b)")),
+     _problem("", "(:goal (p a-b))", "a-b b"),
+     "UnsupportedFeature", ["(p a-b)", "(p-a b)", "'p-a-b'"]),
+    (_domain("(p ?x)", ("go", "?x", "(p ?x)"), ("go-a", "?x", "(p ?x)")),
+     _problem("", "(:goal (p b))", "a-b b"),
+     "UnsupportedFeature", ["(go a-b)", "(go-a b)", "'go-a-b'"]),
+    (_domain("(p) (q)", SET_P, ("a", "", "(q)")), _problem("", "(:goal (p))"),
+     "UnsupportedFeature", ["actions (a) and (a)", "'a'"]),
+    (_domain("(p) (q)", ("pick", "", "(oneof (p) (q))"),
+             ("pick-c1", "", "(p)")),
+     _problem("(not (p)) (not (q))", "(:goal (p))"),
+     "UnsupportedFeature", ["oneof front end", "action name 'pick-c1'"]),
+    (_domain("(p) (q)", ("a", "", "(oneof (p) (q))"),
+             ("reset-a", "", "(oneof (p) (q))")),
+     _problem("(not (p)) (not (q))", "(:goal (p))"),
+     "UnsupportedFeature", ["oneof front end", "action name 'reset-a-c1'"]),
+    (_domain("(p) (q) (goal-c0)", SET_P),
+     _problem("", "(:goal (or (p) (q)))"),
+     "UnsupportedFeature", ["clause-goal front end",
+                            "fluent name 'goal-c0'"])],
+    ids=["missing-goal", "empty-init-or", "empty-goal-or",
+         "unnamed-predicate", "atoms-print-alike", "actions-print-alike",
+         "action-defined-twice", "oneof-copy-name-taken",
+         "oneof-reset-minted-twice", "goal-atom-name-taken"])
+def test_an_input_error_exits_2_with_a_report(tmp_path, capsys, domain,
+                                              problem, error, parts):
+    dom, prob = tmp_path / "d.pddl", tmp_path / "p.pddl"
+    dom.write_text(domain)
+    prob.write_text(problem)
+    report_path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "solve", str(dom), str(prob),
+                             "--report", str(report_path))
+    assert code == 2 and err.startswith("error: ") and not out
+    report = json.loads(report_path.read_text())
+    assert set(report) == {"command", "error"}
+    assert report["command"] == "solve"
+    assert report["error"].startswith(error + ": ")
+    for part in parts:
+        assert part in report["error"]
+
+
 def test_a_problem_for_another_domain_exits_2_with_a_report(tmp_path,
                                                             capsys):
     dom, _ = gen_instance(tmp_path, "safe", 4)

@@ -1,5 +1,8 @@
 """Input language: parsing, grounding, emission round-trips."""
 
+import copy
+import random
+
 import pytest
 
 from kplan import (PddlSyntaxError, UnsupportedFeature, build_context, ktm,
@@ -12,8 +15,9 @@ from kplan.pddl import (
     load_classical,
     parse,
     parse_plan_text,
+    parse_sexprs,
 )
-from kplan import generators
+from kplan import KplanError, generators
 
 
 DOMAIN = """
@@ -128,6 +132,15 @@ def test_goal_cnf_parsing():
     problem = load(dom, prob)
     assert problem.goal == frozenset([pos("p")])
     assert problem.goal_clauses == (frozenset([pos("p"), pos("q")]),)
+    # a goal is read like a precondition: 'and' nests, () is empty
+    for formula in ("(and (and (p)) (and) (not (q)))", "()", "(and)"):
+        problem = load(dom.replace(":precondition (and)",
+                                   ":precondition " + formula),
+                       prob.replace("(and (or (p) (q)) (p))", formula))
+        assert problem.goal == problem.action_by_name("a").preconditions
+    nested = prob.replace("(and (or (p) (q)) (p))",
+                          "(and (and (or (p) (q))) (and (p)))")
+    assert load(dom, nested) == load(dom, prob)
 
 
 def test_emit_classical_round_trip(tiny):
@@ -164,6 +177,61 @@ def test_generators_all_load_and_ground():
         generators.generate("nope", (1,))
     with pytest.raises(ValueError):
         generators.generate("safe", (1,))
+
+
+def _mutate(tree, rng):
+    """The text of ``tree`` (a list of s-expressions) after one to three
+    edits, each deleting, doubling or replacing an element of a list by a
+    node from anywhere in the tree."""
+    tree = copy.deepcopy(tree)
+    for _ in range(rng.randint(1, 3)):
+        lists, stack = [], [tree]
+        while stack:
+            node = stack.pop()
+            lists.append(node)
+            stack += [x for x in node if isinstance(x, list)]
+        nonempty = [l for l in lists if l]
+        if not nonempty:
+            break
+        target = rng.choice(nonempty)
+        i = rng.randrange(len(target))
+        edit = rng.randrange(3)
+        if edit == 0:
+            del target[i]
+        elif edit == 1:
+            target.insert(i, copy.deepcopy(target[i]))
+        else:
+            target[i] = copy.deepcopy(rng.choice(
+                [x for l in lists for x in l]))
+
+    def show(node):
+        if isinstance(node, list):
+            return "(" + " ".join(map(show, node)) + ")"
+        return node
+    return " ".join(map(show, tree))
+
+
+def test_mutated_inputs_raise_only_kplan_errors():
+    # malformed input ends as a KplanError (exit 2 with a report), never
+    # as another exception
+    def plain(node):
+        return list(map(plain, node)) if isinstance(node, list) \
+            else str(node)
+
+    texts = [generators.generate(family, params) for family, params in (
+        ("safe", (4,)), ("bomb", (3, 2)), ("ring", (3,)),
+        ("square-center", (3,)), ("corners-square", (4,)),
+        ("sortnet", (3,)), ("disjtoy", (4,)), ("sgripper", (1,)))]
+    trees = [[plain(parse_sexprs(t)) for t in pair] for pair in texts]
+    rng = random.Random(1)
+    for _ in range(1500):
+        k, side = rng.randrange(len(texts)), rng.randrange(2)
+        pair = list(texts[k])
+        pair[side] = _mutate(trees[k][side], rng)
+        try:
+            load(*pair)
+        except KplanError:
+            pass
 
 
 def test_plan_text_round_trip():
