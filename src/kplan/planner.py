@@ -36,7 +36,7 @@ class Grounded:
         # a condition make one (cond_pos, cond_neg, add, delete) effect
         self.actions = []
         # relaxed rules: props are 2*atom (true) / 2*atom+1 (false)
-        self.relaxed = []
+        relaxed = []
         for a in K.actions:
             cost = 0 if is_merge(a.name) else 1
             pre_props = self._props(a.preconditions)
@@ -46,26 +46,21 @@ class Grounded:
                                                 [0, 0])
                 add_delete[not r.effect.positive] |= (
                     1 << self.aid[r.effect.fluent])
-                self.relaxed.append(
-                    (tuple(pre_props + self._props(r.condition)),
-                     self._prop(r.effect), cost))
+                relaxed.append((tuple(pre_props + self._props(r.condition)),
+                                self._prop(r.effect), cost))
             self.actions.append(
                 (a.name, self._masks(a.preconditions),
                  tuple((cp, cn, add, delete)
                        for (cp, cn), (add, delete) in effects.items()),
                  cost))
-        self.rules_by_prop: Dict[int, List[int]] = {}
-        for ridx, (props, _, _) in enumerate(self.relaxed):
-            for p in set(props):
-                self.rules_by_prop.setdefault(p, []).append(ridx)
         self.goal_props = self._props(K.goal)
         # hadd's per-call starting point, copied rather than rebuilt.  It
         # keeps only the rules that can lead to a goal prop (the backward
-        # closure of the goal), numbered in the order of self.relaxed; the
-        # other rules cannot change a goal cost.
+        # closure of the goal), in the order of ``relaxed``; the other
+        # rules cannot change a goal cost.
         relevant = set(self.goal_props)
         by_effect: Dict[int, List[Tuple[int, ...]]] = {}
-        for props, eff, _ in self.relaxed:
+        for props, eff, _ in relaxed:
             by_effect.setdefault(eff, []).append(props)
         frontier = list(relevant)
         while frontier:
@@ -73,13 +68,12 @@ class Grounded:
                 added = set(props) - relevant
                 relevant |= added
                 frontier.extend(added)
-        kept = {old: new for new, old in enumerate(
-            ridx for ridx, (_, eff, _) in enumerate(self.relaxed)
-            if eff in relevant)}
+        rules = [rule for rule in relaxed if rule[1] in relevant]
         n_props = 2 * len(self.atoms)
-        self._watchers = [[kept[r] for r in self.rules_by_prop.get(p, ())
-                           if r in kept] for p in range(n_props)]
-        rules = [self.relaxed[r] for r in kept]
+        self._watchers = [[] for _ in range(n_props)]
+        for ridx, (props, _, _) in enumerate(rules):
+            for p in set(props):
+                self._watchers[p].append(ridx)
         self._effect_prop = [eff for _, eff, _ in rules]
         self._counter0 = [len(set(p)) for p, _, _ in rules]
         self._partial0 = [c for _, _, c in rules]

@@ -161,7 +161,6 @@ class TagTable(NamedTuple):
 
     closure: FrozenSet[Literal]     # t*
     names: Dict[Literal, str]       # L -> name of KL/t, or of KL if collapsed
-    collapsed: FrozenSet[Literal]   # KL/t is KL (optimized only)
     emitted: FrozenSet[Literal]     # heads whose rules are kept at t
 
 
@@ -175,21 +174,27 @@ def tag_table(t: Tag, ctx: Context, plain: Dict[Literal, str],
     KL/t collapses onto KL when t* holds nothing relevant to L, i.e. L is
     reachable from no literal of t* (``ktm``'s rewrite (1)), and the rules
     with head L are kept only when KL/t does not collapse and L is
-    relevant to a literal merged through t (rewrite (2)).
+    relevant to a literal merged through t (rewrite (2)).  Only the
+    literals whose rules are kept or whose KL/t collapses are named: a
+    rule kept at t, or a merge through t, mentions no other KL/t.
     """
     closure = ctx.pi.closure(t)
-    rel = ctx.rel
-    collapsed: FrozenSet[Literal] = frozenset()
-    emitted = frozenset(plain)
+    emitted = kept = frozenset(plain)
     if optimized and t:
+        rel = ctx.rel
         kept = set().union(*(rel.reachable_from(l) for l in closure))
-        collapsed = emitted - kept
         useful = set().union(*(rel.relevant_to(L) for L in merged))
         emitted = emitted & kept & useful
     suffix = tag_suffix(t)
-    names = {L: name if L in collapsed else name + suffix
-             for L, name in plain.items()}
-    return TagTable(closure, names, collapsed, emitted)
+    names = {L: name + suffix if L in kept else name
+             for L, name in plain.items() if L in emitted or L not in kept}
+    return TagTable(closure, names, emitted)
+
+
+def _describe(L: Literal, t: Tag) -> str:
+    if not t:
+        return str(L)
+    return f"{L} under the tag {{{', '.join(map(str, sorted_lits(t)))}}}"
 
 
 def ktm(problem: ConformantProblem, spec: TranslationSpec,
@@ -197,24 +202,30 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
         optimized: bool = False) -> ClassicalProblem:
     """Build the classical problem induced by a tag/merge spec.
 
-    With ``optimized`` the builder applies three rewrites.  ``simplify``,
-    which runs after it, reaches the same final encodings without (1) and
-    (2), so those two only keep the build small:
+    With ``optimized`` the builder applies three rewrites.  (2) only
+    keeps the build small: ``simplify``, which runs after it, reaches the
+    same final encodings without it.
     (1) tagged atoms whose tag closure carries nothing relevant to their
-    literal collapse onto the untagged atom.  Without it, disjtoy-9
-    ``ks0`` builds 10240 atoms instead of 5641, and its translate process
-    peaks about 1 MB higher.
+    literal collapse onto the untagged atom.  Without it, safe-40
+    ``ki:1`` builds 1722 atoms instead of 162 and disjtoy-9 ``ks0`` 5130
+    instead of 2835, and the disjtoy-9 translate process peaks about
+    1.4 MB higher.  On oneof input it also changes the search, because
+    the resets write every tagged atom: without it, sgripper-3 searches
+    70 atoms and 282 effects instead of 69 and 278.
     (2) support/cancellation rules are dropped at tags through which
     nothing relevant to their head is merged.  Without it, bomb-16-16
-    ``ki:1`` builds 18736 effects instead of 2352, and ``ktm`` takes
-    about six times as long.
+    ``ki:1`` builds 1120 atoms and 18736 effects instead of 128 and 2352,
+    and ``ktm`` takes about seven times as long.
     (3) effects C,~L -> L of actions that never delete L yield the extra
     deduction rule KC -> KL.  This one changes the search: without it,
     the ``ki:1`` search of bomb-12-4 expands 63124 nodes instead of 116.
 
     Every decision depends only on a literal and a tag, so it is read from
     a table per tag (``tag_table``) and the plain name KL of each literal,
-    each computed once.
+    each computed once.  An atom KL/t is declared only where the table
+    names L: where t keeps the rules with head L or KL/t collapses onto
+    KL.  Raises UnsupportedFeature when two atoms KL/t take one name,
+    e.g. K~p and K(not-p), or Kp/{q} and K(p__q).
     """
     if problem.goal_clauses:
         raise UnsupportedFeature("compile clause goals away first")
@@ -244,12 +255,19 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
         for L in tab.emitted:
             kept_at[L].add(k)
 
-    fluents: Set[str] = set()
+    # each declared name -> the KL/t it stands for, KL when collapsed
+    fluents: Dict[str, Tuple[Literal, Tag]] = {}
     init: Set[Literal] = set()
-    for tab in tables:
-        fluents.update(tab.names.values())
+    for t, tab in zip(spec.tags, tables):
+        for L, name in tab.names.items():
+            source = (L, t if name != plain[L] else EMPTY_TAG)
+            other = fluents.setdefault(name, source)
+            if other != source:
+                raise UnsupportedFeature(
+                    f"the knowledge atoms of {_describe(*other)} and of "
+                    f"{_describe(*source)} both take the name '{name}'")
         for L in tab.closure:
-            if L.fluent in problem.fluents:
+            if L in tab.names:
                 init.add(pos(tab.names[L]))
 
     goal = frozenset(pos(plain[L]) for L in problem.goal)

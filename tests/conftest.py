@@ -733,7 +733,8 @@ def reference_ktm(problem: ConformantProblem, spec: TranslationSpec,
     onto the untagged atom; (2) support/cancellation rules are dropped at
     tags through which nothing relevant to their head is merged; (3)
     effects C,~L -> L of actions that never delete L yield the extra
-    deduction rule KC -> KL.
+    deduction rule KC -> KL.  Only the atoms KL/t at a tag t that keeps
+    the rules with head L, or that collapse onto KL, are declared.
     """
     if problem.goal_clauses:
         raise UnsupportedFeature("compile clause goals away first")
@@ -775,15 +776,20 @@ def reference_ktm(problem: ConformantProblem, spec: TranslationSpec,
         targets = merged_through.get(t, ())
         return any(rel.relevant(L, tgt) for tgt in targets)
 
+    def declared(L: Literal, t: Tag) -> bool:
+        # KL/t exists where t keeps the rules with head L or KL/t is KL
+        return useful(L, t) or (optimized and collapses(L, t))
+
     fluents: Set[str] = set()
     for L in lits:
         for t in spec.tags:
-            fluents.add(atom(L, t))
+            if declared(L, t):
+                fluents.add(atom(L, t))
 
     init: Set[Literal] = set()
     for t in spec.tags:
         for L in pi.closure(t):
-            if L.fluent in problem.fluents:
+            if L.fluent in problem.fluents and declared(L, t):
                 init.add(pos(atom(L, t)))
 
     goal = frozenset(pos(atom(L, EMPTY_TAG)) for L in problem.goal)

@@ -175,7 +175,7 @@ def test_translate_drops_the_atoms_nothing_reads(tmp_path, capsys):
     assert len(emitted.fluents) == 48
     assert sum(len(a.rules) for a in emitted.actions) == 800
     # what ktm built, before the simplification
-    assert report["built"] == {"atoms": 1120, "conditional_effects": 2352}
+    assert report["built"] == {"atoms": 128, "conditional_effects": 2352}
 
 
 def optimized_sizes(family, *params, scheme="ki:1"):
@@ -783,3 +783,37 @@ def test_width_rejects_oneof_effects(tmp_path, capsys):
     code, out, err = run_cli(capsys, "width", str(dom), str(prob))
     assert code == 2
     assert "compile nondeterministic effects away first" in err
+
+
+@pytest.mark.parametrize("domain,problem,parts", [
+    (_domain("(p) (not-p) (g)", ("b", "", "(not (p))"),
+             ("a", "", "(when (not-p) (g))")),
+     _problem("(p) (not (not-p)) (not (g))", "(:goal (g))"),
+     ["of not-p and of ~p", "'Knot-p'"]),
+    (_domain("(p) (q) (s) (p__q) (g)", ("a", "", "(when (q) (p))"),
+             ("d", "", "(when (s) (p))"), ("c", "", "(when (p) (g))")),
+     _problem("(oneof (q) (s)) (not (p)) (not (p__q)) (not (g))",
+              "(:goal (g))"),
+     ["of p__q and of p under the tag {q}", "'Kp__q'"])],
+    ids=["negation-prefix", "tag-separator"])
+@pytest.mark.parametrize("command", ["solve", "translate"])
+def test_knowledge_atoms_that_print_alike_are_an_input_error(
+        tmp_path, capsys, domain, problem, parts, command):
+    # ktm refuses them itself, without and with (the CLI's default) the
+    # rewrites
+    source = kplan.pddl.load(domain, problem)
+    ctx = kplan.build_context(source)
+    for optimized in (False, True):
+        with pytest.raises(kplan.UnsupportedFeature) as raised:
+            kplan.ktm(source, kplan.spec_ki(ctx, 1), ctx, optimized=optimized)
+    assert all(part in str(raised.value) for part in parts)
+    dom, prob = tmp_path / "d.pddl", tmp_path / "p.pddl"
+    dom.write_text(domain)
+    prob.write_text(problem)
+    report_path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, command, str(dom), str(prob),
+                             "--report", str(report_path))
+    assert code == 2 and err == f"error: {raised.value}\n" and not out
+    assert json.loads(report_path.read_text()) == {
+        "command": command,
+        "error": f"UnsupportedFeature: {raised.value}"}

@@ -50,21 +50,27 @@ def test_optimize_rebuilds_with_rewrites(pickdrop):
 
 
 def test_collapse_removes_atoms_for_irrelevant_tags():
-    from kplan import make_spec
+    from kplan import Merge, make_spec
     from kplan.model import action, conformant_problem, rule
     problem = conformant_problem(
         ["x", "y", "g"], [[neg("g")]],
         [action("a", rules=[rule([pos("x")], pos("g"))])], [pos("g")])
-    spec = make_spec([frozenset([pos("y")])], [], "manual", trusted=True)
+    tx, ty = frozenset([pos("x")]), frozenset([pos("y")])
+    spec = make_spec([], [Merge(frozenset([tx, ty]), pos("g"))], "manual",
+                     trusted=True)
     ctx = build_context(problem)
     plain = ktm(problem, spec, ctx)
     opt = ktm(problem, spec, ctx, optimized=True)
     # the tag {y} closure is {y, ~g}; every tagged atom whose literal has
-    # no relevant literal in that closure collapses onto the untagged one
-    assert len(plain.fluents) == 12
+    # no relevant literal in that closure collapses onto the untagged one,
+    # so the merge reads Kg/{y} as Kg.  The tag {x} closure {x, ~g} holds
+    # x, relevant to g: Kg/{x} and Kx/{x} stay.
+    assert len(plain.fluents) == 18
     assert len(opt.fluents) == 8
-    assert "Ky__y" in opt.fluents and "Knot-g__y" in opt.fluents
+    assert "Kg__x" in opt.fluents and "Kx__x" in opt.fluents
     assert "Kg__y" not in opt.fluents and "Kx__y" not in opt.fluents
+    merge = next(a for a in opt.actions if a.name in opt.merges)
+    assert merge.rules[0] == rule([pos("Kg__x"), pos("Kg")], pos("Kg"))
 
 
 def test_collapse_only_drops_irrelevant_tags(pickdrop):

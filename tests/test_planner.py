@@ -24,6 +24,7 @@ from kplan.model import (
     Plan,
     RunResult,
     action,
+    is_merge,
     rule,
     run_plan,
 )
@@ -154,12 +155,23 @@ def test_solve_raises_typed_error_when_its_plan_fails(monkeypatch):
 
 # --- hadd against its per-call construction -----------------------------------
 
-def reference_hadd(g: Grounded, state) -> float:
-    """hadd with the rule counters, partial costs and unconditional rules
-    rebuilt on every call."""
+def reference_hadd(K: ClassicalProblem, g: Grounded, state) -> float:
+    """hadd over every relaxed rule of K, with the rule table, counters,
+    partial costs and unconditional rules rebuilt on every call."""
+    def prop(l):
+        return 2 * g.aid[l.fluent] + (not l.positive)
+
+    relaxed, rules_by_prop = [], {}
+    for a in K.actions:
+        cost = 0 if is_merge(a.name) else 1
+        for r in a.rules:
+            props = {prop(l) for l in a.preconditions | r.condition}
+            for p in props:
+                rules_by_prop.setdefault(p, []).append(len(relaxed))
+            relaxed.append((props, prop(r.effect), cost))
     cost = [INF] * (2 * len(g.atoms))
-    counter = [len(set(p)) for p, _, _ in g.relaxed]
-    partial = [float(c) for _, _, c in g.relaxed]
+    counter = [len(p) for p, _, _ in relaxed]
+    partial = [float(c) for _, _, c in relaxed]
     heap = []
     for i in range(len(g.atoms)):
         p = 2 * i if state >> i & 1 else 2 * i + 1
@@ -174,16 +186,16 @@ def reference_hadd(g: Grounded, state) -> float:
 
     for ridx, cnt in enumerate(counter):
         if cnt == 0:
-            relax(g.relaxed[ridx][1], partial[ridx])
+            relax(relaxed[ridx][1], partial[ridx])
     while heap:
         c, p = heapq.heappop(heap)
         if c > cost[p]:
             continue
-        for ridx in g.rules_by_prop.get(p, ()):
+        for ridx in rules_by_prop.get(p, ()):
             partial[ridx] += c
             counter[ridx] -= 1
             if counter[ridx] == 0:
-                relax(g.relaxed[ridx][1], partial[ridx])
+                relax(relaxed[ridx][1], partial[ridx])
     return sum(cost[gp] for gp in g.goal_props)
 
 
@@ -203,7 +215,7 @@ def assert_hadd_matches_reference(K, max_states=150):
     queue = deque([g.init])
     while queue:
         state = queue.popleft()
-        assert g.hadd(state) == reference_hadd(g, state)
+        assert g.hadd(state) == reference_hadd(K, g, state)
         for idx in g.applicable(state):
             succ = g.apply(state, idx)
             if succ not in seen and len(seen) < max_states:

@@ -305,11 +305,66 @@ def test_tag_table_names_follow_atom_name():
     assert table.names == {L: atom_name(L, t) for L in plain}
     assert table.names[pos("r")] == "Kr__not-p__q"
     # optimized, KL/t collapses onto KL where t* = {~p, q} holds nothing
-    # relevant to L
-    table = tag_table(t, ctx, plain, (pos("r"),), optimized=True)
-    assert pos("r") in table.collapsed and pos("q") not in table.collapsed
-    for L, name in table.names.items():
-        assert name == atom_name(L, EMPTY_TAG if L in table.collapsed else t)
+    # relevant to L.  Of the others, only the literals relevant to the
+    # merged ~r keep their rules, and only those are named at t.
+    table = tag_table(t, ctx, plain, (neg("r"),), optimized=True)
+    assert table.emitted == {neg("p"), neg("r")}
+    assert table.names == {
+        neg("p"): atom_name(neg("p"), t), neg("r"): atom_name(neg("r"), t),
+        pos("p"): "Kp", neg("q"): "Knot-q", pos("r"): "Kr"}
+
+
+def mentioned_atoms(K):
+    """The atoms that K's goal, preconditions and rules name."""
+    lits = set(K.goal)
+    for a in K.actions:
+        lits |= a.preconditions
+        for r in a.rules:
+            lits |= r.condition
+            lits.add(r.effect)
+    return {l.fluent for l in lits}
+
+
+def assert_ktm_declares_what_it_mentions(problem, spec, ctx):
+    """Optimized, ktm declares the atoms that its rules, merges, goal and
+    preconditions name, and the untagged KL of every literal L, which the
+    empty tag keeps whether or not anything names it; without the
+    rewrites, KL/t for every literal L at every tag t.  Returns the
+    declared atoms that nothing names."""
+    lits = all_literals(problem.fluents)
+    K = ktm(problem, spec, ctx, optimized=True)
+    unmentioned = K.fluents - mentioned_atoms(K)
+    assert mentioned_atoms(K) <= K.fluents
+    assert unmentioned <= {atom_name(L) for L in lits}
+    assert ktm(problem, spec, ctx).fluents == {
+        atom_name(L, t) for L in lits for t in spec.tags}
+    return unmentioned
+
+
+@pytest.mark.parametrize(
+    "family,params,scheme", BENCH_TRANSLATIONS,
+    ids=["-".join(map(str, (f, *p, s))) for f, p, s in BENCH_TRANSLATIONS])
+def test_ktm_declares_what_it_mentions_on_benchmark_instances(
+        family, params, scheme):
+    problem, resets = compiled_instance(family, params)
+    ctx = build_context(problem)
+    spec = SPECS[scheme](ctx, bool(resets))
+    assert not assert_ktm_declares_what_it_mentions(problem, spec, ctx)
+
+
+def test_ktm_declares_what_it_mentions_on_random_suites():
+    checked = 0
+    for seed in (1, 2, 3):
+        for problem in random_suite(seed, 40):
+            ctx = build_context(problem)
+            for scheme in ("ki:1", "ks0", "kmodels"):
+                try:
+                    spec = SPECS[scheme](ctx, False)
+                except CapExceeded:
+                    continue
+                assert_ktm_declares_what_it_mentions(problem, spec, ctx)
+                checked += 1
+    assert checked >= 300, checked
 
 
 # --- spec_ki from the width search against its own subset search --------------
