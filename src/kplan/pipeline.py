@@ -137,7 +137,8 @@ def pipeline_solve(problem: ConformantProblem,
             K = ktm(compiled, spec, ctx, optimized=config.optimized)
             stage["built"] = encoding_size(K)
             if resets:
-                K = inject_reset_effects(K, compiled, spec, resets)
+                K = inject_reset_effects(K, ctx, spec, resets,
+                                         config.optimized)
             if config.optimized:
                 # after the resets, whose rules read the plain KL atoms
                 # and make tagged atoms settable again

@@ -18,8 +18,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, replace
-from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
-                    Set, Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple,
+                    Optional, Set, Tuple)
 
 from . import analysis
 from .analysis import Context, build_context, cover, target_literals, width_of_literal
@@ -160,35 +160,47 @@ class TagTable(NamedTuple):
     """What the builder knows of one tag t, computed once per translation."""
 
     closure: FrozenSet[Literal]     # t*
-    names: Dict[Literal, str]       # L -> name of KL/t, or of KL if collapsed
+    names: Dict[Literal, str]       # L -> the name of the atom KL/t is
     emitted: FrozenSet[Literal]     # heads whose rules are kept at t
 
 
+def projections(t: Tag, ctx: Context) -> Dict[Literal, Tag]:
+    """L -> the projection of t onto L, the literals of t* outside the
+    closure of the empty tag that are relevant to L, for each literal L
+    where it is not empty.  Only these literals of t* can make KL/t differ
+    from KL."""
+    extra = ctx.pi.closure(t) - ctx.pi.closure(EMPTY_TAG)
+    rel = ctx.rel
+    return {L: extra & rel.relevant_to(L)
+            for L in set().union(*map(rel.reachable_from, extra))}
+
+
 def tag_table(t: Tag, ctx: Context, plain: Dict[Literal, str],
+              name: Callable[[Literal, Tag], str],
               merged: Iterable[Literal], optimized: bool) -> TagTable:
     """The table of tag t over the literals named in ``plain`` (L -> the
-    name of KL), for a translation that merges the literals ``merged``
-    through t.
+    name of KL), for a translation that names the atom KL/p ``name(L, p)``
+    and merges the literals ``merged`` through t.
 
-    Every head keeps its rules unless optimizing at a non-empty t.  Then
-    KL/t collapses onto KL when t* holds nothing relevant to L, i.e. L is
-    reachable from no literal of t* (``ktm``'s rewrite (1)), and the rules
-    with head L are kept only when KL/t does not collapse and L is
-    relevant to a literal merged through t (rewrite (2)).  Only the
-    literals whose rules are kept or whose KL/t collapses are named: a
-    rule kept at t, or a merge through t, mentions no other KL/t.
+    Every KL/t is its own atom and keeps its rules unless optimizing at a
+    non-empty t.  Then KL/t is the atom KL/p of the projection p of t
+    onto L (``projections``), which is KL when p is empty (``ktm``'s
+    rewrite (1)), and the rules with head L are kept only when p is not
+    empty and L is relevant to a literal merged through t (rewrite (2)).
+    Only the literals whose rules are kept or whose p is empty are
+    named: a rule kept at t, or a merge through t, mentions no other KL/t.
     """
     closure = ctx.pi.closure(t)
-    emitted = kept = frozenset(plain)
-    if optimized and t:
-        rel = ctx.rel
-        kept = set().union(*(rel.reachable_from(l) for l in closure))
-        useful = set().union(*(rel.relevant_to(L) for L in merged))
-        emitted = emitted & kept & useful
-    suffix = tag_suffix(t)
-    names = {L: name + suffix if L in kept else name
-             for L, name in plain.items() if L in emitted or L not in kept}
-    return TagTable(closure, names, emitted)
+    if not optimized or not t:
+        return TagTable(closure, {L: name(L, t) for L in plain},
+                        frozenset(plain))
+    projected = projections(t, ctx)
+    useful = set().union(*(ctx.rel.relevant_to(L) for L in merged))
+    emitted = useful.intersection(projected)
+    names = {L: name(L, projected[L]) if L in emitted else base
+             for L, base in plain.items()
+             if L in emitted or L not in projected}
+    return TagTable(closure, names, frozenset(emitted))
 
 
 def _describe(L: Literal, t: Tag) -> str:
@@ -205,13 +217,21 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
     With ``optimized`` the builder applies three rewrites.  (2) only
     keeps the build small: ``simplify``, which runs after it, reaches the
     same final encodings without it.
-    (1) tagged atoms whose tag closure carries nothing relevant to their
-    literal collapse onto the untagged atom.  Without it, safe-40
-    ``ki:1`` builds 1722 atoms instead of 162 and disjtoy-9 ``ks0`` 5130
-    instead of 2835, and the disjtoy-9 translate process peaks about
-    1.4 MB higher.  On oneof input it also changes the search, because
-    the resets write every tagged atom: without it, sgripper-3 searches
-    70 atoms and 282 effects instead of 69 and 278.
+    (1) KL/t is built once per projection p of t onto L: the literals of
+    t* outside the closure of the empty tag that are relevant to L.  Each
+    condition c of a rule with head L has relevant_to(c) within
+    relevant_to(L), and so do ~c and ~L, as the relevance edges come in
+    complementary pairs; and L is in t* exactly when it is in p or in the
+    closure of the empty tag.  So, by induction over a plan, all tags with
+    one projection give KL/t one value in every reachable state, and an
+    empty p gives it the value of KL.  KL/t is named KL/p, KL when p is
+    empty, and equal rules are one.  Without it (KL/t for every t),
+    square-center-8 ``ks0`` builds 2080 atoms and 7300 effects instead of
+    288 and 1028, disjtoy-9 ``ks0`` 5130 atoms instead of 540 and safe-40
+    ``ki:1`` 1722 instead of 162, and the square-center-8 translate
+    process peaks at 29.9 MB instead of 22.4 MB.  On oneof input it also
+    changes the search, because the resets write the tagged atoms:
+    sgripper-3 searches 70 atoms and 282 effects instead of 68 and 274.
     (2) support/cancellation rules are dropped at tags through which
     nothing relevant to their head is merged.  Without it, bomb-16-16
     ``ki:1`` builds 1120 atoms and 18736 effects instead of 128 and 2352,
@@ -221,11 +241,12 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
     the ``ki:1`` search of bomb-12-4 expands 63124 nodes instead of 116.
 
     Every decision depends only on a literal and a tag, so it is read from
-    a table per tag (``tag_table``) and the plain name KL of each literal,
-    each computed once.  An atom KL/t is declared only where the table
-    names L: where t keeps the rules with head L or KL/t collapses onto
-    KL.  Raises UnsupportedFeature when two atoms KL/t take one name,
-    e.g. K~p and K(not-p), or Kp/{q} and K(p__q).
+    a table per tag (``tag_table``), each computed once, and each rule is
+    built once per projection of its head.  Optimized, an atom is declared
+    only where a rule, a merge, the goal or a precondition mentions it;
+    without the rewrites every KL/t is.  Raises UnsupportedFeature when
+    two atoms KL/p take one name, e.g. K~p and K(not-p), or Kp/{q} and
+    K(p__q).
     """
     if problem.goal_clauses:
         raise UnsupportedFeature("compile clause goals away first")
@@ -243,32 +264,35 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
                 raise InvalidSpec(f"invalid merge for {m.target}")
 
     plain = {L: atom_name(L) for L in analysis.all_literals(problem.fluents)}
+    # each name -> (L, p, name) for the atom KL/p it names; p -> its suffix
+    sources: Dict[str, Tuple[Literal, Tag, str]] = {}
+    suffixes: Dict[Tag, str] = {}
+
+    def name(L: Literal, p: Tag) -> str:
+        suffix = suffixes.get(p)
+        if suffix is None:
+            suffix = suffixes[p] = tag_suffix(p)
+        found = plain[L] + suffix
+        other = sources.setdefault(found, (L, p, found))
+        if other[0] != L or other[1] != p:
+            raise UnsupportedFeature(
+                f"the knowledge atoms of {_describe(*other[:2])} and of "
+                f"{_describe(L, p)} both take the name '{found}'")
+        return other[2]
+
     merged_through: Dict[Tag, Set[Literal]] = {}
     for m in spec.merges:
         for t in m.tags:
             merged_through.setdefault(t, set()).add(m.target)
-    tables = [tag_table(t, ctx, plain, merged_through.get(t, ()), optimized)
+    tables = [tag_table(t, ctx, plain, name, merged_through.get(t, ()),
+                        optimized)
               for t in spec.tags]
-    # head literal -> the indexes of the tags that keep its rules
-    kept_at: Dict[Literal, Set[int]] = {L: set() for L in plain}
+    # head literal L -> per atom KL/p that keeps its rules, a tag that
+    # names it: each rule is built once per projection of its head
+    kept_at: Dict[Literal, Dict[str, int]] = {L: {} for L in plain}
     for k, tab in enumerate(tables):
         for L in tab.emitted:
-            kept_at[L].add(k)
-
-    # each declared name -> the KL/t it stands for, KL when collapsed
-    fluents: Dict[str, Tuple[Literal, Tag]] = {}
-    init: Set[Literal] = set()
-    for t, tab in zip(spec.tags, tables):
-        for L, name in tab.names.items():
-            source = (L, t if name != plain[L] else EMPTY_TAG)
-            other = fluents.setdefault(name, source)
-            if other != source:
-                raise UnsupportedFeature(
-                    f"the knowledge atoms of {_describe(*other)} and of "
-                    f"{_describe(*source)} both take the name '{name}'")
-        for L in tab.closure:
-            if L in tab.names:
-                init.add(pos(tab.names[L]))
+            kept_at[L].setdefault(tab.names[L], k)
 
     goal = frozenset(pos(plain[L]) for L in problem.goal)
 
@@ -279,11 +303,11 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
             L = r.effect
             nL = L.negate()
             negated_cond = [c.negate() for c in r.condition]
-            for k in kept_at[L]:  # support KC/t -> KL/t
+            for k in kept_at[L].values():  # support KC/t -> KL/t
                 names = tables[k].names
                 rules.add(Rule(frozenset(pos(names[c]) for c in r.condition),
                                pos(names[L])))
-            for k in kept_at[nL]:  # cancellation ~K~C/t -> ~K~L/t
+            for k in kept_at[nL].values():  # cancellation ~K~C/t -> ~K~L/t
                 names = tables[k].names
                 rules.add(Rule(frozenset(Literal(names[c], False)
                                          for c in negated_cond),
@@ -311,9 +335,21 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
             effects.append(Rule(cond, pos(plain[other.negate()])))
         actions.append(Action(merge_action_name(m), frozenset(),
                               tuple(effects)))
-
     actions.sort(key=lambda a: a.name)
-    return ClassicalProblem(frozenset(fluents), frozenset(init),
+
+    if optimized:
+        mentioned = set(goal)
+        for a in actions:
+            mentioned |= a.preconditions
+            for cond, L in a.rules:
+                mentioned |= cond
+                mentioned.add(L)
+        declared = {f for f, _ in mentioned}
+    else:
+        declared = set(sources)
+    init = {pos(tab.names[L]) for tab in tables for L in tab.closure
+            if tab.names.get(L) in declared}
+    return ClassicalProblem(frozenset(declared), frozenset(init),
                             tuple(actions), goal)
 
 
@@ -539,14 +575,21 @@ def simplify(K: ClassicalProblem) -> ClassicalProblem:
             return lits
         return frozenset([sub.get(l, l) for l in lits])
 
+    def kept(r: Rule) -> Rule:
+        cond = rewrite(r.condition)
+        return r if cond is r.condition else Rule(cond, r.effect)
+
+    # an action or rule the rewrite leaves as it was is kept, not rebuilt
     actions = []
     for i, a in enumerate(K.actions):
         if i in used:
-            rules = [Rule(rewrite(r.condition), r.effect)
-                     for r in map(a.rules.__getitem__, sorted(used[i]))
-                     if r.effect not in gone]
-            actions.append(a._replace(preconditions=rewrite(a.preconditions),
-                                      rules=tuple(dict.fromkeys(rules))))
+            rules = tuple(dict.fromkeys([
+                kept(r) for r in map(a.rules.__getitem__, sorted(used[i]))
+                if r.effect not in gone]))
+            precs = rewrite(a.preconditions)
+            if precs is not a.preconditions or rules != a.rules:
+                a = a._replace(preconditions=precs, rules=rules)
+            actions.append(a)
     return ClassicalProblem(
         frozenset(read).difference([f for f, _ in gone]),
         frozenset([l for l in K.init if l.fluent in read and l not in gone]),
@@ -656,17 +699,21 @@ def nondet_compile(problem: ConformantProblem, copies: int = 1
     return compiled, resets
 
 
-def inject_reset_effects(K: ClassicalProblem, compiled: ConformantProblem,
+def inject_reset_effects(K: ClassicalProblem, ctx: Context,
                          spec: TranslationSpec,
-                         resets: Dict[str, Tuple[str, ...]]
-                         ) -> ClassicalProblem:
-    """Add the knowledge-erasing effects to each reset action: for every
-    tag t mentioning the copy's hidden fluents and every literal L,
-    KL -> KL/t and ~KL -> ~KL/t (assumption-dependent knowledge is reset
-    to the unconditional knowledge)."""
+                         resets: Dict[str, Tuple[str, ...]],
+                         optimized: bool) -> ClassicalProblem:
+    """Add the knowledge-erasing effects to each reset action of K, which
+    ``ktm`` built from ``ctx.problem`` and ``spec`` with the rewrites
+    ``optimized`` or not: for every tag t mentioning the copy's hidden
+    fluents and every literal L, KL -> KL/t and ~KL -> ~KL/t
+    (assumption-dependent knowledge is reset to the unconditional
+    knowledge).  KL/t is the atom ``ktm`` names for it: KL/t itself, or
+    under the rewrites KL/p for the projection p of t onto L, or KL, which
+    needs no reset."""
     if not resets:
         return K
-    lits = analysis.all_literals(compiled.fluents)
+    lits = analysis.all_literals(ctx.problem.fluents)
     new_actions = []
     for a in K.actions:
         hidden = resets.get(a.name)
@@ -678,19 +725,21 @@ def inject_reset_effects(K: ClassicalProblem, compiled: ConformantProblem,
         for t in spec.tags:
             if not any(l.fluent in hidden_set for l in t):
                 continue
-            for L in lits:
+            tagged = (projections(t, ctx) if optimized
+                      else dict.fromkeys(lits, t))
+            for L, p in tagged.items():
                 if L.fluent in hidden_set:
                     # assumption-internal knowledge (what the hidden
                     # selectors themselves look like under the tag) is
                     # static and must survive the reset
                     continue
-                tagged = atom_name(L, t)
-                if tagged not in K.fluents:
-                    continue
-                plain = atom_name(L, EMPTY_TAG)
-                rules.add(Rule(frozenset((pos(plain),)), pos(tagged)))
+                name = atom_name(L, p)
+                if name not in K.fluents:
+                    continue  # K has no atom KL/p to reset
+                plain = atom_name(L)
+                rules.add(Rule(frozenset((pos(plain),)), pos(name)))
                 rules.add(Rule(frozenset((Literal(plain, False),)),
-                               Literal(tagged, False)))
+                               Literal(name, False)))
         new_actions.append(Action(a.name, a.preconditions,
                                   tuple(sorted(rules, key=Rule.sort_key))))
     return replace(K, actions=tuple(new_actions))

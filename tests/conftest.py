@@ -733,8 +733,10 @@ def reference_ktm(problem: ConformantProblem, spec: TranslationSpec,
     onto the untagged atom; (2) support/cancellation rules are dropped at
     tags through which nothing relevant to their head is merged; (3)
     effects C,~L -> L of actions that never delete L yield the extra
-    deduction rule KC -> KL.  Only the atoms KL/t at a tag t that keeps
-    the rules with head L, or that collapse onto KL, are declared.
+    deduction rule KC -> KL.  Optimized, only the atoms that a rule, a
+    merge, the goal or a precondition mentions are declared.  KL/t is
+    named by the whole tag t; ``project_reference`` renames it KL/p, for
+    the projection p that ``ktm`` names it by.
     """
     if problem.goal_clauses:
         raise UnsupportedFeature("compile clause goals away first")
@@ -842,8 +844,46 @@ def reference_ktm(problem: ConformantProblem, spec: TranslationSpec,
         actions.append(Action(name, frozenset(), tuple(effects)))
 
     actions.sort(key=lambda a: a.name)
+    if optimized:
+        fluents = {l.fluent for l in goal}
+        for a in actions:
+            fluents |= {l.fluent for l in a.preconditions}
+            for r in a.rules:
+                fluents |= {l.fluent for l in r.condition | {r.effect}}
+        init = {l for l in init if l.fluent in fluents}
     return ClassicalProblem(frozenset(fluents), frozenset(init),
                             tuple(actions), goal)
+
+
+def project_reference(K: ClassicalProblem, problem: ConformantProblem,
+                      spec: TranslationSpec,
+                      ctx: Context) -> ClassicalProblem:
+    """``reference_ktm``'s optimized encoding K with each atom KL/t
+    renamed KL/p, for the projection p = (t* - {}*) & relevant_to(L) of t
+    onto L (KL when p is empty), and the rules that become equal joined."""
+    units = ctx.pi.closure(EMPTY_TAG)
+    rename = {}
+    for t in spec.tags:
+        extra = ctx.pi.closure(t) - units
+        for L in all_literals(problem.fluents):
+            p = extra & ctx.rel.relevant_to(L)
+            rename[atom_name(L, t)] = atom_name(L, p)
+
+    def lit(l: Literal) -> Literal:
+        return Literal(rename.get(l.fluent, l.fluent), l.positive)
+
+    def lits(ls: Iterable[Literal]) -> FrozenSet[Literal]:
+        return frozenset(map(lit, ls))
+
+    actions = []
+    for a in K.actions:
+        rules = dict.fromkeys(Rule(lits(r.condition), lit(r.effect))
+                              for r in a.rules)
+        if a.name not in K.merges:
+            rules = sorted(rules, key=Rule.sort_key)
+        actions.append(Action(a.name, lits(a.preconditions), tuple(rules)))
+    return ClassicalProblem(frozenset(rename.get(f, f) for f in K.fluents),
+                            lits(K.init), tuple(actions), lits(K.goal))
 
 
 # --- reference bounded-width spec ---------------------------------------------------

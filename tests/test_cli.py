@@ -178,6 +178,24 @@ def test_translate_drops_the_atoms_nothing_reads(tmp_path, capsys):
     assert report["built"] == {"atoms": 128, "conditional_effects": 2352}
 
 
+@pytest.mark.parametrize("family,n,scheme,built", [
+    ("square-center", 8, "ks0", (288, 1028)),
+    ("disjtoy", 9, "ks0", (540, 4618)),
+    ("disjtoy", 9, "kmodels", (540, 4618))])
+def test_translate_builds_one_atom_per_projection(tmp_path, capsys, family, n,
+                                                  scheme, built):
+    # ks0 tags every initial state; KL/t is built once per projection of
+    # t onto the literals relevant to L, not once per state
+    dom, prob = gen_instance(tmp_path, family, n)
+    report_path = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "translate", str(dom), str(prob),
+                         "--scheme", scheme, "--report", str(report_path))
+    assert code == 0
+    report = json.loads(report_path.read_text())
+    assert (report["built"]["atoms"],
+            report["built"]["conditional_effects"]) == built
+
+
 def optimized_sizes(family, *params, scheme="ki:1"):
     """(atoms, effects) of the encoding that `kplan translate` emits under
     --opt with the scheme ki:1 or ks0."""
@@ -247,7 +265,7 @@ def test_solve_ladder_encoding_sizes():
             atoms += stage["translation"]["atoms"]
             effects += stage["translation"]["conditional_effects"]
             assert stage["built"]["atoms"] >= stage["translation"]["atoms"]
-    assert (atoms, effects) == (329, 1392)
+    assert (atoms, effects) == (328, 1388)
 
 
 def test_translate_no_opt_emits_the_literal_translation(tmp_path, capsys):

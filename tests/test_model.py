@@ -233,7 +233,7 @@ def built_objects(family, params, spec_of):
     spec = spec_of(ctx)
     K = ktm(compiled, spec, ctx)
     if not problem.deterministic:
-        K = inject_reset_effects(K, compiled, spec, resets)
+        K = inject_reset_effects(K, ctx, spec, resets, False)
     return [pddl.parse(*texts), problem, compiled, resets, ctx, spec, K,
             Grounded(K), build_basis(compiled, spec, ctx)]
 

@@ -3,7 +3,9 @@
 import pytest
 
 from kplan import (
+    EMPTY_TAG,
     PipelineConfig,
+    Rule,
     build_context,
     conformant_check,
     inject_reset_effects,
@@ -14,11 +16,13 @@ from kplan import (
     neg,
     solve,
     spec_ki,
+    spec_kmodels,
 )
+from kplan.analysis import all_literals
 from kplan.translate import atom_name
 from kplan import generators, pddl
 
-from conftest import coin_problem
+from conftest import coin_problem, compiled_instance
 
 
 def test_nondet_compile_shape():
@@ -60,7 +64,7 @@ def test_reset_erases_assumption_knowledge_but_not_selector_facts():
     ctx = build_context(compiled)
     spec = spec_ki(ctx, 1, include_all=True)
     K = inject_reset_effects(ktm(compiled, spec, ctx),
-                             compiled, spec, resets)
+                             ctx, spec, resets, False)
     reset = K.action_by_name("reset-flip-c1")
     hidden = set(resets["reset-flip-c1"])
     hidden_tags = [t for t in spec.tags
@@ -74,6 +78,39 @@ def test_reset_erases_assumption_knowledge_but_not_selector_facts():
             for h in hidden:
                 assert r.effect.fluent != atom_name(pos(h), t)
                 assert r.effect.fluent != atom_name(neg(h), t)
+
+
+@pytest.mark.parametrize("optimized", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_resets_write_the_atoms_ktm_declares(n, optimized):
+    # each reset writes every tagged atom that ktm declares for a tag over
+    # its hidden selectors, by the name ktm gives it: KL/p for the
+    # projection p of t onto L under the rewrites, KL/t without them
+    compiled, resets = compiled_instance("sgripper", (n,))
+    ctx = build_context(compiled)
+    units = ctx.pi.closure(EMPTY_TAG)
+    for spec in (spec_ki(ctx, 1, include_all=True),
+                 spec_kmodels(ctx, include_all=True)):
+        K = ktm(compiled, spec, ctx, optimized=optimized)
+        R = inject_reset_effects(K, ctx, spec, resets, optimized)
+        for name, hidden in resets.items():
+            added = (set(R.action_by_name(name).rules)
+                     - set(K.action_by_name(name).rules))
+            want = set()
+            for t in spec.tags:
+                if not any(l.fluent in hidden for l in t):
+                    continue
+                for L in all_literals(compiled.fluents):
+                    p = ((ctx.pi.closure(t) - units) & ctx.rel.relevant_to(L)
+                         if optimized else t)
+                    tagged = atom_name(L, p)
+                    if L.fluent in hidden or not p or tagged not in K.fluents:
+                        continue
+                    want.add(Rule(frozenset([pos(atom_name(L))]), pos(tagged)))
+                    want.add(Rule(frozenset([neg(atom_name(L))]), neg(tagged)))
+            assert want and added == want, (n, spec.scheme, name)
+            assert {l.fluent for r in added
+                    for l in r.condition | {r.effect}} <= K.fluents
 
 
 def test_pipeline_solves_nondet_gripper_with_one_copy():

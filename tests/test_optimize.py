@@ -64,11 +64,10 @@ def test_collapse_removes_atoms_for_irrelevant_tags():
     # the tag {y} closure is {y, ~g}; every tagged atom whose literal has
     # no relevant literal in that closure collapses onto the untagged one,
     # so the merge reads Kg/{y} as Kg.  The tag {x} closure {x, ~g} holds
-    # x, relevant to g: Kg/{x} and Kx/{x} stay.
+    # x, relevant to g: Kg/{x} and Kx/{x} stay.  Nothing mentions Ky or
+    # K~y, so they are not declared.
     assert len(plain.fluents) == 18
-    assert len(opt.fluents) == 8
-    assert "Kg__x" in opt.fluents and "Kx__x" in opt.fluents
-    assert "Kg__y" not in opt.fluents and "Kx__y" not in opt.fluents
+    assert opt.fluents == {"Kg", "Knot-g", "Kx", "Knot-x", "Kg__x", "Kx__x"}
     merge = next(a for a in opt.actions if a.name in opt.merges)
     assert merge.rules[0] == rule([pos("Kg__x"), pos("Kg")], pos("Kg"))
 
@@ -77,9 +76,11 @@ def test_collapse_only_drops_irrelevant_tags(pickdrop):
     problem, spec, t1, t2 = pickdrop
     ctx = build_context(problem)
     opt = ktm(problem, spec, ctx, optimized=True)
-    # hold is reachable under both tags, so its tagged atoms survive
-    assert atom_name(pos("hold"), t1) in opt.fluents
-    assert atom_name(pos("hold"), t2) in opt.fluents
+    # hold is reachable under both tags, so its tagged atoms survive,
+    # named by the projections of t1* and t2* less the empty tag's
+    # closure {~hold, ~at-l3}, which hold at-l1 and at-l2
+    assert atom_name(pos("hold"), {pos("at-l1"), neg("at-l2")}) in opt.fluents
+    assert atom_name(pos("hold"), {neg("at-l1"), pos("at-l2")}) in opt.fluents
 
 
 def test_optimized_translation_still_solves(pickdrop):
@@ -174,7 +175,7 @@ def pipeline_encoding(problem, resets, scheme, optimized=True):
     ctx = build_context(problem)
     spec = SPECS[scheme](ctx, bool(resets))
     K = ktm(problem, spec, ctx, optimized=optimized)
-    return inject_reset_effects(K, problem, spec, resets)
+    return inject_reset_effects(K, ctx, spec, resets, optimized)
 
 
 @pytest.mark.parametrize("scheme", sorted(SPECS))
@@ -501,8 +502,9 @@ def test_pruning_runs_after_the_resets(copies):
         for scheme in SPECS:
             spec = SPECS[scheme](ctx, True)
             K = ktm(compiled, spec, ctx, optimized=True)
-            late = check_prune(inject_reset_effects(K, compiled, spec, resets))
-            early = inject_reset_effects(simplify(K), compiled, spec, resets)
+            late = check_prune(inject_reset_effects(K, ctx, spec, resets,
+                                                    True))
+            early = inject_reset_effects(simplify(K), ctx, spec, resets, True)
             assert early != late, (name, scheme)
             assert not mentioned_atoms(early) <= early.fluents, (name, scheme)
 
@@ -639,7 +641,9 @@ def test_a_second_pass_changes_nothing(seed, index, scheme, optimized):
 
 def simplified_digest():
     """The simplified encodings of ``SMALL_INSTANCES`` x ``SPECS``, as
-    text in the order the program keeps them."""
+    text in the order the program keeps them, and the PDDL that
+    `kplan translate` emits for square-center-8 and disjtoy-9 under ks0,
+    whose atoms are named by projections of their many tags."""
     out = []
     for family, params in SMALL_INSTANCES:
         problem, resets = compiled_instance(family, params)
@@ -649,6 +653,10 @@ def simplified_digest():
                         [[a.name, sorted(a.preconditions),
                           [[sorted(r.condition), r.effect] for r in a.rules]]
                          for a in M.actions], sorted(M.goal)])
+    for family, params in (("square-center", (8,)), ("disjtoy", (9,))):
+        problem, resets = compiled_instance(family, params)
+        out.append(pddl.emit_classical(
+            simplify(pipeline_encoding(problem, resets, "ks0"))))
     return json.dumps(out)
 
 
@@ -658,7 +666,7 @@ def test_merge_atoms_is_the_same_under_other_hash_seeds():
         [str(here.parent / "src"), str(here)]))
     code = "import test_optimize; print(test_optimize.simplified_digest())"
     digest = simplified_digest()
-    for seed in ("0", "1"):
+    for seed in ("0", "1", "3", "7"):
         env["PYTHONHASHSEED"] = seed
         run = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)

@@ -29,6 +29,7 @@ from kplan.translate import (
     atom_name,
     inject_reset_effects,
     merge_action_name,
+    projections,
     tag_digest,
     tag_table,
 )
@@ -40,6 +41,7 @@ from conftest import (
     classical_accepts,
     compiled_instance,
     is_conformant,
+    project_reference,
     random_suite,
     reference_ktm,
     reference_spec_ki,
@@ -235,13 +237,17 @@ SPECS = {
 
 
 def _check_against_reference(problem, spec, ctx, resets=None):
+    """ktm builds reference_ktm's encoding: without the rewrites the same
+    one, with them the same once each KL/t is renamed KL/p."""
     for optimized in (True, False):
         got = ktm(problem, spec, ctx, optimized=optimized)
         want = reference_ktm(problem, spec, ctx, optimized=optimized,
                              validate=False)
+        if optimized:
+            want = project_reference(want, problem, spec, ctx)
         if resets is not None:
-            got = inject_reset_effects(got, problem, spec, resets)
-            want = inject_reset_effects(want, problem, spec, resets)
+            got = inject_reset_effects(got, ctx, spec, resets, optimized)
+            want = inject_reset_effects(want, ctx, spec, resets, optimized)
         assert got == want, (spec.scheme, optimized)
         assert pddl.emit_classical(got) == pddl.emit_classical(want)
 
@@ -295,23 +301,31 @@ def test_ktm_matches_reference_on_nondet_gripper_with_resets():
 
 
 def test_tag_table_names_follow_atom_name():
+    # s holds initially and is relevant to r
     problem = conformant_problem(
-        ["p", "q", "r"], [[pos("p"), pos("q")]],
-        [action("a", rules=[rule([pos("p")], pos("r"))])], [pos("r")])
+        ["p", "q", "r", "s"], [[pos("p"), pos("q")], [pos("s")]],
+        [action("a", rules=[rule([pos("p"), pos("s")], pos("r"))])],
+        [pos("r")])
     ctx = build_context(problem)
     plain = {L: atom_name(L) for L in all_literals(problem.fluents)}
     t = frozenset([neg("p"), pos("q")])
-    table = tag_table(t, ctx, plain, (), optimized=False)
+    table = tag_table(t, ctx, plain, atom_name, (), optimized=False)
     assert table.names == {L: atom_name(L, t) for L in plain}
     assert table.names[pos("r")] == "Kr__not-p__q"
-    # optimized, KL/t collapses onto KL where t* = {~p, q} holds nothing
-    # relevant to L.  Of the others, only the literals relevant to the
-    # merged ~r keep their rules, and only those are named at t.
-    table = tag_table(t, ctx, plain, (neg("r"),), optimized=True)
+    # optimized, KL/t is KL/p for the projection p of t onto L: the
+    # literals of t* = {~p, q, s} relevant to L, less s, which the empty
+    # tag's closure holds.  So Kr/t is Kr, though s is relevant to r.
+    # Of the literals with a projection, only those relevant to the
+    # merged ~r keep their rules, and only those and the ones that are KL
+    # at t are named.
+    assert projections(t, ctx) == {neg("p"): {neg("p")},
+                                   neg("r"): {neg("p")}, pos("q"): {pos("q")}}
+    table = tag_table(t, ctx, plain, atom_name, (neg("r"),), optimized=True)
     assert table.emitted == {neg("p"), neg("r")}
     assert table.names == {
-        neg("p"): atom_name(neg("p"), t), neg("r"): atom_name(neg("r"), t),
-        pos("p"): "Kp", neg("q"): "Knot-q", pos("r"): "Kr"}
+        neg("p"): "Knot-p__not-p", neg("r"): "Knot-r__not-p",
+        pos("p"): "Kp", neg("q"): "Knot-q", pos("r"): "Kr",
+        neg("s"): "Knot-s", pos("s"): "Ks"}
 
 
 def mentioned_atoms(K):
@@ -326,19 +340,14 @@ def mentioned_atoms(K):
 
 
 def assert_ktm_declares_what_it_mentions(problem, spec, ctx):
-    """Optimized, ktm declares the atoms that its rules, merges, goal and
-    preconditions name, and the untagged KL of every literal L, which the
-    empty tag keeps whether or not anything names it; without the
-    rewrites, KL/t for every literal L at every tag t.  Returns the
-    declared atoms that nothing names."""
+    """Optimized, ktm declares exactly the atoms that its rules, merges,
+    goal and preconditions name; without the rewrites, KL/t for every
+    literal L at every tag t."""
     lits = all_literals(problem.fluents)
     K = ktm(problem, spec, ctx, optimized=True)
-    unmentioned = K.fluents - mentioned_atoms(K)
-    assert mentioned_atoms(K) <= K.fluents
-    assert unmentioned <= {atom_name(L) for L in lits}
+    assert K.fluents == mentioned_atoms(K)
     assert ktm(problem, spec, ctx).fluents == {
         atom_name(L, t) for L in lits for t in spec.tags}
-    return unmentioned
 
 
 @pytest.mark.parametrize(
@@ -349,7 +358,7 @@ def test_ktm_declares_what_it_mentions_on_benchmark_instances(
     problem, resets = compiled_instance(family, params)
     ctx = build_context(problem)
     spec = SPECS[scheme](ctx, bool(resets))
-    assert not assert_ktm_declares_what_it_mentions(problem, spec, ctx)
+    assert_ktm_declares_what_it_mentions(problem, spec, ctx)
 
 
 def test_ktm_declares_what_it_mentions_on_random_suites():
