@@ -40,7 +40,6 @@ from .model import (
     State,
     action,
     apply,
-    clause,
     conformant_problem,
     neg,
     pos,

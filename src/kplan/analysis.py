@@ -151,6 +151,9 @@ def width_of_literal(ci: Iterable[Clause], L: Literal, rel: RelevanceGraph,
     Sizes are searched in increasing order and, within a size, candidate
     subsets in lexicographic order of the canonically sorted clause list,
     so the returned witness is the lexicographically least minimal one.
+    Only a ``cap`` makes it raise WidthSearchCap: without one, the
+    tautologies over the fluents V of C_I(L), all unknown, are a witness
+    of size |V|, as their cover holds every I-consistent assignment to V.
     """
     rcs = relevant_clauses(ci, L, rel)
     if not rcs.clauses:
@@ -212,9 +215,6 @@ class MutexSet:
 
     def mutex_with(self, L: Literal) -> FrozenSet[Literal]:
         return self._partners.get(L, frozenset())
-
-    def __len__(self):
-        return len(self.pairs)
 
 
 def mutex_set(problem: ConformantProblem, pi: Optional[PICNF] = None

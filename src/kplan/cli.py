@@ -22,7 +22,7 @@ from .analysis import (
     target_literals,
     width_of_literal,
 )
-from .errors import KplanError, NoPlanFound, UnknownAction, WidthSearchCap
+from .errors import KplanError, NoPlanFound, UnknownAction
 from .model import ConformantProblem, Plan, sorted_lits
 from .pi import DEFAULT_MODEL_CAP, DEFAULT_PI_CLAUSE_CAP, DEFAULT_STATE_CAP
 from .pipeline import (PipelineConfig, encoding_size, pipeline_solve,
@@ -122,21 +122,13 @@ def _scheme_spec(scheme: str, bound: Optional[int], ctx, caps):
 
 def _width_report(problem: ConformantProblem, ctx) -> Dict:
     per_literal = {}
-    overall = 0
     for L in target_literals(problem):
-        try:
-            w, witness = width_of_literal(ctx.ci, L, ctx.rel, ctx.pi)
-            per_literal[str(L)] = {
-                "width": w,
-                "witness": [[str(l) for l in sorted_lits(c)]
-                            for c in witness],
-            }
-            if overall is not None:
-                overall = max(overall, w)
-        except WidthSearchCap as exc:
-            # an unknown width makes the overall width unknown
-            per_literal[str(L)] = {"width": None, "error": str(exc)}
-            overall = None
+        w, witness = width_of_literal(ctx.ci, L, ctx.rel, ctx.pi)
+        per_literal[str(L)] = {
+            "width": w,
+            "witness": [[str(l) for l in sorted_lits(c)] for c in witness],
+        }
+    overall = max((e["width"] for e in per_literal.values()), default=0)
     return {"width": overall, "literals": per_literal}
 
 
@@ -166,8 +158,7 @@ def cmd_translate(args) -> int:
         "built": built,
     }
     widths = report["widths"] = _width_report(compiled, ctx)
-    if bound is not None and (widths["width"] is None
-                              or widths["width"] > bound):
+    if bound is not None and widths["width"] > bound:
         report["warning"] = (
             f"problem width {widths['width']} exceeds the bound "
             f"{bound}; completeness is not guaranteed")
@@ -262,13 +253,9 @@ def cmd_width(args) -> int:
     report["command"] = "width"
     print(f"w(P) = {report['width']}")
     for lit, entry in sorted(report["literals"].items()):
-        if entry.get("width") is None:
-            print(f"  w({lit}) : {entry['error']}")
-        else:
-            witness = " ".join(
-                "{" + ",".join(c) + "}" for c in entry["witness"])
-            print(f"  w({lit}) = {entry['width']}"
-                  + (f"  witness: {witness}" if witness else ""))
+        witness = " ".join("{" + ",".join(c) + "}" for c in entry["witness"])
+        print(f"  w({lit}) = {entry['width']}"
+              + (f"  witness: {witness}" if witness else ""))
     _write_report(args, report)
     return 0
 

@@ -59,10 +59,6 @@ Clause = FrozenSet[Literal]
 State = FrozenSet[Literal]
 
 
-def clause(*lits: Literal) -> Clause:
-    return frozenset(lits)
-
-
 def sorted_lits(lits: Iterable[Literal]) -> Tuple[Literal, ...]:
     return tuple(sorted(lits))
 

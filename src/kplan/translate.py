@@ -18,8 +18,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, replace
-from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple,
-                    Optional, Set, Tuple)
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from . import analysis
 from .analysis import Context, build_context, cover, target_literals, width_of_literal
@@ -156,14 +155,6 @@ def spec_ki(ctx: Context, i: int, include_all: bool = False) -> TranslationSpec:
 
 # --- the core builder -------------------------------------------------------
 
-class TagTable(NamedTuple):
-    """What the builder knows of one tag t, computed once per translation."""
-
-    closure: FrozenSet[Literal]     # t*
-    names: Dict[Literal, str]       # L -> the name of the atom KL/t is
-    emitted: FrozenSet[Literal]     # heads whose rules are kept at t
-
-
 def projections(t: Tag, ctx: Context) -> Dict[Literal, Tag]:
     """L -> the projection of t onto L, the literals of t* outside the
     closure of the empty tag that are relevant to L, for each literal L
@@ -175,32 +166,16 @@ def projections(t: Tag, ctx: Context) -> Dict[Literal, Tag]:
             for L in set().union(*map(rel.reachable_from, extra))}
 
 
-def tag_table(t: Tag, ctx: Context, plain: Dict[Literal, str],
-              name: Callable[[Literal, Tag], str],
-              merged: Iterable[Literal], optimized: bool) -> TagTable:
-    """The table of tag t over the literals named in ``plain`` (L -> the
-    name of KL), for a translation that names the atom KL/p ``name(L, p)``
-    and merges the literals ``merged`` through t.
-
-    Every KL/t is its own atom and keeps its rules unless optimizing at a
-    non-empty t.  Then KL/t is the atom KL/p of the projection p of t
-    onto L (``projections``), which is KL when p is empty (``ktm``'s
-    rewrite (1)), and the rules with head L are kept only when p is not
-    empty and L is relevant to a literal merged through t (rewrite (2)).
-    Only the literals whose rules are kept or whose p is empty are
-    named: a rule kept at t, or a merge through t, mentions no other KL/t.
-    """
-    closure = ctx.pi.closure(t)
-    if not optimized or not t:
-        return TagTable(closure, {L: name(L, t) for L in plain},
-                        frozenset(plain))
-    projected = projections(t, ctx)
-    useful = set().union(*(ctx.rel.relevant_to(L) for L in merged))
-    emitted = useful.intersection(projected)
-    names = {L: name(L, projected[L]) if L in emitted else base
-             for L, base in plain.items()
-             if L in emitted or L not in projected}
-    return TagTable(closure, names, frozenset(emitted))
+def atom_tags(t: Tag, lits: Iterable[Literal], ctx: Context,
+              optimized: bool) -> Dict[Literal, Tag]:
+    """L -> p for each literal L where KL/t is an atom KL/p other than KL:
+    with the rewrites ``optimized``, the projection of t onto L
+    (``projections``); else t itself, for every L of ``lits``.  ``ktm``
+    names its atoms and ``inject_reset_effects`` resets them through this
+    map."""
+    if optimized:
+        return projections(t, ctx)
+    return dict.fromkeys(lits, t) if t else {}
 
 
 def _describe(L: Literal, t: Tag) -> str:
@@ -240,13 +215,17 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
     deduction rule KC -> KL.  This one changes the search: without it,
     the ``ki:1`` search of bomb-12-4 expands 63124 nodes instead of 116.
 
-    Every decision depends only on a literal and a tag, so it is read from
-    a table per tag (``tag_table``), each computed once, and each rule is
-    built once per projection of its head.  Optimized, an atom is declared
-    only where a rule, a merge, the goal or a precondition mentions it;
-    without the rewrites every KL/t is.  Raises UnsupportedFeature when
-    two atoms KL/p take one name, e.g. K~p and K(not-p), or Kp/{q} and
-    K(p__q).
+    The build is keyed by (literal, projection), the projection of t
+    being t itself without the rewrites.  Each tag t gives the p of the
+    atom KL/p that KL/t is (``atom_tags``) for the heads L whose rules it
+    keeps; the empty tag keeps every head, at KL.  Each rule C -> L is
+    built once per p found for L and names each condition c
+    Kc/(p & relevant_to(c)), Kc/p without the rewrites.  KL/t starts true
+    iff L is in t*, which under the rewrites holds iff L is in p or in the
+    closure of the empty tag.  Optimized, an atom is declared only where a
+    rule, a merge, the goal or a precondition mentions it; without the
+    rewrites every KL/t is.  Raises UnsupportedFeature when two atoms KL/p
+    take one name, e.g. K~p and K(not-p), or Kp/{q} and K(p__q).
     """
     if problem.goal_clauses:
         raise UnsupportedFeature("compile clause goals away first")
@@ -263,55 +242,73 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
             if not pi.merge_valid(m):
                 raise InvalidSpec(f"invalid merge for {m.target}")
 
-    plain = {L: atom_name(L) for L in analysis.all_literals(problem.fluents)}
-    # each name -> (L, p, name) for the atom KL/p it names; p -> its suffix
-    sources: Dict[str, Tuple[Literal, Tag, str]] = {}
+    lits = analysis.all_literals(problem.fluents)
+    plain = {L: atom_name(L) for L in lits}
+    # p -> L -> the name of KL/(p & relevant_to(L)), KL/p without the
+    # rewrites: KL/p itself for the atoms ``declare`` names.  Each name ->
+    # its (L, p); each p -> the suffix of its names.
+    atoms: Dict[Tag, Dict[Literal, str]] = {}
+    sources: Dict[str, Tuple[Literal, Tag]] = {}
     suffixes: Dict[Tag, str] = {}
 
-    def name(L: Literal, p: Tag) -> str:
-        suffix = suffixes.get(p)
-        if suffix is None:
-            suffix = suffixes[p] = tag_suffix(p)
-        found = plain[L] + suffix
-        other = sources.setdefault(found, (L, p, found))
-        if other[0] != L or other[1] != p:
-            raise UnsupportedFeature(
-                f"the knowledge atoms of {_describe(*other[:2])} and of "
-                f"{_describe(L, p)} both take the name '{found}'")
-        return other[2]
+    def declare(L: Literal, p: Tag) -> str:
+        """The name of KL/p; under the rewrites p is within relevant_to(L)."""
+        at = atoms.get(p)
+        if at is None:
+            at = atoms[p] = {}
+            suffixes[p] = tag_suffix(p)
+        found = at.get(L)
+        if found is None:
+            found = at[L] = plain[L] + suffixes[p]
+            other = sources.setdefault(found, (L, p))
+            if other != (L, p):
+                raise UnsupportedFeature(
+                    f"the knowledge atoms of {_describe(*other)} and of "
+                    f"{_describe(L, p)} both take the name '{found}'")
+        return found
 
-    merged_through: Dict[Tag, Set[Literal]] = {}
+    for L in lits:
+        declare(L, EMPTY_TAG)
+    # per tag t: the literals relevant to a literal merged through t
+    useful: Dict[Tag, Set[Literal]] = {}
     for m in spec.merges:
         for t in m.tags:
-            merged_through.setdefault(t, set()).add(m.target)
-    tables = [tag_table(t, ctx, plain, name, merged_through.get(t, ()),
-                        optimized)
-              for t in spec.tags]
-    # head literal L -> per atom KL/p that keeps its rules, a tag that
-    # names it: each rule is built once per projection of its head
-    kept_at: Dict[Literal, Dict[str, int]] = {L: {} for L in plain}
-    for k, tab in enumerate(tables):
-        for L in tab.emitted:
-            kept_at[L].setdefault(tab.names[L], k)
+            useful.setdefault(t, set()).update(ctx.rel.relevant_to(m.target))
+    # per tag t: L -> the name of KL/t for the heads t keeps; per head L:
+    # the p of the atoms KL/p whose rules are built
+    kept: Dict[Tag, Dict[Literal, str]] = {}
+    built: Dict[Literal, Set[Tag]] = {L: {EMPTY_TAG} for L in lits}
+    for t in spec.tags:
+        keep = tagged = atom_tags(t, lits, ctx, optimized)
+        if optimized:  # rewrite (2)
+            keep = sorted(useful.get(t, set()).intersection(tagged))
+        names = kept[t] = {}
+        for L in keep:
+            names[L] = declare(L, tagged[L])
+            built[L].add(tagged[L])
 
     goal = frozenset(pos(plain[L]) for L in problem.goal)
 
+    # a rule with head KL/p names each condition c atoms[p][c], which is
+    # Kc/(p & relevant_to(c)) from c's first lookup on: every tag that
+    # gives p names c so, as relevant_to(c) is within relevant_to(L)
+    relevant_to = ctx.rel.relevant_to
     actions: List[Action] = []
     for a in problem.actions:
         rules: Set[Rule] = set()
         for r in a.rules:
-            L = r.effect
-            nL = L.negate()
-            negated_cond = [c.negate() for c in r.condition]
-            for k in kept_at[L].values():  # support KC/t -> KL/t
-                names = tables[k].names
-                rules.add(Rule(frozenset(pos(names[c]) for c in r.condition),
-                               pos(names[L])))
-            for k in kept_at[nL].values():  # cancellation ~K~C/t -> ~K~L/t
-                names = tables[k].names
-                rules.add(Rule(frozenset(Literal(names[c], False)
-                                         for c in negated_cond),
-                               Literal(names[nL], False)))
+            # support KC/t -> KL/t and cancellation ~K~C/t -> ~K~L/t
+            for L, cond, value in (
+                    (r.effect, r.condition, True),
+                    (r.effect.negate(), [c.negate() for c in r.condition],
+                     False)):
+                for p in built[L]:
+                    at = atoms[p]
+                    rules.add(Rule(
+                        frozenset([Literal(at.get(c) or at.setdefault(
+                            c, atoms[p & relevant_to(c)][c]), value)
+                            for c in cond]),
+                        Literal(at[L], value)))
         if optimized:
             # extra deduction: a: C,~L -> L with no a-rule deleting L
             heads = {r.effect for r in a.rules}
@@ -325,9 +322,9 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
         actions.append(Action(a.name, precs,
                               tuple(sorted(rules, key=Rule.sort_key))))
 
-    table_of = dict(zip(spec.tags, tables))
     for m in dict.fromkeys(spec.merges):  # a merge listed twice is one action
-        cond = frozenset(pos(table_of[t].names[m.target]) for t in m.tags)
+        cond = frozenset(pos(kept[t].get(m.target, plain[m.target]))
+                         for t in m.tags)
         effects = [Rule(cond, pos(plain[m.target]))]
         for other in sorted(ctx.mutexes.mutex_with(m.target)):
             if other == m.target.negate():
@@ -347,8 +344,13 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
         declared = {f for f, _ in mentioned}
     else:
         declared = set(sources)
-    init = {pos(tab.names[L]) for tab in tables for L in tab.closure
-            if tab.names.get(L) in declared}
+    # KL/p starts true iff L is in p*, or under the rewrites in p or the
+    # closure of the empty tag; an entry for L in atoms[p] whose atom is
+    # KL/(p & relevant_to(L)) agrees, as L is relevant to itself
+    units = pi.closure(EMPTY_TAG)
+    init = {pos(at[L]) for p, at in atoms.items()
+            for L in (p | units if optimized else pi.closure(p))
+            if at.get(L) in declared}
     return ClassicalProblem(frozenset(declared), frozenset(init),
                             tuple(actions), goal)
 
@@ -708,9 +710,8 @@ def inject_reset_effects(K: ClassicalProblem, ctx: Context,
     ``optimized`` or not: for every tag t mentioning the copy's hidden
     fluents and every literal L, KL -> KL/t and ~KL -> ~KL/t
     (assumption-dependent knowledge is reset to the unconditional
-    knowledge).  KL/t is the atom ``ktm`` names for it: KL/t itself, or
-    under the rewrites KL/p for the projection p of t onto L, or KL, which
-    needs no reset."""
+    knowledge).  KL/t is the atom KL/p that ``atom_tags`` gives, as in
+    ``ktm``, or KL, which needs no reset."""
     if not resets:
         return K
     lits = analysis.all_literals(ctx.problem.fluents)
@@ -725,9 +726,7 @@ def inject_reset_effects(K: ClassicalProblem, ctx: Context,
         for t in spec.tags:
             if not any(l.fluent in hidden_set for l in t):
                 continue
-            tagged = (projections(t, ctx) if optimized
-                      else dict.fromkeys(lits, t))
-            for L, p in tagged.items():
+            for L, p in atom_tags(t, lits, ctx, optimized).items():
                 if L.fluent in hidden_set:
                     # assumption-internal knowledge (what the hidden
                     # selectors themselves look like under the tag) is

@@ -128,6 +128,35 @@ def test_width_of_literal_and_problem(tiny):
         width_of_literal(ctx.ci, pos("p"), ctx.rel, ctx.pi, cap=0)
 
 
+def _check_uncapped_width(problem):
+    """Without a cap, the width search finds a witness for every target
+    literal: at most one clause per fluent of C_I(L), whose cover
+    satisfies C_I(L)."""
+    ctx = build_context(problem)
+    for L in target_literals(problem):
+        rcs = ctx.relevant_clause_set(L)
+        w, witness = width_of_literal(ctx.ci, L, ctx.rel, ctx.pi)
+        assert w == len(witness) <= len({l.fluent for c in rcs.clauses
+                                         for l in c}), L
+        if witness:
+            assert satisfies(cover(witness, ctx.pi), rcs.clauses, ctx.pi)
+        else:
+            assert not rcs.clauses
+
+
+def test_uncapped_width_search_finds_a_witness_on_random_suite():
+    for seed in range(1, 11):
+        for problem in random_suite(seed, 40):
+            _check_uncapped_width(problem)
+
+
+@pytest.mark.parametrize("family,params", BENCH_INSTANCES,
+                         ids=["-".join(map(str, (f, *p)))
+                              for f, p in BENCH_INSTANCES])
+def test_uncapped_width_search_finds_a_witness_on_generated(family, params):
+    _check_uncapped_width(compiled_instance(family, params)[0])
+
+
 def test_width_zero_for_classical_input():
     problem = conformant_problem(
         ["p", "g"], [[pos("p")], [neg("g")]],

@@ -16,7 +16,7 @@ import kplan
 
 from kplan import cli
 from kplan.cli import main
-from kplan.errors import GroundingBlowup, NoPlanFound, WidthSearchCap
+from kplan.errors import GroundingBlowup, NoPlanFound
 
 
 def run_cli(capsys, *argv):
@@ -107,31 +107,6 @@ def test_k0_warns_like_ki_0(tmp_path, capsys):
     assert warnings[0] == warnings[1] == (
         "problem width 1 exceeds the bound 0; completeness is not "
         "guaranteed")
-
-
-def test_translate_warns_when_a_width_search_hits_its_cap(
-        tmp_path, capsys, monkeypatch):
-    real = cli.width_of_literal
-    capped = []
-
-    def width_of_literal(ci, L, rel, pi, cap=None):
-        if not capped:  # the first target literal; later ones are searched
-            capped.append(L)
-            raise WidthSearchCap(f"no witness for literal {L}")
-        return real(ci, L, rel, pi, cap)
-
-    monkeypatch.setattr(cli, "width_of_literal", width_of_literal)
-    dom, prob = gen_instance(tmp_path, "bomb", 3, 3)
-    report_path = tmp_path / "report.json"
-    code, out, err = run_cli(capsys, "translate", str(dom), str(prob),
-                             "--scheme", "ki:1",
-                             "--report", str(report_path))
-    assert code == 0
-    report = json.loads(report_path.read_text())
-    assert report["widths"]["width"] is None
-    assert report["widths"]["literals"][str(capped[0])]["width"] is None
-    assert len(report["widths"]["literals"]) > 1
-    assert "completeness is not guaranteed" in report["warning"]
 
 
 def test_translate_export_is_deterministic(tmp_path, capsys):
@@ -384,6 +359,38 @@ def test_solve_cap_error_is_a_stage_status_with_a_report(
     assert capped and all(s["error"].startswith(error) for s in capped)
     # the ladder went on to its last stage
     assert report["stages"][-1]["scheme"] == "kmodels"
+
+
+def test_translate_ks0_past_the_state_cap_exits_2_with_a_report(
+        tmp_path, capsys):
+    dom, prob = gen_instance(tmp_path, "safe", 4)
+    ctx = kplan.build_context(kplan.pddl.load(dom.read_text(),
+                                              prob.read_text()))
+    with pytest.raises(kplan.TooManyInitialStates):
+        kplan.spec_ks0(ctx, cap=1)
+    report_path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "translate", str(dom), str(prob),
+                             "--scheme", "ks0", "--caps", "1,4096,5000",
+                             "--report", str(report_path))
+    assert code == 2 and "translated with" not in out
+    report = json.loads(report_path.read_text())
+    assert report["command"] == "translate"
+    assert report["error"].startswith("TooManyInitialStates: ")
+    assert err == f"error: {report['error'].split(': ', 1)[1]}\n"
+
+
+def test_bench_runs_every_instance_and_reports_it(tmp_path, capsys):
+    report_path = tmp_path / "bench.json"
+    code, out, err = run_cli(capsys, "bench", "--report", str(report_path))
+    assert code == 0
+    rows = json.loads(report_path.read_text())["rows"]
+    assert [r["instance"] for r in rows] == [
+        "-".join(map(str, (f, *p))) for f, p in cli.DEFAULT_BENCH]
+    for r in rows:
+        assert r["scheme"] in ("ki:1", "kmodels")
+        assert r["stripped_length"] > 0
+        assert (f"{r['instance']:<20} {r['scheme']:<8} "
+                f"length={r['stripped_length']:<4}") in out
 
 
 def test_bench_passes_caps_to_the_pipeline(tmp_path, capsys, monkeypatch):

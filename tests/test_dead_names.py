@@ -11,7 +11,12 @@ the name (``getattr``, ``monkeypatch.setattr``).  Dunder names are
 exempt.  The scan goes by name alone, so a name used for one thing
 counts as used for every thing it names.
 
-A second scan fails on a parameter with a default, of a function or a
+A second scan fails on a name that ``kplan/__init__.py`` exports but
+that those directories reference neither as a bare name nor as an
+attribute of ``kplan`` or of one of its modules: an attribute of anything
+else (``grounder.clause``) is another name that happens to match.
+
+A third scan fails on a parameter with a default, of a function or a
 method, that no call in those directories sets, by keyword or by
 position: the default is then the only value it takes.  A call matches
 every definition of its name; a call to a class is a call to its
@@ -136,6 +141,51 @@ def test_the_scan_finds_dead_names_and_unread_fields():
 def test_every_definition_is_used_and_every_field_read():
     assert dead([(p.stem, p.read_text()) for p in PACKAGE],
                 [p.read_text() for p in SCANNED]) == ([], [])
+
+
+def exported(source: str):
+    """The names an ``__init__`` source imports from its modules."""
+    return sorted(a.asname or a.name for node in ast.parse(source).body
+                  if isinstance(node, ast.ImportFrom) for a in node.names)
+
+
+def references(source: str, modules):
+    """The names the source reads bare, or as an attribute of one of the
+    ``modules`` (the package and its modules, by name)."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            owner = node.value
+            if getattr(owner, "id", getattr(owner, "attr", None)) in modules:
+                refs.add(node.attr)
+    return refs
+
+
+def unreferenced_exports(init_source: str, scanned, modules):
+    refs = set().union(*(references(s, modules) for s in scanned))
+    return [n for n in exported(init_source) if n not in refs]
+
+
+def test_the_scan_finds_exports_nothing_references():
+    init = ("from .m import (used, by_attribute, by_other_owner, unused)\n"
+            "from .n import by_module_path\n")
+    caller = ("from kplan import used, unused\n"
+              "used()\n"
+              "m.by_attribute\n"
+              "grounder.by_other_owner()\n"
+              "kplan.n.by_module_path\n")
+    assert unreferenced_exports(init, [init, caller], {"kplan", "m", "n"}) \
+        == ["by_other_owner", "unused"]
+
+
+def test_every_export_is_referenced():
+    init = ROOT / "src" / "kplan" / "__init__.py"
+    modules = {"kplan"} | {p.stem for p in PACKAGE}
+    assert unreferenced_exports(init.read_text(),
+                                [p.read_text() for p in SCANNED],
+                                modules) == []
 
 
 def defaulted_parameters(source: str):

@@ -110,6 +110,102 @@ def test_undeclared_and_type_errors():
         load(dom, bad)
 
 
+def test_comments_constants_and_a_type_hierarchy():
+    dom = """; a domain with a constant
+    (define (domain d) ; the header
+      (:types room hall - place)
+      (:constants home - room) ; one room every problem has
+      (:predicates (at ?p - place) (lit ?r - room) (any ?o))
+      (:action go :parameters (?r - room) :precondition (and)
+               :effect (at ?r)))"""
+    prob = """(define (problem d1) (:domain d)
+      (:objects kitchen - room corridor - hall box)
+      (:init (not (at home))) (:goal (at home)))"""
+    problem = load(dom, prob)
+    # a place is a room or a hall; an object of no type is an object only
+    assert problem.fluents == {
+        "at-home", "at-kitchen", "at-corridor", "lit-home", "lit-kitchen",
+        "any-box", "any-corridor", "any-home", "any-kitchen"}
+    assert {a.name for a in problem.actions} == {"go-home", "go-kitchen"}
+
+
+def test_contradictory_conditions_and_preconditions_are_pruned():
+    dom = """(define (domain d) (:types t) (:predicates (p ?x - t) (q))
+      (:action a :parameters (?x ?y - t)
+               :precondition (and (p ?x) (not (p ?y)))
+               :effect (and (when (and (p ?x) (not (p ?x))) (q))
+                            (when (p ?y) (not (q))))))"""
+    prob = """(define (problem d1) (:domain d) (:objects o1 o2 - t)
+      (:init (p o1) (not (p o2)) (not (q))) (:goal (q)))"""
+    problem = load(dom, prob)
+    # a-o1-o1 and a-o2-o2 can never apply; the first when never holds
+    assert {a.name for a in problem.actions} == {"a-o1-o2", "a-o2-o1"}
+    assert [r.effect for r in problem.action_by_name("a-o1-o2").rules] \
+        == [neg("q")]
+
+
+def test_an_unbalanced_close_is_a_syntax_error():
+    with pytest.raises(PddlSyntaxError, match="unbalanced '\\)'") as exc:
+        parse_sexprs("(a (b))\n  )")
+    assert (exc.value.line, exc.value.column) == (2, 3)
+
+
+@pytest.mark.parametrize("effect,init,message", [
+    ("(forall (?x - t) (p ?x) (p ?x))", "",
+     "'forall' takes a variable list and an effect"),
+    ("(forall (?x ?y - t) (p ?x))", "",
+     "one variable per 'forall' is supported"),
+    ("(oneof (p o1))", "", "'oneof' needs at least two outcomes"),
+    ("(p o1)", "(oneof (p o1))", "'oneof' needs at least two members")])
+def test_forall_and_oneof_arity(effect, init, message):
+    dom = f"""(define (domain d) (:types t) (:predicates (p ?x - t))
+      (:action a :parameters () :precondition (and) :effect {effect}))"""
+    prob = f"""(define (problem d1) (:domain d) (:objects o1 o2 - t)
+      (:init {init}) (:goal (p o1)))"""
+    with pytest.raises(PddlSyntaxError) as exc:
+        load(dom, prob)
+    assert str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize("old,new,message", [
+    (":effect (p)", ":effect (increase (p) 1)",
+     "numeric effect 'increase' is not supported"),
+    ("(:predicates (p))", "(:predicates (p)) (:functions (cost))",
+     "section ':functions' is not supported"),
+    ("(:predicates (p))", "(:predicates (p)) (:derived (p) (p))",
+     "section ':derived' is not supported"),
+    (":effect (p)", ":effect (p) :observe (p)",
+     "action keyword ':observe' is not supported")])
+def test_unsupported_features_are_refused(old, new, message):
+    dom = """(define (domain d) (:predicates (p))
+      (:action a :parameters () :precondition (and) :effect (p)))"""
+    prob = "(define (problem d1) (:domain d) (:init) (:goal (p)))"
+    assert load(dom, prob).fluents == {"p"}
+    with pytest.raises(UnsupportedFeature) as exc:
+        load(dom.replace(old, new), prob)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("old,new,message", [
+    (":effect (q)", ":effect (oneof (p) (q))",
+     "classical input cannot contain 'oneof'"),
+    ("(:init (p))", "(:init (not (q)))",
+     "classical :init must list positive ground atoms"),
+    ("(:init (p))", "(:init (or (p) (q)))",
+     "classical :init must list positive ground atoms"),
+    ("(:goal (q))", "(:goal (or (p) (q)))",
+     "classical goals must be literal conjunctions")])
+def test_load_classical_refuses_what_emit_classical_never_writes(
+        old, new, message):
+    dom = """(define (domain d) (:predicates (p) (q))
+      (:action a :parameters () :precondition (p) :effect (q)))"""
+    prob = "(define (problem d1) (:domain d) (:init (p)) (:goal (q)))"
+    assert load_classical(dom, prob).init == {pos("p")}
+    with pytest.raises(UnsupportedFeature) as exc:
+        load_classical(dom.replace(old, new), prob.replace(old, new))
+    assert str(exc.value) == message
+
+
 def test_oneof_effect_grounding():
     dom = """(define (domain d) (:predicates (p) (q) (moved))
              (:action a :parameters () :precondition (and)

@@ -23,7 +23,7 @@ from kplan import (
 from kplan import pddl
 from kplan.analysis import all_literals
 from kplan.errors import CapExceeded, UnsupportedFeature
-from kplan.model import NondetRule, action, conformant_problem, rule
+from kplan.model import NondetRule, Rule, action, conformant_problem, rule
 from kplan.translate import (
     TranslationSpec,
     atom_name,
@@ -31,7 +31,6 @@ from kplan.translate import (
     merge_action_name,
     projections,
     tag_digest,
-    tag_table,
 )
 
 from conftest import (
@@ -88,7 +87,7 @@ def test_spec_requires_empty_tag():
         TranslationSpec((frozenset([pos("p")]),), (), "manual")
     spec = make_spec([frozenset([pos("p")])], [], "manual")
     assert frozenset() in spec.tags
-    # every merge tag must be a tag, so each has a table in ktm
+    # every merge tag must be a tag, so ktm knows each one's atoms
     t = frozenset([pos("p")])
     with pytest.raises(InvalidSpec):
         TranslationSpec((frozenset(),), (Merge(frozenset([t]), pos("q")),),
@@ -301,31 +300,82 @@ def test_ktm_matches_reference_on_nondet_gripper_with_resets():
 
 
 def test_tag_table_names_follow_atom_name():
-    # s holds initially and is relevant to r
+    # s holds initially and is relevant to r; {~p, q} and {p} cover I
     problem = conformant_problem(
         ["p", "q", "r", "s"], [[pos("p"), pos("q")], [pos("s")]],
         [action("a", rules=[rule([pos("p"), pos("s")], pos("r"))])],
         [pos("r")])
     ctx = build_context(problem)
-    plain = {L: atom_name(L) for L in all_literals(problem.fluents)}
-    t = frozenset([neg("p"), pos("q")])
-    table = tag_table(t, ctx, plain, atom_name, (), optimized=False)
-    assert table.names == {L: atom_name(L, t) for L in plain}
-    assert table.names[pos("r")] == "Kr__not-p__q"
+    t, u = frozenset([neg("p"), pos("q")]), frozenset([pos("p")])
+    a = atom_name
+    K = ktm(problem, make_spec([t], [], "manual"), ctx)
+    assert K.fluents == {a(L, p) for L in all_literals(problem.fluents)
+                         for p in (EMPTY_TAG, t)}
+    assert a(pos("r"), t) == "Kr__not-p__q"
+    # KL/t starts true iff L is in t* = {~p, q, s}
+    assert K.init == {pos(a(neg("p"), t)), pos(a(pos("q"), t)),
+                      pos(a(pos("s"), t)), pos("Ks")}
+    assert Rule(frozenset([pos(a(pos("p"), t)), pos(a(pos("s"), t))]),
+                pos(a(pos("r"), t))) in K.actions[0].rules
     # optimized, KL/t is KL/p for the projection p of t onto L: the
-    # literals of t* = {~p, q, s} relevant to L, less s, which the empty
-    # tag's closure holds.  So Kr/t is Kr, though s is relevant to r.
-    # Of the literals with a projection, only those relevant to the
-    # merged ~r keep their rules, and only those and the ones that are KL
-    # at t are named.
+    # literals of t* relevant to L, less s, which the empty tag's closure
+    # holds.  So Kr/t is Kr, though s is relevant to r.  Only the heads
+    # relevant to the merged ~r keep their rules at t, and at u none
+    # does, so the merge reads K~r there.  A rule built at {~p} names its
+    # condition ~s K~s/({~p} & relevant_to(~s)), which is K~s.
     assert projections(t, ctx) == {neg("p"): {neg("p")},
                                    neg("r"): {neg("p")}, pos("q"): {pos("q")}}
-    table = tag_table(t, ctx, plain, atom_name, (neg("r"),), optimized=True)
-    assert table.emitted == {neg("p"), neg("r")}
-    assert table.names == {
-        neg("p"): "Knot-p__not-p", neg("r"): "Knot-r__not-p",
-        pos("p"): "Kp", neg("q"): "Knot-q", pos("r"): "Kr",
-        neg("s"): "Knot-s", pos("s"): "Ks"}
+    assert projections(u, ctx) == {pos("p"): {pos("p")}, pos("r"): {pos("p")}}
+    m = Merge(frozenset([t, u]), neg("r"))
+    K = ktm(problem, make_spec([], [m], "manual"), ctx, optimized=True)
+    assert K.fluents == {"Kp", "Knot-p", "Knot-p__not-p", "Kr", "Knot-r",
+                         "Knot-r__not-p", "Ks", "Knot-s"}
+    # KL/p starts true iff L is in p or I entails L
+    assert K.init == {pos("Knot-p__not-p"), pos("Ks")}
+    assert set(K.action_by_name("a").rules) == {
+        Rule(frozenset([pos("Kp"), pos("Ks")]), pos("Kr")),
+        Rule(frozenset([neg("Knot-p"), neg("Knot-s")]), neg("Knot-r")),
+        Rule(frozenset([neg("Knot-p__not-p"), neg("Knot-s")]),
+             neg("Knot-r__not-p"))}
+    merge = K.action_by_name(merge_action_name(m))
+    assert {r.condition for r in merge.rules} == {
+        frozenset([pos("Knot-r__not-p"), pos("Knot-r")])}
+
+
+def test_ktm_refuses_two_atoms_that_take_one_name():
+    def refusal(problem, spec, optimized):
+        with pytest.raises(UnsupportedFeature) as exc:
+            ktm(problem, spec, optimized=optimized)
+        return str(exc.value)
+
+    # each message names the two atoms; test_cli covers the negation
+    # prefix and the exit code
+    problem = conformant_problem(
+        ["p", "q", "p__q", "r"], [[pos("p"), pos("q")]],
+        [action("a", rules=[rule([pos("q")], pos("p"))]),
+         action("b", rules=[rule([pos("p")], pos("r"))])], [pos("r")])
+    t, u = frozenset([pos("q")]), frozenset([pos("p"), neg("q")])
+    spec = make_spec([], [Merge(frozenset([t, u]), pos("r"))], "manual")
+    assert refusal(problem, spec, False) == (
+        "the knowledge atoms of ~p__q and of ~p under the tag {q} both "
+        "take the name 'Knot-p__q'")
+    assert refusal(problem, spec, True) == (
+        "the knowledge atoms of p__q and of p under the tag {q} both take "
+        "the name 'Kp__q'")
+    # two tagged atoms; only projecting {r, ~q__r} onto p__q to {r} makes
+    # their names meet
+    problem = conformant_problem(
+        ["p", "q__r", "p__q", "r", "g"], [[pos("q__r"), pos("r")]],
+        [action("a", rules=[rule([pos("q__r")], pos("p")),
+                            rule([pos("r")], pos("p__q")),
+                            rule([pos("p"), pos("p__q")], pos("g"))])],
+        [pos("g")])
+    t, u = frozenset([pos("q__r")]), frozenset([pos("r"), neg("q__r")])
+    spec = make_spec([], [Merge(frozenset([t, u]), pos("g"))], "manual")
+    ktm(problem, spec)
+    assert refusal(problem, spec, True) == (
+        "the knowledge atoms of p__q under the tag {r} and of p under the "
+        "tag {q__r} both take the name 'Kp__q__r'")
 
 
 def mentioned_atoms(K):

@@ -75,6 +75,28 @@ def test_zero_approx_known_valid_and_invalid_plans():
     assert not zero_approx_run(problem, ("b",)).valid
 
 
+def test_zero_approx_refuses_unknown_and_nondeterministic_actions(tiny):
+    unknown = zero_approx_run(tiny, ("a", "nope"))
+    assert not unknown.valid
+    assert unknown.reason == "step 1: unknown action nope"
+    problem = conformant_problem(
+        ["p", "q"], [[neg("p")], [neg("q")]],
+        [action("flip", nondet_rules=[NondetRule(
+            frozenset(), (frozenset([pos("p")]), frozenset([pos("q")])))])],
+        [pos("p")])
+    with pytest.raises(UnsupportedFeature,
+                       match="action flip has nondeterministic effects"):
+        zero_approx_run(problem, ("flip",))
+
+
+def test_belief_bfs_finds_no_plan_without_an_initial_state():
+    problem = conformant_problem(
+        ["p"], [[pos("p")], [neg("p")]],
+        [action("a", rules=[rule([], pos("p"))])], [pos("p")])
+    assert initial_states(problem) == ()
+    assert belief_bfs(problem) is None
+
+
 def test_goal_clauses_are_checked_by_both_semantics():
     problem = conformant_problem(
         ["p", "q"], [],
