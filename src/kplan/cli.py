@@ -183,7 +183,7 @@ def _pipeline_config(args) -> PipelineConfig:
     nodes, seconds = args.budget
     state_cap, model_cap, pi_cap = args.caps
     return PipelineConfig(max_nodes=nodes, max_seconds=seconds,
-                          optimized=args.opt, max_copies=args.nondet_copies,
+                          max_copies=args.nondet_copies,
                           state_cap=state_cap, model_cap=model_cap,
                           pi_cap=pi_cap)
 
@@ -390,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("translate", cmd_translate, "translate to classical PDDL",
              (_files, _opt, _caps, _export_pddl, _report, _scheme)),
             ("solve", cmd_solve, "solve end to end",
-             (_files, _opt, _caps, _budget, _nondet_copies, _export_pddl,
+             (_files, _caps, _budget, _nondet_copies, _export_pddl,
               _report)),
             ("validate", cmd_validate, "validate a plan file",
              (_files, _plan, _caps, _report)),
@@ -399,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("gen", cmd_gen, "generate a benchmark instance",
              (_gen_arguments,)),
             ("bench", cmd_bench, "run the built-in benchmark sweep",
-             (_opt, _caps, _budget, _nondet_copies, _report))):
+             (_caps, _budget, _nondet_copies, _report))):
         p = sub.add_parser(name, help=help_text)
         for add in arguments:
             add(p)

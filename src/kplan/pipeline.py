@@ -29,9 +29,10 @@ from .verify import conformant_check
 
 
 class PipelineConfig(NamedTuple):
+    """The budgets and caps of the ladder, each of whose stages searches
+    the rewritten, simplified encoding."""
     max_nodes: int = 200_000
     max_seconds: Optional[float] = None  # one deadline for the whole ladder
-    optimized: bool = True
     max_copies: int = 3
     state_cap: int = DEFAULT_STATE_CAP
     model_cap: int = DEFAULT_MODEL_CAP
@@ -102,6 +103,7 @@ def pipeline_solve(problem: ConformantProblem,
     saw_budget_out = False
     for copies in copy_counts:
         if nondet:
+            # imported per call so perfbench's wrapper of it is used
             from .translate import nondet_compile
             compiled, resets = nondet_compile(base, copies)
         else:
@@ -115,11 +117,7 @@ def pipeline_solve(problem: ConformantProblem,
                              for f in compiled.fluents)
         include_all = nondet
         for scheme in LADDER:
-            stage: Dict = {
-                "scheme": scheme,
-                "copies": copies,
-                "optimized": config.optimized,
-            }
+            stage: Dict = {"scheme": scheme, "copies": copies}
             report["stages"].append(stage)
             if ctx is None:
                 _cap_exceeded(stage, context_error)
@@ -134,15 +132,13 @@ def pipeline_solve(problem: ConformantProblem,
             except CapExceeded as exc:
                 _cap_exceeded(stage, exc)
                 continue
-            K = ktm(compiled, spec, ctx, optimized=config.optimized)
+            K = ktm(compiled, spec, ctx, optimized=True)
             stage["built"] = encoding_size(K)
             if resets:
-                K = inject_reset_effects(K, ctx, spec, resets,
-                                         config.optimized)
-            if config.optimized:
-                # after the resets, whose rules read the plain KL atoms
-                # and make tagged atoms settable again
-                K = simplify(K)
+                K = inject_reset_effects(K, ctx, spec, resets)
+            # after the resets, whose rules read the plain KL atoms and
+            # make tagged atoms settable again
+            K = simplify(K)
             max_seconds = (None if deadline is None
                            else max(0.0, deadline - time.monotonic()))
             result = solve(K, max_nodes=config.max_nodes,

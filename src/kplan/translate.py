@@ -159,23 +159,12 @@ def projections(t: Tag, ctx: Context) -> Dict[Literal, Tag]:
     """L -> the projection of t onto L, the literals of t* outside the
     closure of the empty tag that are relevant to L, for each literal L
     where it is not empty.  Only these literals of t* can make KL/t differ
-    from KL."""
+    from KL.  Under the rewrites ``ktm`` names KL/t as KL/p for this p, and
+    ``inject_reset_effects`` resets the atoms so named."""
     extra = ctx.pi.closure(t) - ctx.pi.closure(EMPTY_TAG)
     rel = ctx.rel
     return {L: extra & rel.relevant_to(L)
             for L in set().union(*map(rel.reachable_from, extra))}
-
-
-def atom_tags(t: Tag, lits: Iterable[Literal], ctx: Context,
-              optimized: bool) -> Dict[Literal, Tag]:
-    """L -> p for each literal L where KL/t is an atom KL/p other than KL:
-    with the rewrites ``optimized``, the projection of t onto L
-    (``projections``); else t itself, for every L of ``lits``.  ``ktm``
-    names its atoms and ``inject_reset_effects`` resets them through this
-    map."""
-    if optimized:
-        return projections(t, ctx)
-    return dict.fromkeys(lits, t) if t else {}
 
 
 def _describe(L: Literal, t: Tag) -> str:
@@ -189,9 +178,11 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
         optimized: bool = False) -> ClassicalProblem:
     """Build the classical problem induced by a tag/merge spec.
 
-    With ``optimized`` the builder applies three rewrites.  (2) only
-    keeps the build small: ``simplify``, which runs after it, reaches the
-    same final encodings without it.
+    Without ``optimized`` this is the literal K_T,M translation, which
+    ``kplan translate --no-opt`` emits; the solving pipeline only builds
+    the rewritten one.  With ``optimized`` the builder applies three
+    rewrites.  (2) only keeps the build small: ``simplify``, which runs
+    after it, reaches the same final encodings without it.
     (1) KL/t is built once per projection p of t onto L: the literals of
     t* outside the closure of the empty tag that are relevant to L.  Each
     condition c of a rule with head L has relevant_to(c) within
@@ -217,7 +208,7 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
 
     The build is keyed by (literal, projection), the projection of t
     being t itself without the rewrites.  Each tag t gives the p of the
-    atom KL/p that KL/t is (``atom_tags``) for the heads L whose rules it
+    atom KL/p that KL/t is (``projections``) for the heads L whose rules it
     keeps; the empty tag keeps every head, at KL.  Each rule C -> L is
     built once per p found for L and names each condition c
     Kc/(p & relevant_to(c)), Kc/p without the rewrites.  KL/t starts true
@@ -279,9 +270,11 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
     kept: Dict[Tag, Dict[Literal, str]] = {}
     built: Dict[Literal, Set[Tag]] = {L: {EMPTY_TAG} for L in lits}
     for t in spec.tags:
-        keep = tagged = atom_tags(t, lits, ctx, optimized)
-        if optimized:  # rewrite (2)
+        if optimized:  # rewrites (1) and (2)
+            tagged = projections(t, ctx)
             keep = sorted(useful.get(t, set()).intersection(tagged))
+        else:
+            keep = tagged = dict.fromkeys(lits if t else (), t)
         names = kept[t] = {}
         for L in keep:
             names[L] = declare(L, tagged[L])
@@ -703,18 +696,18 @@ def nondet_compile(problem: ConformantProblem, copies: int = 1
 
 def inject_reset_effects(K: ClassicalProblem, ctx: Context,
                          spec: TranslationSpec,
-                         resets: Dict[str, Tuple[str, ...]],
-                         optimized: bool) -> ClassicalProblem:
+                         resets: Dict[str, Tuple[str, ...]]
+                         ) -> ClassicalProblem:
     """Add the knowledge-erasing effects to each reset action of K, which
-    ``ktm`` built from ``ctx.problem`` and ``spec`` with the rewrites
-    ``optimized`` or not: for every tag t mentioning the copy's hidden
-    fluents and every literal L, KL -> KL/t and ~KL -> ~KL/t
-    (assumption-dependent knowledge is reset to the unconditional
-    knowledge).  KL/t is the atom KL/p that ``atom_tags`` gives, as in
-    ``ktm``, or KL, which needs no reset."""
+    ``ktm`` built from ``ctx.problem`` and ``spec`` with the rewrites: for
+    every tag t mentioning the copy's hidden fluents and every literal L,
+    KL -> KL/t and ~KL -> ~KL/t (assumption-dependent knowledge is reset
+    to the unconditional knowledge).  KL/t is KL/p for the projection p
+    of t onto L (``projections``), as in ``ktm``, or KL, which needs no
+    reset.  Without the rewrites ``ktm`` makes each reset set KL/t for
+    its enabler L at every tag, which these effects would contradict."""
     if not resets:
         return K
-    lits = analysis.all_literals(ctx.problem.fluents)
     new_actions = []
     for a in K.actions:
         hidden = resets.get(a.name)
@@ -726,7 +719,7 @@ def inject_reset_effects(K: ClassicalProblem, ctx: Context,
         for t in spec.tags:
             if not any(l.fluent in hidden_set for l in t):
                 continue
-            for L, p in atom_tags(t, lits, ctx, optimized).items():
+            for L, p in projections(t, ctx).items():
                 if L.fluent in hidden_set:
                     # assumption-internal knowledge (what the hidden
                     # selectors themselves look like under the tag) is

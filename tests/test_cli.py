@@ -52,7 +52,14 @@ def test_gen_writes_files(tmp_path, capsys):
 @pytest.mark.parametrize("family,params,message", [
     ("bogus", ["1"], "unknown family 'bogus'"),
     ("bomb", ["3"], "bomb takes 2 parameter(s) (x, y), not 1"),
-    ("safe", ["0"], "safe needs n >= 2")])
+    ("safe", ["0"], "safe needs n >= 2"),
+    ("bomb", ["1", "1"], "bomb needs x >= 2 packages and y >= 1 toilets"),
+    ("ring", ["2"], "ring needs n >= 3 rooms"),
+    ("square-center", ["2"], "grid families need n >= 3"),
+    ("corners-square", ["2"], "grid families need n >= 3"),
+    ("sortnet", ["1"], "sortnet needs n >= 2 inputs"),
+    ("disjtoy", ["1"], "disjtoy needs n >= 2 disjuncts"),
+    ("sgripper", ["0"], "sgripper needs n >= 1 balls")])
 def test_gen_rejects_bad_input_as_a_usage_error(tmp_path, capsys, family,
                                                 params, message):
     out = tmp_path / "out"
@@ -250,6 +257,23 @@ def test_translate_no_opt_emits_the_literal_translation(tmp_path, capsys):
     K = kplan.ktm(problem, kplan.spec_ki(ctx, 1), ctx, optimized=False)
     assert texts == kplan.pddl.emit_classical(K)
     assert report["translation"]["atoms"] == len(K.fluents)
+
+
+def test_kplan_opt_is_read_by_translate_alone(tmp_path, capsys, monkeypatch):
+    # solve searches the rewritten encoding whatever KPLAN_OPT says
+    def run(command, family, *params):
+        dom, prob = gen_instance(tmp_path, family, *params)
+        report_path = tmp_path / f"{command}.json"
+        code, out, err = run_cli(capsys, command, str(dom), str(prob),
+                                 "--report", str(report_path))
+        assert code == 0, err
+        return out, strip_timings(json.loads(report_path.read_text()))
+
+    solved = run("solve", "sgripper", 1)
+    assert run("translate", "bomb", 3, 3)[1]["optimized"]
+    monkeypatch.setenv("KPLAN_OPT", "0")
+    assert run("solve", "sgripper", 1) == solved
+    assert not run("translate", "bomb", 3, 3)[1]["optimized"]
 
 
 def test_solve_validate_round_trip(tmp_path, capsys):
@@ -550,11 +574,10 @@ def test_bad_caps_budgets_and_copies_are_usage_errors(
 # the options each subcommand's handler reads, and so the only ones it takes
 OPTION_DESTS = {
     "translate": {"opt", "caps", "export_pddl", "report", "scheme"},
-    "solve": {"opt", "caps", "budget", "nondet_copies", "export_pddl",
-              "report"},
+    "solve": {"caps", "budget", "nondet_copies", "export_pddl", "report"},
     "validate": {"caps", "report"},
     "width": {"caps", "report"},
-    "bench": {"opt", "caps", "budget", "nondet_copies", "report"},
+    "bench": {"caps", "budget", "nondet_copies", "report"},
     "gen": {"output_dir"},
 }
 
@@ -592,7 +615,9 @@ DROPPED = ([("validate", flag) for flag in NOT_READ]
            + [("translate", "--budget=10"), ("translate", "--nondet-copies=2"),
               ("bench", "--export-pddl=out")]
            + [(command, "--strengthened-mutex")
-              for command in ("translate", "solve", "bench")])
+              for command in ("translate", "solve", "bench")]
+           + [(command, flag) for command in ("solve", "bench")
+              for flag in ("--opt", "--no-opt")])
 
 
 @pytest.mark.parametrize("command,flag", DROPPED,

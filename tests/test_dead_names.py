@@ -1,5 +1,5 @@
 """Every name kplan defines is used, every record field is read, and every
-parameter default is overridden by some call.
+parameter and field default is overridden by some call.
 
 The repository has no linter; this parses each module of the package
 and fails on a module-level function, class or constant, or a method,
@@ -22,6 +22,10 @@ position: the default is then the only value it takes.  A call matches
 every definition of its name; a call to a class is a call to its
 ``__init__``.  An argument unpacked with ``*`` sets every positional
 parameter from its place on, and one unpacked with ``**`` sets all.
+
+A fourth scan does the same for a field with a default of a record: a
+construction of the record sets it by keyword or by position, and a call
+to ``_replace`` or ``replace`` by keyword.
 """
 
 import ast
@@ -229,10 +233,8 @@ def _sets(call: ast.Call, positional, parameter: str) -> bool:
     return any(k.arg in (None, parameter) for k in call.keywords)
 
 
-def dead_parameters(package, scanned):
-    """The defaulted parameters, as ``module.function(parameter)``, of the
-    package's (module, source) pairs that no call in the scanned sources
-    sets."""
+def _calls(scanned):
+    """Callee name -> the calls to it in the scanned sources."""
     calls = {}
     for source in scanned:
         for node in ast.walk(ast.parse(source)):
@@ -240,6 +242,14 @@ def dead_parameters(package, scanned):
                 name = getattr(node.func, "id", None) or \
                     getattr(node.func, "attr", None)
                 calls.setdefault(name, []).append(node)
+    return calls
+
+
+def dead_parameters(package, scanned):
+    """The defaulted parameters, as ``module.function(parameter)``, of the
+    package's (module, source) pairs that no call in the scanned sources
+    sets."""
+    calls = _calls(scanned)
     dead = []
     for module, source in package:
         for qualified, name, positional, parameter in \
@@ -275,3 +285,70 @@ def test_the_scan_finds_parameters_no_call_sets():
 def test_every_parameter_with_a_default_is_set_by_some_call():
     assert dead_parameters([(p.stem, p.read_text()) for p in PACKAGE],
                            [p.read_text() for p in SCANNED]) == []
+
+
+def defaulted_fields(source: str):
+    """(qualified name, name, fields, defaulted field) for each field with
+    a default of each record the source defines, its fields in order."""
+    out = []
+
+    def visit(body, prefix: str):
+        for node in body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if _is_record(node):
+                fields = [item for item in node.body
+                          if isinstance(item, ast.AnnAssign)
+                          and isinstance(item.target, ast.Name)]
+                names = [f.target.id for f in fields]
+                out.extend((prefix + node.name, node.name, names, f.target.id)
+                           for f in fields if f.value is not None)
+            visit(node.body, prefix + node.name + ".")
+
+    visit(ast.parse(source).body, "")
+    return out
+
+
+def dead_fields(package, scanned):
+    """The defaulted record fields, as ``module.Record.field``, of the
+    package's (module, source) pairs that no construction in the scanned
+    sources sets, by keyword or by position, and no ``_replace`` or
+    ``dataclasses.replace`` sets by keyword."""
+    calls = _calls(scanned)
+    replacing = calls.get("_replace", []) + calls.get("replace", [])
+    dead = []
+    for module, source in package:
+        for qualified, name, fields, field in defaulted_fields(source):
+            if not (any(_sets(c, fields, field) for c in calls.get(name, []))
+                    or any(_sets(c, [], field) for c in replacing)):
+                dead.append(f"{module}.{qualified}.{field}")
+    return dead
+
+
+def test_the_scan_finds_record_fields_no_construction_sets():
+    package = ("from dataclasses import dataclass\n"
+               "from typing import NamedTuple\n"
+               "class T(NamedTuple):\n"
+               "    a: int\n"
+               "    b: int = 0\n"
+               "    c: int = 0\n"
+               "    d: int = 0\n"
+               "    e: int = 0\n"
+               "@dataclass(frozen=True)\n"
+               "class D:\n"
+               "    x: int = 0\n"
+               "    y: int = 0\n"
+               "class Plain:\n"
+               "    z: int = 0\n")
+    caller = ("T(1, 2)\n"
+              "T(a=1, c=3)\n"
+              "t._replace(d=4)\n"
+              "replace(D(), y=1)\n"
+              "'text'.replace('x', 'y')\n")
+    assert dead_fields([("m", package)], [caller]) == ["m.T.e", "m.D.x"]
+    assert dead_fields([("m", package)], ["T(*args)\nD(**options)\n"]) == []
+
+
+def test_every_record_field_with_a_default_is_set_by_some_construction():
+    assert dead_fields([(p.stem, p.read_text()) for p in PACKAGE],
+                       [p.read_text() for p in SCANNED]) == []

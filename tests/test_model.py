@@ -231,9 +231,8 @@ def built_objects(family, params, spec_of):
     compiled, resets = nondet_compile(cnf_goal_compile(problem), 1)
     ctx = build_context(compiled)
     spec = spec_of(ctx)
-    K = ktm(compiled, spec, ctx)
-    if not problem.deterministic:
-        K = inject_reset_effects(K, ctx, spec, resets, False)
+    K = inject_reset_effects(ktm(compiled, spec, ctx, optimized=True), ctx,
+                             spec, resets)
     return [pddl.parse(*texts), problem, compiled, resets, ctx, spec, K,
             Grounded(K), build_basis(compiled, spec, ctx)]
 

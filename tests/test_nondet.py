@@ -63,8 +63,8 @@ def test_reset_erases_assumption_knowledge_but_not_selector_facts():
     compiled, resets = nondet_compile(coin_problem(), copies=1)
     ctx = build_context(compiled)
     spec = spec_ki(ctx, 1, include_all=True)
-    K = inject_reset_effects(ktm(compiled, spec, ctx),
-                             ctx, spec, resets, False)
+    K = inject_reset_effects(ktm(compiled, spec, ctx, optimized=True),
+                             ctx, spec, resets)
     reset = K.action_by_name("reset-flip-c1")
     hidden = set(resets["reset-flip-c1"])
     hidden_tags = [t for t in spec.tags
@@ -80,19 +80,18 @@ def test_reset_erases_assumption_knowledge_but_not_selector_facts():
                 assert r.effect.fluent != atom_name(neg(h), t)
 
 
-@pytest.mark.parametrize("optimized", [True, False])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_resets_write_the_atoms_ktm_declares(n, optimized):
+def test_resets_write_the_atoms_ktm_declares(n):
     # each reset writes every tagged atom that ktm declares for a tag over
     # its hidden selectors, by the name ktm gives it: KL/p for the
-    # projection p of t onto L under the rewrites, KL/t without them
+    # projection p of t onto L
     compiled, resets = compiled_instance("sgripper", (n,))
     ctx = build_context(compiled)
     units = ctx.pi.closure(EMPTY_TAG)
     for spec in (spec_ki(ctx, 1, include_all=True),
                  spec_kmodels(ctx, include_all=True)):
-        K = ktm(compiled, spec, ctx, optimized=optimized)
-        R = inject_reset_effects(K, ctx, spec, resets, optimized)
+        K = ktm(compiled, spec, ctx, optimized=True)
+        R = inject_reset_effects(K, ctx, spec, resets)
         for name, hidden in resets.items():
             added = (set(R.action_by_name(name).rules)
                      - set(K.action_by_name(name).rules))
@@ -101,8 +100,7 @@ def test_resets_write_the_atoms_ktm_declares(n, optimized):
                 if not any(l.fluent in hidden for l in t):
                     continue
                 for L in all_literals(compiled.fluents):
-                    p = ((ctx.pi.closure(t) - units) & ctx.rel.relevant_to(L)
-                         if optimized else t)
+                    p = (ctx.pi.closure(t) - units) & ctx.rel.relevant_to(L)
                     tagged = atom_name(L, p)
                     if L.fluent in hidden or not p or tagged not in K.fluents:
                         continue
@@ -111,6 +109,40 @@ def test_resets_write_the_atoms_ktm_declares(n, optimized):
             assert want and added == want, (n, spec.scheme, name)
             assert {l.fluent for r in added
                     for l in r.condition | {r.effect}} <= K.fluents
+
+
+def reset_overlaps(K, R, resets):
+    """(reset, atom) for each atom that a reset action of R, which is K
+    with the reset effects injected, writes both by a rule ``ktm`` built
+    into K and by an injected rule."""
+    found = set()
+    for name in resets:
+        own = set(K.action_by_name(name).rules)
+        written = {r.effect.fluent for r in own}
+        found |= {(name, r.effect.fluent)
+                  for r in set(R.action_by_name(name).rules) - own
+                  if r.effect.fluent in written}
+    return found
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3])
+@pytest.mark.parametrize("instance", ["coin", "sgripper-1", "sgripper-2",
+                                      "sgripper-3"])
+def test_no_reset_writes_an_atom_its_own_rules_write(instance, copies):
+    # the encodings the pipeline searches: a reset that wrote one atom by
+    # both kinds of rule could add complementary literals
+    if instance == "coin":
+        compiled, resets = nondet_compile(coin_problem(), copies)
+    else:
+        compiled, resets = compiled_instance(
+            "sgripper", (int(instance.split("-")[1]),), copies)
+    ctx = build_context(compiled)
+    for spec in (spec_ki(ctx, 1, include_all=True),
+                 spec_kmodels(ctx, include_all=True)):
+        K = ktm(compiled, spec, ctx, optimized=True)
+        R = inject_reset_effects(K, ctx, spec, resets)
+        assert R != K, spec.scheme
+        assert not reset_overlaps(K, R, resets), spec.scheme
 
 
 def test_pipeline_solves_nondet_gripper_with_one_copy():

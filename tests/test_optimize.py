@@ -171,11 +171,12 @@ SPECS = {"ki:1": lambda ctx, every: spec_ki(ctx, 1, include_all=every),
 
 def pipeline_encoding(problem, resets, scheme, optimized=True):
     """The classical problem the pipeline simplifies, with the reset
-    effects of oneof input."""
+    effects of oneof input; without ``optimized``, the literal translation
+    of deterministic input."""
     ctx = build_context(problem)
     spec = SPECS[scheme](ctx, bool(resets))
     K = ktm(problem, spec, ctx, optimized=optimized)
-    return inject_reset_effects(K, ctx, spec, resets, optimized)
+    return inject_reset_effects(K, ctx, spec, resets)
 
 
 @pytest.mark.parametrize("scheme", sorted(SPECS))
@@ -317,7 +318,8 @@ def check_prune(K):
                               for f, p in SMALL_INSTANCES])
 def test_prune_invariants_on_generated(family, params, scheme):
     problem, resets = compiled_instance(family, params)
-    for optimized in (False, True):
+    # reset effects go only into the rewritten encoding
+    for optimized in (True,) if resets else (False, True):
         check_prune(pipeline_encoding(problem, resets, scheme, optimized))
 
 
@@ -502,9 +504,8 @@ def test_pruning_runs_after_the_resets(copies):
         for scheme in SPECS:
             spec = SPECS[scheme](ctx, True)
             K = ktm(compiled, spec, ctx, optimized=True)
-            late = check_prune(inject_reset_effects(K, ctx, spec, resets,
-                                                    True))
-            early = inject_reset_effects(simplify(K), ctx, spec, resets, True)
+            late = check_prune(inject_reset_effects(K, ctx, spec, resets))
+            early = inject_reset_effects(simplify(K), ctx, spec, resets)
             assert early != late, (name, scheme)
             assert not mentioned_atoms(early) <= early.fluents, (name, scheme)
 

@@ -97,6 +97,14 @@ def test_a_define_header_needs_its_kind_and_name(domain, problem, message):
     assert str(exc.value).startswith(message)
 
 
+def test_an_action_needs_a_name():
+    dom = "(define (domain d) (:predicates (p)) (:action))"
+    prob = "(define (problem d1) (:domain d) (:init) (:goal (p)))"
+    with pytest.raises(PddlSyntaxError) as exc:
+        load(dom, prob)
+    assert str(exc.value).startswith("expected an action name")
+
+
 def test_undeclared_and_type_errors():
     dom = """(define (domain d) (:requirements :typing) (:types t)
              (:predicates (p ?x - t))
@@ -175,7 +183,9 @@ def test_forall_and_oneof_arity(effect, init, message):
     ("(:predicates (p))", "(:predicates (p)) (:derived (p) (p))",
      "section ':derived' is not supported"),
     (":effect (p)", ":effect (p) :observe (p)",
-     "action keyword ':observe' is not supported")])
+     "action keyword ':observe' is not supported"),
+    (":effect (p)", ":effect (oneof (p) (when (p) (p)))",
+     "nested conditions inside 'oneof' in action a")])
 def test_unsupported_features_are_refused(old, new, message):
     dom = """(define (domain d) (:predicates (p))
       (:action a :parameters () :precondition (and) :effect (p)))"""

@@ -206,7 +206,7 @@ def first_stage_problem(family, params):
     ctx = build_context(compiled)
     spec = spec_ki(ctx, 1, include_all=bool(resets))
     K = ktm(compiled, spec, ctx, optimized=True)
-    return inject_reset_effects(K, ctx, spec, resets, True)
+    return inject_reset_effects(K, ctx, spec, resets)
 
 
 def assert_hadd_matches_reference(K, max_states=150):

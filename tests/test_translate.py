@@ -237,16 +237,17 @@ SPECS = {
 
 def _check_against_reference(problem, spec, ctx, resets=None):
     """ktm builds reference_ktm's encoding: without the rewrites the same
-    one, with them the same once each KL/t is renamed KL/p."""
+    one, with them the same once each KL/t is renamed KL/p; and with the
+    rewrites, also once the reset effects are injected."""
     for optimized in (True, False):
         got = ktm(problem, spec, ctx, optimized=optimized)
         want = reference_ktm(problem, spec, ctx, optimized=optimized,
                              validate=False)
         if optimized:
             want = project_reference(want, problem, spec, ctx)
-        if resets is not None:
-            got = inject_reset_effects(got, ctx, spec, resets, optimized)
-            want = inject_reset_effects(want, ctx, spec, resets, optimized)
+            if resets is not None:
+                got = inject_reset_effects(got, ctx, spec, resets)
+                want = inject_reset_effects(want, ctx, spec, resets)
         assert got == want, (spec.scheme, optimized)
         assert pddl.emit_classical(got) == pddl.emit_classical(want)
 
