@@ -337,10 +337,11 @@ def _opt(p: argparse.ArgumentParser):
                      help="apply the rewrite optimizations, then drop "
                           "the rules that never fire, the atoms that never "
                           "change, the atoms that nothing reads and the "
-                          "actions that change no atom left, and merge the "
+                          "actions that change no atom left, merge the "
                           "atoms that are equal or complementary in every "
-                          "reachable state, which keeps the same plans "
-                          "(default)")
+                          "reachable state, and drop the conjuncts that "
+                          "another conjunct implies there, which keeps the "
+                          "same plans (default)")
     opt.add_argument("--no-opt", dest="opt", action="store_false",
                      help="use the literal K_T,M translation, without "
                           "the rewrites")

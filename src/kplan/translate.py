@@ -349,7 +349,7 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
 
 
 def simplify(K: ClassicalProblem) -> ClassicalProblem:
-    """K reduced to what decides its plans: three analyses over the rules
+    """K reduced to what decides its plans: four analyses over the rules
     of K, then one rewrite that builds each kept action once.
 
     (1) Relaxed reachability: from the initial state, a literal is
@@ -369,33 +369,66 @@ def simplify(K: ClassicalProblem) -> ClassicalProblem:
     condition holds a class at both values.  From a single class, the
     pass splits classes by signature until none splits; a split never
     separates two atoms that a stable partition joins.
+    (4) Implied conjuncts, after (2): in each conjunction the encoding
+    tests (the goal, an action's preconditions, a firing rule's
+    condition), without its fixed literals, a literal B goes when a
+    literal A of it that stays implies B in every reachable state.  A
+    implies B when A does not hold at the start or B does, no firing rule
+    makes B false, and each firing rule that makes A true has a match in
+    its action: a rule that makes B true under a condition within A's
+    condition and the action's preconditions.  Literals are compared by
+    class, and a rule whose condition and preconditions hold a class at
+    both values is left out, as it never fires.  By induction over the
+    steps of a plan, A -> B holds in every reachable state: it does at
+    the start, and where it does, B stays true once true, and a step
+    that makes A true fires a rule whose match fires too.  The test is
+    transitive, as the match of a match lies within the same condition
+    and preconditions.  So from each group of literals that imply each
+    other and that no literal outside it implies, the one whose class
+    has the least-named atom stays, and a literal that goes is implied
+    by one that stays.
     (3) The read closure: the goal's atoms, then the atoms of the
     condition and of the action's preconditions of each rule of a
-    signature of (2) that sets a read atom.
+    signature of (2) that sets a read atom, less the conjuncts that (4)
+    drops.
 
     The rewrite keeps the read atoms, each class as its least-named read
     member, the representative, and the actions with a rule of (3), with
     those rules.  The other members of a class go, with their rules: they
     become the representative, or its negation when their initial values
     differ, in the goal, the preconditions and the conditions, which also
-    lose the fixed literals.  Rules that become equal are one.
+    lose the fixed literals and the conjuncts that (4) drops.  Rules that
+    become equal are one.
 
     By induction over the steps of a plan, in every state reachable in K
     the fixed literals hold and the members of a class have one
     normalized value: they do at the start, and where they do, a
     condition depends only on whole classes, so the same normalized
     effects fire for every member, and a member clashes exactly when the
-    others do.  So a kept action applies exactly when it does in K, the
-    kept atoms, which depend on read atoms only, get the same values and
+    others do.  A conjunction holds exactly where what (4) keeps of it
+    does.  So a kept action applies exactly when it does in K, the kept
+    atoms, which depend on read atoms only, get the same values and
     raise the same InconsistentResults, the goal test is the same, and an
     action that goes never applies or changes no kept atom.  K and the
     result have the same plans, less the steps that change no kept atom;
     a clash on an atom the result drops no longer raises.  This holds for
-    any rules, reset effects and merge actions included.  A second pass
-    changes nothing, unless (2) finds that a rule which (1) lets fire
-    never fires and that rule alone changed an atom: only the second pass
-    finds that atom fixed.
+    any rules, reset effects and merge actions included.
+    A dropped conjunct can be all that told two signatures of (2) apart,
+    or that kept a rule from matching in (4); so while (4) drops a
+    conjunct, the pass runs again on its own, smaller, result.  On
+    disjtoy-9 ``ks0`` the second pass sees 10 atoms instead of 540.  A
+    second ``simplify`` changes nothing, unless (2) finds that a rule
+    which (1) lets fire never fires and that rule alone changed an atom:
+    only the second pass finds that atom fixed.
     """
+    while True:
+        K, implied = _simplify_pass(K)
+        if not implied:
+            return K
+
+
+def _simplify_pass(K: ClassicalProblem) -> Tuple[ClassicalProblem, bool]:
+    """One pass of ``simplify``, and whether (4) dropped a conjunct."""
     # the initial state; a Literal equals the tuple (fluent, positive),
     # so plain tuples stand for the false atoms, which are most of them
     true0 = {l.fluent for l in K.init if l.positive}
@@ -529,10 +562,100 @@ def simplify(K: ClassicalProblem) -> ClassicalProblem:
             refined += [part for part in parts.values() if len(part) > 1]
         unsplit = refined
 
+    # (4) each class -> its least-named atom, whose setters stand for the
+    # class.  An odd code is a literal false at the start; a set of codes
+    # is a bit mask.
+    member: Dict[int, str] = {}
+    for f in sorted(setters):
+        member.setdefault(code[Literal(f, True)] >> 1, f)
+    guards: Dict[Tuple[int, object], Optional[FrozenSet[int]]] = {}
+
+    def guard(i: int, c) -> Optional[FrozenSet[int]]:
+        """The codes of condition c and of action i's preconditions, or None
+        when they hold a class at both values, so the rule never fires."""
+        if (i, c) not in guards:
+            g = {code[l] for l in K.actions[i].preconditions if l not in fixed}
+            g.update(map(get, c) if isinstance(c, frozenset) else (code[c],))
+            guards[i, c] = (frozenset(g) if len({x >> 1 for x in g}) == len(g)
+                            else None)
+        return guards[i, c]
+
+    monotone: Dict[int, bool] = {}  # odd code -> no firing rule falsifies it
+
+    def is_monotone(y: int) -> bool:
+        found = monotone.get(y)
+        if found is None:
+            found = monotone[y] = all(e or guard(i, c) is None
+                                      for i, _, c, e in setters[member[y >> 1]])
+        return found
+
+    # per action: condition codes -> the codes of the monotone literals
+    # its firing rules make true under that condition; per (action,
+    # condition of a rule): the codes of the monotone literals the action
+    # makes true whenever that rule fires, all (-1) when it never does
+    raising: Dict[int, Dict[FrozenSet[int], int]] = {}
+    matched: Dict[Tuple[int, object], int] = {}
+
+    def matching(i: int, c) -> int:
+        found = matched.get((i, c))
+        if found is None:
+            if i not in raising:
+                rules = raising[i] = {}
+                for cond, L in K.actions[i].rules:
+                    y = code.get(L, 0) if cond <= reached else 0
+                    if y & 1 and is_monotone(y):
+                        d = frozenset([code[l] for l in cond if l not in fixed])
+                        rules[d] = rules.get(d, 0) | 1 << y
+            g = guard(i, c)
+            found = 0 if g is not None else -1
+            for d, ys in raising[i].items() if g is not None else ():
+                if d <= g:
+                    found |= ys
+            matched[i, c] = found
+        return found
+
+    def implied(x: int, ys: int) -> int:
+        """The codes among ys that x implies in every reachable state."""
+        ys &= ~(1 << x)
+        for i, _, c, e in setters[member[x >> 1]]:
+            if e and ys:
+                ys &= matching(i, c)
+        return ys
+
+    # the conjunctions tested; those that (4) shrinks -> what it keeps
+    checked: Set[FrozenSet[Literal]] = set()
+    shrunk: Dict[FrozenSet[Literal], FrozenSet[Literal]] = {}
+
+    def conjunction(lits: FrozenSet[Literal]) -> FrozenSet[Literal]:
+        """lits, a conjunction without fixed literals, less the literals
+        that another literal of lits that stays implies."""
+        if len(lits) > 1 and lits not in checked:
+            checked.add(lits)
+            codes = {code[l] for l in lits}
+            odd = [x for x in codes if x & 1]
+            ys = sum([1 << y for y in odd if is_monotone(y)])
+            if len(odd) > 1 and ys and len({x >> 1 for x in codes}) == len(codes):
+                # each x, keyed by what it implies and x itself: as the
+                # test is transitive, the literals under one key imply
+                # each other, and a literal that another key holds is
+                # implied by a literal that stays
+                ups: Dict[int, List[int]] = {}
+                for x in odd:
+                    ups.setdefault(implied(x, ys) | 1 << x, []).append(x)
+                below = 0
+                for up, xs in ups.items():
+                    below |= up & ~sum([1 << x for x in xs])
+                keep = {min(xs, key=lambda x: member[x >> 1])
+                        for xs in ups.values() if not below >> xs[0] & 1}
+                if len(keep) < len(odd):
+                    shrunk[lits] = frozenset(
+                        [l for l in lits if code[l] in keep or not code[l] & 1])
+        return shrunk.get(lits, lits) if shrunk else lits
+
     # the read closure, and per used action the indexes of its kept rules
     read: Set[str] = set()
     used: Dict[int, Set[int]] = {}
-    stack = [l.fluent for l in K.goal if l not in fixed]
+    stack = [l.fluent for l in conjunction(K.goal - fixed)]
     while stack:
         f = stack.pop()
         if f in read:
@@ -543,13 +666,13 @@ def simplify(K: ClassicalProblem) -> ClassicalProblem:
                 codes = set(map(get, c))
                 if len({x >> 1 for x in codes}) < len(codes):
                     continue  # holds a class at both values
-                stack += [l.fluent for l in c]
+                stack += [l.fluent for l in conjunction(c)]
             else:
                 stack.append(c.fluent)
             if i not in used:
                 used[i] = set()
-                stack += [l.fluent for l in K.actions[i].preconditions
-                          if l not in fixed]
+                stack += [l.fluent for l in conjunction(
+                    K.actions[i].preconditions - fixed)]
             used[i].add(j)
 
     # each read member of a class but the least-named -> the literal of
@@ -566,6 +689,8 @@ def simplify(K: ClassicalProblem) -> ClassicalProblem:
     def rewrite(lits: FrozenSet[Literal]) -> FrozenSet[Literal]:
         if not lits.isdisjoint(fixed):
             lits = lits - fixed
+        if shrunk:
+            lits = shrunk.get(lits, lits)
         if lits.isdisjoint(gone):
             return lits
         return frozenset([sub.get(l, l) for l in lits])
@@ -588,7 +713,7 @@ def simplify(K: ClassicalProblem) -> ClassicalProblem:
     return ClassicalProblem(
         frozenset(read).difference([f for f, _ in gone]),
         frozenset([l for l in K.init if l.fluent in read and l not in gone]),
-        tuple(actions), rewrite(K.goal))
+        tuple(actions), rewrite(K.goal)), bool(shrunk)
 
 
 # --- front ends ------------------------------------------------------------

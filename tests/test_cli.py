@@ -178,13 +178,17 @@ def test_translate_builds_one_atom_per_projection(tmp_path, capsys, family, n,
             report["built"]["conditional_effects"]) == built
 
 
+SPEC_BUILDERS = {"ki:1": lambda ctx: kplan.spec_ki(ctx, 1),
+                 "kmodels": kplan.spec_kmodels, "ks0": kplan.spec_ks0}
+
+
 def optimized_sizes(family, *params, scheme="ki:1"):
     """(atoms, effects) of the encoding that `kplan translate` emits under
-    --opt with the scheme ki:1 or ks0."""
+    --opt with the scheme ki:1, kmodels or ks0."""
     problem = kplan.cnf_goal_compile(
         kplan.pddl.load(*kplan.generators.generate(family, params)))
     ctx = kplan.build_context(problem)
-    spec = kplan.spec_ki(ctx, 1) if scheme == "ki:1" else kplan.spec_ks0(ctx)
+    spec = SPEC_BUILDERS[scheme](ctx)
     K = kplan.simplify(kplan.ktm(problem, spec, ctx, optimized=True))
     return len(K.fluents), sum(len(a.rules) for a in K.actions)
 
@@ -210,6 +214,15 @@ def test_pruned_square_center_ks0_size_is_exact(n):
     # KL/t depends only on the values t gives the fluents relevant to L
     assert optimized_sizes("square-center", n, scheme="ks0") == \
         (2 * n * n + 4 * n, 8 * n * n + 10 * n - 12)
+
+
+@pytest.mark.parametrize("scheme", sorted(SPEC_BUILDERS))
+@pytest.mark.parametrize("n", [4, 6, 9])
+def test_pruned_disjtoy_keeps_the_size_of_ki1(n, scheme):
+    # width 1: Ktrg at a tag with one disjunct implies Ktrg at every tag
+    # with that disjunct, as go-i sets both and nothing deletes either, so
+    # the merge keeps one condition per disjunct
+    assert optimized_sizes("disjtoy", n, scheme=scheme) == (n + 1, n + 1)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 7])

@@ -1,5 +1,6 @@
 """The rewrite optimizations must keep translations sound and no weaker."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -32,7 +33,7 @@ from kplan import (
     spec_kmodels,
     spec_ks0,
 )
-from kplan.translate import atom_name
+from kplan.translate import _simplify_pass, atom_name
 
 from conftest import (build_pickdrop, coin_problem, compiled_instance,
                       is_conformant, random_suite)
@@ -514,27 +515,58 @@ def test_pruning_runs_after_the_resets(copies):
 
 def check_merge(K):
     """``simplify(K)``, for a K that ``reference_prune`` leaves as it is,
-    against a walk of every state reachable in K: the result keeps every
-    action, applies the same actions, gives its atoms the same values,
-    raises on the same clashes and tests the goal alike, and each atom it
-    drops equals or complements a lesser-named atom it keeps."""
+    against a walk of every state reachable in K: the result applies the
+    same actions, gives its atoms the same values, raises on the same
+    clashes and tests the goal alike.  Each atom it drops equals or
+    complements a lesser-named atom it keeps, or is read only through
+    dropped conjuncts: K's read closure reaches it only through a
+    conjunct of the goal, of a precondition or of a condition that, in
+    every walked state, another conjunct of that conjunction implies, one
+    whose atom equals or complements a kept atom.  Each action it drops
+    sets only atoms so read."""
     merged = check_drop_unread(K)
     kept = merged.fluents
     assert kept <= K.fluents
-    assert [a.name for a in merged.actions] == [a.name for a in K.actions]
+    names = {a.name for a in merged.actions}
+    assert [a.name for a in merged.actions] == \
+        [a.name for a in K.actions if a.name in names]
     states = list(check_steps(K, merged, every_clash=True))
-    # each atom's value in every reachable state, negated when it starts
-    # true: a dropped atom has the column of some kept atom named before it
-    start_true = {l.fluent for l in K.init if l.positive}
-
-    def column(f):
-        return tuple((pos(f) in s) != (f in start_true) for s in states)
-
+    # the walked states where a literal holds, as a bit mask
+    holds = dict.fromkeys([l for f in K.fluents for l in (pos(f), neg(f))], 0)
+    for k, s in enumerate(states):
+        for l in s:
+            holds[l] |= 1 << k
+    # each atom's column, the states where it has its start value: an atom
+    # equal or complementary to a kept one named before it has its column
+    column = {l.fluent: holds[l] for l in K.initial_state()}
     first_kept = {}
     for f in sorted(kept):
-        first_kept.setdefault(column(f), f)
+        first_kept.setdefault(column[f], f)
+
+    def needed(conj):
+        """conj less the conjuncts another conjunct implies, one whose
+        atom equals or complements a kept atom."""
+        stay = [a for a in conj if column[a.fluent] in first_kept]
+        return {b for b in conj
+                if not any(a != b and not holds[a] & ~holds[b] for a in stay)}
+
+    reads = {}  # atom -> the conjunctions read when it is
+    for a in K.actions:
+        for r in a.rules:
+            reads.setdefault(r.effect.fluent, []).extend(
+                [r.condition, a.preconditions])
+    read, stack = set(), [l.fluent for l in needed(K.goal)]
+    while stack:
+        f = stack.pop()
+        if f not in read:
+            read.add(f)
+            for conj in reads.get(f, ()):
+                stack += [l.fluent for l in needed(conj)]
     for f in K.fluents - kept:
-        assert first_kept.get(column(f), f) < f, f
+        assert first_kept.get(column[f], f) < f or f not in read, f
+    for a in K.actions:
+        if a.name not in names:
+            assert not {r.effect.fluent for r in a.rules} & read, a.name
     return merged
 
 
@@ -624,6 +656,74 @@ def test_merge_atoms_on_a_small_problem():
         K.goal)
 
 
+# --- the simplification pass: conjuncts implied in every reachable state ---
+
+def test_implied_conjuncts_on_a_small_problem():
+    # All atoms but t start false.  p implies q: a1 sets both and nothing
+    # deletes q; b1 also sets q, so q does not imply p.  c2 deletes r, so
+    # nothing implies r.  a3 sets s whenever it sets t, but t starts true
+    # and s false.  e4 sets u alone and f4 v alone, so neither implies the
+    # other.  w1 and w2 imply each other, as a5 sets both whenever it sets
+    # either; z tells their classes apart.  The goal reads every atom.
+    K = ClassicalProblem(
+        frozenset(["p", "q", "r", "s", "t", "u", "v", "w1", "w2", "z"]),
+        frozenset([pos("t")]),
+        (action("a1", [], [rule([], pos("p")), rule([], pos("q")),
+                           rule([], pos("r"))]),
+         action("a3", [], [rule([], pos("s")), rule([], pos("t"))]),
+         action("a4", [], [rule([], pos("u")), rule([], pos("v"))]),
+         action("a5", [], [rule([], pos("w1")), rule([], pos("w2")),
+                           rule([pos("z")], pos("w2"))]),
+         action("b1", [], [rule([], pos("q"))]),
+         action("c2", [], [rule([], neg("r"))]),
+         action("d2", [], [rule([], pos("r"))]),
+         action("e3", [], [rule([], neg("t"))]),
+         action("e4", [], [rule([], pos("u"))]),
+         action("f4", [], [rule([], pos("v"))]),
+         action("g5", [], [rule([], pos("z"))])),
+        frozenset(map(pos, ["p", "q", "r", "s", "t", "u", "v", "w1", "w2"])))
+    R = reference_prune(K)
+    assert (R.fluents, R.init, R.goal) == (K.fluents, K.init, K.goal)
+    assert action_table(R) == action_table(K)
+    # q and w2 leave the goal; then z, b1 and g5 go, as nothing reads them
+    assert check_merge(K) == ClassicalProblem(
+        frozenset(["p", "r", "s", "t", "u", "v", "w1"]), K.init,
+        (action("a1", [], [rule([], pos("p")), rule([], pos("r"))]),
+         *K.actions[1:3],
+         action("a5", [], [rule([], pos("w1"))]),
+         *K.actions[5:10]),
+        frozenset(map(pos, ["p", "r", "s", "t", "u", "v", "w1"])))
+
+
+def test_implied_conjuncts_keep_the_optimal_plans_on_random_suites():
+    """Where (4) drops a conjunct, simplifying keeps whether a plan
+    exists and its optimal length, and the plans found stay conformant;
+    on every encoding a second ``simplify`` changes nothing."""
+    fired = found = 0
+    for seed, reachable in itertools.product((1, 2, 3, 505, 708),
+                                             (False, True)):
+        for problem in random_suite(seed, 30, reachable_goal=reachable):
+            ctx = build_context(problem)
+            for scheme in ("ki:1", "kmodels", "ks0"):
+                K = ktm(problem, SPECS[scheme](ctx, False), ctx,
+                        optimized=True)
+                S, implied = _simplify_pass(K)
+                if implied:  # simplify(K) repeats the pass
+                    S = simplify(S)
+                assert simplify(S) == S, (seed, reachable, scheme, problem)
+                if not implied:
+                    continue
+                fired += 1
+                plan = bfs_optimal(K, depth_cap=4, max_states=30_000)
+                short = bfs_optimal(S, depth_cap=4, max_states=30_000)
+                assert (plan is None) == (short is None), problem
+                if plan is not None:
+                    found += 1
+                    assert short.stripped_length == plan.stripped_length
+                    assert is_conformant(problem, short.stripped()), problem
+    assert fired > 0 and found > 0
+
+
 # (seed, index in random_suite(seed, 40), scheme, optimized) where a
 # setter whose condition holds two literals of one class at one value
 # once signed unlike a one-literal setter, so a second pass merged more
@@ -644,7 +744,9 @@ def simplified_digest():
     """The simplified encodings of ``SMALL_INSTANCES`` x ``SPECS``, as
     text in the order the program keeps them, and the PDDL that
     `kplan translate` emits for square-center-8 and disjtoy-9 under ks0,
-    whose atoms are named by projections of their many tags."""
+    whose atoms are named by projections of their many tags, and for
+    disjtoy-9 and sortnet-5 under kmodels, where (4) chooses among
+    literals that imply each other by name."""
     out = []
     for family, params in SMALL_INSTANCES:
         problem, resets = compiled_instance(family, params)
@@ -654,10 +756,13 @@ def simplified_digest():
                         [[a.name, sorted(a.preconditions),
                           [[sorted(r.condition), r.effect] for r in a.rules]]
                          for a in M.actions], sorted(M.goal)])
-    for family, params in (("square-center", (8,)), ("disjtoy", (9,))):
+    for family, params, scheme in (("square-center", (8,), "ks0"),
+                                   ("disjtoy", (9,), "ks0"),
+                                   ("disjtoy", (9,), "kmodels"),
+                                   ("sortnet", (5,), "kmodels")):
         problem, resets = compiled_instance(family, params)
         out.append(pddl.emit_classical(
-            simplify(pipeline_encoding(problem, resets, "ks0"))))
+            simplify(pipeline_encoding(problem, resets, scheme))))
     return json.dumps(out)
 
 
@@ -666,9 +771,17 @@ def test_merge_atoms_is_the_same_under_other_hash_seeds():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(here.parent / "src"), str(here)]))
     code = "import test_optimize; print(test_optimize.simplified_digest())"
-    digest = simplified_digest()
-    for seed in ("0", "1", "3", "7"):
-        env["PYTHONHASHSEED"] = seed
-        run = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert run.stdout.strip() == digest, seed
+    # the four children run while this process builds its own digest
+    runs = {seed: subprocess.Popen([sys.executable, "-c", code],
+                                   env=dict(env, PYTHONHASHSEED=seed),
+                                   stdout=subprocess.PIPE, text=True)
+            for seed in ("0", "1", "3", "7")}
+    try:
+        digest = simplified_digest()
+        for seed, run in runs.items():
+            out, _ = run.communicate(timeout=120)
+            assert run.returncode == 0, seed
+            assert out.strip() == digest, seed
+    finally:
+        for run in runs.values():
+            run.kill()  # does nothing to a child that has exited
