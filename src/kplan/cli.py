@@ -22,7 +22,7 @@ from .analysis import (
     target_literals,
     width_of_literal,
 )
-from .errors import KplanError, NoPlanFound, UnknownAction
+from .errors import KplanError, NoPlanFound, UnknownAction, UnsupportedFeature
 from .model import ConformantProblem, Plan, sorted_lits
 from .pi import DEFAULT_MODEL_CAP, DEFAULT_PI_CLAUSE_CAP, DEFAULT_STATE_CAP
 from .pipeline import (PipelineConfig, encoding_size, pipeline_solve,
@@ -37,10 +37,6 @@ from .translate import (
     spec_ks0,
 )
 from .verify import conformant_check, zero_approx_run
-
-
-def _env(name: str, default=None):
-    return os.environ.get("KPLAN_" + name, default)
 
 
 def _positive(text: str, what: str, kind=int):
@@ -86,6 +82,18 @@ def _load_problem(args) -> ConformantProblem:
     domain_text = Path(args.domain).read_text()
     problem_text = Path(args.problem).read_text()
     return pddl.load(domain_text, problem_text)
+
+
+def _deterministic_context(args):
+    """The CNF-goal compilation of the input of translate or width, which
+    take no oneof effects, and its context."""
+    problem = _load_problem(args)
+    if not problem.deterministic:
+        raise UnsupportedFeature(
+            f"{args.cmd} takes deterministic input; "
+            "`kplan solve` compiles oneof effects")
+    compiled = cnf_goal_compile(problem)
+    return compiled, build_context(compiled, pi_cap=args.caps[2])
 
 
 def _write_report(args, report: Dict):
@@ -135,20 +143,16 @@ def _width_report(problem: ConformantProblem, ctx) -> Dict:
 # --- subcommands --------------------------------------------------------------
 
 def cmd_translate(args) -> int:
-    problem = _load_problem(args)
-    compiled = cnf_goal_compile(problem)
+    compiled, ctx = _deterministic_context(args)
     scheme, bound = args.scheme
-    ctx = build_context(compiled, pi_cap=args.caps[2])
     spec = _scheme_spec(scheme, bound, ctx, args.caps)
-    K = ktm(compiled, spec, ctx, optimized=args.opt)
+    K = ktm(compiled, spec, ctx, optimized=True)
     built = encoding_size(K)
-    if args.opt:
-        K = simplify(K)
+    K = simplify(K)
     domain_text, problem_text = pddl.emit_classical(K)
     report = {
         "command": "translate",
         "scheme": scheme,
-        "optimized": args.opt,
         "pi": {
             "clauses": len(ctx.pi.clauses),
             "nonunit_clauses": len(ctx.pi.nonunit_clauses),
@@ -246,9 +250,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_width(args) -> int:
-    problem = _load_problem(args)
-    compiled = cnf_goal_compile(problem)
-    ctx = build_context(compiled, pi_cap=args.caps[2])
+    compiled, ctx = _deterministic_context(args)
     report = _width_report(compiled, ctx)
     report["command"] = "width"
     print(f"w(P) = {report['width']}")
@@ -331,26 +333,9 @@ def _plan(p: argparse.ArgumentParser):
     p.add_argument("plan", help="plan file (one action per line)")
 
 
-def _opt(p: argparse.ArgumentParser):
-    opt = p.add_mutually_exclusive_group()
-    opt.add_argument("--opt", dest="opt", action="store_true",
-                     help="apply the rewrite optimizations, then drop "
-                          "the rules that never fire, the atoms that never "
-                          "change, the atoms that nothing reads and the "
-                          "actions that change no atom left, merge the "
-                          "atoms that are equal or complementary in every "
-                          "reachable state, and drop the conjuncts that "
-                          "another conjunct implies there, which keeps the "
-                          "same plans (default)")
-    opt.add_argument("--no-opt", dest="opt", action="store_false",
-                     help="use the literal K_T,M translation, without "
-                          "the rewrites")
-    p.set_defaults(opt=_env("OPT", "1") not in ("0", "false", "no"))
-
-
 def _option(flag: str, env: str, default: Optional[str], **kwargs):
-    return lambda p: p.add_argument(flag, default=_env(env, default),
-                                    **kwargs)
+    return lambda p: p.add_argument(
+        flag, default=os.environ.get("KPLAN_" + env, default), **kwargs)
 
 
 _caps = _option("--caps", "CAPS", "", type=_parse_caps,
@@ -389,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     # each subcommand takes the arguments its handler reads, and no others
     for name, func, help_text, arguments in (
             ("translate", cmd_translate, "translate to classical PDDL",
-             (_files, _opt, _caps, _export_pddl, _report, _scheme)),
+             (_files, _caps, _export_pddl, _report, _scheme)),
             ("solve", cmd_solve, "solve end to end",
              (_files, _caps, _budget, _nondet_copies, _export_pddl,
               _report)),

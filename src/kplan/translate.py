@@ -178,11 +178,12 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
         optimized: bool = False) -> ClassicalProblem:
     """Build the classical problem induced by a tag/merge spec.
 
-    Without ``optimized`` this is the literal K_T,M translation, which
-    ``kplan translate --no-opt`` emits; the solving pipeline only builds
-    the rewritten one.  With ``optimized`` the builder applies three
-    rewrites.  (2) only keeps the build small: ``simplify``, which runs
-    after it, reaches the same final encodings without it.
+    Without ``optimized`` this is the literal K_T,M translation, the
+    default; ``kplan translate`` and ``kplan solve`` only build the
+    rewritten one, which ``simplify`` then shrinks.  With ``optimized``
+    the builder applies three rewrites.  (2) only keeps the build small:
+    ``simplify``, which runs after it, reaches the same final encodings
+    without it.
     (1) KL/t is built once per projection p of t onto L: the literals of
     t* outside the closure of the empty tag that are relevant to L.  Each
     condition c of a rule with head L has relevant_to(c) within

@@ -132,14 +132,14 @@ def test_translate_export_is_deterministic(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-def translate_bomb_16_16(tmp_path, capsys, *flags):
+def translate_bomb_16_16(tmp_path, capsys):
     """The exported texts and the report of translating bomb-16-16 with
     ki:1, and the source problem."""
     dom, prob = gen_instance(tmp_path, "bomb", 16, 16)
     export = tmp_path / "out"
     report_path = tmp_path / "report.json"
     code, _, _ = run_cli(capsys, "translate", str(dom), str(prob),
-                         "--scheme", "ki:1", *flags,
+                         "--scheme", "ki:1",
                          "--export-pddl", str(export),
                          "--report", str(report_path))
     assert code == 0
@@ -183,8 +183,8 @@ SPEC_BUILDERS = {"ki:1": lambda ctx: kplan.spec_ki(ctx, 1),
 
 
 def optimized_sizes(family, *params, scheme="ki:1"):
-    """(atoms, effects) of the encoding that `kplan translate` emits under
-    --opt with the scheme ki:1, kmodels or ks0."""
+    """(atoms, effects) of the encoding that `kplan translate` emits with
+    the scheme ki:1, kmodels or ks0."""
     problem = kplan.cnf_goal_compile(
         kplan.pddl.load(*kplan.generators.generate(family, params)))
     ctx = kplan.build_context(problem)
@@ -261,32 +261,6 @@ def test_solve_ladder_encoding_sizes():
             effects += stage["translation"]["conditional_effects"]
             assert stage["built"]["atoms"] >= stage["translation"]["atoms"]
     assert (atoms, effects) == (328, 1388)
-
-
-def test_translate_no_opt_emits_the_literal_translation(tmp_path, capsys):
-    texts, report, problem = translate_bomb_16_16(tmp_path, capsys,
-                                                  "--no-opt")
-    ctx = kplan.build_context(problem)
-    K = kplan.ktm(problem, kplan.spec_ki(ctx, 1), ctx, optimized=False)
-    assert texts == kplan.pddl.emit_classical(K)
-    assert report["translation"]["atoms"] == len(K.fluents)
-
-
-def test_kplan_opt_is_read_by_translate_alone(tmp_path, capsys, monkeypatch):
-    # solve searches the rewritten encoding whatever KPLAN_OPT says
-    def run(command, family, *params):
-        dom, prob = gen_instance(tmp_path, family, *params)
-        report_path = tmp_path / f"{command}.json"
-        code, out, err = run_cli(capsys, command, str(dom), str(prob),
-                                 "--report", str(report_path))
-        assert code == 0, err
-        return out, strip_timings(json.loads(report_path.read_text()))
-
-    solved = run("solve", "sgripper", 1)
-    assert run("translate", "bomb", 3, 3)[1]["optimized"]
-    monkeypatch.setenv("KPLAN_OPT", "0")
-    assert run("solve", "sgripper", 1) == solved
-    assert not run("translate", "bomb", 3, 3)[1]["optimized"]
 
 
 def test_solve_validate_round_trip(tmp_path, capsys):
@@ -586,7 +560,7 @@ def test_bad_caps_budgets_and_copies_are_usage_errors(
 
 # the options each subcommand's handler reads, and so the only ones it takes
 OPTION_DESTS = {
-    "translate": {"opt", "caps", "export_pddl", "report", "scheme"},
+    "translate": {"caps", "export_pddl", "report", "scheme"},
     "solve": {"caps", "budget", "nondet_copies", "export_pddl", "report"},
     "validate": {"caps", "report"},
     "width": {"caps", "report"},
@@ -629,7 +603,7 @@ DROPPED = ([("validate", flag) for flag in NOT_READ]
               ("bench", "--export-pddl=out")]
            + [(command, "--strengthened-mutex")
               for command in ("translate", "solve", "bench")]
-           + [(command, flag) for command in ("solve", "bench")
+           + [(command, flag) for command in ("translate", "solve", "bench")
               for flag in ("--opt", "--no-opt")])
 
 
@@ -665,16 +639,68 @@ def test_an_override_the_subcommand_does_not_read_is_ignored(
 
 def overrides_read(source: str):
     """The KPLAN_* names a cli source reads: the constant name of every
-    ``_env(NAME, ...)`` and ``_option(FLAG, NAME, ...)`` call."""
-    names = set()
-    for node in ast.walk(ast.parse(source)):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
-            continue
-        position = {"_env": 0, "_option": 1}.get(node.func.id)
-        if position is not None and isinstance(node.args[position],
-                                                ast.Constant):
-            names.add("KPLAN_" + node.args[position].value)
-    return names
+    ``_option(FLAG, NAME, ...)`` call."""
+    return {"KPLAN_" + node.args[1].value
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "_option"
+            and isinstance(node.args[1], ast.Constant)}
+
+
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str):
+    """(function, line) of every read of the environment in a cli source
+    outside ``_option``, the function None at module level: only
+    ``_option`` may read it, so that each KPLAN_* value reaches argparse
+    as a string default that the flag's ``type`` checks."""
+    reads = []
+
+    def scan(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scan(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute):
+                read = (isinstance(child.value, ast.Name)
+                        and child.value.id == "os"
+                        and child.attr in ENVIRONMENT)
+            elif isinstance(child, ast.ImportFrom):
+                read = child.module == "os" and any(
+                    alias.name in ENVIRONMENT for alias in child.names)
+            else:
+                read = False
+            if read and function != "_option":
+                reads.append((function, child.lineno))
+            scan(child, function)
+
+    scan(ast.parse(source), None)
+    return reads
+
+
+def test_the_scan_finds_environment_reads_outside_option():
+    # the --opt/--no-opt group that read KPLAN_OPT itself, so that any
+    # value but 0, false or no turned the rewrites on
+    source = (
+        "import os\n"
+        "from os import environ, path\n"
+        "def _opt(p):\n"
+        "    opt = p.add_mutually_exclusive_group()\n"
+        "    opt.add_argument('--opt', dest='opt', action='store_true')\n"
+        "    opt.add_argument('--no-opt', dest='opt', action='store_false')\n"
+        "    p.set_defaults(opt=os.environ.get('KPLAN_OPT', '1')\n"
+        "                   not in ('0', 'false', 'no'))\n"
+        "def _option(flag, env, default, **kwargs):\n"
+        "    return lambda p: p.add_argument(\n"
+        "        flag, default=os.environ.get('KPLAN_' + env, default),\n"
+        "        **kwargs)\n"
+        "QUIET = os.getenv('KPLAN_QUIET')\n")
+    assert environment_reads(source) == [(None, 2), ("_opt", 7), (None, 13)]
+
+
+def test_the_cli_reads_the_environment_only_in_option():
+    assert environment_reads(Path(cli.__file__).read_text()) == []
 
 
 def test_the_readme_names_exactly_the_overrides_the_cli_reads():
@@ -841,11 +867,25 @@ def test_an_unwritable_error_report_still_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and "missing.pddl" in err
 
 
-def test_width_rejects_oneof_effects(tmp_path, capsys):
+def assert_refuses_oneof_effects(tmp_path, capsys, command):
     dom, prob = gen_instance(tmp_path, "sgripper", 1)
-    code, out, err = run_cli(capsys, "width", str(dom), str(prob))
-    assert code == 2
-    assert "compile nondeterministic effects away first" in err
+    capsys.readouterr()
+    report_path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, command, str(dom), str(prob),
+                             "--report", str(report_path))
+    message = (f"{command} takes deterministic input; "
+               "`kplan solve` compiles oneof effects")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert json.loads(report_path.read_text()) == {
+        "command": command, "error": f"UnsupportedFeature: {message}"}
+
+
+def test_width_rejects_oneof_effects(tmp_path, capsys):
+    assert_refuses_oneof_effects(tmp_path, capsys, "width")
+
+
+def test_translate_rejects_oneof_effects(tmp_path, capsys):
+    assert_refuses_oneof_effects(tmp_path, capsys, "translate")
 
 
 @pytest.mark.parametrize("domain,problem,parts", [
@@ -862,8 +902,8 @@ def test_width_rejects_oneof_effects(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["solve", "translate"])
 def test_knowledge_atoms_that_print_alike_are_an_input_error(
         tmp_path, capsys, domain, problem, parts, command):
-    # ktm refuses them itself, without and with (the CLI's default) the
-    # rewrites
+    # ktm refuses them itself, without and with (as the CLI builds it)
+    # the rewrites
     source = kplan.pddl.load(domain, problem)
     ctx = kplan.build_context(source)
     for optimized in (False, True):
