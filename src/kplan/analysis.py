@@ -140,7 +140,8 @@ def satisfies(tags: Iterable[FrozenSet[Literal]], C: Iterable[Clause],
               pi: PICNF) -> bool:
     """Every tag's closure intersects every clause of C."""
     C = list(C)
-    return all(all(pi.closure(t) & c for c in C) for t in tags)
+    return all(all(not closed.isdisjoint(c) for c in C)
+               for closed in map(pi.closure, tags))
 
 
 def width_of_literal(ci: Iterable[Clause], L: Literal, rel: RelevanceGraph,
@@ -154,19 +155,33 @@ def width_of_literal(ci: Iterable[Clause], L: Literal, rel: RelevanceGraph,
     Only a ``cap`` makes it raise WidthSearchCap: without one, the
     tautologies over the fluents V of C_I(L), all unknown, are a witness
     of size |V|, as their cover holds every I-consistent assignment to V.
+
+    The answer depends only on C_I(L), of which C_I*(L) is a function,
+    and on ``pi``, so ``pi.widths`` keeps it per clause set: the witness,
+    or, after a capped search that found none, the cap, from which a
+    later search goes on.  Every literal with the same C_I(L) shares one
+    search, and a search capped at i by ``spec_ki`` is not repeated by
+    the width report.  The closures of a candidate's cover are cached
+    for that candidate's test alone (``pi.scratch``), not in ``pi``.
     """
     rcs = relevant_clauses(ci, L, rel)
     if not rcs.clauses:
         return 0, ()
     if cap is None:
         cap = len(pi.unknown_fluents())
-    pool = rcs.extended
-    for size in range(1, min(cap, len(pool)) + 1):
-        for C in itertools.combinations(pool, size):
-            if satisfies(cover(C, pi), rcs.clauses, pi):
-                return size, C
-    raise WidthSearchCap(
-        f"no witness of size <= {cap} for literal {L}")
+    known = pi.widths.get(rcs.clauses, 0)
+    if isinstance(known, int):  # no witness of size <= known
+        pool = rcs.extended
+        candidates = (C for size in range(known + 1, min(cap, len(pool)) + 1)
+                      for C in itertools.combinations(pool, size))
+        known = pi.widths[rcs.clauses] = next(
+            (C for C in candidates
+             if satisfies(cover(C, view := pi.scratch()), rcs.clauses, view)),
+            max(known, cap))
+    if isinstance(known, int) or len(known) > cap:
+        raise WidthSearchCap(
+            f"no witness of size <= {cap} for literal {L}")
+    return len(known), known
 
 
 def target_literals(problem: ConformantProblem,

@@ -11,9 +11,11 @@ validation oracles share.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional, Set,
+                    Tuple, Union)
 
 from .errors import InconsistentInit, PiBlowup, ValidityUndecidedAtCap
 from .model import Clause, Literal, is_tautology, lits_consistent, neg, pos, sorted_lits
@@ -134,7 +136,11 @@ def enumerate_models(clauses: Iterable[Clause], fluents: Iterable[str],
 
 
 class PICNF:
-    """Clause set in prime-implicate form over a fixed fluent universe."""
+    """Clause set in prime-implicate form over a fixed fluent universe.
+
+    It keeps what its queries learn: each tag's closure, and per relevant
+    clause set what ``analysis.width_of_literal`` found of its width.
+    """
 
     def __init__(self, clauses: Iterable[Clause], fluents: Iterable[str]):
         self.clauses: FrozenSet[Clause] = frozenset(clauses)
@@ -149,6 +155,9 @@ class PICNF:
         self._index = index
         self._fluent_set = frozenset(self.fluents)
         self._closure_cache: Dict[Tag, FrozenSet[Literal]] = {}
+        # C_I(L) -> its witness, or the largest size known to have none
+        self.widths: Dict[Tuple[Clause, ...],
+                          Union[int, Tuple[Clause, ...]]] = {}
 
     @property
     def nonunit_clauses(self) -> FrozenSet[Clause]:
@@ -195,6 +204,13 @@ class PICNF:
             result = frozenset(l for l in out if l.fluent in universe)
         self._closure_cache[t] = result
         return result
+
+    def scratch(self) -> "PICNF":
+        """This clause set with a closure cache of its own, so that the
+        closures of a throwaway search go when the search does."""
+        view = copy.copy(self)
+        view._closure_cache = {}
+        return view
 
     def tag_consistent(self, t: Tag) -> bool:
         return lits_consistent(self.closure(t))

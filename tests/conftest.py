@@ -30,10 +30,11 @@ from kplan import (
     run_plan,
 )
 from kplan import analysis, generators, pddl
-from kplan.analysis import (Context, all_literals, build_context, cover,
+from kplan.analysis import (Context, RelevanceGraph, all_literals,
+                            build_context, cover, relevant_clauses,
                             satisfies, target_literals)
 from kplan.errors import (CapExceeded, InvalidSpec, TooManyInitialStates,
-                          UnsupportedFeature)
+                          UnsupportedFeature, WidthSearchCap)
 from kplan.model import (Action, ClassicalProblem, Clause, NondetRule,
                          Rule, State, is_tautology, lits_consistent,
                          sorted_lits)
@@ -446,6 +447,12 @@ BENCH_INSTANCES = (
     ("sgripper", (3,)), ("bomb", (16, 16)), ("safe", (40,)),
     ("disjtoy", (9,)), ("square-center", (8,)), ("sortnet", (7,)),
 )
+
+
+# Every generator at a small size.
+SMALL_INSTANCES = [("safe", (4,)), ("bomb", (3, 3)), ("ring", (3,)),
+                   ("square-center", (3,)), ("corners-square", (4,)),
+                   ("sortnet", (3,)), ("disjtoy", (4,)), ("sgripper", (1,))]
 
 
 def compiled_instance(family: str, params: Sequence[int], copies: int = 1):
@@ -919,3 +926,28 @@ def reference_spec_ki(ctx: Context, i: int,
                 if cov and frozenset(cov) != frozenset((EMPTY_TAG,)):
                     merges.append(Merge(frozenset(cov), L))
     return make_spec((), merges, f"k{i}", trusted=True)
+
+
+# --- reference width search ----------------------------------------------------
+
+def reference_width_of_literal(ci: Iterable[Clause], L: Literal,
+                               rel: RelevanceGraph, pi,
+                               cap: Optional[int] = None
+                               ) -> Tuple[int, Tuple[Clause, ...]]:
+    """Smallest |C|, C subset of C_I*(L), whose cover satisfies C_I(L):
+    `kplan.analysis.width_of_literal` as it was before it kept its answers
+    in ``pi.widths``, a fresh search from size 1 on every call, with
+    ``satisfies`` as it was then."""
+    rcs = relevant_clauses(ci, L, rel)
+    if not rcs.clauses:
+        return 0, ()
+    if cap is None:
+        cap = len(pi.unknown_fluents())
+    pool = rcs.extended
+    for size in range(1, min(cap, len(pool)) + 1):
+        for C in itertools.combinations(pool, size):
+            if all(all(pi.closure(t) & c for c in rcs.clauses)
+                   for t in cover(C, pi)):
+                return size, C
+    raise WidthSearchCap(
+        f"no witness of size <= {cap} for literal {L}")

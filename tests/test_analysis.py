@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from kplan import (
+    analysis,
     build_context,
     c_i,
     cover,
@@ -15,15 +16,18 @@ from kplan import (
     relevance,
     relevant_clauses,
     satisfies,
+    spec_ki,
     width,
     width_of_literal,
 )
+from kplan import cli
 from kplan.analysis import all_literals, target_literals
 from kplan.errors import InconsistentInit, WidthSearchCap
 from kplan.model import action, conformant_problem, rule
 
 from conftest import (
     BENCH_INSTANCES,
+    SMALL_INSTANCES,
     build_tiny,
     compiled_instance,
     random_suite,
@@ -31,6 +35,7 @@ from conftest import (
     reference_cover,
     reference_mutex_set,
     reference_relevance,
+    reference_width_of_literal,
 )
 
 
@@ -155,6 +160,90 @@ def test_uncapped_width_search_finds_a_witness_on_random_suite():
                               for f, p in BENCH_INSTANCES])
 def test_uncapped_width_search_finds_a_witness_on_generated(family, params):
     _check_uncapped_width(compiled_instance(family, params)[0])
+
+
+# --- the width cache against a fresh search ----------------------------------
+
+CAPS = (0, 1, 2, None)
+
+
+def _outcome(search, ctx, L, cap):
+    """(width, witness), or None when the search raises WidthSearchCap."""
+    try:
+        return search(ctx.ci, L, ctx.rel, ctx.pi, cap=cap)
+    except WidthSearchCap:
+        return None
+
+
+def _check_width_cache(problem):
+    """Every cap in both orders, capped searches first and uncapped ones
+    first, on one context each: the answers kept in ``pi.widths`` are
+    those of a fresh search."""
+    targets = target_literals(problem)
+    fresh = build_context(problem)
+    want = {(L, cap): _outcome(reference_width_of_literal, fresh, L, cap)
+            for L in targets for cap in CAPS}
+    for order in (CAPS, CAPS[::-1]):
+        ctx = build_context(problem)
+        for cap in order:
+            for L in targets:
+                assert _outcome(width_of_literal, ctx, L, cap) == \
+                    want[L, cap], (L, cap, order)
+
+
+def test_width_cache_matches_a_fresh_search_on_random_suites():
+    for seed in range(1, 6):
+        for problem in random_suite(seed, 40):
+            _check_width_cache(problem)
+
+
+@pytest.mark.parametrize("family,params", SMALL_INSTANCES,
+                         ids=["-".join(map(str, (f, *p)))
+                              for f, p in SMALL_INSTANCES])
+def test_width_cache_matches_a_fresh_search_on_generated(family, params):
+    _check_width_cache(compiled_instance(family, params)[0])
+
+
+@pytest.mark.parametrize("family,params", BENCH_INSTANCES,
+                         ids=["-".join(map(str, (f, *p)))
+                              for f, p in BENCH_INSTANCES])
+def test_the_width_report_leaves_the_closure_cache_alone(family, params):
+    problem = compiled_instance(family, params)[0]
+    ctx = build_context(problem)
+    spec_ki(ctx, 1)  # as `kplan translate` does before its report
+    before = len(ctx.pi._closure_cache)
+    cli._width_report(problem, ctx)
+    assert len(ctx.pi._closure_cache) == before
+
+
+def test_sortnet_searches_its_one_clause_set_once(monkeypatch):
+    """The six targets of sortnet-7 with relevant clauses share one
+    clause set: the report covers each of its subsets once, in the
+    search's order, and after ``spec_ki(ctx, 1)`` it goes on from size 2."""
+    problem = compiled_instance("sortnet", (7,))[0]
+    ctx = build_context(problem)
+    sets = [rcs for rcs in map(ctx.relevant_clause_set,
+                               target_literals(problem)) if rcs.clauses]
+    assert len(sets) == 6 and len({rcs.clauses for rcs in sets}) == 1
+    pool = sets[0].extended
+    covered = []
+    real_cover = analysis.cover
+
+    def counting_cover(C, pi):
+        covered.append(C)
+        return real_cover(C, pi)
+
+    monkeypatch.setattr(analysis, "cover", counting_cover)
+    report = cli._width_report(problem, ctx)
+    assert report["width"] == 7
+    assert covered == [C for size in range(1, 8)
+                       for C in itertools.combinations(pool, size)]
+    ctx = build_context(problem)
+    spec_ki(ctx, 1)
+    covered.clear()
+    assert cli._width_report(problem, ctx) == report
+    assert covered == [C for size in range(2, 8)
+                       for C in itertools.combinations(pool, size)]
 
 
 def test_width_zero_for_classical_input():

@@ -2,12 +2,14 @@
 
 import argparse
 import ast
+import gc
 import importlib
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -180,6 +182,33 @@ def test_translate_builds_one_atom_per_projection(tmp_path, capsys, family, n,
 
 SPEC_BUILDERS = {"ki:1": lambda ctx: kplan.spec_ki(ctx, 1),
                  "kmodels": kplan.spec_kmodels, "ks0": kplan.spec_ks0}
+
+
+@pytest.mark.parametrize("family,n,scheme,bound_mb", [
+    ("disjtoy", 9, "ks0", 3.6), ("sortnet", 7, "ki:1", 1.5)])
+def test_translate_peak_memory(tmp_path, capsys, family, n, scheme,
+                               bound_mb):
+    """The peak of the Python allocations of a warm `kplan translate`, by
+    tracemalloc: the same on every run of one CPython, with no timing in
+    it.  Equal conditions and literals are shared, and the width search
+    keeps no closure past the candidate it tests, so disjtoy-9 ks0 peaks
+    near 3.2 MB (5.3 MB with copies per rule) and sortnet-7 ki:1 near
+    0.9 MB (3.1 MB with every closure of its width search kept)."""
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing this process")
+    dom, prob = gen_instance(tmp_path, family, n)
+    argv = ["translate", str(dom), str(prob), "--scheme", scheme]
+    assert main(argv) == 0  # what a first run allocates once
+    capsys.readouterr()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < bound_mb * 1e6
 
 
 def optimized_sizes(family, *params, scheme="ki:1"):

@@ -35,8 +35,8 @@ from kplan import (
 )
 from kplan.translate import _simplify_pass, atom_name
 
-from conftest import (build_pickdrop, coin_problem, compiled_instance,
-                      is_conformant, random_suite)
+from conftest import (SMALL_INSTANCES, build_pickdrop, coin_problem,
+                      compiled_instance, is_conformant, random_suite)
 
 
 def test_optimize_rebuilds_with_rewrites(pickdrop):
@@ -162,9 +162,6 @@ def check_drop_unread(K):
     return S
 
 
-SMALL_INSTANCES = [("safe", (4,)), ("bomb", (3, 3)), ("ring", (3,)),
-                   ("square-center", (3,)), ("corners-square", (4,)),
-                   ("sortnet", (3,)), ("disjtoy", (4,)), ("sgripper", (1,))]
 SPECS = {"ki:1": lambda ctx, every: spec_ki(ctx, 1, include_all=every),
          "kmodels": lambda ctx, every: spec_kmodels(ctx, include_all=every),
          "ks0": lambda ctx, every: spec_ks0(ctx, include_all=every)}

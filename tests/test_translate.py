@@ -15,6 +15,7 @@ from kplan import (
     neg,
     pos,
     run_plan,
+    simplify,
     spec_k0,
     spec_ki,
     spec_kmodels,
@@ -298,6 +299,35 @@ def test_ktm_matches_reference_on_nondet_gripper_with_resets():
         for scheme in ("ki:1", "kmodels"):
             _check_against_reference(problem, SPECS[scheme](ctx, True),
                                      ctx, resets)
+
+
+# --- equal objects are shared ------------------------------------------------
+
+SHARED = [("disjtoy", (9,), "ks0"), ("square-center", (8,), "ks0"),
+          ("bomb", (16, 16), "ki:1")]
+
+
+def _check_one_object_per_value(K):
+    """Each condition (rule condition or precondition) and each literal of
+    K (in a condition, an effect, the goal or the initial state) is one
+    object per distinct value."""
+    conds = [a.preconditions for a in K.actions]
+    conds += [r.condition for a in K.actions for r in a.rules]
+    lits = [l for c in conds for l in c] + list(K.goal) + list(K.init)
+    lits += [r.effect for a in K.actions for r in a.rules]
+    assert len(set(map(id, conds))) == len(set(conds))
+    assert len(set(map(id, lits))) == len(set(lits))
+
+
+@pytest.mark.parametrize("family,params,scheme", SHARED,
+                         ids=["-".join(map(str, (f, *p, s)))
+                              for f, p, s in SHARED])
+def test_ktm_and_simplify_share_equal_objects(family, params, scheme):
+    problem = compiled_instance(family, params)[0]
+    ctx = build_context(problem)
+    K = ktm(problem, SPECS[scheme](ctx, False), ctx, optimized=True)
+    _check_one_object_per_value(K)
+    _check_one_object_per_value(simplify(K))
 
 
 def test_tag_table_names_follow_atom_name():
