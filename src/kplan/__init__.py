@@ -78,13 +78,11 @@ from .translate import (
 from .planner import SolveResult, SolveStatus, bfs_optimal, solve
 from .verify import (
     Basis,
-    ThreeValuedState,
     Verdict,
     belief_bfs,
     build_basis,
     conformant_check,
     initial_states,
-    rel_state,
     zero_approx_run,
 )
 from .pipeline import PipelineConfig, pipeline_solve

@@ -673,17 +673,21 @@ def load_classical(domain_text: str, problem_text: str) -> ClassicalProblem:
 # --- plan files --------------------------------------------------------------
 
 def parse_plan_text(text: str) -> Tuple[str, ...]:
-    """One action per line; surrounding parentheses and ';' comments allowed."""
+    """One action per line; surrounding parentheses and ';' comments allowed.
+    A step that is empty, or that holds a parenthesis or a blank once one
+    outer pair of parentheses is stripped, is a syntax error."""
     steps: List[str] = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split(";", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("(") and line.endswith(")"):
-            line = line[1:-1].strip()
-        if " " in line:
-            raise PddlSyntaxError(f"plan steps must be single names: {line!r}")
-        steps.append(line)
+        step = line[1:-1].strip() \
+            if line.startswith("(") and line.endswith(")") else line
+        if not step or any(c in "()" or c.isspace() for c in step):
+            raise PddlSyntaxError(
+                f"plan steps must be single names: {line!r}", number,
+                len(raw) - len(raw.lstrip()) + 1)
+        steps.append(step)
     return tuple(steps)
 
 

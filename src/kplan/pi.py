@@ -217,23 +217,20 @@ class PICNF:
 
     def models(self, variables: Iterable[str],
                extra: Iterable[Clause] = (),
-               forced: Iterable[Literal] = (),
                cap: Optional[int] = DEFAULT_MODEL_CAP) -> Iterator[FrozenSet[Literal]]:
         """Enumerate complete assignments over ``variables`` satisfying the
         clauses of I that only mention those variables, plus ``extra``
-        clauses and the ``forced`` literals on those variables.
+        clauses.
 
-        Clauses of I mentioning variables outside the given set, and forced
-        literals outside it, are ignored (the caller picks a variable set
-        closed enough for its purpose).  Raises ValidityUndecidedAtCap past
-        ``cap`` models.
+        Clauses of I mentioning variables outside the given set are ignored
+        (the caller picks a variable set closed enough for its purpose).
+        Raises ValidityUndecidedAtCap past ``cap`` models.
         """
         varset = frozenset(variables)
         constraints = [c for c in self.clauses
                        if all(l.fluent in varset for l in c)]
         constraints += extra
-        return enumerate_models(constraints, varset,
-                                [l for l in forced if l.fluent in varset], cap)
+        return enumerate_models(constraints, varset, cap=cap)
 
     def merge_valid(self, m: Merge) -> bool:
         """Check I |= V_{t in m} t by model enumeration.

@@ -68,11 +68,6 @@ def translation_summary(K) -> Dict:
     }
 
 
-def _cap_exceeded(stage: Dict, exc: CapExceeded):
-    stage["status"] = "cap-exceeded"
-    stage["error"] = f"{type(exc).__name__}: {exc}"
-
-
 def pipeline_solve(problem: ConformantProblem,
                    config: Optional[PipelineConfig] = None
                    ) -> Tuple[Plan, Dict]:
@@ -110,64 +105,58 @@ def pipeline_solve(problem: ConformantProblem,
             compiled, resets = base, {}
         try:
             ctx = build_context(compiled, pi_cap=config.pi_cap)
-        except CapExceeded as exc:
-            ctx, context_error = None, exc
-        else:
             consistent = all(ctx.mutexes.mutex(pos(f), neg(f))
                              for f in compiled.fluents)
-        include_all = nondet
+        except CapExceeded as exc:
+            ctx = exc  # each stage of this copy count reports it
         for scheme in LADDER:
             stage: Dict = {"scheme": scheme, "copies": copies}
             report["stages"].append(stage)
-            if ctx is None:
-                _cap_exceeded(stage, context_error)
-                continue
-            stage["consistent"] = consistent
             try:
+                if isinstance(ctx, CapExceeded):
+                    raise ctx
+                stage["consistent"] = consistent
                 if scheme == "ki:1":
-                    spec = spec_ki(ctx, 1, include_all=include_all)
+                    spec = spec_ki(ctx, 1, include_all=nondet)
                 else:
                     spec = spec_kmodels(ctx, cap=config.model_cap,
-                                        include_all=include_all)
-            except CapExceeded as exc:
-                _cap_exceeded(stage, exc)
-                continue
-            K = ktm(compiled, spec, ctx, optimized=True)
-            stage["built"] = encoding_size(K)
-            if resets:
-                K = inject_reset_effects(K, ctx, spec, resets)
-            # after the resets, whose rules read the plain KL atoms and
-            # make tagged atoms settable again
-            K = simplify(K)
-            max_seconds = (None if deadline is None
-                           else max(0.0, deadline - time.monotonic()))
-            result = solve(K, max_nodes=config.max_nodes,
-                           max_seconds=max_seconds)
-            stage.update({
-                "translation": translation_summary(K),
-                "status": result.status.value,
-                "expanded": result.expanded,
-                "generated": result.generated,
-                "evaluated": result.evaluated,
-                "seconds": round(result.seconds, 3),
-            })
-            if result.status is SolveStatus.BUDGET_OUT:
-                saw_budget_out = True
-                continue
-            if result.status is SolveStatus.UNSOLVABLE:
-                continue
-            plan = result.plan
-            stripped = plan.stripped()
-            stage["plan_length"] = len(plan)
-            stage["stripped_length"] = len(stripped)
-            try:
+                                        include_all=nondet)
+                K = ktm(compiled, spec, ctx, optimized=True)
+                stage["built"] = encoding_size(K)
+                if resets:
+                    K = inject_reset_effects(K, ctx, spec, resets)
+                # after the resets, whose rules read the plain KL atoms and
+                # make tagged atoms settable again
+                K = simplify(K)
+                max_seconds = (None if deadline is None
+                               else max(0.0, deadline - time.monotonic()))
+                result = solve(K, max_nodes=config.max_nodes,
+                               max_seconds=max_seconds)
+                stage.update({
+                    "translation": translation_summary(K),
+                    "status": result.status.value,
+                    "expanded": result.expanded,
+                    "generated": result.generated,
+                    "evaluated": result.evaluated,
+                    "seconds": round(result.seconds, 3),
+                })
+                if result.status is SolveStatus.BUDGET_OUT:
+                    saw_budget_out = True
+                    continue
+                if result.status is SolveStatus.UNSOLVABLE:
+                    continue
+                plan = result.plan
+                stripped = plan.stripped()
+                stage["plan_length"] = len(plan)
+                stage["stripped_length"] = len(stripped)
                 # the compiled actions, judged against the source goal
                 verdict = conformant_check(
                     replace(compiled, goal=problem.goal,
                             goal_clauses=problem.goal_clauses),
                     stripped, cap=config.state_cap)
             except CapExceeded as exc:
-                _cap_exceeded(stage, exc)
+                stage["status"] = "cap-exceeded"
+                stage["error"] = f"{type(exc).__name__}: {exc}"
                 continue
             stage["verdict"] = {
                 "valid": verdict.valid,

@@ -1,19 +1,19 @@
 """Ground-truth oracles for plan validation.
 
 Everything here is deliberately brute force and cap-guarded: exact
-possible-initial-state enumeration, per-state plan checking, 3-valued
-progression, exact belief-space breadth-first search, and basis
-construction.  The planning pipeline is tested against these oracles,
-never the other way around.
+possible-initial-state enumeration, per-state plan checking, the
+0-approximation (the progression of the set of literals known true),
+exact belief-space breadth-first search, and basis construction.  The
+planning pipeline is tested against these oracles, never the other way
+around.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
-                    Set, Tuple)
+from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
-from .analysis import Context, RelevanceGraph, build_context, target_literals
+from .analysis import Context, build_context, target_literals
 from .errors import (
     BasisStateNotFound,
     TooManyInitialStates,
@@ -26,8 +26,6 @@ from .model import (
     Plan,
     State,
     apply,
-    neg,
-    pos,
     restrict,
     run_plan,
     sorted_lits,
@@ -85,40 +83,17 @@ def conformant_check(problem: ConformantProblem, steps: Iterable[str],
 
 # --- 0-approximation --------------------------------------------------------
 
-class ThreeValuedState(NamedTuple):
-    """A partial state: literals known true; fluents with neither polarity
-    present are unknown."""
-
-    known: FrozenSet[Literal]
-
-    def value(self, fluent: str) -> Optional[bool]:
-        if pos(fluent) in self.known:
-            return True
-        if neg(fluent) in self.known:
-            return False
-        return None
-
-    def holds(self, lits: Iterable[Literal]) -> bool:
-        return all(l in self.known for l in lits)
-
-
-def zero_approx_step(state: ThreeValuedState, action) -> ThreeValuedState:
-    """One step of the weak (0-approximation) progression: L is true next
-    iff some rule C -> L fires with C known, or L was known and every rule
-    C' -> ~L has a condition literal known false."""
-    known = state.known
-    nxt: Set[Literal] = set()
-    fluents = {r.effect.fluent for r in action.rules} | {l.fluent for l in known}
-    for f in sorted(fluents):
-        for L in (neg(f), pos(f)):
-            supported = any(r.effect == L and state.holds(r.condition)
-                            for r in action.rules)
-            persists = L in known and all(
-                any(l.negate() in known for l in r.condition)
-                for r in action.rules if r.effect == L.negate())
-            if supported or persists:
-                nxt.add(L)
-    return ThreeValuedState(frozenset(l for l in nxt if l.negate() not in nxt))
+def zero_approx_step(known: FrozenSet[Literal],
+                     action) -> FrozenSet[Literal]:
+    """One step of the weak (0-approximation) progression over the
+    literals known true: L is known next iff some rule C -> L has C
+    known, or L was known and every rule C' -> ~L has a condition literal
+    known false.  A complementary pair of such literals becomes unknown."""
+    added = {r.effect for r in action.rules if r.condition <= known}
+    threatened = {r.effect.negate() for r in action.rules
+                  if not any(l.negate() in known for l in r.condition)}
+    nxt = added | (known - threatened)
+    return frozenset(l for l in nxt if l.negate() not in nxt)
 
 
 def zero_approx_run(problem: ConformantProblem,
@@ -127,9 +102,8 @@ def zero_approx_run(problem: ConformantProblem,
     entailed by I, require preconditions known at every step, and require
     all goal literals, and a literal of every goal clause, known at the
     end."""
-    pi = prime_implicates(problem.init, problem.fluents)
-    state = ThreeValuedState(frozenset(
-        l for l in pi.closure(frozenset()) if l.fluent in problem.fluents))
+    known = prime_implicates(problem.init, problem.fluents).closure(
+        frozenset())
     for idx, name in enumerate(tuple(steps)):
         try:
             a = problem.action_by_name(name)
@@ -138,15 +112,14 @@ def zero_approx_run(problem: ConformantProblem,
         if not a.deterministic:
             raise UnsupportedFeature(
                 f"action {name} has nondeterministic effects")
-        if not state.holds(a.preconditions):
+        if not a.preconditions <= known:
             return Verdict(False, f"step {idx}: preconditions of {name} "
                                   "not known to hold")
-        state = zero_approx_step(state, a)
-    missing = sorted_lits(problem.goal - state.known)
+        known = zero_approx_step(known, a)
+    missing = sorted_lits(problem.goal - known)
     if missing:
         return Verdict(False, f"goal literals not known: {missing}")
-    unknown = [sorted_lits(c) for c in problem.goal_clauses
-               if not state.known & c]
+    unknown = [sorted_lits(c) for c in problem.goal_clauses if not known & c]
     if unknown:
         return Verdict(False, f"goal clauses not known to hold: {unknown}")
     return Verdict(True, "valid under the weak semantics")
@@ -196,12 +169,7 @@ def belief_bfs(problem: ConformantProblem,
     return None
 
 
-# --- relevance-restricted states and bases -----------------------------------
-
-def rel_state(s: State, L: Literal, R: RelevanceGraph) -> FrozenSet[Literal]:
-    """The part of a state that can matter for achieving L."""
-    return frozenset(l for l in s if R.relevant(l, L))
-
+# --- bases -------------------------------------------------------------------
 
 class Basis(NamedTuple):
     """A set of initial states sufficient for conformance checking, with
@@ -209,9 +177,6 @@ class Basis(NamedTuple):
 
     states: Tuple[State, ...]
     provenance: Tuple[Tuple[Tag, Literal, State], ...]
-
-    def provenance_map(self) -> Dict[Tuple[Tag, Literal], State]:
-        return {(t, L): s for t, L, s in self.provenance}
 
 
 def build_basis(problem: ConformantProblem, spec: TranslationSpec,

@@ -726,6 +726,28 @@ def reference_enumerate_states(clauses: Iterable[Clause],
     yield from walk(0)
 
 
+# --- reference 0-approximation step ----------------------------------------------
+
+def reference_zero_approx_step(known: FrozenSet[Literal],
+                               action) -> FrozenSet[Literal]:
+    """One step of the weak (0-approximation) progression:
+    `kplan.verify.zero_approx_step` as it was before it worked on whole
+    rule sets, deciding each polarity of each fluent over every rule."""
+    nxt: Set[Literal] = set()
+    fluents = {r.effect.fluent for r in action.rules} | {l.fluent for l in known}
+    for f in sorted(fluents):
+        for L in (neg(f), pos(f)):
+            supported = any(r.effect == L and all(l in known
+                                                  for l in r.condition)
+                            for r in action.rules)
+            persists = L in known and all(
+                any(l.negate() in known for l in r.condition)
+                for r in action.rules if r.effect == L.negate())
+            if supported or persists:
+                nxt.add(L)
+    return frozenset(l for l in nxt if l.negate() not in nxt)
+
+
 # --- reference translation builder ------------------------------------------------
 
 def reference_ktm(problem: ConformantProblem, spec: TranslationSpec,

@@ -26,6 +26,11 @@ parameter from its place on, and one unpacked with ``**`` sets all.
 A fourth scan does the same for a field with a default of a record: a
 construction of the record sets it by keyword or by position, and a call
 to ``_replace`` or ``replace`` by keyword.
+
+A fifth scan fails on a function or method of ``src/kplan`` whose name
+only tests use: nothing in ``src/kplan`` but its definition and the
+export list, and nothing in ``perfbench``.  The oracles the tests judge
+kplan by are listed, each with its reason, as the exceptions.
 """
 
 import ast
@@ -352,3 +357,71 @@ def test_the_scan_finds_record_fields_no_construction_sets():
 def test_every_record_field_with_a_default_is_set_by_some_construction():
     assert dead_fields([(p.stem, p.read_text()) for p in PACKAGE],
                        [p.read_text() for p in SCANNED]) == []
+
+
+def functions(source: str):
+    """(qualified name, name) of each function and method the source
+    defines, dunders left out."""
+    out = []
+
+    def visit(body, prefix: str):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not _dunder(node.name):
+                    out.append((prefix + node.name, node.name))
+            elif isinstance(node, ast.ClassDef):
+                visit(node.body, prefix + node.name + ".")
+
+    visit(ast.parse(source).body, "")
+    return out
+
+
+def used_only_by_tests(package, program):
+    """The functions and methods, as ``module.qualified``, of the package's
+    (module, source) pairs whose name appears in none of the program's
+    sources but at its own definition."""
+    appearing = set().union(*(uses(s)[0] for s in program))
+    return [f"{module}.{q}" for module, source in package
+            for q, n in functions(source) if n not in appearing]
+
+
+def test_the_scan_finds_functions_only_tests_use():
+    package = ("class C:\n"
+               "    def used(self):\n"
+               "        return self.helper()\n"
+               "    def helper(self):\n"
+               "        pass\n"
+               "    def tested(self):\n"
+               "        pass\n"
+               "    def __len__(self):\n"
+               "        return 0\n"
+               "def oracle():\n"
+               "    pass\n"
+               "def traced():\n"
+               "    pass\n")
+    bench = "setattr(m, 'traced', wrap(m.traced))\nC().used()\n"
+    assert used_only_by_tests([("m", package)], [package, bench]) == [
+        "m.C.tested", "m.oracle"]
+
+
+# the oracles the tests judge kplan by; kplan itself never calls them
+ORACLES = {
+    "verify.belief_bfs": "exact belief-space search, the shortest "
+                         "conformant plans the planner is judged by",
+    "planner.bfs_optimal": "exact classical search, the optimal plan "
+                           "lengths the translations are judged by",
+    "verify.build_basis": "the paper's basis of initial states, by which "
+                          "the merges of a spec are judged",
+}
+
+
+def test_every_function_is_used_by_the_program():
+    """A function that only tests call is dead code kept alive by its
+    tests, unless it is an oracle they judge kplan by.  The export list
+    is no use, and nor is a test: the program is ``src/kplan`` without
+    ``__init__.py``, and ``perfbench``."""
+    program = [p for p in SCANNED if "tests" not in p.relative_to(ROOT).parts
+               and p.name != "__init__.py"]
+    found = used_only_by_tests([(p.stem, p.read_text()) for p in PACKAGE],
+                               [p.read_text() for p in program])
+    assert sorted(found) == sorted(ORACLES)

@@ -347,3 +347,9 @@ def test_plan_text_round_trip():
     assert parse_plan_text("; comment\n  (a)\n\nb\n") == ("a", "b")
     with pytest.raises(PddlSyntaxError):
         parse_plan_text("(two words)")
+
+
+@pytest.mark.parametrize("step", ["()", "(a", "(a)(b)"])
+def test_plan_text_rejects_malformed_steps(step):
+    with pytest.raises(PddlSyntaxError, match=r"\(line 2, column 1\)"):
+        parse_plan_text(f"(a)\n{step}\n")

@@ -152,13 +152,11 @@ def test_models_enumeration(disjunctive):
     assert len(mods) == 3  # q fixed; (p,r) in {01,10,11}
     with pytest.raises(ValidityUndecidedAtCap):
         list(disjunctive.models(["p", "q", "r"], cap=2))
-    forced = list(disjunctive.models(["p", "q", "r"], forced=[neg("p")]))
-    assert forced == [frozenset([neg("p"), pos("q"), pos("r")])]
 
 
 def test_models_match_reference_enumeration():
     """models = the enumeration over I's clauses within the variables plus
-    ``extra``, with the forced literals on the variables pinned."""
+    ``extra``."""
     rng = random.Random(606)
     checked = 0
     for _ in range(200):
@@ -170,18 +168,12 @@ def test_models_match_reference_enumeration():
             continue
         variables = rng.sample(universe, rng.randint(1, nvars))
         extra = random_cnf(rng, universe, 2) if rng.random() < 0.5 else []
-        forced = [Literal(f, rng.random() < 0.5)
-                  for f in rng.sample(universe + ["x"], rng.randint(0, 2))]
-        if rng.random() < 0.1:
-            forced += [neg(variables[0]), pos(variables[0])]
         cap = rng.choice([None, 2, DEFAULT_MODEL_CAP])
         within = [c for c in pi.clauses
                   if all(l.fluent in variables for l in c)]
         want = states_until_cap(
-            reference_enumerate_states, within + extra, variables,
-            forced=[l for l in forced if l.fluent in variables], cap=cap)
-        got = states_until_cap(pi.models, variables, extra=extra,
-                               forced=forced, cap=cap)
+            reference_enumerate_states, within + extra, variables, cap=cap)
+        got = states_until_cap(pi.models, variables, extra=extra, cap=cap)
         assert got == want
         checked += 1
     assert checked >= 150

@@ -27,8 +27,7 @@ from kplan.errors import UnsupportedFeature
 from kplan import generators, pddl
 from kplan.model import NondetRule, action, conformant_problem, rule, sorted_lits
 from kplan.pi import enumerate_models
-from kplan.verify import ThreeValuedState, rel_state, zero_approx_step
-from kplan.analysis import relevance
+from kplan.verify import zero_approx_step
 
 from conftest import (
     BENCH_INSTANCES,
@@ -39,6 +38,7 @@ from conftest import (
     compiled_instance,
     random_suite,
     reference_enumerate_states,
+    reference_zero_approx_step,
     states_until_cap,
 )
 
@@ -131,15 +131,35 @@ def test_zero_approx_cannot_use_disjunctions():
 def test_zero_approx_step_persistence():
     a = action("a", rules=[rule([pos("p")], neg("q"))])
     # q persists when the delete rule's condition is known false
-    s = ThreeValuedState(frozenset([neg("p"), pos("q")]))
-    assert zero_approx_step(s, a).known == frozenset([neg("p"), pos("q")])
+    known = frozenset([neg("p"), pos("q")])
+    assert zero_approx_step(known, a) == known
     # q becomes unknown when the delete rule's condition is unknown
-    s2 = ThreeValuedState(frozenset([pos("q")]))
-    assert zero_approx_step(s2, a).value("q") is None
+    assert zero_approx_step(frozenset([pos("q")]), a) == frozenset()
     # untouched fluents always persist
-    s3 = ThreeValuedState(frozenset([pos("r"), pos("p")]))
-    out = zero_approx_step(s3, a)
-    assert out.value("r") is True and out.value("q") is False
+    assert zero_approx_step(frozenset([pos("r"), pos("p")]), a) == \
+        frozenset([pos("r"), pos("p"), neg("q")])
+
+
+def test_zero_approx_step_matches_reference_on_random_suite():
+    """From random consistent sets of known literals, reachable or not,
+    every action steps as the per-fluent reference does, and so does one
+    action with the rules of all of them, whose heads can clash."""
+    rng = random.Random(2727)
+    compared = 0
+    for reachable_goal in (False, True):
+        for problem in random_suite(505, 40, reachable_goal=reachable_goal):
+            fluents = sorted(problem.fluents)
+            every_rule = action("all", rules=[r for a in problem.actions
+                                              for r in a.rules])
+            for _ in range(5):
+                known = frozenset(
+                    Literal(f, rng.random() < 0.5)
+                    for f in rng.sample(fluents, rng.randint(0, len(fluents))))
+                for a in (*problem.actions, every_rule):
+                    assert zero_approx_step(known, a) == \
+                        reference_zero_approx_step(known, a)
+                    compared += 1
+    assert compared >= 400
 
 
 def test_zero_approx_rejects_unknown_preconditions(tiny):
@@ -194,13 +214,6 @@ def test_belief_bfs_agrees_with_sequence_enumeration():
             assert plan is not None and len(plan.steps) == brute
 
 
-def test_rel_state(tiny):
-    rel = relevance(tiny)
-    s = frozenset([pos("p"), pos("q"), neg("r")])
-    restricted = rel_state(s, pos("p"), rel)
-    assert pos("q") in restricted and neg("r") not in restricted
-
-
 def test_build_basis_on_disjunction():
     problem = conformant_problem(
         ["x1", "x2", "x3", "trg"],
@@ -217,7 +230,7 @@ def test_build_basis_on_disjunction():
     for s in basis.states:
         assert sum(1 for i in (1, 2, 3) if pos(f"x{i}") in s) == 1
     # provenance pairs every merge tag with its witness state
-    pmap = basis.provenance_map()
+    pmap = {(t, L): s for t, L, s in basis.provenance}
     for m in spec.merges:
         for t in m.tags:
             assert (t, m.target) in pmap
