@@ -98,7 +98,6 @@ def c_i(pi: PICNF) -> Tuple[Clause, ...]:
 
 
 class RelevantClauseSet(NamedTuple):
-    target: Literal
     clauses: Tuple[Clause, ...]       # C_I(L)
     extended: Tuple[Clause, ...]      # C_I*(L)
 
@@ -111,7 +110,7 @@ def relevant_clauses(ci: Iterable[Clause], L: Literal,
     for c in core:
         for lit in c:
             extended.add(frozenset((pos(lit.fluent), neg(lit.fluent))))
-    return RelevantClauseSet(L, core, tuple(sorted(extended, key=sorted_lits)))
+    return RelevantClauseSet(core, tuple(sorted(extended, key=sorted_lits)))
 
 
 def cover(C: Iterable[Clause], pi: PICNF) -> Tuple[FrozenSet[Literal], ...]:

@@ -6,7 +6,9 @@ query downstream (closures, tag consistency, relevant clauses)
 polynomial.  Normalization uses Tison's method: resolve variable by
 variable in a fixed order with eager subsumption.  The module also holds
 the one model enumerator, which the spec builders, merge checks and the
-validation oracles share.
+validation oracles share; PI form makes its models over any subset of
+the fluents exact (``PICNF.models``), so ``prime_implicates``, which
+computes every prime implicate, is the one place that builds a PICNF.
 """
 
 from __future__ import annotations
@@ -216,47 +218,25 @@ class PICNF:
         return lits_consistent(self.closure(t))
 
     def models(self, variables: Iterable[str],
-               extra: Iterable[Clause] = (),
                cap: Optional[int] = DEFAULT_MODEL_CAP) -> Iterator[FrozenSet[Literal]]:
-        """Enumerate complete assignments over ``variables`` satisfying the
-        clauses of I that only mention those variables, plus ``extra``
-        clauses.
-
-        Clauses of I mentioning variables outside the given set are ignored
-        (the caller picks a variable set closed enough for its purpose).
-        Raises ValidityUndecidedAtCap past ``cap`` models.
-        """
+        """Enumerate the restrictions of the models of I to ``variables``,
+        as the assignments to them that the clauses of I within them allow.
+        Exact because I is in PI form: an assignment s is inconsistent with
+        I iff I entails the clause ~s, iff some prime implicate lies within
+        ~s, and so within ``variables``.  Raises ValidityUndecidedAtCap past
+        ``cap`` models."""
         varset = frozenset(variables)
         constraints = [c for c in self.clauses
                        if all(l.fluent in varset for l in c)]
-        constraints += extra
         return enumerate_models(constraints, varset, cap=cap)
 
     def merge_valid(self, m: Merge) -> bool:
-        """Check I |= V_{t in m} t by model enumeration.
-
-        Enumerates models of I restricted to the variables of the merge and
-        every clause of I touching them (transitively), and requires each
-        model to satisfy some tag.  Exact at desk scale; the model cap
-        guards the inherently hard general case.
-        """
+        """Check I |= V_{t in m} t: every model of I, restricted to the
+        variables of the merge (``models``, exact), contains some tag.
+        The model cap guards the inherently hard general case."""
         merge_vars = {l.fluent for t in m.tags for l in t}
-        # close under I-neighborhood so that ignoring outside clauses is sound
-        vars_closed = set(merge_vars)
-        changed = True
-        while changed:
-            changed = False
-            for c in self.clauses:
-                cv = {l.fluent for l in c}
-                if cv & vars_closed and not cv <= vars_closed:
-                    vars_closed |= cv
-                    changed = True
-        for model in self.models(vars_closed):
-            model_map = {l.fluent: l.positive for l in model}
-            if not any(all(model_map.get(l.fluent, l.positive) == l.positive
-                           for l in t) for t in m.tags):
-                return False
-        return True
+        return all(any(t <= model for t in m.tags)
+                   for model in self.models(merge_vars))
 
 
 def prime_implicates(clauses: Iterable[Clause], fluents: Iterable[str],

@@ -1,9 +1,11 @@
 """Embedded satisficing planner for the translated problems.
 
 Greedy best-first search guided by an additive delete-relaxation
-heuristic evaluated over conditional effects; merge actions cost zero so
-heuristic values and optimal plan lengths are measured in source actions.
-Also provides a breadth-first oracle that is exact on small instances.
+heuristic evaluated over conditional effects, in which merge actions
+cost one too: at zero, a state that lacks only merges would have h = 0
+without being a goal, a plateau that the search walks breadth-first.  The
+breadth-first oracle, exact on small instances, counts merges at zero, so
+optimal plan lengths are measured in source actions.
 """
 
 from __future__ import annotations
@@ -35,10 +37,9 @@ class Grounded:
         # (name, precondition masks, effects, cost); the rules that share
         # a condition make one (cond_pos, cond_neg, add, delete) effect
         self.actions = []
-        # relaxed rules: props are 2*atom (true) / 2*atom+1 (false)
+        # relaxed rules of cost 1: props are 2*atom (true) / 2*atom+1 (false)
         relaxed = []
         for a in K.actions:
-            cost = 0 if is_merge(a.name) else 1
             pre_props = self._props(a.preconditions)
             effects: Dict[Tuple[int, int], List[int]] = {}
             for r in a.rules:
@@ -47,12 +48,12 @@ class Grounded:
                 add_delete[not r.effect.positive] |= (
                     1 << self.aid[r.effect.fluent])
                 relaxed.append((tuple(pre_props + self._props(r.condition)),
-                                self._prop(r.effect), cost))
+                                self._prop(r.effect)))
             self.actions.append(
                 (a.name, self._masks(a.preconditions),
                  tuple((cp, cn, add, delete)
                        for (cp, cn), (add, delete) in effects.items()),
-                 cost))
+                 0 if is_merge(a.name) else 1))
         self.goal_props = self._props(K.goal)
         # hadd's per-call starting point, copied rather than rebuilt.  It
         # keeps only the rules that can lead to a goal prop (the backward
@@ -60,7 +61,7 @@ class Grounded:
         # rules cannot change a goal cost.
         relevant = set(self.goal_props)
         by_effect: Dict[int, List[Tuple[int, ...]]] = {}
-        for props, eff, _ in relaxed:
+        for props, eff in relaxed:
             by_effect.setdefault(eff, []).append(props)
         frontier = list(relevant)
         while frontier:
@@ -71,13 +72,13 @@ class Grounded:
         rules = [rule for rule in relaxed if rule[1] in relevant]
         n_props = 2 * len(self.atoms)
         self._watchers = [[] for _ in range(n_props)]
-        for ridx, (props, _, _) in enumerate(rules):
+        for ridx, (props, _) in enumerate(rules):
             for p in set(props):
                 self._watchers[p].append(ridx)
-        self._effect_prop = [eff for _, eff, _ in rules]
-        self._counter0 = [len(set(p)) for p, _, _ in rules]
-        self._partial0 = [c for _, _, c in rules]
-        self._unconditional = [(eff, c) for p, eff, c in rules if not p]
+        self._effect_prop = [eff for _, eff in rules]
+        self._counter0 = [len(set(p)) for p, _ in rules]
+        self._partial0 = [1] * len(rules)
+        self._unconditional = [eff for p, eff in rules if not p]
         # the relevant props as (prop, atom), split by the atom value
         # that makes them true
         self._true_props = [(p, p >> 1) for p in sorted(relevant)
@@ -129,7 +130,7 @@ class Grounded:
 
         Props are settled in order of their integer cost, from a bucket
         queue, as in Knuth's generalization of Dijkstra's algorithm (exact
-        because a rule's cost is at least each of its condition costs).
+        because a rule's cost exceeds each of its condition costs).
         The computation stops once every goal prop is settled."""
         unsettled_goals = len(self.goal_props)
         if not unsettled_goals:
@@ -144,14 +145,13 @@ class Grounded:
         for p in layer:
             cost[p] = 0
         buckets = {0: layer}
-        for eff, value in self._unconditional:
-            if value < cost[eff]:
-                cost[eff] = value
-                buckets.setdefault(value, []).append(eff)
+        for eff in self._unconditional:
+            if 1 < cost[eff]:
+                cost[eff] = 1
+                buckets.setdefault(1, []).append(eff)
         keys = sorted(buckets)
         while keys:
             c = heapq.heappop(keys)
-            # a zero-cost rule appends to this bucket while it is walked
             for p in buckets[c]:
                 if cost[p] != c:  # settled earlier at a lower cost
                     continue

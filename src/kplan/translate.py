@@ -64,11 +64,10 @@ def merge_action_name(m: Merge) -> str:
 
 @dataclass(frozen=True)
 class TranslationSpec:
-    """Tags and merges driving a translation, plus their provenance."""
+    """Tags and merges driving a translation."""
 
     tags: Tuple[Tag, ...]
     merges: Tuple[Merge, ...]
-    scheme: str
     trusted: bool = False  # merges constructed validity-preserving
 
     def __post_init__(self):
@@ -79,55 +78,52 @@ class TranslationSpec:
             raise InvalidSpec("every merge tag must be among the tags")
 
 
-def make_spec(tags: Iterable[Tag], merges: Iterable[Merge], scheme: str,
+def make_spec(tags: Iterable[Tag], merges: Iterable[Merge],
               trusted: bool = False) -> TranslationSpec:
     all_tags = {EMPTY_TAG} | {frozenset(t) for t in tags}
     merges = tuple(sorted(set(merges), key=Merge.sort_key))
     for m in merges:
         all_tags |= set(m.tags)
     return TranslationSpec(tuple(sorted(all_tags, key=sorted_lits)),
-                           merges, scheme, trusted)
+                           merges, trusted)
 
 
 # --- spec builders ----------------------------------------------------------
 
 def spec_k0() -> TranslationSpec:
-    return make_spec((), (), "k0", trusted=True)
+    return make_spec((), (), trusted=True)
 
 
 def spec_ks0(ctx: Context, cap: int = DEFAULT_STATE_CAP,
              include_all: bool = False) -> TranslationSpec:
-    """Tags = the possible initial states (restricted to unknown fluents)."""
-    unknown = set(ctx.pi.unknown_fluents())
+    """Tags = the possible initial states, restricted to the unknown
+    fluents.  The units fix the known fluents, so each model of I over the
+    unknown ones is exactly one initial state, and ``cap`` counts states."""
     try:
-        states = list(ctx.pi.models(ctx.problem.fluents, cap=cap))
+        tags = frozenset(ctx.pi.models(ctx.pi.unknown_fluents(), cap=cap))
     except ValidityUndecidedAtCap as exc:
         raise TooManyInitialStates(str(exc)) from exc
-    tags = {frozenset(l for l in s if l.fluent in unknown) for s in states}
-    tagset = frozenset(tags)
-    merges = [Merge(tagset, L)
+    merges = [Merge(tags, L)
               for L in target_literals(ctx.problem, include_all)]
-    return make_spec(tags, merges, "ks0", trusted=True)
+    return make_spec(tags, merges, trusted=True)
 
 
 def spec_kmodels(ctx: Context, cap: int = DEFAULT_MODEL_CAP,
                  include_all: bool = False) -> TranslationSpec:
-    """One merge per target literal: the models of its relevant clauses."""
+    """One merge per target literal: the models of I over the variables of
+    its relevant clauses (exact, and never empty, as I is consistent)."""
     merges = []
     for L in target_literals(ctx.problem, include_all):
-        rcs = ctx.relevant_clause_set(L)
-        if not rcs.clauses:
+        clauses = ctx.relevant_clause_set(L).clauses
+        if not clauses:
             continue
-        variables = sorted({l.fluent for c in rcs.clauses for l in c})
+        variables = {l.fluent for c in clauses for l in c}
         try:
-            models = [m for m in ctx.pi.models(variables, extra=rcs.clauses,
-                                               cap=cap)
-                      if ctx.pi.tag_consistent(m)]
+            models = frozenset(ctx.pi.models(variables, cap=cap))
         except ValidityUndecidedAtCap as exc:
             raise TooManyModels(f"literal {L}: {exc}") from exc
-        if models:
-            merges.append(Merge(frozenset(models), L))
-    return make_spec((), merges, "kmodels", trusted=True)
+        merges.append(Merge(models, L))
+    return make_spec((), merges, trusted=True)
 
 
 def spec_ki(ctx: Context, i: int, include_all: bool = False) -> TranslationSpec:
@@ -150,7 +146,7 @@ def spec_ki(ctx: Context, i: int, include_all: bool = False) -> TranslationSpec:
             continue
         if witness:  # empty when L has no relevant clauses
             merges.append(Merge(frozenset(cover(witness, ctx.pi)), L))
-    return make_spec((), merges, f"ki:{i}", trusted=True)
+    return make_spec((), merges, trusted=True)
 
 
 # --- the core builder -------------------------------------------------------
@@ -415,8 +411,8 @@ def simplify(K: ClassicalProblem) -> ClassicalProblem:
     drops.
 
     Each distinct condition is worked out once, for (2) and for the
-    rewrite, and the result holds one object per distinct condition and
-    literal, as ``ktm``'s output does.
+    rewrite, so a condition that K shares (``ktm`` builds one object per
+    distinct condition) stays one object in the result.
 
     The rewrite keeps the read atoms, each class as its least-named read
     member, the representative, and the actions with a rule of (3), with
@@ -711,7 +707,7 @@ def _simplify_pass(K: ClassicalProblem) -> Tuple[ClassicalProblem, bool]:
             used[i].add(j)
 
     # each read member of a class but the least-named -> the literal of
-    # that representative, as the object K holds for it where K has one
+    # that representative
     sub: Dict[Literal, Literal] = {}
     for members in unsplit:
         rep, *others = sorted(read.intersection(members)) or [None]
@@ -720,18 +716,6 @@ def _simplify_pass(K: ClassicalProblem) -> Tuple[ClassicalProblem, bool]:
             sub[Literal(f, True)] = Literal(rep, not flip)
             sub[Literal(f, False)] = Literal(rep, flip)
     gone = frozenset(sub)
-    # the output's conditions and literals: one object per value
-    shared: Dict[object, object] = {}
-    if sub:  # K's kept literals first, so that sub's are among them
-        held = list(K.goal)
-        for i, js in used.items():
-            held += K.actions[i].preconditions
-            for cond, L in map(K.actions[i].rules.__getitem__, js):
-                held += cond
-                held.append(L)
-        for l in held:
-            shared.setdefault(l, l)
-        sub = {l: shared.setdefault(r, r) for l, r in sub.items()}
     rewritten: Dict[FrozenSet[Literal], FrozenSet[Literal]] = {}
 
     def rewrite(lits: FrozenSet[Literal]) -> FrozenSet[Literal]:
@@ -739,29 +723,23 @@ def _simplify_pass(K: ClassicalProblem) -> Tuple[ClassicalProblem, bool]:
         each member that goes replaced; worked out once per value."""
         found = rewritten.get(lits)
         if found is None:
-            out = lits - fixed if not lits.isdisjoint(fixed) else lits
+            found = lits - fixed if not lits.isdisjoint(fixed) else lits
             if shrunk:
-                out = shrunk.get(out, out)
-            if not out.isdisjoint(gone):
-                out = frozenset([sub.get(l, l) for l in out])
-            found = rewritten[lits] = shared.setdefault(out, out)
+                found = shrunk.get(found, found)
+            if not found.isdisjoint(gone):
+                found = frozenset([sub.get(l, l) for l in found])
+            rewritten[lits] = found
         return found
 
-    def kept(r: Rule) -> Rule:
-        cond = rewrite(r.condition)
-        return r if cond is r.condition else Rule(cond, r.effect)
-
-    # an action or rule the rewrite leaves as it was is kept, not rebuilt
     actions = []
     for i, a in enumerate(K.actions):
         if i in used:
             rules = tuple(dict.fromkeys([
-                kept(r) for r in map(a.rules.__getitem__, sorted(used[i]))
-                if r.effect not in gone]))
-            precs = rewrite(a.preconditions)
-            if precs is not a.preconditions or rules != a.rules:
-                a = a._replace(preconditions=precs, rules=rules)
-            actions.append(a)
+                Rule(rewrite(cond), L)
+                for cond, L in map(a.rules.__getitem__, sorted(used[i]))
+                if L not in gone]))
+            actions.append(a._replace(preconditions=rewrite(a.preconditions),
+                                      rules=rules))
     return ClassicalProblem(
         frozenset(read).difference([f for f, _ in gone]),
         frozenset([l for l in K.init if l.fluent in read and l not in gone]),

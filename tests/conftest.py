@@ -34,11 +34,13 @@ from kplan.analysis import (Context, RelevanceGraph, all_literals,
                             build_context, cover, relevant_clauses,
                             satisfies, target_literals)
 from kplan.errors import (CapExceeded, InvalidSpec, TooManyInitialStates,
-                          UnsupportedFeature, WidthSearchCap)
+                          TooManyModels, UnsupportedFeature,
+                          ValidityUndecidedAtCap, WidthSearchCap)
 from kplan.model import (Action, ClassicalProblem, Clause, NondetRule,
                          Rule, State, is_tautology, lits_consistent,
                          sorted_lits)
-from kplan.pi import EMPTY_TAG, Tag, prime_implicates
+from kplan.pi import (DEFAULT_MODEL_CAP, EMPTY_TAG, Tag, enumerate_models,
+                      prime_implicates)
 from kplan.planner import INF, SolveResult, SolveStatus
 from kplan.translate import (
     TranslationSpec,
@@ -103,7 +105,7 @@ def build_pickdrop():
     tags = frozenset([t1, t2])
     spec = make_spec([t1, t2],
                      [Merge(tags, pos("hold")), Merge(tags, pos("at-l3"))],
-                     "manual", trusted=True)
+                     trusted=True)
     return problem, spec, t1, t2
 
 
@@ -490,14 +492,15 @@ class reference_grounded:
                               r.effect.positive))
             cost = 0 if a.name in K.merges else 1
             self.actions.append((a.name, pre, rules, cost))
-        # relaxed rules: props are 2*atom (true) / 2*atom+1 (false)
+        # relaxed rules, each of cost one, merges' included: props are
+        # 2*atom (true) / 2*atom+1 (false)
         self.relaxed = []
-        for name, pre, rules, cost in self.actions:
+        for name, pre, rules, _ in self.actions:
             pre_props = [2 * i + (0 if v else 1) for i, v in pre]
             for cond, eff, sign in rules:
                 props = pre_props + [2 * i + (0 if v else 1) for i, v in cond]
                 eff_prop = 2 * eff + (0 if sign else 1)
-                self.relaxed.append((tuple(props), eff_prop, cost))
+                self.relaxed.append((tuple(props), eff_prop, 1))
         self.rules_by_prop: Dict[int, List[int]] = {}
         for ridx, (props, _, _) in enumerate(self.relaxed):
             for p in set(props):
@@ -947,7 +950,59 @@ def reference_spec_ki(ctx: Context, i: int,
                 cov = cover(C, ctx.pi)
                 if cov and frozenset(cov) != frozenset((EMPTY_TAG,)):
                     merges.append(Merge(frozenset(cov), L))
-    return make_spec((), merges, f"k{i}", trusted=True)
+    return make_spec((), merges, trusted=True)
+
+
+# --- reference model-based specs ------------------------------------------------
+
+def _reference_models(pi, variables: Iterable[str],
+                      extra: Iterable[Clause] = (),
+                      cap: Optional[int] = DEFAULT_MODEL_CAP):
+    """`kplan.pi.PICNF.models` as it was before it trusted the PI form:
+    the clauses of I within ``variables``, plus ``extra``."""
+    varset = frozenset(variables)
+    constraints = [c for c in pi.clauses
+                   if all(l.fluent in varset for l in c)]
+    constraints += extra
+    return enumerate_models(constraints, varset, cap=cap)
+
+
+def reference_spec_ks0(ctx: Context, cap: int = DEFAULT_STATE_CAP,
+                       include_all: bool = False) -> TranslationSpec:
+    """`kplan.translate.spec_ks0` as it was before it trusted the PI form:
+    every model over all the fluents, each restricted to the unknown ones."""
+    unknown = set(ctx.pi.unknown_fluents())
+    try:
+        states = list(_reference_models(ctx.pi, ctx.problem.fluents, cap=cap))
+    except ValidityUndecidedAtCap as exc:
+        raise TooManyInitialStates(str(exc)) from exc
+    tags = {frozenset(l for l in s if l.fluent in unknown) for s in states}
+    tagset = frozenset(tags)
+    merges = [Merge(tagset, L)
+              for L in target_literals(ctx.problem, include_all)]
+    return make_spec(tags, merges, trusted=True)
+
+
+def reference_spec_kmodels(ctx: Context, cap: int = DEFAULT_MODEL_CAP,
+                           include_all: bool = False) -> TranslationSpec:
+    """`kplan.translate.spec_kmodels` as it was before it trusted the PI
+    form: the relevant clauses added again to the enumeration, each model
+    tested for consistency with I, and a merge only if one is left."""
+    merges = []
+    for L in target_literals(ctx.problem, include_all):
+        rcs = ctx.relevant_clause_set(L)
+        if not rcs.clauses:
+            continue
+        variables = sorted({l.fluent for c in rcs.clauses for l in c})
+        try:
+            models = [m for m in _reference_models(ctx.pi, variables,
+                                                   extra=rcs.clauses, cap=cap)
+                      if ctx.pi.tag_consistent(m)]
+        except ValidityUndecidedAtCap as exc:
+            raise TooManyModels(f"literal {L}: {exc}") from exc
+        if models:
+            merges.append(Merge(frozenset(models), L))
+    return make_spec((), merges, trusted=True)
 
 
 # --- reference width search ----------------------------------------------------

@@ -88,8 +88,8 @@ def test_resets_write_the_atoms_ktm_declares(n):
     compiled, resets = compiled_instance("sgripper", (n,))
     ctx = build_context(compiled)
     units = ctx.pi.closure(EMPTY_TAG)
-    for spec in (spec_ki(ctx, 1, include_all=True),
-                 spec_kmodels(ctx, include_all=True)):
+    for scheme, spec in (("ki:1", spec_ki(ctx, 1, include_all=True)),
+                         ("kmodels", spec_kmodels(ctx, include_all=True))):
         K = ktm(compiled, spec, ctx, optimized=True)
         R = inject_reset_effects(K, ctx, spec, resets)
         for name, hidden in resets.items():
@@ -106,7 +106,7 @@ def test_resets_write_the_atoms_ktm_declares(n):
                         continue
                     want.add(Rule(frozenset([pos(atom_name(L))]), pos(tagged)))
                     want.add(Rule(frozenset([neg(atom_name(L))]), neg(tagged)))
-            assert want and added == want, (n, spec.scheme, name)
+            assert want and added == want, (n, scheme, name)
             assert {l.fluent for r in added
                     for l in r.condition | {r.effect}} <= K.fluents
 
@@ -137,12 +137,12 @@ def test_no_reset_writes_an_atom_its_own_rules_write(instance, copies):
         compiled, resets = compiled_instance(
             "sgripper", (int(instance.split("-")[1]),), copies)
     ctx = build_context(compiled)
-    for spec in (spec_ki(ctx, 1, include_all=True),
-                 spec_kmodels(ctx, include_all=True)):
+    for scheme, spec in (("ki:1", spec_ki(ctx, 1, include_all=True)),
+                         ("kmodels", spec_kmodels(ctx, include_all=True))):
         K = ktm(compiled, spec, ctx, optimized=True)
         R = inject_reset_effects(K, ctx, spec, resets)
-        assert R != K, spec.scheme
-        assert not reset_overlaps(K, R, resets), spec.scheme
+        assert R != K, scheme
+        assert not reset_overlaps(K, R, resets), scheme
 
 
 def test_pipeline_solves_nondet_gripper_with_one_copy():

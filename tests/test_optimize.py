@@ -57,7 +57,7 @@ def test_collapse_removes_atoms_for_irrelevant_tags():
         ["x", "y", "g"], [[neg("g")]],
         [action("a", rules=[rule([pos("x")], pos("g"))])], [pos("g")])
     tx, ty = frozenset([pos("x")]), frozenset([pos("y")])
-    spec = make_spec([], [Merge(frozenset([tx, ty]), pos("g"))], "manual",
+    spec = make_spec([], [Merge(frozenset([tx, ty]), pos("g"))],
                      trusted=True)
     ctx = build_context(problem)
     plain = ktm(problem, spec, ctx)

@@ -1,7 +1,9 @@
 """Prime-implicate engine tests against a truth-table oracle."""
 
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -155,8 +157,7 @@ def test_models_enumeration(disjunctive):
 
 
 def test_models_match_reference_enumeration():
-    """models = the enumeration over I's clauses within the variables plus
-    ``extra``."""
+    """models = the enumeration over I's clauses within the variables."""
     rng = random.Random(606)
     checked = 0
     for _ in range(200):
@@ -167,16 +168,37 @@ def test_models_match_reference_enumeration():
         except InconsistentInit:
             continue
         variables = rng.sample(universe, rng.randint(1, nvars))
-        extra = random_cnf(rng, universe, 2) if rng.random() < 0.5 else []
         cap = rng.choice([None, 2, DEFAULT_MODEL_CAP])
         within = [c for c in pi.clauses
                   if all(l.fluent in variables for l in c)]
         want = states_until_cap(
-            reference_enumerate_states, within + extra, variables, cap=cap)
-        got = states_until_cap(pi.models, variables, extra=extra, cap=cap)
+            reference_enumerate_states, within, variables, cap=cap)
+        got = states_until_cap(pi.models, variables, cap=cap)
         assert got == want
         checked += 1
     assert checked >= 150
+
+
+def test_models_are_the_restrictions_of_the_models_of_i():
+    """In PI form, the clauses within V decide every assignment to V: the
+    models over V are exactly the models of I restricted to V."""
+    rng = random.Random(2828)
+    checked = 0
+    for _ in range(300):
+        nvars = rng.randint(2, 7)
+        universe = [f"v{i}" for i in range(nvars)]
+        cnf = random_cnf(rng, universe, max_clauses=6)
+        try:
+            pi = prime_implicates(cnf, universe)
+        except InconsistentInit:
+            continue
+        variables = rng.sample(universe, rng.randint(1, nvars))
+        want = {frozenset(l for l in state if l.fluent in variables)
+                for state in reference_enumerate_states(cnf, universe,
+                                                        cap=None)}
+        assert set(pi.models(variables, cap=None)) == want
+        checked += 1
+    assert checked >= 200
 
 
 def test_merge_validity(disjunctive):
@@ -185,6 +207,39 @@ def test_merge_validity(disjunctive):
     assert disjunctive.merge_valid(good)
     bad = Merge(frozenset([frozenset([pos("p")])]), pos("q"))
     assert not disjunctive.merge_valid(bad)
+
+
+def test_merge_validity_matches_brute_force():
+    """merge_valid(m) iff every model of I makes some tag of m true."""
+    rng = random.Random(2929)
+    verdicts = {True: 0, False: 0}
+    for _ in range(400):
+        nvars = rng.randint(2, 6)
+        universe = [f"v{i}" for i in range(nvars)]
+        cnf = random_cnf(rng, universe)
+        try:
+            pi = prime_implicates(cnf, universe)
+        except InconsistentInit:
+            continue
+        if rng.random() < 0.5:  # random tags
+            tags = {frozenset(Literal(v, rng.random() < 0.5)
+                              for v in rng.sample(universe, rng.randint(0, 2)))
+                    for _ in range(rng.randint(1, 4))}
+        else:  # the assignments to a few variables, maybe less one
+            split = rng.sample(universe, rng.randint(1, min(3, nvars)))
+            tags = {frozenset(Literal(v, b) for v, b in zip(split, bits))
+                    for bits in itertools.product([False, True],
+                                                  repeat=len(split))}
+            if rng.random() < 0.5:
+                tags.discard(rng.choice(sorted(tags, key=sorted)))
+        if not tags:
+            continue
+        want = all(any(all(m[l.fluent] == l.positive for l in t)
+                       for t in tags)
+                   for m in models_of(cnf, universe))
+        assert pi.merge_valid(Merge(frozenset(tags), pos("g"))) == want
+        verdicts[want] += 1
+    assert min(verdicts.values()) >= 50, verdicts
 
 
 def test_pi_clause_cap():
@@ -261,3 +316,52 @@ def test_closure_with_clauses_outside_the_fluents():
     for tag in (EMPTY_TAG, frozenset([pos("z")]), frozenset([neg("a")]),
                 frozenset([neg("z"), neg("b")])):
         _check_closure(pi, tag)
+
+
+# --- PICNF is built only from the full prime-implicate set ---------------------
+
+PACKAGE = sorted((Path(__file__).resolve().parents[1] / "src" / "kplan")
+                 .glob("*.py"))
+
+
+def picnf_builders(source: str):
+    """The names of the functions (``<module>`` at the top level) that call
+    ``PICNF(...)`` or ``<x>.PICNF(...)``, one per call."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else \
+                    getattr(func, "attr", None)
+                if name == "PICNF":
+                    found.append(owner)
+            inner = child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_scan_finds_a_second_picnf_construction():
+    source = ("from .pi import PICNF\n"
+              "from . import pi\n"
+              "def prime_implicates(clauses, fluents):\n"
+              "    return PICNF(clauses, fluents)\n"
+              "def shortcut(clauses, fluents):\n"
+              "    return pi.PICNF(clauses, fluents)\n"
+              "DEFAULT = PICNF((), ())\n")
+    assert picnf_builders(source) == ["prime_implicates", "shortcut",
+                                      "<module>"]
+
+
+def test_picnf_is_built_only_by_prime_implicates():
+    """``PICNF.models`` and ``merge_valid`` are exact only over the full set
+    of prime implicates over the problem's fluents, which
+    ``prime_implicates`` computes; any other construction could hold a
+    clause set that is not in PI form."""
+    builders = {p.name: picnf_builders(p.read_text()) for p in PACKAGE}
+    assert {name: owners for name, owners in builders.items() if owners} \
+        == {"pi.py": ["prime_implicates"]}

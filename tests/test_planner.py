@@ -24,7 +24,6 @@ from kplan.model import (
     Plan,
     RunResult,
     action,
-    is_merge,
     rule,
     run_plan,
 )
@@ -163,12 +162,11 @@ def reference_hadd(K: ClassicalProblem, g: Grounded, state) -> float:
 
     relaxed, rules_by_prop = [], {}
     for a in K.actions:
-        cost = 0 if is_merge(a.name) else 1
         for r in a.rules:
             props = {prop(l) for l in a.preconditions | r.condition}
             for p in props:
                 rules_by_prop.setdefault(p, []).append(len(relaxed))
-            relaxed.append((props, prop(r.effect), cost))
+            relaxed.append((props, prop(r.effect), 1))
     cost = [INF] * (2 * len(g.atoms))
     counter = [len(p) for p, _, _ in relaxed]
     partial = [float(c) for _, _, c in relaxed]

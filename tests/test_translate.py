@@ -15,7 +15,6 @@ from kplan import (
     neg,
     pos,
     run_plan,
-    simplify,
     spec_k0,
     spec_ki,
     spec_kmodels,
@@ -36,6 +35,7 @@ from kplan.translate import (
 
 from conftest import (
     BENCH_INSTANCES,
+    SMALL_INSTANCES,
     TINY_BAD,
     TINY_PLAN,
     classical_accepts,
@@ -45,6 +45,8 @@ from conftest import (
     random_suite,
     reference_ktm,
     reference_spec_ki,
+    reference_spec_kmodels,
+    reference_spec_ks0,
 )
 from kplan.planner import bfs_optimal
 
@@ -85,22 +87,21 @@ def test_basic_translation_plans(tiny):
 
 def test_spec_requires_empty_tag():
     with pytest.raises(InvalidSpec):
-        TranslationSpec((frozenset([pos("p")]),), (), "manual")
-    spec = make_spec([frozenset([pos("p")])], [], "manual")
+        TranslationSpec((frozenset([pos("p")]),), ())
+    spec = make_spec([frozenset([pos("p")])], [])
     assert frozenset() in spec.tags
     # every merge tag must be a tag, so ktm knows each one's atoms
     t = frozenset([pos("p")])
     with pytest.raises(InvalidSpec):
-        TranslationSpec((frozenset(),), (Merge(frozenset([t]), pos("q")),),
-                        "manual")
+        TranslationSpec((frozenset(),), (Merge(frozenset([t]), pos("q")),))
 
 
 def test_ktm_validates_untrusted_specs(tiny):
     bad_merge = Merge(frozenset([frozenset([pos("p")])]), pos("p"))
-    spec = make_spec([], [bad_merge], "manual")  # I does not entail p
+    spec = make_spec([], [bad_merge])  # I does not entail p
     with pytest.raises(InvalidSpec):
         ktm(tiny, spec)
-    bad_tag = make_spec([frozenset([neg("q")])], [], "manual")
+    bad_tag = make_spec([frozenset([neg("q")])], [])
     with pytest.raises(InvalidSpec):
         ktm(tiny, bad_tag)
 
@@ -249,7 +250,7 @@ def _check_against_reference(problem, spec, ctx, resets=None):
             if resets is not None:
                 got = inject_reset_effects(got, ctx, spec, resets)
                 want = inject_reset_effects(want, ctx, spec, resets)
-        assert got == want, (spec.scheme, optimized)
+        assert got == want, optimized
         assert pddl.emit_classical(got) == pddl.emit_classical(want)
 
 
@@ -327,7 +328,6 @@ def test_ktm_and_simplify_share_equal_objects(family, params, scheme):
     ctx = build_context(problem)
     K = ktm(problem, SPECS[scheme](ctx, False), ctx, optimized=True)
     _check_one_object_per_value(K)
-    _check_one_object_per_value(simplify(K))
 
 
 def test_tag_table_names_follow_atom_name():
@@ -339,7 +339,7 @@ def test_tag_table_names_follow_atom_name():
     ctx = build_context(problem)
     t, u = frozenset([neg("p"), pos("q")]), frozenset([pos("p")])
     a = atom_name
-    K = ktm(problem, make_spec([t], [], "manual"), ctx)
+    K = ktm(problem, make_spec([t], []), ctx)
     assert K.fluents == {a(L, p) for L in all_literals(problem.fluents)
                          for p in (EMPTY_TAG, t)}
     assert a(pos("r"), t) == "Kr__not-p__q"
@@ -358,7 +358,7 @@ def test_tag_table_names_follow_atom_name():
                                    neg("r"): {neg("p")}, pos("q"): {pos("q")}}
     assert projections(u, ctx) == {pos("p"): {pos("p")}, pos("r"): {pos("p")}}
     m = Merge(frozenset([t, u]), neg("r"))
-    K = ktm(problem, make_spec([], [m], "manual"), ctx, optimized=True)
+    K = ktm(problem, make_spec([], [m]), ctx, optimized=True)
     assert K.fluents == {"Kp", "Knot-p", "Knot-p__not-p", "Kr", "Knot-r",
                          "Knot-r__not-p", "Ks", "Knot-s"}
     # KL/p starts true iff L is in p or I entails L
@@ -386,7 +386,7 @@ def test_ktm_refuses_two_atoms_that_take_one_name():
         [action("a", rules=[rule([pos("q")], pos("p"))]),
          action("b", rules=[rule([pos("p")], pos("r"))])], [pos("r")])
     t, u = frozenset([pos("q")]), frozenset([pos("p"), neg("q")])
-    spec = make_spec([], [Merge(frozenset([t, u]), pos("r"))], "manual")
+    spec = make_spec([], [Merge(frozenset([t, u]), pos("r"))])
     assert refusal(problem, spec, False) == (
         "the knowledge atoms of ~p__q and of ~p under the tag {q} both "
         "take the name 'Knot-p__q'")
@@ -402,7 +402,7 @@ def test_ktm_refuses_two_atoms_that_take_one_name():
                             rule([pos("p"), pos("p__q")], pos("g"))])],
         [pos("g")])
     t, u = frozenset([pos("q__r")]), frozenset([pos("r"), neg("q__r")])
-    spec = make_spec([], [Merge(frozenset([t, u]), pos("g"))], "manual")
+    spec = make_spec([], [Merge(frozenset([t, u]), pos("g"))])
     ktm(problem, spec)
     assert refusal(problem, spec, True) == (
         "the knowledge atoms of p__q under the tag {r} and of p under the "
@@ -464,7 +464,6 @@ def _check_spec_ki_against_reference(ctx, include_all=False):
         got = spec_ki(ctx, i, include_all)
         want = reference_spec_ki(ctx, i, include_all)
         assert (got.tags, got.merges) == (want.tags, want.merges), i
-        assert got.scheme == f"ki:{i}"
 
 
 def test_spec_ki_matches_reference_on_random_suite():
@@ -479,6 +478,57 @@ def test_spec_ki_matches_reference_on_generated(family, params):
     problem, resets = compiled_instance(family, params)
     _check_spec_ki_against_reference(build_context(problem),
                                      bool(resets))
+
+
+# --- spec_ks0 and spec_kmodels against their re-checking forms -----------------
+
+def _spec_or_error(build, ctx, include_all, caps):
+    try:
+        return build(ctx, include_all=include_all, **caps)
+    except CapExceeded as exc:
+        return type(exc), str(exc)
+
+
+def _check_model_specs_against_reference(ctx, include_all):
+    """The model-based specs, which trust the PI form, equal the forms that
+    re-check it, cap errors and their messages included; returns the
+    outcomes compared."""
+    outcomes = []
+    for build, reference in ((spec_ks0, reference_spec_ks0),
+                             (spec_kmodels, reference_spec_kmodels)):
+        for caps in ({}, {"cap": 8}, {"cap": 4}):
+            got = _spec_or_error(build, ctx, include_all, caps)
+            want = _spec_or_error(reference, ctx, include_all, caps)
+            assert got == want, (build.__name__, caps)
+            outcomes.append(got)
+    return outcomes
+
+
+def test_model_specs_match_reference_on_random_suites():
+    suites = [random_suite(seed, 20) for seed in range(1, 31)]
+    suites += [random_suite(seed, 20, reachable_goal=True)
+               for seed in range(1, 11)]
+    outcomes = []
+    for suite in suites:
+        for problem in suite:
+            ctx = build_context(problem)
+            for include_all in (False, True):
+                outcomes += _check_model_specs_against_reference(
+                    ctx, include_all)
+    errors = sum(isinstance(o, tuple) for o in outcomes)
+    assert len(outcomes) == 40 * 20 * 2 * 6
+    assert errors >= 1000 and len(outcomes) - errors >= 5000, errors
+
+
+GENERATED = BENCH_INSTANCES + tuple(SMALL_INSTANCES)
+
+
+@pytest.mark.parametrize("family,params", GENERATED,
+                         ids=["-".join(map(str, (f, *p)))
+                              for f, p in GENERATED])
+def test_model_specs_match_reference_on_generated(family, params):
+    problem, resets = compiled_instance(family, params)
+    _check_model_specs_against_reference(build_context(problem), bool(resets))
 
 
 @pytest.mark.parametrize("family,params", BENCH_INSTANCES,

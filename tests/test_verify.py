@@ -243,7 +243,7 @@ def test_build_basis_failure_is_hard():
         [pos("g")])
     # a merge whose tag contradicts I cannot be witnessed
     bad = make_spec([], [Merge(frozenset([frozenset([neg("p")])]), pos("g"))],
-                    "manual", trusted=True)
+                    trusted=True)
     with pytest.raises(BasisStateNotFound):
         build_basis(problem, bad)
 
