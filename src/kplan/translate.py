@@ -111,18 +111,21 @@ def spec_ks0(ctx: Context, cap: int = DEFAULT_STATE_CAP,
 def spec_kmodels(ctx: Context, cap: int = DEFAULT_MODEL_CAP,
                  include_all: bool = False) -> TranslationSpec:
     """One merge per target literal: the models of I over the variables of
-    its relevant clauses (exact, and never empty, as I is consistent)."""
+    its relevant clauses (exact, and never empty, as I is consistent),
+    enumerated once per set of variables."""
     merges = []
+    models: Dict[FrozenSet[str], FrozenSet[Tag]] = {}
     for L in target_literals(ctx.problem, include_all):
         clauses = ctx.relevant_clause_set(L).clauses
         if not clauses:
             continue
-        variables = {l.fluent for c in clauses for l in c}
-        try:
-            models = frozenset(ctx.pi.models(variables, cap=cap))
-        except ValidityUndecidedAtCap as exc:
-            raise TooManyModels(f"literal {L}: {exc}") from exc
-        merges.append(Merge(models, L))
+        variables = frozenset(l.fluent for c in clauses for l in c)
+        if variables not in models:
+            try:
+                models[variables] = frozenset(ctx.pi.models(variables, cap=cap))
+            except ValidityUndecidedAtCap as exc:
+                raise TooManyModels(f"literal {L}: {exc}") from exc
+        merges.append(Merge(models[variables], L))
     return make_spec((), merges, trusted=True)
 
 
@@ -202,6 +205,8 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
     (3) effects C,~L -> L of actions that never delete L yield the extra
     deduction rule KC -> KL.  This one changes the search: without it,
     the ``ki:1`` search of bomb-12-4 expands 63124 nodes instead of 116.
+    On bomb every dunk then sets Knot-armed-p, and ``simplify`` drops the
+    merges to it, which this makes redundant, with their tagged atoms.
 
     The build is keyed by (literal, projection), the projection of t
     being t itself without the rewrites.  Each tag t gives the p of the
@@ -408,7 +413,11 @@ def simplify(K: ClassicalProblem) -> ClassicalProblem:
     (3) The read closure: the goal's atoms, then the atoms of the
     condition and of the action's preconditions of each rule of a
     signature of (2) that sets a read atom, less the conjuncts that (4)
-    drops.
+    drops and the idle rules.  A rule C -> B is idle when B is false at
+    the start, no firing rule makes B false, and a literal of C implies B
+    by (4)'s test.  Where it fires B already holds, and nothing can clash
+    with it, as nothing makes B false; so it changes nothing.  On bomb
+    this drops the merges to Knot-armed-p, which every dunk sets.
 
     Each distinct condition is worked out once, for (2) and for the
     rewrite, so a condition that K shares (``ktm`` builds one object per
@@ -428,29 +437,31 @@ def simplify(K: ClassicalProblem) -> ClassicalProblem:
     condition depends only on whole classes, so the same normalized
     effects fire for every member, and a member clashes exactly when the
     others do.  A conjunction holds exactly where what (4) keeps of it
-    does.  So a kept action applies exactly when it does in K, the kept
-    atoms, which depend on read atoms only, get the same values and
-    raise the same InconsistentResults, the goal test is the same, and an
-    action that goes never applies or changes no kept atom.  K and the
-    result have the same plans, less the steps that change no kept atom;
-    a clash on an atom the result drops no longer raises.  This holds for
-    any rules, reset effects and merge actions included.
-    A dropped conjunct can be all that told two signatures of (2) apart,
-    or that kept a rule from matching in (4); so while (4) drops a
-    conjunct, the pass runs again on its own, smaller, result.  On
-    disjtoy-9 ``ks0`` the second pass sees 10 atoms instead of 540.  A
-    second ``simplify`` changes nothing, unless (2) finds that a rule
-    which (1) lets fire never fires and that rule alone changed an atom:
-    only the second pass finds that atom fixed.
+    does, and an idle rule changes no state.  So a kept action applies
+    exactly when it does in K, the kept atoms, which depend on read atoms
+    only, get the same values and raise the same InconsistentResults, the
+    goal test is the same, and an action that goes never applies or
+    changes no kept atom.  K and the result have the same plans, less the
+    steps that change no kept atom; a clash on an atom the result drops
+    no longer raises.  This holds for any rules, reset effects and merge
+    actions included.
+    A dropped conjunct or idle rule can be all that told two signatures
+    of (2) apart, or that kept a rule from matching in (4); so while (4)
+    drops a conjunct or (3) an idle rule, the pass runs again on its own,
+    smaller, result.  On disjtoy-9 ``ks0`` the second pass sees 10 atoms
+    instead of 540.  A second ``simplify`` changes nothing, unless (2)
+    finds that a rule which (1) lets fire never fires and that rule alone
+    changed an atom: only the second pass finds that atom fixed.
     """
     while True:
-        K, implied = _simplify_pass(K)
-        if not implied:
+        K, dropped = _simplify_pass(K)
+        if not dropped:
             return K
 
 
 def _simplify_pass(K: ClassicalProblem) -> Tuple[ClassicalProblem, bool]:
-    """One pass of ``simplify``, and whether (4) dropped a conjunct."""
+    """One pass of ``simplify``, and whether (4) dropped a conjunct or
+    (3) an idle rule."""
     # the initial state; a Literal equals the tuple (fluent, positive),
     # so plain tuples stand for the false atoms, which are most of them
     true0 = {l.fluent for l in K.init if l.positive}
@@ -683,20 +694,28 @@ def _simplify_pass(K: ClassicalProblem) -> Tuple[ClassicalProblem, bool]:
                         [l for l in lits if code[l] in keep or not code[l] & 1])
         return shrunk.get(lits, lits) if shrunk else lits
 
-    # the read closure, and per used action the indexes of its kept rules
+    # the read closure, and per used action the indexes of its kept rules,
+    # less the idle rules: their head, odd code y, is monotone and implied
+    # by a literal of their condition
     read: Set[str] = set()
     used: Dict[int, Set[int]] = {}
+    idle = False
     stack = [l.fluent for l in conjunction(K.goal - fixed)]
     while stack:
         f = stack.pop()
         if f in read:
             continue
         read.add(f)
-        for i, j, c, _ in setters[f]:
+        y = code[Literal(f, True)] | 1
+        for i, j, c, e in setters[f]:
+            codes = set(map(get, c)) if isinstance(c, frozenset) else {code[c]}
+            if len({x >> 1 for x in codes}) < len(codes):
+                continue  # holds a class at both values
+            if e and is_monotone(y) and any(
+                    x & 1 and implied(x, 1 << y) for x in codes):
+                idle = True
+                continue
             if isinstance(c, frozenset):
-                codes = set(map(get, c))
-                if len({x >> 1 for x in codes}) < len(codes):
-                    continue  # holds a class at both values
                 stack += [l.fluent for l in conjunction(c)]
             else:
                 stack.append(c.fluent)
@@ -743,7 +762,7 @@ def _simplify_pass(K: ClassicalProblem) -> Tuple[ClassicalProblem, bool]:
     return ClassicalProblem(
         frozenset(read).difference([f for f, _ in gone]),
         frozenset([l for l in K.init if l.fluent in read and l not in gone]),
-        tuple(actions), rewrite(K.goal)), bool(shrunk)
+        tuple(actions), rewrite(K.goal)), bool(shrunk) or idle
 
 
 # --- front ends ------------------------------------------------------------

@@ -154,10 +154,10 @@ def translate_bomb_16_16(tmp_path, capsys):
 def test_translate_drops_the_atoms_nothing_reads(tmp_path, capsys):
     texts, report, _ = translate_bomb_16_16(tmp_path, capsys)
     sizes = report["translation"]
-    assert (sizes["atoms"], sizes["conditional_effects"]) == (48, 800)
+    assert (sizes["atoms"], sizes["conditional_effects"]) == (32, 528)
     emitted = kplan.pddl.load_classical(*texts)
-    assert len(emitted.fluents) == 48
-    assert sum(len(a.rules) for a in emitted.actions) == 800
+    assert len(emitted.fluents) == 32
+    assert sum(len(a.rules) for a in emitted.actions) == 528
     # what ktm built, before the simplification
     assert report["built"] == {"atoms": 128, "conditional_effects": 2352}
 
@@ -229,8 +229,11 @@ def test_pruned_safe_keeps_one_atom_and_one_effect_per_combination(n):
 
 @pytest.mark.parametrize("n", [10, 16, 20])
 def test_pruned_bomb_size_is_exact(n):
-    # K~armed/armed merges with Karmed/armed, as its complement
-    assert optimized_sizes("bomb", n, n) == (3 * n, 3 * n * n + 2 * n)
+    # Knot-armed-p and Knot-clogged-t stay: each of the n * n dunks sets
+    # both unconditionally and each of the n flushes one.  The merges go
+    # with their tagged atoms, as a merge fires only after a dunk of its
+    # package, which already set its head Knot-armed-p.
+    assert optimized_sizes("bomb", n, n) == (2 * n, 2 * n * n + n)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -289,7 +292,31 @@ def test_solve_ladder_encoding_sizes():
             atoms += stage["translation"]["atoms"]
             effects += stage["translation"]["conditional_effects"]
             assert stage["built"]["atoms"] >= stage["translation"]["atoms"]
-    assert (atoms, effects) == (328, 1388)
+    assert (atoms, effects) == (306, 1218)
+
+
+# the ops of the benchmark's translate workload
+TRANSLATE_OPS = (("bomb", (16, 16), "ki:1"), ("safe", (40,), "ki:1"),
+                 ("disjtoy", (9,), "ks0"), ("square-center", (8,), "ks0"),
+                 ("disjtoy", (9,), "kmodels"), ("sortnet", (7,), "ki:1"))
+
+
+def test_translate_workload_encoding_sizes(tmp_path, capsys):
+    """The encodings `kplan translate` emits on these ops, summed: a
+    change that grows them fails here."""
+    atoms = effects = 0
+    for family, params, scheme in TRANSLATE_OPS:
+        dom, prob = gen_instance(tmp_path, family, *params)
+        export = tmp_path / "out"
+        assert main(["translate", str(dom), str(prob), "--scheme", scheme,
+                     "--export-pddl", str(export)]) == 0
+        emitted = kplan.pddl.load_classical(
+            (export / "domain.pddl").read_text(),
+            (export / "problem.pddl").read_text())
+        atoms += len(emitted.fluents)
+        effects += sum(len(a.rules) for a in emitted.actions)
+    capsys.readouterr()
+    assert (atoms, effects) == (254, 1169)
 
 
 def test_solve_validate_round_trip(tmp_path, capsys):

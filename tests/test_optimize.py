@@ -441,7 +441,10 @@ def check_steps(K, S, every_clash=False):
             else:
                 assert b.preconditions <= p
                 kept_add = step(p, b)
-                assert {l for l in add if l.fluent in kept} == kept_add
+                # S may leave out a rule that only sets what already holds
+                assert kept_add <= add
+                assert {l for l in add if l.fluent in kept} - p == \
+                    kept_add - p
                 assert clashes(add, kept) == clashes(kept_add, kept)
                 if every_clash:
                     # a clash on a dropped atom is one on its representative
@@ -516,11 +519,13 @@ def check_merge(K):
     same actions, gives its atoms the same values, raises on the same
     clashes and tests the goal alike.  Each atom it drops equals or
     complements a lesser-named atom it keeps, or is read only through
-    dropped conjuncts: K's read closure reaches it only through a
-    conjunct of the goal, of a precondition or of a condition that, in
-    every walked state, another conjunct of that conjunction implies, one
-    whose atom equals or complements a kept atom.  Each action it drops
-    sets only atoms so read."""
+    dropped conjuncts and idle rules: K's read closure reaches it only
+    through a conjunct of the goal, of a precondition or of a condition
+    that, in every walked state, another conjunct of that conjunction
+    implies, one whose atom equals or complements a kept atom, or through
+    a rule that is idle: in every walked state where it fires, its head
+    already holds and no rule of its action sets the complement.  Each
+    action it drops sets atoms so read only through idle rules."""
     merged = check_drop_unread(K)
     kept = merged.fluents
     assert kept <= K.fluents
@@ -547,11 +552,20 @@ def check_merge(K):
         return {b for b in conj
                 if not any(a != b and not holds[a] & ~holds[b] for a in stay)}
 
+    busy = set()  # (action name, rule) for the rules that are not idle
+    for s in states:
+        for a in K.actions:
+            if a.preconditions <= s:
+                add = step(s, a)
+                busy.update([(a.name, r) for r in a.rules
+                             if r.condition <= s and (
+                                 r.effect not in s or r.effect.negate() in add)])
     reads = {}  # atom -> the conjunctions read when it is
     for a in K.actions:
         for r in a.rules:
-            reads.setdefault(r.effect.fluent, []).extend(
-                [r.condition, a.preconditions])
+            if (a.name, r) in busy:
+                reads.setdefault(r.effect.fluent, []).extend(
+                    [r.condition, a.preconditions])
     read, stack = set(), [l.fluent for l in needed(K.goal)]
     while stack:
         f = stack.pop()
@@ -563,8 +577,25 @@ def check_merge(K):
         assert first_kept.get(column[f], f) < f or f not in read, f
     for a in K.actions:
         if a.name not in names:
-            assert not {r.effect.fluent for r in a.rules} & read, a.name
+            assert not {r.effect.fluent for r in a.rules
+                        if (a.name, r) in busy} & read, a.name
     return merged
+
+
+def drops_a_firing_rule(K, S):
+    """Whether, in some state reachable in K, S sets fewer of its atoms
+    than K does by the same action, or by an action S drops: S left out
+    an idle rule that fires there."""
+    by_name = {a.name: a for a in S.actions}
+    for s in check_steps(K, S):
+        p = frozenset(l for l in s if l.fluent in S.fluents)
+        for a in K.actions:
+            b = by_name.get(a.name)
+            if a.preconditions <= s and \
+                    {l for l in step(s, a) if l.fluent in S.fluents} != \
+                    (step(p, b) if b else set()):
+                return True
+    return False
 
 
 @pytest.mark.parametrize("scheme", sorted(SPECS))
@@ -577,7 +608,7 @@ def test_merge_atoms_keeps_every_reachable_step(family, params, scheme):
 
 
 def test_merge_atoms_keeps_every_reachable_step_on_random_suites():
-    dropped = 0
+    dropped = idle = 0
     for problem in (random_suite(707, 20, max_fluents=5, max_actions=4)
                     + random_suite(708, 20, max_fluents=5, max_actions=4,
                                    reachable_goal=True)):
@@ -586,8 +617,10 @@ def test_merge_atoms_keeps_every_reachable_step_on_random_suites():
             for optimized in (False, True):
                 K = reference_prune(ktm(problem, spec, ctx,
                                         optimized=optimized))
-                dropped += len(check_merge(K).fluents) < len(K.fluents)
-    assert dropped > 0
+                S = check_merge(K)
+                dropped += len(S.fluents) < len(K.fluents)
+                idle += drops_a_firing_rule(K, S)
+    assert dropped > 0 and idle > 0, (dropped, idle)
 
 
 def test_merge_atoms_keeps_the_optimal_plans_on_random_suites():
@@ -692,6 +725,58 @@ def test_implied_conjuncts_on_a_small_problem():
         frozenset(map(pos, ["p", "r", "s", "t", "u", "v", "w1"])))
 
 
+# --- the simplification pass: rules that fire only where their head holds --
+
+def idle_merge_problem(*extra):
+    """b and t stand for Knot-armed/armed and Karmed/armed of bomb: dunk1
+    and dunk2 make ~t true and set b unconditionally, so ~t implies b and
+    merge fires only where b holds.  note also sets b under ~t, and n."""
+    actions = [action("dunk1", [], [rule([], pos("b")),
+                                    rule([pos("t")], neg("t"))]),
+               action("dunk2", [], [rule([], pos("b")),
+                                    rule([pos("t")], neg("t"))]),
+               action("merge", [], [rule([neg("t")], pos("b"))]),
+               action("note", [], [rule([neg("t")], pos("b")),
+                                   rule([], pos("n"))]),
+               *extra]
+    return ClassicalProblem(
+        frozenset("bnt"), frozenset([pos("t")]),
+        tuple(sorted(actions, key=lambda a: a.name)),
+        frozenset([pos("b"), pos("n")]))
+
+
+def test_idle_rules_go_with_the_atoms_only_they_read():
+    # merge goes and note keeps only its n rule; then nothing reads t
+    K = idle_merge_problem()
+    R = reference_prune(K)
+    assert (R.fluents, R.init, R.goal) == (K.fluents, K.init, K.goal)
+    assert action_table(R) == action_table(K)
+    S = check_merge(K)
+    assert S == ClassicalProblem(
+        frozenset("bn"), frozenset(),
+        (action("dunk1", [], [rule([], pos("b"))]),
+         action("dunk2", [], [rule([], pos("b"))]),
+         action("note", [], [rule([], pos("n"))])),
+        K.goal)
+    assert drops_a_firing_rule(K, S)
+
+
+@pytest.mark.parametrize("extra", [
+    # spoil falsifies b, so b does not stay true once true
+    action("spoil", [], [rule([], neg("b"))]),
+    # drop makes ~t true without setting b, so ~t does not imply b
+    action("drop", [], [rule([pos("t")], neg("t"))])],
+    ids=["head-falsified", "not-implied"])
+def test_rules_that_change_their_head_stay(extra):
+    K = idle_merge_problem(extra)
+    R = reference_prune(K)
+    assert (R.fluents, R.init, R.goal) == (K.fluents, K.init, K.goal)
+    assert action_table(R) == action_table(K)
+    S = check_merge(K)
+    assert S == K
+    assert not drops_a_firing_rule(K, S)
+
+
 def test_implied_conjuncts_keep_the_optimal_plans_on_random_suites():
     """Where (4) drops a conjunct, simplifying keeps whether a plan
     exists and its optimal length, and the plans found stay conformant;
@@ -735,6 +820,20 @@ def test_a_second_pass_changes_nothing(seed, index, scheme, optimized):
     S = simplify(ktm(problem, SPECS[scheme](ctx, False), ctx,
                      optimized=optimized))
     assert simplify(S) == S
+
+
+@pytest.mark.parametrize("scheme", sorted(SPECS))
+@pytest.mark.parametrize("n", [3, 6, 10, 16])
+def test_a_second_pass_changes_nothing_on_bomb(n, scheme):
+    # the first pass drops the idle rules of the merges to Knot-armed-p
+    # and reports it, so simplify runs a second pass, which drops nothing
+    problem, resets = compiled_instance("bomb", (n, n))
+    K = pipeline_encoding(problem, resets, scheme)
+    S, dropped = _simplify_pass(K)
+    assert dropped and not [a for a in S.actions
+                            if a.name.startswith("merge__not-armed")]
+    assert _simplify_pass(S) == (S, False)
+    assert simplify(K) == S and simplify(S) == S
 
 
 def simplified_digest():

@@ -24,6 +24,7 @@ from kplan import pddl
 from kplan.analysis import all_literals
 from kplan.errors import CapExceeded, UnsupportedFeature
 from kplan.model import NondetRule, Rule, action, conformant_problem, rule
+from kplan.pi import PICNF
 from kplan.translate import (
     TranslationSpec,
     atom_name,
@@ -529,6 +530,33 @@ GENERATED = BENCH_INSTANCES + tuple(SMALL_INSTANCES)
 def test_model_specs_match_reference_on_generated(family, params):
     problem, resets = compiled_instance(family, params)
     _check_model_specs_against_reference(build_context(problem), bool(resets))
+
+
+@pytest.mark.parametrize("family,params,models", [
+    ("sortnet", (6,), [64]), ("sortnet", (7,), [128]),
+    ("disjtoy", (9,), [511]), ("bomb", (3, 3), [2, 2, 2])])
+def test_spec_kmodels_enumerates_each_variable_set_once(monkeypatch, family,
+                                                        params, models):
+    """spec_kmodels enumerates the models over each distinct set of
+    variables once, however many target literals share it: the six goal
+    literals of sortnet-7 share one set of 7 fluents (768 models in six
+    enumerations, 128 in one)."""
+    problem, resets = compiled_instance(family, params)
+    ctx = build_context(problem)
+    enumerated = []
+    models_of = PICNF.models
+
+    def spy(self, variables, cap):
+        found = list(models_of(self, variables, cap))
+        enumerated.append((frozenset(variables), len(found)))
+        return iter(found)
+
+    monkeypatch.setattr(PICNF, "models", spy)
+    spec = spec_kmodels(ctx, include_all=bool(resets))
+    shared = {frozenset(l.fluent for c in ctx.relevant_clause_set(m.target)
+                        .clauses for l in c) for m in spec.merges}
+    assert len({v for v, _ in enumerated}) == len(enumerated) == len(shared)
+    assert sorted(n for _, n in enumerated) == models
 
 
 @pytest.mark.parametrize("family,params", BENCH_INSTANCES,
