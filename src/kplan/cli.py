@@ -145,8 +145,9 @@ def _width_report(problem: ConformantProblem, ctx) -> Dict:
 def cmd_translate(args) -> int:
     compiled, ctx = _deterministic_context(args)
     scheme, bound = args.scheme
-    spec = _scheme_spec(scheme, bound, ctx, args.caps)
-    K = ktm(compiled, spec, ctx, optimized=True)
+    # the spec (a ks0 tag per initial state) goes before simplify runs
+    K = ktm(compiled, _scheme_spec(scheme, bound, ctx, args.caps), ctx,
+            optimized=True)
     built = encoding_size(K)
     K = simplify(K)
     domain_text, problem_text = pddl.emit_classical(K)

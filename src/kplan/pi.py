@@ -140,8 +140,9 @@ def enumerate_models(clauses: Iterable[Clause], fluents: Iterable[str],
 class PICNF:
     """Clause set in prime-implicate form over a fixed fluent universe.
 
-    It keeps what its queries learn: each tag's closure, and per relevant
-    clause set what ``analysis.width_of_literal`` found of its width.
+    It keeps what its queries learn: each closure it is asked for, and
+    per relevant clause set what ``analysis.width_of_literal`` found of
+    its width.
     """
 
     def __init__(self, clauses: Iterable[Clause], fluents: Iterable[str]):
@@ -181,6 +182,11 @@ class PICNF:
         (the fluents and those t mentions).  Literals outside the universe
         are left out.  ``reference_entails_literal`` in the tests is the
         literal-by-literal specification.
+
+        Cached for as long as this PICNF lives, for a ``Context``'s the
+        whole command: the empty tag's closure, the sets ``cover`` checks,
+        and the tags of ``ktm`` without the rewrites and ``build_basis``.
+        ``projections`` and the width search take theirs from ``scratch``.
         """
         t = frozenset(t)
         cached = self._closure_cache.get(t)
@@ -209,7 +215,8 @@ class PICNF:
 
     def scratch(self) -> "PICNF":
         """This clause set with a closure cache of its own, so that the
-        closures of a throwaway search go when the search does."""
+        closures of a throwaway search go when the search does: the width
+        search takes one per candidate cover, ``projections`` one per tag."""
         view = copy.copy(self)
         view._closure_cache = {}
         return view

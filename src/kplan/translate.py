@@ -159,11 +159,18 @@ def projections(t: Tag, ctx: Context) -> Dict[Literal, Tag]:
     closure of the empty tag that are relevant to L, for each literal L
     where it is not empty.  Only these literals of t* can make KL/t differ
     from KL.  Under the rewrites ``ktm`` names KL/t as KL/p for this p, and
-    ``inject_reset_effects`` resets the atoms so named."""
-    extra = ctx.pi.closure(t) - ctx.pi.closure(EMPTY_TAG)
+    ``inject_reset_effects`` resets the atoms so named.  Both take it once
+    per tag, so ``ctx.pi`` does not cache the closure of t."""
+    extra = ctx.pi.scratch().closure(t) - ctx.pi.closure(EMPTY_TAG)
     rel = ctx.rel
     return {L: extra & rel.relevant_to(L)
             for L in set().union(*map(rel.reachable_from, extra))}
+
+
+def changed_fluents(problem: ConformantProblem) -> Set[str]:
+    """The fluents that some rule sets; a literal of any other is
+    relevant to itself alone."""
+    return {r.effect.fluent for a in problem.actions for r in a.rules}
 
 
 def _describe(L: Literal, t: Tag) -> str:
@@ -180,9 +187,9 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
     Without ``optimized`` this is the literal K_T,M translation, the
     default; ``kplan translate`` and ``kplan solve`` only build the
     rewritten one, which ``simplify`` then shrinks.  With ``optimized``
-    the builder applies three rewrites.  (2) only keeps the build small:
-    ``simplify``, which runs after it, reaches the same final encodings
-    without it.
+    the builder applies four rewrites.  (2) and (4) only keep the build
+    small: ``simplify``, which runs after it, reaches the same final
+    encodings without them.
     (1) KL/t is built once per projection p of t onto L: the literals of
     t* outside the closure of the empty tag that are relevant to L.  Each
     condition c of a rule with head L has relevant_to(c) within
@@ -192,11 +199,12 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
     one projection give KL/t one value in every reachable state, and an
     empty p gives it the value of KL.  KL/t is named KL/p, KL when p is
     empty, and equal rules are one.  Without it (KL/t for every t),
-    square-center-8 ``ks0`` builds 2080 atoms and 7300 effects instead of
-    288 and 1028, disjtoy-9 ``ks0`` 5130 atoms instead of 540 and safe-40
-    ``ki:1`` 1722 instead of 162, and the square-center-8 translate
-    process peaks at 29.9 MB instead of 22.4 MB.  On oneof input it also
-    changes the search, because the resets write the tagged atoms:
+    before (4), square-center-8 ``ks0`` built 2080 atoms and 7300
+    effects instead of 288 and 1028, disjtoy-9 ``ks0`` 5130 atoms instead
+    of 540 and safe-40 ``ki:1`` 1722 instead of 162, and the
+    square-center-8 translate process peaked at 29.9 MB instead of
+    22.4 MB.  On oneof input it also changes the search, because the
+    resets write the tagged atoms:
     sgripper-3 searches 70 atoms and 282 effects instead of 68 and 274.
     (2) support/cancellation rules are dropped at tags through which
     nothing relevant to their head is merged.  Without it, bomb-16-16
@@ -207,6 +215,15 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
     the ``ki:1`` search of bomb-12-4 expands 63124 nodes instead of 116.
     On bomb every dunk then sets Knot-armed-p, and ``simplify`` drops the
     merges to it, which this makes redundant, with their tagged atoms.
+    (4) A literal c whose fluent no source rule sets, and whose atom Kc
+    no merge sets (as its target, or as the complement of a literal
+    mutex with it), is relevant to itself alone, so each atom Kc/q that
+    a rule names is Kc/{c}, true, or Kc, true iff I entails c, and
+    nothing sets it.  A support or cancellation rule with a conjunct
+    that never holds is not built, and conjuncts that always hold are
+    left out; ``simplify`` finds these atoms fixed and drops the same.
+    Without it, safe-40 ``ki:1`` builds 162/1681 atoms/effects instead
+    of 42/81 and disjtoy-9 ``ks0`` 540/4618 instead of 513/2314.
 
     The build is keyed by (literal, projection), the projection of t
     being t itself without the rewrites.  Each tag t gives the p of the
@@ -222,9 +239,9 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
 
     Equal literals and conditions are one object, interned by dicts that
     live as long as the build: the tags that give a rule one projection
-    give it equal conditions, so disjtoy-9 ``ks0`` builds 4618 rules over
-    28 distinct conditions and 540 distinct literals, where a copy per
-    rule made 4618 and 9757 objects.
+    give it equal conditions: disjtoy-9 ``ks0`` builds 2314 rules over 2
+    distinct conditions and 513 distinct literals.  (Before (4), with
+    4618 rules, a copy per rule made 4618 conditions and 9757 literals.)
     """
     if problem.goal_clauses:
         raise UnsupportedFeature("compile clause goals away first")
@@ -268,11 +285,12 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
 
     for L in lits:
         declare(L, EMPTY_TAG)
-    # per tag t: the literals relevant to a literal merged through t
-    useful: Dict[Tag, Set[Literal]] = {}
+    # per tag t: the literals relevant to each literal merged through t,
+    # one frozenset per merge, shared by its tags
+    useful: Dict[Tag, List[FrozenSet[Literal]]] = {}
     for m in spec.merges:
         for t in m.tags:
-            useful.setdefault(t, set()).update(ctx.rel.relevant_to(m.target))
+            useful.setdefault(t, []).append(ctx.rel.relevant_to(m.target))
     # per tag t: L -> the name of KL/t for the heads t keeps; per head L:
     # the p of the atoms KL/p whose rules are built
     kept: Dict[Tag, Dict[Literal, str]] = {}
@@ -280,7 +298,8 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
     for t in spec.tags:
         if optimized:  # rewrites (1) and (2)
             tagged = projections(t, ctx)
-            keep = sorted(useful.get(t, set()).intersection(tagged))
+            keep = sorted(L for L in tagged
+                          if any(L in u for u in useful.get(t, ())))
         else:
             keep = tagged = dict.fromkeys(lits if t else (), t)
         names = kept[t] = {}
@@ -304,6 +323,18 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
 
     goal = frozenset(lit(plain[L]) for L in problem.goal)
 
+    # rewrite (4): the literals c whose atoms Kc/q are constants, as no
+    # source rule sets their fluent and no merge sets Kc
+    units = pi.closure(EMPTY_TAG)
+    folded: Set[Literal] = set()
+    if optimized:
+        changed = changed_fluents(problem)
+        merged = set()
+        for m in spec.merges:
+            merged.add(m.target)
+            merged.update(o.negate() for o in ctx.mutexes.mutex_with(m.target))
+        folded = {c for c in lits if c.fluent not in changed} - merged
+
     # a rule with head KL/p names each condition c atoms[p][c], which is
     # Kc/(p & relevant_to(c)) from c's first lookup on: every tag that
     # gives p names c so, as relevant_to(c) is within relevant_to(L)
@@ -317,7 +348,13 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
                     (r.effect, r.condition, True),
                     (r.effect.negate(), [c.negate() for c in r.condition],
                      False)):
+                # Kc/p for a folded c is true iff c is in p or the units
+                static = [c for c in cond if c in folded]
+                if static:
+                    cond = [c for c in cond if c not in folded]
                 for p in built[L]:
+                    if any((c in p or c in units) != value for c in static):
+                        continue  # a conjunct that never holds
                     at = atoms[p]
                     rules.add(Rule(
                         share(frozenset([lit(at.get(c) or at.setdefault(
@@ -363,7 +400,6 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
     # KL/p starts true iff L is in p*, or under the rewrites in p or the
     # closure of the empty tag; an entry for L in atoms[p] whose atom is
     # KL/(p & relevant_to(L)) agrees, as L is relevant to itself
-    units = pi.closure(EMPTY_TAG)
     init = {lit(at[L]) for p, at in atoms.items()
             for L in (p | units if optimized else pi.closure(p))
             if at.get(L) in declared}
@@ -417,7 +453,11 @@ def simplify(K: ClassicalProblem) -> ClassicalProblem:
     the start, no firing rule makes B false, and a literal of C implies B
     by (4)'s test.  Where it fires B already holds, and nothing can clash
     with it, as nothing makes B false; so it changes nothing.  On bomb
-    this drops the merges to Knot-armed-p, which every dunk sets.
+    this drops the merges to Knot-armed-p, which every dunk sets.  A rule
+    C -> B is idle too when C holds B (by class) and no firing rule of
+    its action sets ~B under a condition that holds no class at both
+    values with C: where it fires B holds, and nothing clashes with it.
+    On bomb under ``ks0`` this drops the merges to Knot-clogged-t.
 
     Each distinct condition is worked out once, for (2) and for the
     rewrite, so a condition that K shares (``ktm`` builds one object per
@@ -449,7 +489,7 @@ def simplify(K: ClassicalProblem) -> ClassicalProblem:
     of (2) apart, or that kept a rule from matching in (4); so while (4)
     drops a conjunct or (3) an idle rule, the pass runs again on its own,
     smaller, result.  On disjtoy-9 ``ks0`` the second pass sees 10 atoms
-    instead of 540.  A second ``simplify`` changes nothing, unless (2)
+    instead of 513.  A second ``simplify`` changes nothing, unless (2)
     finds that a rule which (1) lets fire never fires and that rule alone
     changed an atom: only the second pass finds that atom fixed.
     """
@@ -518,6 +558,7 @@ def _simplify_pass(K: ClassicalProblem) -> Tuple[ClassicalProblem, bool]:
                 count[j] -= 1
                 if not count[j]:
                     queue.append(effect[j])
+    del count, effect, rules_of, watchers
     # both literals of each atom that changes; the other atoms keep the
     # one reached literal, which is fixed
     live = set(zip(changing, itertools.repeat(True)))
@@ -564,16 +605,17 @@ def _simplify_pass(K: ClassicalProblem) -> Tuple[ClassicalProblem, bool]:
         code[Literal(f, False)] = 2 * k + t
 
     classes: Dict[FrozenSet, List[str]] = {}
-    for f, key in keys.items():
-        classes.setdefault(frozenset(key), []).append(f)
+    for f in list(keys):  # each key goes once its class holds it
+        classes.setdefault(frozenset(keys.pop(f)), []).append(f)
     for k, members in enumerate(classes.values()):
         for f in members:
             move(f, k)
     unsplit = [members for members in classes.values() if len(members) > 1]
+    next_class = len(classes)
+    del keys, classes
     # split each class by its members' signatures until a round splits
     # none; all parts of a split but the first get fresh classes at once
     get = code.__getitem__
-    next_class = len(classes)
     split = True
     while split:
         split = False
@@ -694,9 +736,25 @@ def _simplify_pass(K: ClassicalProblem) -> Tuple[ClassicalProblem, bool]:
                         [l for l in lits if code[l] in keep or not code[l] & 1])
         return shrunk.get(lits, lits) if shrunk else lits
 
+    def codes_of(c) -> Set[int]:
+        return set(map(get, c)) if isinstance(c, frozenset) else {code[c]}
+
+    def clashes(codes: Set[int], i: int, e: bool, f: str) -> bool:
+        """Whether a firing rule of action i sets f to the normalized value
+        not e under a condition that holds no class at both values with
+        codes."""
+        for i2, _, c2, e2 in setters[f]:
+            if i2 == i and e2 != e:
+                both = codes | codes_of(c2)
+                if len({x >> 1 for x in both}) == len(both):
+                    return True
+        return False
+
     # the read closure, and per used action the indexes of its kept rules,
     # less the idle rules: their head, odd code y, is monotone and implied
-    # by a literal of their condition
+    # by a literal of their condition; or their head is in their condition
+    # and no rule of their action that can fire with them sets its
+    # complement
     read: Set[str] = set()
     used: Dict[int, Set[int]] = {}
     idle = False
@@ -708,11 +766,12 @@ def _simplify_pass(K: ClassicalProblem) -> Tuple[ClassicalProblem, bool]:
         read.add(f)
         y = code[Literal(f, True)] | 1
         for i, j, c, e in setters[f]:
-            codes = set(map(get, c)) if isinstance(c, frozenset) else {code[c]}
+            codes = codes_of(c)
             if len({x >> 1 for x in codes}) < len(codes):
                 continue  # holds a class at both values
             if e and is_monotone(y) and any(
-                    x & 1 and implied(x, 1 << y) for x in codes):
+                    x & 1 and implied(x, 1 << y) for x in codes) or (
+                    ((y ^ 1) | e) in codes and not clashes(codes, i, e, f)):
                 idle = True
                 continue
             if isinstance(c, frozenset):
@@ -725,6 +784,7 @@ def _simplify_pass(K: ClassicalProblem) -> Tuple[ClassicalProblem, bool]:
                     K.actions[i].preconditions - fixed)]
             used[i].add(j)
 
+    del setters, shapes, code, get, guards, raising, matched, checked
     # each read member of a class but the least-named -> the literal of
     # that representative
     sub: Dict[Literal, Literal] = {}
@@ -879,9 +939,18 @@ def inject_reset_effects(K: ClassicalProblem, ctx: Context,
     to the unconditional knowledge).  KL/t is KL/p for the projection p
     of t onto L (``projections``), as in ``ktm``, or KL, which needs no
     reset.  Without the rewrites ``ktm`` makes each reset set KL/t for
-    its enabler L at every tag, which these effects would contradict."""
+    its enabler L at every tag, which these effects would contradict.
+
+    Knowledge of a fluent that no rule sets, such as a hidden selector,
+    is not reset: I and t entail such a literal iff I and t less the
+    copy's selectors do, as those are independent of the rest of I, so
+    it stays true after a reset.  This keeps constant the atoms that
+    ``ktm``'s rewrite (4) folds.  Resetting another copy's selectors
+    made sgripper-1 ``kmodels`` with two copies search 67/351
+    atoms/effects instead of 65/341."""
     if not resets:
         return K
+    changed = changed_fluents(ctx.problem)
     new_actions = []
     for a in K.actions:
         hidden = resets.get(a.name)
@@ -894,11 +963,8 @@ def inject_reset_effects(K: ClassicalProblem, ctx: Context,
             if not any(l.fluent in hidden_set for l in t):
                 continue
             for L, p in projections(t, ctx).items():
-                if L.fluent in hidden_set:
-                    # assumption-internal knowledge (what the hidden
-                    # selectors themselves look like under the tag) is
-                    # static and must survive the reset
-                    continue
+                if L.fluent not in changed:
+                    continue  # static knowledge survives the reset
                 name = atom_name(L, p)
                 if name not in K.fluents:
                     continue  # K has no atom KL/p to reset

@@ -11,7 +11,8 @@ around.
 from __future__ import annotations
 
 from collections import deque
-from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import (FrozenSet, Iterable, Iterator, List, NamedTuple, Optional,
+                    Set, Tuple)
 
 from .analysis import Context, build_context, target_literals
 from .errors import (
@@ -35,15 +36,22 @@ from .pi import DEFAULT_STATE_CAP, Tag, enumerate_models, prime_implicates
 from .translate import TranslationSpec
 
 
-def initial_states(problem: ConformantProblem,
-                   cap: Optional[int] = DEFAULT_STATE_CAP) -> Tuple[State, ...]:
-    """All complete consistent states satisfying the initial clauses."""
+def _each_initial_state(problem: ConformantProblem,
+                        cap: Optional[int]) -> Iterator[State]:
+    """The states of ``initial_states``, one at a time; raises
+    TooManyInitialStates past ``cap``."""
     try:
         # enumerate_models yields the states in sorted_lits order
-        return tuple(enumerate_models(problem.init, problem.fluents, cap=cap))
+        yield from enumerate_models(problem.init, problem.fluents, cap=cap)
     except ValidityUndecidedAtCap as exc:
         raise TooManyInitialStates(
             f"state enumeration exceeded cap {cap}") from exc
+
+
+def initial_states(problem: ConformantProblem,
+                   cap: Optional[int] = DEFAULT_STATE_CAP) -> Tuple[State, ...]:
+    """All complete consistent states satisfying the initial clauses."""
+    return tuple(_each_initial_state(problem, cap))
 
 
 class Verdict(NamedTuple):
@@ -59,11 +67,20 @@ class Verdict(NamedTuple):
 def conformant_check(problem: ConformantProblem, steps: Iterable[str],
                      cap: Optional[int] = DEFAULT_STATE_CAP) -> Verdict:
     """Is the (merge-free) action sequence a classical plan for P/s for
-    every possible initial state s, goal clauses included?"""
-    steps = tuple(steps)
-    plan = Plan(steps)
+    every possible initial state s, goal clauses included?  The states
+    are checked as they are enumerated, and only counted after a failing
+    one, so that past ``cap`` TooManyInitialStates is raised regardless."""
+    states = _each_initial_state(problem, cap)
+    verdict = _check_states(problem, Plan(tuple(steps)), states)
+    for _ in states:
+        pass
+    return verdict
+
+
+def _check_states(problem: ConformantProblem, plan: Plan,
+                  states: Iterable[State]) -> Verdict:
     checked = 0
-    for s in initial_states(problem, cap):
+    for s in states:
         checked += 1
         result = run_plan(restrict(problem, s), plan)
         if not result.applicable:

@@ -918,6 +918,69 @@ def project_reference(K: ClassicalProblem, problem: ConformantProblem,
                             lits(K.init), tuple(actions), lits(K.goal))
 
 
+def fold_reference(K: ClassicalProblem, problem: ConformantProblem,
+                   spec: TranslationSpec, ctx: Context) -> ClassicalProblem:
+    """``project_reference``'s encoding K with the static literals folded:
+    a literal c whose fluent no rule of ``problem`` sets, and whose atom Kc
+    no merge sets (as its target, or as the complement of a literal mutex
+    with its target), is relevant to itself alone, so every atom Kc/q that
+    K names is Kc/{c}, always true, or Kc, true iff I entails c.  A
+    support or cancellation rule with a conjunct that never holds goes,
+    and the conjuncts that always hold are left out of the others.  The
+    extra deduction rules KC -> KL of ``reference_ktm`` stay as they are,
+    and so do the merges, the preconditions and the goal.  Only the atoms
+    still mentioned are declared."""
+    changed = {r.effect.fluent for a in problem.actions for r in a.rules}
+    merged = set()
+    for m in spec.merges:
+        merged.add(m.target)
+        merged |= {o.negate() for o in ctx.mutexes.mutex_with(m.target)}
+    units = ctx.pi.closure(EMPTY_TAG)
+    value: Dict[str, bool] = {}  # each constant atom -> its value
+    for c in all_literals(problem.fluents):
+        if c.fluent not in changed and c not in merged:
+            value[atom_name(c)] = c in units
+            value[atom_name(c, frozenset([c]))] = True
+
+    actions = []
+    for a in K.actions:
+        if a.name in K.merges:
+            actions.append(a)
+            continue
+        source = problem.action_by_name(a.name)
+        heads = {r.effect for r in source.rules}
+        deduction = {Rule(frozenset(pos(atom_name(c)) for c in r.condition
+                                    if c != r.effect.negate()),
+                          pos(atom_name(r.effect)))
+                     for r in source.rules if r.effect.negate() in r.condition
+                     and r.effect.negate() not in heads}
+        plain_support = {Rule(frozenset(pos(atom_name(c))
+                                        for c in r.condition),
+                              pos(atom_name(r.effect)))
+                         for r in source.rules}
+        rules = set()
+        for r in a.rules:
+            if r in deduction:
+                rules.add(r)
+                if r not in plain_support:
+                    continue  # only a deduction rule
+            if all(value[l.fluent] == l.positive
+                   for l in r.condition if l.fluent in value):
+                rules.add(Rule(frozenset(l for l in r.condition
+                                         if l.fluent not in value),
+                               r.effect))
+        actions.append(a._replace(rules=tuple(sorted(rules,
+                                                     key=Rule.sort_key))))
+    fluents = {l.fluent for l in K.goal}
+    for a in actions:
+        fluents |= {l.fluent for l in a.preconditions}
+        for r in a.rules:
+            fluents |= {l.fluent for l in r.condition | {r.effect}}
+    return ClassicalProblem(frozenset(fluents),
+                            frozenset(l for l in K.init if l.fluent in fluents),
+                            tuple(actions), K.goal)
+
+
 # --- reference bounded-width spec ---------------------------------------------------
 
 def reference_spec_ki(ctx: Context, i: int,

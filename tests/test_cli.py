@@ -164,8 +164,8 @@ def test_translate_drops_the_atoms_nothing_reads(tmp_path, capsys):
 
 @pytest.mark.parametrize("family,n,scheme,built", [
     ("square-center", 8, "ks0", (288, 1028)),
-    ("disjtoy", 9, "ks0", (540, 4618)),
-    ("disjtoy", 9, "kmodels", (540, 4618))])
+    ("disjtoy", 9, "ks0", (513, 2314)),
+    ("disjtoy", 9, "kmodels", (513, 2314))])
 def test_translate_builds_one_atom_per_projection(tmp_path, capsys, family, n,
                                                   scheme, built):
     # ks0 tags every initial state; KL/t is built once per projection of
@@ -185,15 +185,18 @@ SPEC_BUILDERS = {"ki:1": lambda ctx: kplan.spec_ki(ctx, 1),
 
 
 @pytest.mark.parametrize("family,n,scheme,bound_mb", [
-    ("disjtoy", 9, "ks0", 3.6), ("sortnet", 7, "ki:1", 1.5)])
+    ("disjtoy", 9, "ks0", 2.4), ("sortnet", 7, "ki:1", 1.5)])
 def test_translate_peak_memory(tmp_path, capsys, family, n, scheme,
                                bound_mb):
     """The peak of the Python allocations of a warm `kplan translate`, by
     tracemalloc: the same on every run of one CPython, with no timing in
     it.  Equal conditions and literals are shared, and the width search
-    keeps no closure past the candidate it tests, so disjtoy-9 ks0 peaks
-    near 3.2 MB (5.3 MB with copies per rule) and sortnet-7 ki:1 near
-    0.9 MB (3.1 MB with every closure of its width search kept)."""
+    keeps no closure past the candidate it tests, so sortnet-7 ki:1 peaks
+    near 0.9 MB (3.1 MB with every closure of its width search kept).
+    disjtoy-9 ks0 peaks near 1.9 MB: 3.2 MB when ``ktm`` built the rules
+    of its static literals, kept a set per tag and a closure per tag, and
+    ``simplify`` held its counters to the end (5.3 MB with copies per
+    rule)."""
     if tracemalloc.is_tracing():
         pytest.skip("tracemalloc is already tracing this process")
     dom, prob = gen_instance(tmp_path, family, n)
@@ -317,6 +320,23 @@ def test_translate_workload_encoding_sizes(tmp_path, capsys):
         effects += sum(len(a.rules) for a in emitted.actions)
     capsys.readouterr()
     assert (atoms, effects) == (254, 1169)
+
+
+def test_translate_workload_built_sizes(tmp_path, capsys):
+    """What `ktm` builds on these ops before `simplify`, summed: a change
+    that builds more fails here.  Folding the static literals took it
+    from 1976/15887 to 1802/9679."""
+    atoms = effects = 0
+    for family, params, scheme in TRANSLATE_OPS:
+        dom, prob = gen_instance(tmp_path, family, *params)
+        report_path = tmp_path / "report.json"
+        assert main(["translate", str(dom), str(prob), "--scheme", scheme,
+                     "--report", str(report_path)]) == 0
+        built = json.loads(report_path.read_text())["built"]
+        atoms += built["atoms"]
+        effects += built["conditional_effects"]
+    capsys.readouterr()
+    assert (atoms, effects) == (1802, 9679)
 
 
 def test_solve_validate_round_trip(tmp_path, capsys):

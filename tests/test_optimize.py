@@ -66,9 +66,14 @@ def test_collapse_removes_atoms_for_irrelevant_tags():
     # no relevant literal in that closure collapses onto the untagged one,
     # so the merge reads Kg/{y} as Kg.  The tag {x} closure {x, ~g} holds
     # x, relevant to g: Kg/{x} and Kx/{x} stay.  Nothing mentions Ky or
-    # K~y, so they are not declared.
+    # K~y, so they are not declared.  No rule sets x, and no merge sets
+    # K~x, so K~x is a constant, false as I does not entail ~x: the
+    # cancellation rule ~K~x -> ~K~g loses its conjunct, and nothing
+    # mentions K~x.  The merge sets Kx (g holds only where x does), so Kx
+    # is not folded.
     assert len(plain.fluents) == 18
-    assert opt.fluents == {"Kg", "Knot-g", "Kx", "Knot-x", "Kg__x", "Kx__x"}
+    assert opt.fluents == {"Kg", "Knot-g", "Kx", "Kg__x", "Kx__x"}
+    assert rule([], neg("Knot-g")) in opt.action_by_name("a").rules
     merge = next(a for a in opt.actions if a.name in opt.merges)
     assert merge.rules[0] == rule([pos("Kg__x"), pos("Kg")], pos("Kg"))
 
@@ -775,6 +780,54 @@ def test_rules_that_change_their_head_stay(extra):
     S = check_merge(K)
     assert S == K
     assert not drops_a_firing_rule(K, S)
+
+
+def own_head_problem(*extra):
+    """c stands for Knot-clogged of bomb: clog and flush change it, and
+    merge sets it only where it already holds, plus ``extra``."""
+    actions = [action("clog", [], [rule([], neg("c"))]),
+               action("flush", [], [rule([], pos("c"))]),
+               action("merge", [], [rule([pos("c")], pos("c")), *extra]),
+               action("note", [], [rule([], pos("n"))])]
+    return ClassicalProblem(frozenset("cn"), frozenset([pos("c")]),
+                            tuple(actions), frozenset([pos("c"), pos("n")]))
+
+
+@pytest.mark.parametrize("extra,kept", [
+    ([], False),
+    # it only sets ~c where c is false, so it never fires with c -> c
+    ([rule([neg("c")], neg("c"))], False),
+    # it can set ~c beside c -> c, which then raises a clash
+    ([rule([pos("n")], neg("c"))], True)],
+    ids=["alone", "apart", "clashing"])
+def test_rules_that_hold_their_head_go_unless_their_action_clears_it(
+        extra, kept):
+    K = own_head_problem(*extra)
+    R = reference_prune(K)
+    assert (R.fluents, R.init, R.goal) == (K.fluents, K.init, K.goal)
+    assert action_table(R) == action_table(K)
+    S = check_merge(K)
+    assert ("merge" in [a.name for a in S.actions]) == kept
+    if kept:
+        assert S == K
+    else:
+        assert _simplify_pass(K)[1]  # reported, so the loop runs again
+        assert drops_a_firing_rule(K, S)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_the_merges_to_not_clogged_go_on_bomb_ks0(n):
+    # each merge to ~clogged-t reads K~clogged-t alone once simplified, so
+    # it sets that atom only where it holds, and sets nothing else
+    problem, resets = compiled_instance("bomb", (n, n))
+    K = pipeline_encoding(problem, resets, "ks0")
+    assert len([a for a in K.actions
+                if a.name.startswith("merge__not-clogged")]) == n
+    S = simplify(K)
+    assert not [a for a in S.actions if a.name.startswith("merge__")]
+    assert (len(S.fluents), sum(len(a.rules) for a in S.actions)) == \
+        (2 * n, 2 * n * n + n)
+    assert simplify(S) == S
 
 
 def test_implied_conjuncts_keep_the_optimal_plans_on_random_suites():

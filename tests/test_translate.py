@@ -30,7 +30,9 @@ from kplan.translate import (
     atom_name,
     inject_reset_effects,
     merge_action_name,
+    nondet_compile,
     projections,
+    simplify,
     tag_digest,
 )
 
@@ -40,7 +42,9 @@ from conftest import (
     TINY_BAD,
     TINY_PLAN,
     classical_accepts,
+    coin_problem,
     compiled_instance,
+    fold_reference,
     is_conformant,
     project_reference,
     random_suite,
@@ -240,14 +244,16 @@ SPECS = {
 
 def _check_against_reference(problem, spec, ctx, resets=None):
     """ktm builds reference_ktm's encoding: without the rewrites the same
-    one, with them the same once each KL/t is renamed KL/p; and with the
-    rewrites, also once the reset effects are injected."""
+    one, with them the same once each KL/t is renamed KL/p and the static
+    literals are folded; and with the rewrites, also once the reset
+    effects are injected."""
     for optimized in (True, False):
         got = ktm(problem, spec, ctx, optimized=optimized)
         want = reference_ktm(problem, spec, ctx, optimized=optimized,
                              validate=False)
         if optimized:
-            want = project_reference(want, problem, spec, ctx)
+            want = fold_reference(project_reference(want, problem, spec, ctx),
+                                  problem, spec, ctx)
             if resets is not None:
                 got = inject_reset_effects(got, ctx, spec, resets)
                 want = inject_reset_effects(want, ctx, spec, resets)
@@ -303,6 +309,51 @@ def test_ktm_matches_reference_on_nondet_gripper_with_resets():
                                      ctx, resets)
 
 
+def _check_folding_changes_no_simplified_output(problem, spec, ctx,
+                                                resets=None):
+    """simplify emits the same problem from ktm's encoding as from the
+    projected reference, where no static literal is folded."""
+    got = ktm(problem, spec, ctx, optimized=True)
+    want = project_reference(
+        reference_ktm(problem, spec, ctx, optimized=True, validate=False),
+        problem, spec, ctx)
+    if resets:
+        got = inject_reset_effects(got, ctx, spec, resets)
+        want = inject_reset_effects(want, ctx, spec, resets)
+    assert pddl.emit_classical(simplify(got)) == \
+        pddl.emit_classical(simplify(want))
+
+
+def test_folding_changes_no_simplified_output_on_random_suites():
+    checked = 0
+    for problem in (random_suite(515, 40)
+                    + random_suite(516, 40, reachable_goal=True)):
+        ctx = build_context(problem)
+        for build in SPECS.values():
+            try:
+                spec = build(ctx, False)
+            except CapExceeded:
+                continue
+            _check_folding_changes_no_simplified_output(problem, spec, ctx)
+            checked += 1
+    assert checked >= 250, checked
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3])
+@pytest.mark.parametrize("instance", ["coin", "sgripper-1", "sgripper-2",
+                                      "sgripper-3"])
+def test_folding_changes_no_simplified_output_with_resets(instance, copies):
+    if instance == "coin":
+        problem, resets = nondet_compile(coin_problem(), copies)
+    else:
+        problem, resets = compiled_instance(
+            "sgripper", (int(instance.split("-")[1]),), copies)
+    ctx = build_context(problem)
+    for scheme in ("ki:1", "kmodels"):
+        _check_folding_changes_no_simplified_output(
+            problem, SPECS[scheme](ctx, True), ctx, resets)
+
+
 # --- equal objects are shared ------------------------------------------------
 
 SHARED = [("disjtoy", (9,), "ks0"), ("square-center", (8,), "ks0"),
@@ -353,22 +404,21 @@ def test_tag_table_names_follow_atom_name():
     # literals of t* relevant to L, less s, which the empty tag's closure
     # holds.  So Kr/t is Kr, though s is relevant to r.  Only the heads
     # relevant to the merged ~r keep their rules at t, and at u none
-    # does, so the merge reads K~r there.  A rule built at {~p} names its
-    # condition ~s K~s/({~p} & relevant_to(~s)), which is K~s.
+    # does, so the merge reads K~r there.
     assert projections(t, ctx) == {neg("p"): {neg("p")},
                                    neg("r"): {neg("p")}, pos("q"): {pos("q")}}
     assert projections(u, ctx) == {pos("p"): {pos("p")}, pos("r"): {pos("p")}}
     m = Merge(frozenset([t, u]), neg("r"))
     K = ktm(problem, make_spec([], [m]), ctx, optimized=True)
-    assert K.fluents == {"Kp", "Knot-p", "Knot-p__not-p", "Kr", "Knot-r",
-                         "Knot-r__not-p", "Ks", "Knot-s"}
-    # KL/p starts true iff L is in p or I entails L
-    assert K.init == {pos("Knot-p__not-p"), pos("Ks")}
-    assert set(K.action_by_name("a").rules) == {
-        Rule(frozenset([pos("Kp"), pos("Ks")]), pos("Kr")),
-        Rule(frozenset([neg("Knot-p"), neg("Knot-s")]), neg("Knot-r")),
-        Rule(frozenset([neg("Knot-p__not-p"), neg("Knot-s")]),
-             neg("Knot-r__not-p"))}
+    # no rule sets p or s, so their atoms are constants: Kp and K~p are
+    # false, K~p/{~p} is true, and K~s is false.  The merge sets Ks, as ~s
+    # is mutex with ~r (I entails s), so Ks is not folded.  So the
+    # support rule Kp, Ks -> Kr is not built, nor is the cancellation rule
+    # at {~p}, ~K~p/{~p}, ~K~s -> ~K~r/{~p}; the one at the empty tag loses
+    # both its conjuncts.  KL/p starts true iff L is in p or I entails L.
+    assert K.fluents == {"Kr", "Knot-r", "Knot-r__not-p", "Ks"}
+    assert K.init == {pos("Ks")}
+    assert K.action_by_name("a").rules == (Rule(frozenset(), neg("Knot-r")),)
     merge = K.action_by_name(merge_action_name(m))
     assert {r.condition for r in merge.rules} == {
         frozenset([pos("Knot-r__not-p"), pos("Knot-r")])}

@@ -7,10 +7,13 @@ import pytest
 
 from kplan import (
     BasisStateNotFound,
+    Plan,
     TooManyInitialStates,
+    Verdict,
     belief_bfs,
     build_basis,
     build_context,
+    cnf_goal_compile,
     conformant_check,
     initial_states,
     ktm,
@@ -19,6 +22,8 @@ from kplan import (
     make_spec,
     neg,
     pos,
+    restrict,
+    run_plan,
     spec_k0,
     spec_ki,
     zero_approx_run,
@@ -293,3 +298,70 @@ def test_enumeration_of_a_deep_instance_ends_at_the_cap():
     ring = pddl.load(*generators.generate("ring", (400,)))
     with pytest.raises(TooManyInitialStates):
         initial_states(ring)
+
+
+# --- the streamed check against the tuple of states -----------------------------
+
+def reference_conformant_check(problem, steps, cap=4096):
+    """``conformant_check`` as it was when it built the tuple of every
+    initial state before it checked the first."""
+    plan = Plan(tuple(steps))
+    checked = 0
+    for s in initial_states(problem, cap):
+        checked += 1
+        result = run_plan(restrict(problem, s), plan)
+        if not result.applicable:
+            return Verdict(False, f"step {result.failed_step}: {result.error}",
+                           s, checked)
+        if not result.achieved_goal:
+            missing = sorted_lits(problem.goal - result.final)
+            return Verdict(False, f"goal literals not achieved: {missing}",
+                           s, checked)
+        unsatisfied = [sorted_lits(c) for c in problem.goal_clauses
+                       if not result.final & c]
+        if unsatisfied:
+            return Verdict(False, f"goal clauses not satisfied: {unsatisfied}",
+                           s, checked)
+    return Verdict(True, "conformant", None, checked)
+
+
+def _outcome(check, *args, **kwargs):
+    """What a check returns, or the type and message of what it raises."""
+    try:
+        return check(*args, **kwargs)
+    except TooManyInitialStates as exc:
+        return type(exc), str(exc)
+
+
+def _check_streamed(problem, steps, **kwargs):
+    got = _outcome(conformant_check, problem, steps, **kwargs)
+    assert got == _outcome(reference_conformant_check, problem, steps,
+                           **kwargs)
+    return got
+
+
+def test_streamed_check_matches_the_tuple_on_random_suites():
+    verdicts = set()
+    for problem in (random_suite(404, 30) + random_suite(405, 30,
+                                                         reachable_goal=True)
+                    + [cnf_goal_compile(pddl.load(
+                        *generators.generate("sortnet", (3,))))]):
+        names = sorted(a.name for a in problem.actions)
+        for steps in all_sequences(names, 2):
+            for cap in (4096, 3):
+                got = _check_streamed(problem, steps, cap=cap)
+                verdicts.add(got[0] if isinstance(got, tuple) else got.valid)
+    assert verdicts == {True, False, TooManyInitialStates}
+
+
+def test_streamed_check_matches_the_tuple_on_ring():
+    ring = pddl.load(*generators.generate("ring", (4,)))
+    plan = ("close", "lock", "fwd") * 4
+    valid = _check_streamed(ring, plan)
+    assert valid.valid and valid.states_checked == 1024
+    truncated = _check_streamed(ring, plan[:-2])
+    assert not truncated.valid and truncated.states_checked < 1024
+    # past the cap a failing plan raises too, as the tuple did
+    for steps in (plan, plan[:-2]):
+        assert _check_streamed(ring, steps, cap=1000)[0] is \
+            TooManyInitialStates
