@@ -200,9 +200,14 @@ def cmd_solve(args) -> int:
     except NoPlanFound as exc:
         print(f"failure: {exc}", file=sys.stderr)
         for stage in exc.trace:
-            error = f" ({stage['error']})" if "error" in stage else ""
+            if "error" in stage:
+                detail = f" ({stage['error']})"
+            elif "verdict" in stage:  # the oracle rejected the stage's plan
+                detail = f", plan rejected ({stage['verdict']['reason']})"
+            else:
+                detail = ""
             print(f"  stage {stage['scheme']} (copies={stage['copies']}): "
-                  f"{stage['status']}{error}", file=sys.stderr)
+                  f"{stage['status']}{detail}", file=sys.stderr)
         _write_report(args, {"command": "solve", "failure": str(exc),
                              "stages": exc.trace})
         return 1

@@ -154,17 +154,22 @@ def spec_ki(ctx: Context, i: int, include_all: bool = False) -> TranslationSpec:
 
 # --- the core builder -------------------------------------------------------
 
-def projections(t: Tag, ctx: Context) -> Dict[Literal, Tag]:
+def projections(t: Tag, ctx: Context,
+                wanted: Optional[FrozenSet[Literal]] = None
+                ) -> Dict[Literal, Tag]:
     """L -> the projection of t onto L, the literals of t* outside the
     closure of the empty tag that are relevant to L, for each literal L
-    where it is not empty.  Only these literals of t* can make KL/t differ
-    from KL.  Under the rewrites ``ktm`` names KL/t as KL/p for this p, and
-    ``inject_reset_effects`` resets the atoms so named.  Both take it once
-    per tag, so ``ctx.pi`` does not cache the closure of t."""
+    (of ``wanted``, when given) where it is not empty.  Only these
+    literals of t* can make KL/t differ from KL.  Under the rewrites
+    ``ktm`` names KL/t as KL/p for this p, and ``inject_reset_effects``
+    resets the atoms so named.  Both take it once per tag, so ``ctx.pi``
+    does not cache the closure of t."""
     extra = ctx.pi.scratch().closure(t) - ctx.pi.closure(EMPTY_TAG)
     rel = ctx.rel
-    return {L: extra & rel.relevant_to(L)
-            for L in set().union(*map(rel.reachable_from, extra))}
+    reach = set().union(*map(rel.reachable_from, extra))
+    if wanted is not None:
+        reach &= wanted
+    return {L: extra & rel.relevant_to(L) for L in reach}
 
 
 def changed_fluents(problem: ConformantProblem) -> Set[str]:
@@ -208,34 +213,46 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
     sgripper-3 searches 70 atoms and 282 effects instead of 68 and 274.
     (2) support/cancellation rules are dropped at tags through which
     nothing relevant to their head is merged.  Without it, bomb-16-16
-    ``ki:1`` builds 1120 atoms and 18736 effects instead of 128 and 2352,
-    and ``ktm`` takes about seven times as long.
+    ``ki:1`` built 1120 atoms and 18736 effects instead of 128 and 2352
+    (before (4) took the latter to 96 and 1328), and ``ktm`` took about
+    seven times as long.
     (3) effects C,~L -> L of actions that never delete L yield the extra
     deduction rule KC -> KL.  This one changes the search: without it,
     the ``ki:1`` search of bomb-12-4 expands 63124 nodes instead of 116.
     On bomb every dunk then sets Knot-armed-p, and ``simplify`` drops the
     merges to it, which this makes redundant, with their tagged atoms.
-    (4) A literal c whose fluent no source rule sets, and whose atom Kc
-    no merge sets (as its target, or as the complement of a literal
-    mutex with it), is relevant to itself alone, so each atom Kc/q that
-    a rule names is Kc/{c}, true, or Kc, true iff I entails c, and
-    nothing sets it.  A support or cancellation rule with a conjunct
-    that never holds is not built, and conjuncts that always hold are
-    left out; ``simplify`` finds these atoms fixed and drops the same.
-    Without it, safe-40 ``ki:1`` builds 162/1681 atoms/effects instead
-    of 42/81 and disjtoy-9 ``ks0`` 540/4618 instead of 513/2314.
+    (4) A literal c that no source rule sets, and whose atom Kc no merge
+    sets (as its target, or as the complement of a literal mutex with
+    it), is folded.  Each atom Kc/p starts true iff c is in p or the
+    units, and never becomes true after the start: no support rule, merge
+    or deduction rule sets it, and a reset copies it only from Kc, which
+    never becomes true either.  So a support rule with a conjunct Kc/p
+    that starts false is not built, nor a cancellation rule that deletes
+    an atom Kc/p that starts false, and a conjunct ~Kc/p of such an atom
+    always holds and is left out.  When no rule sets ~c either, Kc/p
+    (then Kc/{c} or Kc, as c is relevant to itself alone) never changes:
+    a conjunct Kc/p that starts true is left out too, and a cancellation
+    rule with a conjunct ~Kc/p that starts true is not built.
+    ``simplify`` finds these atoms fixed and drops the same.  Without it,
+    safe-40 ``ki:1`` builds 162/1681 atoms/effects instead of 42/81 and
+    disjtoy-9 ``ks0`` 540/4618 instead of 513/2314; folding only the c
+    whose fluent no rule sets, bomb-16-16 ``ki:1`` built 128/2352
+    instead of 96/1328.
 
     The build is keyed by (literal, projection), the projection of t
     being t itself without the rewrites.  Each tag t gives the p of the
-    atom KL/p that KL/t is (``projections``) for the heads L whose rules it
-    keeps; the empty tag keeps every head, at KL.  Each rule C -> L is
-    built once per p found for L and names each condition c
-    Kc/(p & relevant_to(c)), Kc/p without the rewrites.  KL/t starts true
-    iff L is in t*, which under the rewrites holds iff L is in p or in the
-    closure of the empty tag.  Optimized, an atom is declared only where a
-    rule, a merge, the goal or a precondition mentions it; without the
-    rewrites every KL/t is.  Raises UnsupportedFeature when two atoms KL/p
-    take one name, e.g. K~p and K(not-p), or Kp/{q} and K(p__q).
+    atom KL/p that KL/t is (``projections``, which projects t only onto
+    the literals relevant to a target merged through t) for the heads L
+    whose rules it keeps; the empty tag keeps every head, at KL.  Per
+    tag, only the names of the merged targets are kept, for the merges.
+    Each rule C -> L is built once per p found for L and names each
+    condition c Kc/(p & relevant_to(c)), Kc/p without the rewrites.  KL/t
+    starts true iff L is in t*, which under the rewrites holds iff L is
+    in p or in the closure of the empty tag.  Optimized, an atom is
+    declared only where a rule, a merge, the goal or a precondition
+    mentions it; without the rewrites every KL/t is.  Raises
+    UnsupportedFeature when two atoms KL/p take one name, e.g. K~p and
+    K(not-p), or Kp/{q} and K(p__q).
 
     Equal literals and conditions are one object, interned by dicts that
     live as long as the build: the tags that give a rule one projection
@@ -285,27 +302,36 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
 
     for L in lits:
         declare(L, EMPTY_TAG)
-    # per tag t: the literals relevant to each literal merged through t,
-    # one frozenset per merge, shared by its tags
-    useful: Dict[Tag, List[FrozenSet[Literal]]] = {}
+    # per tag t: the literals merged through t
+    targets: Dict[Tag, List[Literal]] = {}
     for m in spec.merges:
         for t in m.tags:
-            useful.setdefault(t, []).append(ctx.rel.relevant_to(m.target))
-    # per tag t: L -> the name of KL/t for the heads t keeps; per head L:
-    # the p of the atoms KL/p whose rules are built
+            targets.setdefault(t, []).append(m.target)
+    # per set of targets: the literals relevant to one of them, the heads
+    # whose rules a tag that merges them keeps
+    useful: Dict[FrozenSet[Literal], FrozenSet[Literal]] = {}
+    # per tag t: each target merged through t -> the name of its atom at
+    # t; per head L: the p of the atoms KL/p whose rules are built
     kept: Dict[Tag, Dict[Literal, str]] = {}
     built: Dict[Literal, Set[Tag]] = {L: {EMPTY_TAG} for L in lits}
     for t in spec.tags:
+        here = frozenset(targets.get(t, ()))
         if optimized:  # rewrites (1) and (2)
-            tagged = projections(t, ctx)
-            keep = sorted(L for L in tagged
-                          if any(L in u for u in useful.get(t, ())))
+            if not here:
+                continue  # no merge reads KL/t
+            wanted = useful.get(here)
+            if wanted is None:
+                wanted = useful[here] = frozenset().union(
+                    *map(ctx.rel.relevant_to, here))
+            tagged = projections(t, ctx, wanted)
         else:
-            keep = tagged = dict.fromkeys(lits if t else (), t)
+            tagged = dict.fromkeys(lits if t else (), t)
         names = kept[t] = {}
-        for L in keep:
-            names[L] = declare(L, tagged[L])
+        for L in sorted(tagged):
+            name = declare(L, tagged[L])
             built[L].add(tagged[L])
+            if L in here:
+                names[L] = name
 
     # one object per value, for this build: each name -> its literal at
     # each value; each condition -> itself
@@ -323,8 +349,9 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
 
     goal = frozenset(lit(plain[L]) for L in problem.goal)
 
-    # rewrite (4): the literals c whose atoms Kc/q are constants, as no
-    # source rule sets their fluent and no merge sets Kc
+    # rewrite (4): the literals c whose atoms Kc/q never become true, as
+    # no source rule sets c and no merge sets Kc; of a fluent that no rule
+    # sets, they never become false either
     units = pi.closure(EMPTY_TAG)
     folded: Set[Literal] = set()
     if optimized:
@@ -333,7 +360,8 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
         for m in spec.merges:
             merged.add(m.target)
             merged.update(o.negate() for o in ctx.mutexes.mutex_with(m.target))
-        folded = {c for c in lits if c.fluent not in changed} - merged
+        folded = set(lits).difference(
+            [r.effect for a in problem.actions for r in a.rules], merged)
 
     # a rule with head KL/p names each condition c atoms[p][c], which is
     # Kc/(p & relevant_to(c)) from c's first lookup on: every tag that
@@ -348,19 +376,30 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
                     (r.effect, r.condition, True),
                     (r.effect.negate(), [c.negate() for c in r.condition],
                      False)):
-                # Kc/p for a folded c is true iff c is in p or the units
+                # Kc/p for a folded c starts true iff c is in p or the
+                # units, and is a constant if it starts false or no rule
+                # sets its fluent
                 static = [c for c in cond if c in folded]
                 if static:
                     cond = [c for c in cond if c not in folded]
                 for p in built[L]:
-                    if any((c in p or c in units) != value for c in static):
-                        continue  # a conjunct that never holds
-                    at = atoms[p]
-                    rules.add(Rule(
-                        share(frozenset([lit(at.get(c) or at.setdefault(
-                            c, atoms[p & relevant_to(c)][c]), value)
-                            for c in cond])),
-                        lit(at[L], value)))
+                    if not value and L in folded and L not in p \
+                            and L not in units:
+                        continue  # deletes an atom that is false for good
+                    conj = cond
+                    for c in static:
+                        start = c in p or c in units
+                        if start and c.fluent in changed:
+                            conj = conj + [c]  # an atom that may fall
+                        elif start != value:
+                            break  # a conjunct that never holds
+                    else:
+                        at = atoms[p]
+                        rules.add(Rule(
+                            share(frozenset([lit(at.get(c) or at.setdefault(
+                                c, atoms[p & relevant_to(c)][c]), value)
+                                for c in conj])),
+                            lit(at[L], value)))
         if optimized:
             # extra deduction: a: C,~L -> L with no a-rule deleting L
             heads = {r.effect for r in a.rules}
@@ -457,7 +496,14 @@ def simplify(K: ClassicalProblem) -> ClassicalProblem:
     C -> B is idle too when C holds B (by class) and no firing rule of
     its action sets ~B under a condition that holds no class at both
     values with C: where it fires B holds, and nothing clashes with it.
-    On bomb under ``ks0`` this drops the merges to Knot-clogged-t.
+    On bomb under ``ks0`` this drops the merges to Knot-clogged-t.  And
+    a firing rule C -> B is idle when a firing rule of its action sets B
+    to the same normalized value under a condition strictly within C (by
+    class): that rule fires wherever C -> B does, so C -> B changes
+    nothing more and raises no clash of its own, as translator
+    preprocessing drops such effects (Helmert 2009).  On square-center-3
+    this drops down's Ky3 -> Knot-y3 beside rewrite (3)'s true ->
+    Knot-y3.
 
     Each distinct condition is worked out once, for (2) and for the
     rewrite, so a condition that K shares (``ktm`` builds one object per
@@ -489,9 +535,11 @@ def simplify(K: ClassicalProblem) -> ClassicalProblem:
     of (2) apart, or that kept a rule from matching in (4); so while (4)
     drops a conjunct or (3) an idle rule, the pass runs again on its own,
     smaller, result.  On disjtoy-9 ``ks0`` the second pass sees 10 atoms
-    instead of 513.  A second ``simplify`` changes nothing, unless (2)
-    finds that a rule which (1) lets fire never fires and that rule alone
-    changed an atom: only the second pass finds that atom fixed.
+    instead of 513; square-center, corners-square and sgripper run one
+    for the rules within a sibling's condition.  A second ``simplify``
+    changes nothing, unless (2) finds that a rule which (1) lets fire
+    never fires and that rule alone changed an atom: only the second
+    pass finds that atom fixed.
     """
     while True:
         K, dropped = _simplify_pass(K)
@@ -739,22 +787,16 @@ def _simplify_pass(K: ClassicalProblem) -> Tuple[ClassicalProblem, bool]:
     def codes_of(c) -> Set[int]:
         return set(map(get, c)) if isinstance(c, frozenset) else {code[c]}
 
-    def clashes(codes: Set[int], i: int, e: bool, f: str) -> bool:
-        """Whether a firing rule of action i sets f to the normalized value
-        not e under a condition that holds no class at both values with
-        codes."""
-        for i2, _, c2, e2 in setters[f]:
-            if i2 == i and e2 != e:
-                both = codes | codes_of(c2)
-                if len({x >> 1 for x in both}) == len(both):
-                    return True
-        return False
+    def compatible(codes: Set[int]) -> bool:
+        """Whether codes hold no class at both values."""
+        return len({x >> 1 for x in codes}) == len(codes)
 
     # the read closure, and per used action the indexes of its kept rules,
-    # less the idle rules: their head, odd code y, is monotone and implied
-    # by a literal of their condition; or their head is in their condition
-    # and no rule of their action that can fire with them sets its
-    # complement
+    # less the idle rules: a rule of their action sets their head to the
+    # same value under a condition strictly within theirs; or their head,
+    # odd code y, is monotone and implied by a literal of their condition;
+    # or their head is in their condition and no rule of their action
+    # that can fire with them sets its complement
     read: Set[str] = set()
     used: Dict[int, Set[int]] = {}
     idle = False
@@ -765,13 +807,22 @@ def _simplify_pass(K: ClassicalProblem) -> Tuple[ClassicalProblem, bool]:
             continue
         read.add(f)
         y = code[Literal(f, True)] | 1
+        # (action, normalized value) -> the condition codes of its rules
+        # that set f to that value
+        by_action: Dict[Tuple[int, bool], List[Set[int]]] = {}
+        setting = []
         for i, j, c, e in setters[f]:
             codes = codes_of(c)
-            if len({x >> 1 for x in codes}) < len(codes):
-                continue  # holds a class at both values
-            if e and is_monotone(y) and any(
-                    x & 1 and implied(x, 1 << y) for x in codes) or (
-                    ((y ^ 1) | e) in codes and not clashes(codes, i, e, f)):
+            if compatible(codes):  # else it never fires
+                by_action.setdefault((i, e), []).append(codes)
+                setting.append((i, j, c, e, codes))
+        for i, j, c, e, codes in setting:
+            if any(d < codes for d in by_action[i, e]) or (
+                    e and is_monotone(y) and any(
+                        x & 1 and implied(x, 1 << y) for x in codes)) or (
+                    ((y ^ 1) | e) in codes and not any(
+                        compatible(codes | d)
+                        for d in by_action.get((i, not e), ()))):
                 idle = True
                 continue
             if isinstance(c, frozenset):

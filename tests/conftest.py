@@ -920,27 +920,34 @@ def project_reference(K: ClassicalProblem, problem: ConformantProblem,
 
 def fold_reference(K: ClassicalProblem, problem: ConformantProblem,
                    spec: TranslationSpec, ctx: Context) -> ClassicalProblem:
-    """``project_reference``'s encoding K with the static literals folded:
-    a literal c whose fluent no rule of ``problem`` sets, and whose atom Kc
-    no merge sets (as its target, or as the complement of a literal mutex
-    with its target), is relevant to itself alone, so every atom Kc/q that
-    K names is Kc/{c}, always true, or Kc, true iff I entails c.  A
-    support or cancellation rule with a conjunct that never holds goes,
-    and the conjuncts that always hold are left out of the others.  The
-    extra deduction rules KC -> KL of ``reference_ktm`` stay as they are,
-    and so do the merges, the preconditions and the goal.  Only the atoms
-    still mentioned are declared."""
-    changed = {r.effect.fluent for a in problem.actions for r in a.rules}
+    """``project_reference``'s encoding K with the folded literals: a
+    literal c that no rule of ``problem`` sets, and whose atom Kc no merge
+    sets (as its target, or as the complement of a literal mutex with its
+    target).  Each atom Kc/p that K names, for the projection p of a tag
+    onto c, starts true iff c is in p or I entails c, and never becomes
+    true, as no rule sets it; it is a constant if it starts false or no
+    rule sets ~c either.  A support or cancellation rule with a conjunct
+    that never holds goes, and so does a rule whose head is a constant
+    atom; the conjuncts that always hold are left out of the others.
+    The extra deduction rules KC -> KL of ``reference_ktm`` stay as they
+    are, and so do the merges, the preconditions and the goal.  Only the
+    atoms still mentioned are declared."""
+    heads = {r.effect for a in problem.actions for r in a.rules}
+    changed = {L.fluent for L in heads}
     merged = set()
     for m in spec.merges:
         merged.add(m.target)
         merged |= {o.negate() for o in ctx.mutexes.mutex_with(m.target)}
     units = ctx.pi.closure(EMPTY_TAG)
+    extras = {ctx.pi.closure(t) - units for t in spec.tags}
     value: Dict[str, bool] = {}  # each constant atom -> its value
     for c in all_literals(problem.fluents):
-        if c.fluent not in changed and c not in merged:
-            value[atom_name(c)] = c in units
-            value[atom_name(c, frozenset([c]))] = True
+        if c in heads or c in merged:
+            continue
+        for p in {extra & ctx.rel.relevant_to(c) for extra in extras}:
+            start = c in p or c in units
+            if not start or c.fluent not in changed:
+                value[atom_name(c, p)] = start
 
     actions = []
     for a in K.actions:
@@ -964,8 +971,9 @@ def fold_reference(K: ClassicalProblem, problem: ConformantProblem,
                 rules.add(r)
                 if r not in plain_support:
                     continue  # only a deduction rule
-            if all(value[l.fluent] == l.positive
-                   for l in r.condition if l.fluent in value):
+            if r.effect.fluent not in value and all(
+                    value[l.fluent] == l.positive
+                    for l in r.condition if l.fluent in value):
                 rules.add(Rule(frozenset(l for l in r.condition
                                          if l.fluent not in value),
                                r.effect))

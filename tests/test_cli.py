@@ -158,8 +158,9 @@ def test_translate_drops_the_atoms_nothing_reads(tmp_path, capsys):
     emitted = kplan.pddl.load_classical(*texts)
     assert len(emitted.fluents) == 32
     assert sum(len(a.rules) for a in emitted.actions) == 528
-    # what ktm built, before the simplification
-    assert report["built"] == {"atoms": 128, "conditional_effects": 2352}
+    # what ktm built, before the simplification: no support rule that
+    # reads an atom Kc/p that starts false and that no rule makes true
+    assert report["built"] == {"atoms": 96, "conditional_effects": 1328}
 
 
 @pytest.mark.parametrize("family,n,scheme,built", [
@@ -246,9 +247,12 @@ def test_pruned_ring_size_is_exact(n):
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10])
 def test_pruned_square_center_ks0_size_is_exact(n):
-    # KL/t depends only on the values t gives the fluents relevant to L
+    # KL/t depends only on the values t gives the fluents relevant to L.
+    # Each of the four moves keeps rewrite (3)'s rule true -> Knot-c for
+    # the row or column c at its far end, as down's true -> Knot-y4 on
+    # n = 4, and not the rule Kc -> Knot-c beside it.
     assert optimized_sizes("square-center", n, scheme="ks0") == \
-        (2 * n * n + 4 * n, 8 * n * n + 10 * n - 12)
+        (2 * n * n + 4 * n, 8 * n * n + 10 * n - 16)
 
 
 @pytest.mark.parametrize("scheme", sorted(SPEC_BUILDERS))
@@ -295,7 +299,7 @@ def test_solve_ladder_encoding_sizes():
             atoms += stage["translation"]["atoms"]
             effects += stage["translation"]["conditional_effects"]
             assert stage["built"]["atoms"] >= stage["translation"]["atoms"]
-    assert (atoms, effects) == (306, 1218)
+    assert (atoms, effects) == (306, 1201)
 
 
 # the ops of the benchmark's translate workload
@@ -319,13 +323,14 @@ def test_translate_workload_encoding_sizes(tmp_path, capsys):
         atoms += len(emitted.fluents)
         effects += sum(len(a.rules) for a in emitted.actions)
     capsys.readouterr()
-    assert (atoms, effects) == (254, 1169)
+    assert (atoms, effects) == (254, 1165)
 
 
 def test_translate_workload_built_sizes(tmp_path, capsys):
     """What `ktm` builds on these ops before `simplify`, summed: a change
     that builds more fails here.  Folding the static literals took it
-    from 1976/15887 to 1802/9679."""
+    from 1976/15887 to 1802/9679, and the literals that no rule makes
+    true to 1744/8177."""
     atoms = effects = 0
     for family, params, scheme in TRANSLATE_OPS:
         dom, prob = gen_instance(tmp_path, family, *params)
@@ -336,7 +341,7 @@ def test_translate_workload_built_sizes(tmp_path, capsys):
         atoms += built["atoms"]
         effects += built["conditional_effects"]
     capsys.readouterr()
-    assert (atoms, effects) == (1802, 9679)
+    assert (atoms, effects) == (1744, 8177)
 
 
 def test_solve_validate_round_trip(tmp_path, capsys):
@@ -446,6 +451,23 @@ def test_solve_cap_error_is_a_stage_status_with_a_report(
     assert capped and all(s["error"].startswith(error) for s in capped)
     # the ladder went on to its last stage
     assert report["stages"][-1]["scheme"] == "kmodels"
+
+
+def test_solve_names_the_verdict_of_a_rejected_stage(tmp_path, capsys):
+    # kmodels solves sortnet-4's compiled goal atoms, and the oracle
+    # rejects the plan: stderr gives the oracle's reason beside the stage
+    dom, prob = gen_instance(tmp_path, "sortnet", 4)
+    report_path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "solve", str(dom), str(prob),
+                             "--report", str(report_path))
+    assert code == 1
+    rejected = [s for s in json.loads(report_path.read_text())["stages"]
+                if "verdict" in s]
+    assert [s["scheme"] for s in rejected] == ["kmodels"]
+    reason = rejected[0]["verdict"]["reason"]
+    assert reason.startswith("goal clauses not satisfied: ")
+    assert (f"  stage kmodels (copies=0): solved, plan rejected ({reason})\n"
+            in err)
 
 
 def test_translate_ks0_past_the_state_cap_exits_2_with_a_report(
