@@ -21,11 +21,7 @@ from .pi import DEFAULT_PI_CLAUSE_CAP, PICNF, prime_implicates
 
 
 def all_literals(fluents: Iterable[str]) -> List[Literal]:
-    out: List[Literal] = []
-    for f in sorted(fluents):
-        out.append(neg(f))
-        out.append(pos(f))
-    return out
+    return [Literal(f, v) for f in sorted(fluents) for v in (False, True)]
 
 
 class RelevanceGraph:

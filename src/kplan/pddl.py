@@ -463,7 +463,9 @@ class _Grounder:
         self.domain = domain
         self.rule_count = 0
         self.objects = _objects_by_type(domain, problem)
-        self.ground_lits: Dict[LiteralTemplate, Literal] = {}
+        # one object per value: each literal, under (predicate, *arguments,
+        # sign) and in clauses under its template; each condition, itself
+        self.interned: Dict[object, object] = {}
         # ground atom name -> (predicate, *arguments)
         self.fluents: Dict[str, Tuple[str, ...]] = {}
         for pname, ptypes in domain.predicates.items():
@@ -484,28 +486,27 @@ class _Grounder:
         if atom.predicate not in self.domain.predicates:
             raise PddlSyntaxError(
                 f"undeclared predicate '{atom.predicate}' in {where}")
-        args = []
         for a in atom.args:
-            if a.startswith("?"):
-                if a not in binding:
-                    raise PddlSyntaxError(
-                        f"unbound variable '{a}' in {where}")
-                args.append(binding[a])
-            else:
-                args.append(a)
-        name = ground_atom_name(atom.predicate, args)
-        if self.fluents.get(name) != (atom.predicate, *args):
-            raise PddlSyntaxError(
-                f"atom '{name}' uses objects of the wrong type in {where}")
-        return Literal(name, t.positive)
+            if a.startswith("?") and a not in binding:
+                raise PddlSyntaxError(f"unbound variable '{a}' in {where}")
+        args = [binding[a] if a.startswith("?") else a for a in atom.args]
+        key = (atom.predicate, *args, t.positive)
+        found = self.interned.get(key)
+        if found is None:  # named and type-checked once per literal
+            name = ground_atom_name(atom.predicate, args)
+            if self.fluents.get(name) != key[:-1]:
+                raise PddlSyntaxError(
+                    f"atom '{name}' uses objects of the wrong type in {where}")
+            found = self.interned[key] = Literal(name, t.positive)
+        return found
 
     def clause(self, c: ClauseTemplate, where: str) -> Clause:
-        # a oneof of n members repeats each in n - 1 exclusions: ground
-        # each variable-free literal once
-        for l in c:
-            if l not in self.ground_lits:
-                self.ground_lits[l] = self._ground_literal(l, {}, where)
-        return frozenset(self.ground_lits[l] for l in c)
+        # each oneof member is grounded once, then found under its template
+        return frozenset([self.interned.get(l) or self.interned.setdefault(
+            l, self._ground_literal(l, {}, where)) for l in c])
+
+    def share(self, condition: Clause) -> Clause:
+        return self.interned.setdefault(condition, condition)
 
     def _walk_effect(self, node: EffNode, binding: Dict[str, str],
                      condition: FrozenSet[Literal], where: str,
@@ -524,8 +525,8 @@ class _Grounder:
             merged = condition | extra
             if not lits_consistent(merged):
                 return  # condition can never hold
-            self._walk_effect(node.effect, binding, merged, where, rules,
-                              nondet)
+            self._walk_effect(node.effect, binding, self.share(merged), where,
+                              rules, nondet)
         elif isinstance(node, EffForall):
             for obj in self.objects.get(node.type, []):
                 inner = dict(binding)
@@ -567,9 +568,10 @@ class _Grounder:
                     continue  # never applicable
                 rules: List[Rule] = []
                 nondet: List[NondetRule] = []
-                self._walk_effect(schema.effect, binding, frozenset(), where,
-                                  rules, nondet)
-                out.append(Action(name, pre, tuple(rules), tuple(nondet)))
+                self._walk_effect(schema.effect, binding,
+                                  self.share(frozenset()), where, rules, nondet)
+                out.append(Action(name, self.share(pre), tuple(rules),
+                                  tuple(nondet)))
         return out
 
 

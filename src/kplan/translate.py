@@ -39,17 +39,16 @@ from .model import (
 from .pi import DEFAULT_MODEL_CAP, DEFAULT_STATE_CAP, EMPTY_TAG, Merge, Tag
 
 SEPARATOR = "__"
-
-
-def tag_suffix(tag: Tag) -> str:
-    """What follows KL in the name of KL/t: a separator and a token per
-    literal of t, in sorted order; nothing for the empty tag."""
-    return "".join(SEPARATOR + l.token for l in sorted(tag))
+Masks = Tuple[List[Literal], Dict[Literal, int], Dict[Literal, int],
+              Dict[Literal, int]]
 
 
 def atom_name(base: Literal, tag: Tag = EMPTY_TAG) -> str:
-    """The name of the classical fluent KL/t.  KL/empty prints as KL."""
-    return "K" + base.token + tag_suffix(tag)
+    """The name of the classical fluent KL/t: K, the token of L, and a
+    separator and a token per literal of t, in sorted order.  KL/empty
+    prints as KL."""
+    return "K" + base.token + "".join(SEPARATOR + l.token
+                                      for l in sorted(tag))
 
 
 def tag_digest(tags: Iterable[Tag]) -> str:
@@ -154,22 +153,43 @@ def spec_ki(ctx: Context, i: int, include_all: bool = False) -> TranslationSpec:
 
 # --- the core builder -------------------------------------------------------
 
-def projections(t: Tag, ctx: Context,
-                wanted: Optional[FrozenSet[Literal]] = None
-                ) -> Dict[Literal, Tag]:
-    """L -> the projection of t onto L, the literals of t* outside the
-    closure of the empty tag that are relevant to L, for each literal L
-    (of ``wanted``, when given) where it is not empty.  Only these
-    literals of t* can make KL/t differ from KL.  Under the rewrites
-    ``ktm`` names KL/t as KL/p for this p, and ``inject_reset_effects``
-    resets the atoms so named.  Both take it once per tag, so ``ctx.pi``
-    does not cache the closure of t."""
+def literal_masks(ctx: Context) -> Masks:
+    """The literals of ``ctx.problem``'s fluents in sorted order, the bit
+    of each, and per literal the mask of the literals relevant to it and
+    that of the literals it is relevant to."""
+    lits = analysis.all_literals(ctx.problem.fluents)
+    bit = {L: 1 << i for i, L in enumerate(lits)}
+    return lits, bit, *[{L: sum(map(bit.__getitem__, edges(L))) for L in lits}
+                        for edges in (ctx.rel.relevant_to,
+                                      ctx.rel.reachable_from)]
+
+
+def masked(items: List, mask: int) -> List:
+    """The items at the bits that mask sets, in order."""
+    out = []
+    while mask:  # take the lowest bit, then clear it
+        out.append(items[(mask & -mask).bit_length() - 1])
+        mask &= mask - 1
+    return out
+
+
+def projections(t: Tag, ctx: Context, masks: Masks, wanted: int = -1
+                ) -> Tuple[int, Dict[Literal, int]]:
+    """The mask of the literals of t* outside the closure of the empty
+    tag, and L -> the projection of t onto L, those of them relevant to L,
+    for each literal L (of the mask ``wanted``) where it is not empty;
+    ``masks`` is ``literal_masks(ctx)``.  Only these literals of t* can
+    make KL/t differ from KL.  Under the rewrites ``ktm`` names KL/t as
+    KL/p for this p, and ``inject_reset_effects`` resets the atoms so
+    named.  Both take it once per tag, so ``ctx.pi`` does not cache the
+    closure of t."""
+    lits, bit, relevant, reachable = masks
     extra = ctx.pi.scratch().closure(t) - ctx.pi.closure(EMPTY_TAG)
-    rel = ctx.rel
-    reach = set().union(*map(rel.reachable_from, extra))
-    if wanted is not None:
-        reach &= wanted
-    return {L: extra & rel.relevant_to(L) for L in reach}
+    mask = sum(map(bit.__getitem__, extra))
+    reach = 0
+    for r in map(reachable.__getitem__, extra):
+        reach |= r
+    return mask, {L: mask & relevant[L] for L in masked(lits, reach & wanted)}
 
 
 def changed_fluents(problem: ConformantProblem) -> Set[str]:
@@ -178,10 +198,9 @@ def changed_fluents(problem: ConformantProblem) -> Set[str]:
     return {r.effect.fluent for a in problem.actions for r in a.rules}
 
 
-def _describe(L: Literal, t: Tag) -> str:
-    if not t:
-        return str(L)
-    return f"{L} under the tag {{{', '.join(map(str, sorted_lits(t)))}}}"
+def _describe(lits: List[Literal], L: Literal, p: int) -> str:
+    tag = ", ".join(map(str, masked(lits, p)))
+    return f"{L} under the tag {{{tag}}}" if p else str(L)
 
 
 def ktm(problem: ConformantProblem, spec: TranslationSpec,
@@ -239,26 +258,28 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
     whose fluent no rule sets, bomb-16-16 ``ki:1`` built 128/2352
     instead of 96/1328.
 
-    The build is keyed by (literal, projection), the projection of t
-    being t itself without the rewrites.  Each tag t gives the p of the
-    atom KL/p that KL/t is (``projections``, which projects t only onto
-    the literals relevant to a target merged through t) for the heads L
-    whose rules it keeps; the empty tag keeps every head, at KL.  Per
-    tag, only the names of the merged targets are kept, for the merges.
-    Each rule C -> L is built once per p found for L and names each
-    condition c Kc/(p & relevant_to(c)), Kc/p without the rewrites.  KL/t
-    starts true iff L is in t*, which under the rewrites holds iff L is
-    in p or in the closure of the empty tag.  Optimized, an atom is
-    declared only where a rule, a merge, the goal or a precondition
-    mentions it; without the rewrites every KL/t is.  Raises
-    UnsupportedFeature when two atoms KL/p take one name, e.g. K~p and
-    K(not-p), or Kp/{q} and K(p__q).
+    The build is keyed by (literal, projection), a projection being a
+    bitmask over the sorted literals (``literal_masks``), the whole tag
+    without the rewrites.  Each tag t gives the p of the atom KL/p that
+    KL/t is (``projections``, which projects t only onto the literals
+    relevant to a target merged through t) for the heads L whose rules it
+    keeps; the empty tag keeps every head, at KL.  Per tag, only the mask
+    its projections are taken from is kept, for the merges.  Each rule
+    C -> L is built once per p found for L and names each condition c
+    Kc/(p & relevant_to(c)), Kc/p without the rewrites.  KL/t starts true
+    iff L is in t*, which under the rewrites holds iff L is in p or in the
+    closure of the empty tag.  Optimized, an atom is declared only where a
+    rule, a merge, the goal or a precondition mentions it; without the
+    rewrites every KL/t is.  Raises UnsupportedFeature when two atoms KL/p
+    take one name, e.g. K~p and K(not-p), or Kp/{q} and K(p__q).
 
     Equal literals and conditions are one object, interned by dicts that
-    live as long as the build: the tags that give a rule one projection
-    give it equal conditions: disjtoy-9 ``ks0`` builds 2314 rules over 2
-    distinct conditions and 513 distinct literals.  (Before (4), with
-    4618 rules, a copy per rule made 4618 conditions and 9757 literals.)
+    live as long as the build: disjtoy-9 ``ks0`` builds 2314 rules over 2
+    distinct conditions and 513 distinct literals (a copy per rule made
+    4618 conditions and 9757 literals before (4)).  Its 512 tags keep an
+    int each, and its build peaks at 0.62 MB traced: 1.19 MB with a
+    frozenset per projection, a name dict per projection and per tag, and
+    a target list per tag.
     """
     if problem.goal_clauses:
         raise UnsupportedFeature("compile clause goals away first")
@@ -267,71 +288,54 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
     if ctx is None:
         ctx = build_context(problem)
     pi = ctx.pi
+    lits, bit, relevant, _ = masks = literal_masks(ctx)
     if not spec.trusted:
         for t in spec.tags:
-            if not pi.tag_consistent(t):
-                raise InvalidSpec(f"inconsistent tag {sorted_lits(t)}")
+            if not (bit.keys() >= t and pi.tag_consistent(t)):
+                raise InvalidSpec(f"tag {sorted_lits(t)} is inconsistent or "
+                                  "not over the problem's fluents")
         for m in spec.merges:
             if not pi.merge_valid(m):
                 raise InvalidSpec(f"invalid merge for {m.target}")
 
-    lits = analysis.all_literals(problem.fluents)
+    # the literals KL/p may be projected onto: those relevant to L under
+    # the rewrites; all of them without, where p is the whole tag
+    scope = relevant if optimized else dict.fromkeys(lits, -1)
     plain = {L: atom_name(L) for L in lits}
-    # p -> L -> the name of KL/(p & relevant_to(L)), KL/p without the
-    # rewrites: KL/p itself for the atoms ``declare`` names.  Each name ->
-    # its (L, p); each p -> the suffix of its names.
-    atoms: Dict[Tag, Dict[Literal, str]] = {}
-    sources: Dict[str, Tuple[Literal, Tag]] = {}
-    suffixes: Dict[Tag, str] = {}
-
-    def declare(L: Literal, p: Tag) -> str:
-        """The name of KL/p; under the rewrites p is within relevant_to(L)."""
-        at = atoms.get(p)
-        if at is None:
-            at = atoms[p] = {}
-            suffixes[p] = tag_suffix(p)
-        found = at.get(L)
-        if found is None:
-            found = at[L] = plain[L] + suffixes[p]
-            other = sources.setdefault(found, (L, p))
-            if other != (L, p):
-                raise UnsupportedFeature(
-                    f"the knowledge atoms of {_describe(*other)} and of "
-                    f"{_describe(L, p)} both take the name '{found}'")
-        return found
-
-    for L in lits:
-        declare(L, EMPTY_TAG)
-    # per tag t: the literals merged through t
-    targets: Dict[Tag, List[Literal]] = {}
+    tokens = [SEPARATOR + L.token for L in lits]
+    # (L, p) -> the name of KL/p, in the order the tags first give them
+    names: Dict[Tuple[Literal, int], str] = {(L, 0): plain[L] for L in lits}
+    # per tag t that a merge reads: the literals relevant to a target
+    # merged through t, until t is built; then the literals of t*
+    # outside the closure of the empty tag, t itself without the rewrites
+    mask_of: Dict[Tag, int] = {}
     for m in spec.merges:
         for t in m.tags:
-            targets.setdefault(t, []).append(m.target)
-    # per set of targets: the literals relevant to one of them, the heads
-    # whose rules a tag that merges them keeps
-    useful: Dict[FrozenSet[Literal], FrozenSet[Literal]] = {}
-    # per tag t: each target merged through t -> the name of its atom at
-    # t; per head L: the p of the atoms KL/p whose rules are built
-    kept: Dict[Tag, Dict[Literal, str]] = {}
-    built: Dict[Literal, Set[Tag]] = {L: {EMPTY_TAG} for L in lits}
+            mask_of[t] = mask_of.get(t, 0) | relevant[m.target]
+    # per head L: the p of the atoms KL/p whose rules are built; and
+    # without the rewrites, per tag t: the literals of t*
+    built: Dict[Literal, Set[int]] = {L: {0} for L in lits}
+    closed: Dict[int, int] = {}
     for t in spec.tags:
-        here = frozenset(targets.get(t, ()))
         if optimized:  # rewrites (1) and (2)
-            if not here:
+            if t not in mask_of:
                 continue  # no merge reads KL/t
-            wanted = useful.get(here)
-            if wanted is None:
-                wanted = useful[here] = frozenset().union(
-                    *map(ctx.rel.relevant_to, here))
-            tagged = projections(t, ctx, wanted)
+            mask_of[t], tagged = projections(t, ctx, masks, mask_of[t])
         else:
-            tagged = dict.fromkeys(lits if t else (), t)
-        names = kept[t] = {}
-        for L in sorted(tagged):
-            name = declare(L, tagged[L])
-            built[L].add(tagged[L])
-            if L in here:
-                names[L] = name
+            mask_of[t] = sum(map(bit.__getitem__, t))
+            closed[mask_of[t]] = sum(map(bit.__getitem__, pi.closure(t)))
+            tagged = dict.fromkeys(lits if t else (), mask_of[t])
+        for L, p in tagged.items():  # in sorted order
+            if (L, p) not in names:
+                names[L, p] = plain[L] + "".join(masked(tokens, p))
+            built[L].add(p)
+    first = {name: key for key, name in reversed(names.items())}
+    for key, name in names.items():
+        if first[name] != key:
+            raise UnsupportedFeature(
+                f"the knowledge atoms of {_describe(lits, *first[name])} and "
+                f"of {_describe(lits, *key)} both take the name '{name}'")
+    del first
 
     # one object per value, for this build: each name -> its literal at
     # each value; each condition -> itself
@@ -352,7 +356,7 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
     # rewrite (4): the literals c whose atoms Kc/q never become true, as
     # no source rule sets c and no merge sets Kc; of a fluent that no rule
     # sets, they never become false either
-    units = pi.closure(EMPTY_TAG)
+    units = sum(map(bit.__getitem__, pi.closure(EMPTY_TAG)))
     folded: Set[Literal] = set()
     if optimized:
         changed = changed_fluents(problem)
@@ -363,10 +367,9 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
         folded = set(lits).difference(
             [r.effect for a in problem.actions for r in a.rules], merged)
 
-    # a rule with head KL/p names each condition c atoms[p][c], which is
-    # Kc/(p & relevant_to(c)) from c's first lookup on: every tag that
-    # gives p names c so, as relevant_to(c) is within relevant_to(L)
-    relevant_to = ctx.rel.relevant_to
+    # a rule with head KL/p names each condition c Kc/(p & scope[c]):
+    # every tag that gives L the projection p gives c that one, as
+    # relevant_to(c) is within relevant_to(L)
     actions: List[Action] = []
     for a in problem.actions:
         rules: Set[Rule] = set()
@@ -383,23 +386,21 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
                 if static:
                     cond = [c for c in cond if c not in folded]
                 for p in built[L]:
-                    if not value and L in folded and L not in p \
-                            and L not in units:
+                    start = p | units
+                    if not value and L in folded and not start & bit[L]:
                         continue  # deletes an atom that is false for good
                     conj = cond
                     for c in static:
-                        start = c in p or c in units
-                        if start and c.fluent in changed:
+                        on = bool(start & bit[c])
+                        if on and c.fluent in changed:
                             conj = conj + [c]  # an atom that may fall
-                        elif start != value:
+                        elif on != value:
                             break  # a conjunct that never holds
                     else:
-                        at = atoms[p]
                         rules.add(Rule(
-                            share(frozenset([lit(at.get(c) or at.setdefault(
-                                c, atoms[p & relevant_to(c)][c]), value)
-                                for c in conj])),
-                            lit(at[L], value)))
+                            share(frozenset([lit(names[c, p & scope[c]], value)
+                                             for c in conj])),
+                            lit(names[L, p], value)))
         if optimized:
             # extra deduction: a: C,~L -> L with no a-rule deleting L
             heads = {r.effect for r in a.rules}
@@ -415,11 +416,12 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
                               tuple(sorted(rules, key=Rule.sort_key))))
 
     for m in dict.fromkeys(spec.merges):  # a merge listed twice is one action
-        cond = share(frozenset(lit(kept[t].get(m.target, plain[m.target]))
+        L = m.target
+        cond = share(frozenset(lit(names[L, mask_of[t] & scope[L]])
                                for t in m.tags))
-        effects = [Rule(cond, lit(plain[m.target]))]
-        for other in sorted(ctx.mutexes.mutex_with(m.target)):
-            if other == m.target.negate():
+        effects = [Rule(cond, lit(plain[L]))]
+        for other in sorted(ctx.mutexes.mutex_with(L)):
+            if other == L.negate():
                 continue
             effects.append(Rule(cond, lit(plain[other.negate()])))
         actions.append(Action(merge_action_name(m), share(frozenset()),
@@ -435,13 +437,12 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
                 mentioned.add(L)
         declared = {f for f, _ in mentioned}
     else:
-        declared = set(sources)
+        declared = set(names.values())
     # KL/p starts true iff L is in p*, or under the rewrites in p or the
-    # closure of the empty tag; an entry for L in atoms[p] whose atom is
-    # KL/(p & relevant_to(L)) agrees, as L is relevant to itself
-    init = {lit(at[L]) for p, at in atoms.items()
-            for L in (p | units if optimized else pi.closure(p))
-            if at.get(L) in declared}
+    # closure of the empty tag
+    init = {lit(name) for (L, p), name in names.items()
+            if name in declared
+            and bit[L] & (p | units if optimized else closed[p])}
     return ClassicalProblem(frozenset(declared), frozenset(init),
                             tuple(actions), goal)
 
@@ -1002,6 +1003,7 @@ def inject_reset_effects(K: ClassicalProblem, ctx: Context,
     if not resets:
         return K
     changed = changed_fluents(ctx.problem)
+    masks = literal_masks(ctx)
     new_actions = []
     for a in K.actions:
         hidden = resets.get(a.name)
@@ -1013,10 +1015,10 @@ def inject_reset_effects(K: ClassicalProblem, ctx: Context,
         for t in spec.tags:
             if not any(l.fluent in hidden_set for l in t):
                 continue
-            for L, p in projections(t, ctx).items():
+            for L, p in projections(t, ctx, masks)[1].items():
                 if L.fluent not in changed:
                     continue  # static knowledge survives the reset
-                name = atom_name(L, p)
+                name = atom_name(L, masked(masks[0], p))
                 if name not in K.fluents:
                     continue  # K has no atom KL/p to reset
                 plain = atom_name(L)

@@ -185,22 +185,25 @@ SPEC_BUILDERS = {"ki:1": lambda ctx: kplan.spec_ki(ctx, 1),
                  "kmodels": kplan.spec_kmodels, "ks0": kplan.spec_ks0}
 
 
-@pytest.mark.parametrize("family,n,scheme,bound_mb", [
-    ("disjtoy", 9, "ks0", 2.4), ("sortnet", 7, "ki:1", 1.5)])
-def test_translate_peak_memory(tmp_path, capsys, family, n, scheme,
+@pytest.mark.parametrize("family,sizes,scheme,bound_mb", [
+    ("disjtoy", "9", "ks0", 1.7), ("disjtoy", "9", "kmodels", 1.7),
+    ("bomb", "16-16", "ki:1", 1.5), ("sortnet", "7", "ki:1", 1.5)])
+def test_translate_peak_memory(tmp_path, capsys, family, sizes, scheme,
                                bound_mb):
     """The peak of the Python allocations of a warm `kplan translate`, by
     tracemalloc: the same on every run of one CPython, with no timing in
     it.  Equal conditions and literals are shared, and the width search
     keeps no closure past the candidate it tests, so sortnet-7 ki:1 peaks
     near 0.9 MB (3.1 MB with every closure of its width search kept).
-    disjtoy-9 ks0 peaks near 1.9 MB: 3.2 MB when ``ktm`` built the rules
-    of its static literals, kept a set per tag and a closure per tag, and
-    ``simplify`` held its counters to the end (5.3 MB with copies per
-    rule)."""
+    disjtoy-9 ks0 and kmodels peak near 1.40 MB and bomb-16-16 ki:1 near
+    1.30 MB: 1.75 and 1.60 MB when ``ktm`` keyed its per-tag state by
+    projection frozensets and the grounder built a literal per mention;
+    3.2 MB on disjtoy-9 when ``ktm`` built the rules of its static
+    literals, kept a set per tag and a closure per tag, and ``simplify``
+    held its counters to the end (5.3 MB with copies per rule)."""
     if tracemalloc.is_tracing():
         pytest.skip("tracemalloc is already tracing this process")
-    dom, prob = gen_instance(tmp_path, family, n)
+    dom, prob = gen_instance(tmp_path, family, *sizes.split("-"))
     argv = ["translate", str(dom), str(prob), "--scheme", scheme]
     assert main(argv) == 0  # what a first run allocates once
     capsys.readouterr()

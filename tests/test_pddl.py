@@ -285,6 +285,22 @@ def test_generators_all_load_and_ground():
         generators.generate("safe", (1,))
 
 
+def test_grounding_interns_literals_and_conditions():
+    # bomb-16-16 repeats each of its 64 literals and 33 conditions and
+    # preconditions across its ground actions: one object per value
+    texts = generators.generate("bomb", (16, 16))
+    problem = load(*texts)
+    lits = [l for c in problem.init for l in c] + list(problem.goal)
+    conditions = []
+    for a in problem.actions:
+        conditions += [a.preconditions, *(r.condition for r in a.rules)]
+        lits += [*a.preconditions, *(r.effect for r in a.rules)]
+        lits += [l for r in a.rules for l in r.condition]
+    assert len(set(map(id, lits))) == len(set(lits)) == 64
+    assert len(set(map(id, conditions))) == len(set(conditions)) == 33
+    assert load(*texts) == problem
+
+
 def _mutate(tree, rng):
     """The text of ``tree`` (a list of s-expressions) after one to three
     edits, each deleting, doubling or replacing an element of a list by a

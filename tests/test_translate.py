@@ -29,6 +29,8 @@ from kplan.translate import (
     TranslationSpec,
     atom_name,
     inject_reset_effects,
+    literal_masks,
+    masked,
     merge_action_name,
     nondet_compile,
     projections,
@@ -414,10 +416,15 @@ def test_tag_table_names_follow_atom_name():
     # literals of t* relevant to L, less s, which the empty tag's closure
     # holds.  So Kr/t is Kr, though s is relevant to r.  Only the heads
     # relevant to the merged ~r keep their rules at t, and at u none
-    # does, so the merge reads K~r there.
-    assert projections(t, ctx) == {neg("p"): {neg("p")},
-                                   neg("r"): {neg("p")}, pos("q"): {pos("q")}}
-    assert projections(u, ctx) == {pos("p"): {pos("p")}, pos("r"): {pos("p")}}
+    # does, so the merge reads K~r there.  The projections are masks.
+    masks = literal_masks(ctx)
+
+    def projected(tag):
+        return {L: set(masked(masks[0], p))
+                for L, p in projections(tag, ctx, masks)[1].items()}
+    assert projected(t) == {neg("p"): {neg("p")},
+                            neg("r"): {neg("p")}, pos("q"): {pos("q")}}
+    assert projected(u) == {pos("p"): {pos("p")}, pos("r"): {pos("p")}}
     m = Merge(frozenset([t, u]), neg("r"))
     K = ktm(problem, make_spec([], [m]), ctx, optimized=True)
     # no rule sets p or s, so their atoms are constants: Kp and K~p are
