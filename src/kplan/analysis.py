@@ -24,6 +24,10 @@ def all_literals(fluents: Iterable[str]) -> List[Literal]:
     return [Literal(f, v) for f in sorted(fluents) for v in (False, True)]
 
 
+Masks = Tuple[List[Literal], Dict[Literal, int], Dict[Literal, int],
+              Dict[Literal, int]]
+
+
 class RelevanceGraph:
     """Reachability structure realizing "L is relevant to L'" (written L -> L')."""
 
@@ -80,6 +84,16 @@ def relevance(problem: ConformantProblem) -> RelevanceGraph:
                 stack.append(nxt)
         reach[L] = frozenset(seen)
     return RelevanceGraph(reach)
+
+
+def literal_masks(fluents: Iterable[str], rel: RelevanceGraph) -> Masks:
+    """The literals of ``fluents`` in sorted order, the bit of each, and
+    per literal the mask of the literals relevant to it and that of the
+    literals it is relevant to."""
+    lits = all_literals(fluents)
+    bit = {L: 1 << i for i, L in enumerate(lits)}
+    return lits, bit, *[{L: sum(map(bit.__getitem__, edges(L))) for L in lits}
+                        for edges in (rel.relevant_to, rel.reachable_from)]
 
 
 # --- relevant clauses, covers, width ---------------------------------------
@@ -355,6 +369,7 @@ class Context(NamedTuple):
     rel: RelevanceGraph
     ci: Tuple[Clause, ...]
     mutexes: MutexSet
+    masks: Masks  # literal_masks of the problem's fluents
 
     def relevant_clause_set(self, L: Literal) -> RelevantClauseSet:
         return relevant_clauses(self.ci, L, self.rel)
@@ -363,5 +378,6 @@ class Context(NamedTuple):
 def build_context(problem: ConformantProblem,
                   pi_cap: int = DEFAULT_PI_CLAUSE_CAP) -> Context:
     pi = prime_implicates(problem.init, problem.fluents, pi_cap)
-    return Context(problem, pi, relevance(problem), c_i(pi),
-                   mutex_set(problem, pi))
+    rel = relevance(problem)
+    return Context(problem, pi, rel, c_i(pi), mutex_set(problem, pi),
+                   literal_masks(problem.fluents, rel))

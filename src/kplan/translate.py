@@ -20,7 +20,6 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from . import analysis
 from .analysis import Context, build_context, cover, target_literals, width_of_literal
 from .errors import (InvalidSpec, TooManyInitialStates, TooManyModels,
                      UnsupportedFeature, ValidityUndecidedAtCap, WidthSearchCap)
@@ -39,8 +38,6 @@ from .model import (
 from .pi import DEFAULT_MODEL_CAP, DEFAULT_STATE_CAP, EMPTY_TAG, Merge, Tag
 
 SEPARATOR = "__"
-Masks = Tuple[List[Literal], Dict[Literal, int], Dict[Literal, int],
-              Dict[Literal, int]]
 
 
 def atom_name(base: Literal, tag: Tag = EMPTY_TAG) -> str:
@@ -153,17 +150,6 @@ def spec_ki(ctx: Context, i: int, include_all: bool = False) -> TranslationSpec:
 
 # --- the core builder -------------------------------------------------------
 
-def literal_masks(ctx: Context) -> Masks:
-    """The literals of ``ctx.problem``'s fluents in sorted order, the bit
-    of each, and per literal the mask of the literals relevant to it and
-    that of the literals it is relevant to."""
-    lits = analysis.all_literals(ctx.problem.fluents)
-    bit = {L: 1 << i for i, L in enumerate(lits)}
-    return lits, bit, *[{L: sum(map(bit.__getitem__, edges(L))) for L in lits}
-                        for edges in (ctx.rel.relevant_to,
-                                      ctx.rel.reachable_from)]
-
-
 def masked(items: List, mask: int) -> List:
     """The items at the bits that mask sets, in order."""
     out = []
@@ -173,17 +159,17 @@ def masked(items: List, mask: int) -> List:
     return out
 
 
-def projections(t: Tag, ctx: Context, masks: Masks, wanted: int = -1
+def projections(t: Tag, ctx: Context, wanted: int = -1
                 ) -> Tuple[int, Dict[Literal, int]]:
     """The mask of the literals of t* outside the closure of the empty
     tag, and L -> the projection of t onto L, those of them relevant to L,
-    for each literal L (of the mask ``wanted``) where it is not empty;
-    ``masks`` is ``literal_masks(ctx)``.  Only these literals of t* can
+    for each literal L (of the mask ``wanted``) where it is not empty,
+    as masks over ``ctx.masks``' literals.  Only these literals of t* can
     make KL/t differ from KL.  Under the rewrites ``ktm`` names KL/t as
     KL/p for this p, and ``inject_reset_effects`` resets the atoms so
     named.  Both take it once per tag, so ``ctx.pi`` does not cache the
     closure of t."""
-    lits, bit, relevant, reachable = masks
+    lits, bit, relevant, reachable = ctx.masks
     extra = ctx.pi.scratch().closure(t) - ctx.pi.closure(EMPTY_TAG)
     mask = sum(map(bit.__getitem__, extra))
     reach = 0
@@ -259,7 +245,8 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
     instead of 96/1328.
 
     The build is keyed by (literal, projection), a projection being a
-    bitmask over the sorted literals (``literal_masks``), the whole tag
+    bitmask over the sorted literals (``analysis.literal_masks``, which
+    ``ctx.masks`` holds), the whole tag
     without the rewrites.  Each tag t gives the p of the atom KL/p that
     KL/t is (``projections``, which projects t only onto the literals
     relevant to a target merged through t) for the heads L whose rules it
@@ -288,7 +275,7 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
     if ctx is None:
         ctx = build_context(problem)
     pi = ctx.pi
-    lits, bit, relevant, _ = masks = literal_masks(ctx)
+    lits, bit, relevant, _ = ctx.masks
     if not spec.trusted:
         for t in spec.tags:
             if not (bit.keys() >= t and pi.tag_consistent(t)):
@@ -320,7 +307,7 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
         if optimized:  # rewrites (1) and (2)
             if t not in mask_of:
                 continue  # no merge reads KL/t
-            mask_of[t], tagged = projections(t, ctx, masks, mask_of[t])
+            mask_of[t], tagged = projections(t, ctx, mask_of[t])
         else:
             mask_of[t] = sum(map(bit.__getitem__, t))
             closed[mask_of[t]] = sum(map(bit.__getitem__, pi.closure(t)))
@@ -506,9 +493,10 @@ def simplify(K: ClassicalProblem) -> ClassicalProblem:
     this drops down's Ky3 -> Knot-y3 beside rewrite (3)'s true ->
     Knot-y3.
 
-    Each distinct condition is worked out once, for (2) and for the
-    rewrite, so a condition that K shares (``ktm`` builds one object per
-    distinct condition) stays one object in the result.
+    While it decides, the pass holds atoms, literals and conditions as
+    ints and masks, and works out each distinct condition once.  The
+    rewrite builds the kept rules from K's own condition objects, so a
+    condition that K shares (``ktm`` builds one per value) stays one.
 
     The rewrite keeps the read atoms, each class as its least-named read
     member, the representative, and the actions with a rule of (3), with
@@ -551,223 +539,244 @@ def simplify(K: ClassicalProblem) -> ClassicalProblem:
 def _simplify_pass(K: ClassicalProblem) -> Tuple[ClassicalProblem, bool]:
     """One pass of ``simplify``, and whether (4) dropped a conjunct or
     (3) an idle rule."""
-    # the initial state; a Literal equals the tuple (fluent, positive),
-    # so plain tuples stand for the false atoms, which are most of them
-    true0 = {l.fluent for l in K.init if l.positive}
-    reached = set(zip(K.fluents - true0, itertools.repeat(False)))
-    reached.update([l for l in K.init if l.positive])
-    # Counter and watcher worklist over what cannot fire at once: an
-    # action counts its unreached preconditions, a rule its unreached
-    # condition literals plus one while its action does not apply.  At
-    # zero, an action's rules count one less and a rule's effect is
-    # reached.
-    count: List[int] = []
-    effect: List[Optional[Literal]] = []  # None for an action
-    rules_of: Dict[int, List[int]] = {}  # action -> its rules' counters
-    watchers: Dict[Literal, List[int]] = {}
-    queue: List[Literal] = []
-    for a in K.actions:
-        disabled = not a.preconditions <= reached
-        if disabled:
-            missing = a.preconditions - reached
-            for l in missing:
-                watchers.setdefault(l, []).append(len(count))
-            rule_counters = rules_of[len(count)] = []
-            count.append(len(missing))
-            effect.append(None)
-        for r in a.rules:
-            v, n = len(count), disabled
-            for l in r.condition:
-                if l not in reached:
-                    n += 1
-                    watchers.setdefault(l, []).append(v)
-            if not n:
-                queue.append(r.effect)
-                continue
-            if disabled:
-                rule_counters.append(v)
-            count.append(n)
-            effect.append(r.effect)
-    # a literal reached after the start is its atom's second value
-    changing: Set[str] = set()
-    while queue:
-        L = queue.pop()
-        if L in reached:
-            continue
-        reached.add(L)
-        changing.add(L.fluent)
-        for v in watchers.get(L, ()):
-            count[v] -= 1
-            if count[v]:
-                continue
-            if effect[v] is not None:
-                queue.append(effect[v])
-                continue
-            for j in rules_of[v]:
-                count[j] -= 1
-                if not count[j]:
-                    queue.append(effect[j])
-    del count, effect, rules_of, watchers
-    # both literals of each atom that changes; the other atoms keep the
-    # one reached literal, which is fixed
-    live = set(zip(changing, itertools.repeat(True)))
-    live.update(zip(changing, itertools.repeat(False)))
-    fixed = frozenset(reached - live)
+    # The atoms are ids, in name order, and each must be in K.fluents.  A
+    # literal is 2 * its atom + its normalized value, so the even literals
+    # hold at the start; a set of literals is a mask.  Each condition (the
+    # goal and the preconditions too) gets an id and a mask once.
+    atoms = sorted(K.fluents)
+    n, span = len(atoms), range(2 * len(atoms))
+    index = dict(zip(atoms, range(n)))
+    start = bytearray(n)
+    for f, v in K.init:
+        start[index[f]] |= v
+    EVEN = (4 ** n - 1) // 3
+    ODD = EVEN << 1
+    ids: Dict[FrozenSet[Literal], int] = {}
+    masks: List[int] = []
+    # Worklist over the conditions: each counts its odd literals that are
+    # not reached yet, and a rule fires once its condition and its
+    # action's preconditions count zero.  Only odd literals are reached
+    # after the start, each its atom's second value, so only the rules
+    # with an odd head wait, on one condition that counts at a time.
+    need: List[int] = []
+    watchers: Dict[int, List[int]] = {}  # atom -> conditions, by odd literal
+    users: Dict[int, List[int]] = {}  # condition -> the rules that wait on it
+    queue: List[int] = []  # atoms
 
-    # per atom of (2): (action index, rule index, the literal of a
-    # one-literal condition or the condition, normalized effect value) for
-    # each firing rule that sets it, less the fixed literals; and its
-    # signature under a single class, the key of the first partition:
-    # (action index, normalized effect value, 0 for an empty condition,
-    # else 1 plus the normalized value its literals share)
-    setters: Dict[str, List[Tuple[int, int, object, bool]]] = {
-        f: [] for f in changing.union([l.fluent for l in K.goal
-                                       if l not in reached])}
-    keys: Dict[str, Set[Tuple[int, bool, int]]] = {f: set() for f in setters}
-    # per distinct condition, worked out once: its c, and its key part
-    # (None when its literals differ in normalized value)
-    shapes: Dict[FrozenSet[Literal], Tuple[object, Optional[int]]] = {}
+    def intern(cond: FrozenSet[Literal]) -> int:
+        c = ids.get(cond)
+        if c is None:
+            c = ids[cond] = len(masks)
+            m = k = 0
+            for f, v in cond:
+                a = index[f]
+                if v ^ start[a]:
+                    m, k = m | 2 << 2 * a, k + 1
+                    watchers.setdefault(a, []).append(c)
+                else:
+                    m |= 1 << 2 * a
+            masks.append(m)
+            need.append(k)
+        return c
+
+    def ints(k: int) -> memoryview:  # k zeros, as 4-byte ints
+        return memoryview(bytearray(4 * k)).cast("i")
+
+    goal = intern(K.goal)
+    # per rule, numbered across the actions (those of action i from
+    # first[i]): 2 * its action + its head's normalized value, its
+    # condition and its head
+    R = sum([len(a.rules) for a in K.actions])
+    ae, cond_of, head, pre, first = ints(R), ints(R), ints(R), [], [0]
     for i, a in enumerate(K.actions):
-        if a.preconditions <= reached:
-            for j, (cond, L) in enumerate(a.rules):
-                if L in live and cond <= reached:
-                    shape = shapes.get(cond)
-                    if shape is None:
-                        d = cond if cond.isdisjoint(fixed) else cond - fixed
-                        values = {b != (g in true0) for g, b in d}
-                        shape = shapes[cond] = (
-                            next(iter(d)) if len(d) == 1 else d,
-                            len(values) + any(values) if len(values) < 2
-                            else None)
-                    c, part = shape
-                    e = L.positive != (L.fluent in true0)
-                    if part is not None:
-                        keys[L.fluent].add((i, e, part))
-                    setters[L.fluent].append((i, j, c, e))
-
-    # literal -> 2 * its atom's class + its normalized value
-    code: Dict[Literal, int] = {}
-
-    def move(f: str, k: int):
-        t = f in true0
-        code[Literal(f, True)] = 2 * k + (not t)
-        code[Literal(f, False)] = 2 * k + t
-
-    classes: Dict[FrozenSet, List[str]] = {}
-    for f in list(keys):  # each key goes once its class holds it
-        classes.setdefault(frozenset(keys.pop(f)), []).append(f)
-    for k, members in enumerate(classes.values()):
-        for f in members:
-            move(f, k)
-    unsplit = [members for members in classes.values() if len(members) > 1]
-    next_class = len(classes)
-    del keys, classes
-    # split each class by its members' signatures until a round splits
-    # none; all parts of a split but the first get fresh classes at once
-    get = code.__getitem__
-    split = True
-    while split:
-        split = False
-        refined = []
-        for members in unsplit:
-            parts: Dict[FrozenSet, List[str]] = {}
-            for f in members:
-                sig = set()
-                for i, _, c, e in setters[f]:
-                    if isinstance(c, frozenset):
-                        if not c:
-                            continue
-                        c = frozenset(map(get, c))
-                        if len({x >> 1 for x in c}) < len(c):
-                            continue  # holds a class at both values
-                        if len(c) == 1:  # signs like a one-literal condition
-                            (c,) = c
+        pre.append(p := intern(a.preconditions))
+        for r, (cond, (f, v)) in enumerate(a.rules, first[i]):
+            c, x = ids.get(cond), index[f]
+            if c is None:
+                c = intern(cond)
+            x = 2 * x + (v ^ start[x])
+            if x & 1:
+                w = c if need[c] else p
+                if need[w]:
+                    users.setdefault(w, []).append(r)
+                else:
+                    queue.append(x >> 1)
+            ae[r], cond_of[r], head[r] = 2 * i + (x & 1), c, x
+        first.append(first[i] + len(a.rules))
+    up = bytearray(n)  # atom -> it changes
+    while queue:
+        a = queue.pop()
+        if not up[a]:
+            up[a] = 1
+            for c in watchers.get(a, ()):
+                need[c] -= 1
+                for r in users.pop(c, ()) if not need[c] else ():
+                    w = cond_of[r] if need[cond_of[r]] else pre[ae[r] >> 1]
+                    if need[w]:
+                        users.setdefault(w, []).append(r)
                     else:
-                        c = code[c]
-                    sig.add((i, c, e))
-                parts.setdefault(frozenset(sig), []).append(f)
-            if len(parts) > 1:
-                split = True
-                for part in itertools.islice(parts.values(), 1, None):
-                    for f in part:
-                        move(f, next_class)
-                    next_class += 1
+                        queue.append(head[r] >> 1)
+    del watchers, users
+    # both literals of each atom that changes; the other atoms keep the
+    # one reached literal, which is fixed and goes from every mask.  A
+    # condition is reached when it needs nothing more, and a rule fires
+    # when its condition and its action's preconditions are reached.
+    live = sum(3 << 2 * a for a in range(n) if up[a])
+    masks = [m & (ODD | live) for m in masks]
+
+    # per atom that changes, the numbers of the firing rules that set it,
+    # at setting[ends[a]:ends[a + 1]]
+    firing = sorted([r for i in range(len(K.actions)) if not need[pre[i]]
+                     for r in range(first[i], first[i + 1])
+                     if up[head[r] >> 1] and not need[cond_of[r]]],
+                    key=head.__getitem__)
+    setting, ends = ints(len(firing)), ints(n + 1)
+    for k, r in enumerate(firing):
+        setting[k] = r
+        ends[(head[r] >> 1) + 1] += 1
+    for a in range(n):
+        ends[a + 1] += ends[a]
+    del firing
+
+    def setters(a: int) -> memoryview:
+        return setting[ends[a]:ends[a + 1]]
+
+    # atom -> its class: a literal's code is 2 * its atom's class + its
+    # normalized value, and a set of codes is a mask, which holds a class
+    # at both values when both(g)
+    cls = [0] * n
+    coded: Dict[int, int] = {}  # condition id -> its codes
+
+    def codes(c: int) -> int:
+        g = coded.get(c)
+        if g is None:
+            g = 0
+            for x in masked(span, masks[c]):
+                g |= 1 << (2 * cls[x >> 1] | x & 1)
+            coded[c] = g
+        return g
+
+    def both(g: int) -> int:
+        return g & g >> 1 & EVEN
+
+    # From a single class of the atoms of (2), those that change and those
+    # of the unreached goal literals, in name order, split each class by
+    # its members' signatures until a round splits none.  A round takes
+    # every signature under the classes it starts with, so it works out
+    # each condition's codes once, and then gives all parts of each split
+    # but the first fresh classes.  A signature is the (condition codes,
+    # action, normalized effect value) of the setters, packed, less those
+    # whose condition holds a class at both values; a condition's codes
+    # pack as the one code, or as the negated mask of two or more.
+    inner = [a for a in range(n) if up[a] or masks[goal] >> 2 * a + 1 & 1]
+    unsplit, next_class = [inner], 1
+    NA2 = 2 * len(K.actions)
+    keyed: Dict[int, Optional[int]] = {}  # condition id -> packed codes
+    while True:
+        refined, moved = [], []
+        keyed.clear()
+        coded.clear()
+        for members in unsplit:
+            parts: Dict[Tuple[int, ...], List[int]] = {}
+            for a in members:
+                sig = set()
+                for r in setters(a):
+                    k = keyed.get(cond_of[r], False)
+                    if k is False:
+                        d = masks[cond_of[r]]
+                        if d & d - 1:
+                            g = codes(cond_of[r])
+                            k = None if both(g) else \
+                                NA2 * (-g if g & g - 1 else g.bit_length())
+                        else:  # one literal's code or none, with no mask
+                            x = d.bit_length() - 1
+                            k = d and NA2 * ((2 * cls[x >> 1] | x & 1) + 1)
+                        keyed[cond_of[r]] = k
+                    if k is not None:
+                        sig.add(k + ae[r])
+                parts.setdefault(tuple(sorted(sig)), []).append(a)
             refined += [part for part in parts.values() if len(part) > 1]
+            moved += itertools.islice(parts.values(), 1, None)
+        if not moved:
+            break
+        for part in moved:
+            for a in part:
+                cls[a] = next_class
+            next_class += 1
         unsplit = refined
 
     # (4) each class -> its least-named atom, whose setters stand for the
-    # class.  An odd code is a literal false at the start; a set of codes
-    # is a bit mask.
-    member: Dict[int, str] = {}
-    for f in sorted(setters):
-        member.setdefault(code[Literal(f, True)] >> 1, f)
-    guards: Dict[Tuple[int, object], Optional[FrozenSet[int]]] = {}
+    # class.  An odd code is a literal false at the start.
+    member = {cls[a]: a for a in reversed(inner)}
+    guards: Dict[int, Optional[int]] = {}  # keyed by c * NA2 + i
 
-    def guard(i: int, c) -> Optional[FrozenSet[int]]:
+    def guard(i: int, c: int) -> Optional[int]:
         """The codes of condition c and of action i's preconditions, or None
         when they hold a class at both values, so the rule never fires."""
-        if (i, c) not in guards:
-            g = {code[l] for l in K.actions[i].preconditions if l not in fixed}
-            g.update(map(get, c) if isinstance(c, frozenset) else (code[c],))
-            guards[i, c] = (frozenset(g) if len({x >> 1 for x in g}) == len(g)
-                            else None)
-        return guards[i, c]
+        if c * NA2 + i not in guards:
+            g = codes(pre[i]) | codes(c)
+            guards[c * NA2 + i] = None if both(g) else g
+        return guards[c * NA2 + i]
 
     monotone: Dict[int, bool] = {}  # odd code -> no firing rule falsifies it
 
     def is_monotone(y: int) -> bool:
         found = monotone.get(y)
         if found is None:
-            found = monotone[y] = all(e or guard(i, c) is None
-                                      for i, _, c, e in setters[member[y >> 1]])
+            found = monotone[y] = all(
+                ae[r] & 1 or guard(ae[r] >> 1, cond_of[r]) is None
+                for r in setters(member[y >> 1]))
         return found
 
     # per action: condition codes -> the codes of the monotone literals
     # its firing rules make true under that condition; per (action,
     # condition of a rule): the codes of the monotone literals the action
     # makes true whenever that rule fires, all (-1) when it never does
-    raising: Dict[int, Dict[FrozenSet[int], int]] = {}
-    matched: Dict[Tuple[int, object], int] = {}
+    raising: Dict[int, Dict[int, int]] = {}
+    matched: Dict[int, int] = {}
 
-    def matching(i: int, c) -> int:
-        found = matched.get((i, c))
+    def matching(i: int, c: int) -> int:
+        found = matched.get(c * NA2 + i)
         if found is None:
             if i not in raising:
                 rules = raising[i] = {}
-                for cond, L in K.actions[i].rules:
-                    y = code.get(L, 0) if cond <= reached else 0
-                    if y & 1 and is_monotone(y):
-                        d = frozenset([code[l] for l in cond if l not in fixed])
+                for r in range(first[i], first[i + 1]):
+                    # an odd head reached after the start: its atom changes
+                    y = 2 * cls[head[r] >> 1] + 1
+                    if head[r] & 1 and not need[cond_of[r]] \
+                            and is_monotone(y):
+                        d = codes(cond_of[r])
                         rules[d] = rules.get(d, 0) | 1 << y
             g = guard(i, c)
-            found = 0 if g is not None else -1
+            found, out = (0, ~g) if g is not None else (-1, 0)
             for d, ys in raising[i].items() if g is not None else ():
-                if d <= g:
+                if not d & out:
                     found |= ys
-            matched[i, c] = found
+            matched[c * NA2 + i] = found
         return found
 
     def implied(x: int, ys: int) -> int:
         """The codes among ys that x implies in every reachable state."""
         ys &= ~(1 << x)
-        for i, _, c, e in setters[member[x >> 1]]:
-            if e and ys:
-                ys &= matching(i, c)
+        for r in setters(member[x >> 1]):
+            if ae[r] & 1 and ys:
+                ys &= matching(ae[r] >> 1, cond_of[r])
         return ys
 
-    # the conjunctions tested; those that (4) shrinks -> what it keeps
-    checked: Set[FrozenSet[Literal]] = set()
-    shrunk: Dict[FrozenSet[Literal], FrozenSet[Literal]] = {}
+    # the conjunctions that (4) shrinks, by condition id -> the literals it
+    # keeps
+    shrunk: Dict[int, int] = {}
 
-    def conjunction(lits: FrozenSet[Literal]) -> FrozenSet[Literal]:
-        """lits, a conjunction without fixed literals, less the literals
-        that another literal of lits that stays implies."""
-        if len(lits) > 1 and lits not in checked:
-            checked.add(lits)
-            codes = {code[l] for l in lits}
-            odd = [x for x in codes if x & 1]
-            ys = sum([1 << y for y in odd if is_monotone(y)])
-            if len(odd) > 1 and ys and len({x >> 1 for x in codes}) == len(codes):
+    def conjunction(c: int) -> List[int]:
+        """The atoms of condition c, a conjunction without fixed literals,
+        less those of the literals that another literal of it that stays
+        implies; for each condition once."""
+        d = masks[c]
+        if d & d - 1:  # two literals or more
+            g = codes(c)
+            odd = masked(span, g & ODD)
+            ys = sum(1 << y for y in odd if is_monotone(y))
+            if len(odd) > 1 and ys and not both(g):
                 # each x, keyed by what it implies and x itself: as the
                 # test is transitive, the literals under one key imply
                 # each other, and a literal that another key holds is
@@ -778,85 +787,89 @@ def _simplify_pass(K: ClassicalProblem) -> Tuple[ClassicalProblem, bool]:
                 below = 0
                 for up, xs in ups.items():
                     below |= up & ~sum([1 << x for x in xs])
-                keep = {min(xs, key=lambda x: member[x >> 1])
-                        for xs in ups.values() if not below >> xs[0] & 1}
-                if len(keep) < len(odd):
-                    shrunk[lits] = frozenset(
-                        [l for l in lits if code[l] in keep or not code[l] & 1])
-        return shrunk.get(lits, lits) if shrunk else lits
+                keep = sum([1 << min(xs, key=lambda x: member[x >> 1])
+                            for xs in ups.values() if not below >> xs[0] & 1])
+                if keep.bit_count() < len(odd):
+                    shrunk[c] = sum(1 << x for x in masked(span, d)
+                                    if not x & 1
+                                    or keep >> (2 * cls[x >> 1] + 1) & 1)
+        return [x >> 1 for x in masked(span, shrunk.get(c, d))]
 
-    def codes_of(c) -> Set[int]:
-        return set(map(get, c)) if isinstance(c, frozenset) else {code[c]}
-
-    def compatible(codes: Set[int]) -> bool:
-        """Whether codes hold no class at both values."""
-        return len({x >> 1 for x in codes}) == len(codes)
-
-    # the read closure, and per used action the indexes of its kept rules,
-    # less the idle rules: a rule of their action sets their head to the
-    # same value under a condition strictly within theirs; or their head,
-    # odd code y, is monotone and implied by a literal of their condition;
-    # or their head is in their condition and no rule of their action
-    # that can fire with them sets its complement
-    read: Set[str] = set()
-    used: Dict[int, Set[int]] = {}
+    # the read closure, and the rules it keeps and their actions, less the
+    # idle rules: a rule of their action sets their head to the same
+    # value under a condition strictly within theirs; or their head, odd
+    # code y, is monotone and implied by a literal of their condition; or
+    # their head is in their condition and no rule of their action that
+    # can fire with them sets its complement
+    read, kept, acted = bytearray(n), bytearray(R), bytearray(len(K.actions))
     idle = False
-    stack = [l.fluent for l in conjunction(K.goal - fixed)]
+    stack: List[int] = []
+    visited = bytearray(len(masks))
+
+    def visit(c: int):
+        """Read the atoms of what (4) keeps of condition c."""
+        if not visited[c]:
+            visited[c] = 1
+            for b in conjunction(c):
+                if not read[b]:
+                    read[b] = 1
+                    stack.append(b)
+
+    visit(goal)
     while stack:
-        f = stack.pop()
-        if f in read:
-            continue
-        read.add(f)
-        y = code[Literal(f, True)] | 1
-        # (action, normalized value) -> the condition codes of its rules
-        # that set f to that value
-        by_action: Dict[Tuple[int, bool], List[Set[int]]] = {}
-        setting = []
-        for i, j, c, e in setters[f]:
-            codes = codes_of(c)
-            if compatible(codes):  # else it never fires
-                by_action.setdefault((i, e), []).append(codes)
-                setting.append((i, j, c, e, codes))
-        for i, j, c, e, codes in setting:
-            if any(d < codes for d in by_action[i, e]) or (
+        a = stack.pop()
+        y = 2 * cls[a] + 1
+        # condition id * NA2 + 2 * action + normalized value -> the rules
+        # that set a to that value under that condition, which are idle or
+        # not together; and 2 * action + value -> the condition codes
+        firing: Dict[int, List[int]] = {}
+        for r in setters(a):
+            firing.setdefault(cond_of[r] * NA2 + ae[r], []).append(r)
+        groups = [(key % NA2, codes(key // NA2), rules)
+                  for key, rules in firing.items()
+                  if not both(codes(key // NA2))]  # else they never fire
+        by_action: Dict[int, List[int]] = {}
+        for k, g, _ in groups:
+            by_action.setdefault(k, []).append(g)
+        for k, g, rules in groups:
+            i, e, out = k >> 1, k & 1, ~g
+            if len(by_action[k]) > 1 and any(
+                    d != g and not d & out for d in by_action[k]) or (
                     e and is_monotone(y) and any(
-                        x & 1 and implied(x, 1 << y) for x in codes)) or (
-                    ((y ^ 1) | e) in codes and not any(
-                        compatible(codes | d)
-                        for d in by_action.get((i, not e), ()))):
+                        implied(x, 1 << y) for x in masked(span, g & ODD))
+                    ) or (g >> (y - 1 + e) & 1 and all(
+                        both(g | d) for d in by_action.get(k ^ 1, ()))):
                 idle = True
                 continue
-            if isinstance(c, frozenset):
-                stack += [l.fluent for l in conjunction(c)]
-            else:
-                stack.append(c.fluent)
-            if i not in used:
-                used[i] = set()
-                stack += [l.fluent for l in conjunction(
-                    K.actions[i].preconditions - fixed)]
-            used[i].add(j)
+            for r in rules:
+                visit(cond_of[r])
+                kept[r] = 1
+            if not acted[i]:
+                acted[i] = 1
+                visit(pre[i])
 
-    del setters, shapes, code, get, guards, raising, matched, checked
+    del setting, ends, coded, keyed, guards, raising, matched
     # each read member of a class but the least-named -> the literal of
     # that representative
     sub: Dict[Literal, Literal] = {}
     for members in unsplit:
-        rep, *others = sorted(read.intersection(members)) or [None]
-        for f in others:
-            flip = (f in true0) != (rep in true0)
-            sub[Literal(f, True)] = Literal(rep, not flip)
-            sub[Literal(f, False)] = Literal(rep, flip)
+        rep, *others = sorted([a for a in members if read[a]]) or [None]
+        for a in others:
+            flip = start[a] != start[rep]
+            sub[Literal(atoms[a], True)] = Literal(atoms[rep], not flip)
+            sub[Literal(atoms[a], False)] = Literal(atoms[rep], flip)
     gone = frozenset(sub)
     rewritten: Dict[FrozenSet[Literal], FrozenSet[Literal]] = {}
 
     def rewrite(lits: FrozenSet[Literal]) -> FrozenSet[Literal]:
         """lits less its fixed literals and the conjuncts (4) drops, with
-        each member that goes replaced; worked out once per value."""
+        each member that goes replaced; worked out once per condition."""
         found = rewritten.get(lits)
         if found is None:
-            found = lits - fixed if not lits.isdisjoint(fixed) else lits
-            if shrunk:
-                found = shrunk.get(found, found)
+            keep = shrunk.get(ids[lits], masks[ids[lits]])
+            found = lits if keep.bit_count() == len(lits) else frozenset(
+                [l for l in lits  # the literals at a bit of keep
+                 if keep >> 2 * index[l[0]] + (l[1] ^ start[index[l[0]]]) & 1])
             if not found.isdisjoint(gone):
                 found = frozenset([sub.get(l, l) for l in found])
             rewritten[lits] = found
@@ -864,16 +877,17 @@ def _simplify_pass(K: ClassicalProblem) -> Tuple[ClassicalProblem, bool]:
 
     actions = []
     for i, a in enumerate(K.actions):
-        if i in used:
+        if acted[i]:
             rules = tuple(dict.fromkeys([
                 Rule(rewrite(cond), L)
-                for cond, L in map(a.rules.__getitem__, sorted(used[i]))
-                if L not in gone]))
+                for r, (cond, L) in enumerate(a.rules, first[i])
+                if kept[r] and L not in gone]))
             actions.append(a._replace(preconditions=rewrite(a.preconditions),
                                       rules=rules))
     return ClassicalProblem(
-        frozenset(read).difference([f for f, _ in gone]),
-        frozenset([l for l in K.init if l.fluent in read and l not in gone]),
+        frozenset([f for a, f in enumerate(atoms) if read[a]]).difference(
+            [f for f, _ in gone]),
+        frozenset([l for l in K.init if read[index[l[0]]] and l not in gone]),
         tuple(actions), rewrite(K.goal)), bool(shrunk) or idle
 
 
@@ -1003,7 +1017,6 @@ def inject_reset_effects(K: ClassicalProblem, ctx: Context,
     if not resets:
         return K
     changed = changed_fluents(ctx.problem)
-    masks = literal_masks(ctx)
     new_actions = []
     for a in K.actions:
         hidden = resets.get(a.name)
@@ -1015,10 +1028,10 @@ def inject_reset_effects(K: ClassicalProblem, ctx: Context,
         for t in spec.tags:
             if not any(l.fluent in hidden_set for l in t):
                 continue
-            for L, p in projections(t, ctx, masks)[1].items():
+            for L, p in projections(t, ctx)[1].items():
                 if L.fluent not in changed:
                     continue  # static knowledge survives the reset
-                name = atom_name(L, masked(masks[0], p))
+                name = atom_name(L, masked(ctx.masks[0], p))
                 if name not in K.fluents:
                     continue  # K has no atom KL/p to reset
                 plain = atom_name(L)

@@ -29,7 +29,6 @@ from kplan.translate import (
     TranslationSpec,
     atom_name,
     inject_reset_effects,
-    literal_masks,
     masked,
     merge_action_name,
     nondet_compile,
@@ -416,12 +415,11 @@ def test_tag_table_names_follow_atom_name():
     # literals of t* relevant to L, less s, which the empty tag's closure
     # holds.  So Kr/t is Kr, though s is relevant to r.  Only the heads
     # relevant to the merged ~r keep their rules at t, and at u none
-    # does, so the merge reads K~r there.  The projections are masks.
-    masks = literal_masks(ctx)
-
+    # does, so the merge reads K~r there.  The projections are masks over
+    # the context's literals.
     def projected(tag):
-        return {L: set(masked(masks[0], p))
-                for L, p in projections(tag, ctx, masks)[1].items()}
+        return {L: set(masked(ctx.masks[0], p))
+                for L, p in projections(tag, ctx)[1].items()}
     assert projected(t) == {neg("p"): {neg("p")},
                             neg("r"): {neg("p")}, pos("q"): {pos("q")}}
     assert projected(u) == {pos("p"): {pos("p")}, pos("r"): {pos("p")}}
