@@ -158,39 +158,40 @@ def width_of_literal(ci: Iterable[Clause], L: Literal, rel: RelevanceGraph,
                      ) -> Tuple[int, Tuple[Clause, ...]]:
     """Smallest |C|, C subset of C_I*(L), whose cover satisfies C_I(L).
 
-    Sizes are searched in increasing order and, within a size, candidate
-    subsets in lexicographic order of the canonically sorted clause list,
-    so the returned witness is the lexicographically least minimal one.
-    Only a ``cap`` makes it raise WidthSearchCap: without one, the
-    tautologies over the fluents V of C_I(L), all unknown, are a witness
-    of size |V|, as their cover holds every I-consistent assignment to V.
-
-    The answer depends only on C_I(L), of which C_I*(L) is a function,
-    and on ``pi``, so ``pi.widths`` keeps it per clause set: the witness,
-    or, after a capped search that found none, the cap, from which a
-    later search goes on.  Every literal with the same C_I(L) shares one
-    search, and a search capped at i by ``spec_ki`` is not repeated by
-    the width report.  The closures of a candidate's cover are cached
-    for that candidate's test alone (``pi.scratch``), not in ``pi``.
+    No prime implicate joins two components of ``pi.component``, so the
+    cover of C is the product of the covers of its parts in each
+    component, and it satisfies C_I(L) iff each part's cover satisfies
+    the part of C_I(L) there: the width is the sum of the parts' widths.
+    Each part searches its sizes in increasing order and, within a size,
+    its candidate subsets in lexicographic order of the canonically sorted
+    clause list.  The sorted union of the parts' least witnesses is the
+    lexicographically least minimal witness, as a lexicographically
+    smaller part of the same size would make the union smaller.  The
+    parts spend ``cap`` together, and WidthSearchCap is raised once their
+    sum would exceed it.  Without a cap, the tautologies over the fluents
+    V of C_I(L), all unknown, are a witness of size |V|, as their cover
+    holds every I-consistent assignment to V.
     """
     rcs = relevant_clauses(ci, L, rel)
-    if not rcs.clauses:
-        return 0, ()
     if cap is None:
         cap = len(pi.unknown_fluents())
-    known = pi.widths.get(rcs.clauses, 0)
-    if isinstance(known, int):  # no witness of size <= known
-        pool = rcs.extended
-        candidates = (C for size in range(known + 1, min(cap, len(pool)) + 1)
+    pools: Dict[str, List[Clause]] = {}
+    for c in rcs.extended:  # each clause lies within one component
+        pools.setdefault(pi.component[next(iter(c)).fluent], []).append(c)
+    core = set(rcs.clauses)
+    width, witness = 0, []
+    for pool in pools.values():
+        part = [c for c in pool if c in core]
+        candidates = (C for size in range(1, min(cap - width, len(pool)) + 1)
                       for C in itertools.combinations(pool, size))
-        known = pi.widths[rcs.clauses] = next(
-            (C for C in candidates
-             if satisfies(cover(C, view := pi.scratch()), rcs.clauses, view)),
-            max(known, cap))
-    if isinstance(known, int) or len(known) > cap:
-        raise WidthSearchCap(
-            f"no witness of size <= {cap} for literal {L}")
-    return len(known), known
+        found = next((C for C in candidates
+                      if satisfies(cover(C, pi), part, pi)), None)
+        if found is None:
+            raise WidthSearchCap(
+                f"no witness of size <= {cap} for literal {L}")
+        width += len(found)
+        witness += found
+    return width, tuple(sorted(witness, key=sorted_lits))
 
 
 def target_literals(problem: ConformantProblem,

@@ -13,11 +13,10 @@ computes every prime implicate, is the one place that builds a PICNF.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional, Set,
-                    Tuple, Union)
+                    Tuple)
 
 from .errors import InconsistentInit, PiBlowup, ValidityUndecidedAtCap
 from .model import Clause, Literal, is_tautology, lits_consistent, neg, pos, sorted_lits
@@ -140,9 +139,13 @@ def enumerate_models(clauses: Iterable[Clause], fluents: Iterable[str],
 class PICNF:
     """Clause set in prime-implicate form over a fixed fluent universe.
 
-    It keeps what its queries learn: each closure it is asked for, and
-    per relevant clause set what ``analysis.width_of_literal`` found of
-    its width.
+    A pure function of its clauses and fluents: every query is computed
+    afresh, and nothing a query learns is kept.  ``component`` maps each
+    fluent, those a clause mentions outside the universe included, to the
+    least fluent of its connected component; two fluents are connected
+    when a chain of prime implicates joins them.  Every prime implicate
+    lies within one component, so closures, tag consistency and covers
+    split by component.
     """
 
     def __init__(self, clauses: Iterable[Clause], fluents: Iterable[str]):
@@ -157,10 +160,21 @@ class PICNF:
                 index.setdefault(l, []).append(c)
         self._index = index
         self._fluent_set = frozenset(self.fluents)
-        self._closure_cache: Dict[Tag, FrozenSet[Literal]] = {}
-        # C_I(L) -> its witness, or the largest size known to have none
-        self.widths: Dict[Tuple[Clause, ...],
-                          Union[int, Tuple[Clause, ...]]] = {}
+        # fluent -> the least fluent of its component, and that least
+        # fluent -> the component's fluents; a clause joins what it meets
+        component = {f: f for f in self.fluents}
+        for l in index:
+            component.setdefault(l.fluent, l.fluent)
+        members = {f: [f] for f in component}
+        for c in self.clauses:
+            roots = {component[l.fluent] for l in c}
+            if len(roots) > 1:
+                least = min(roots)
+                for r in roots - {least}:
+                    members[least] += members[r]
+                    for f in members.pop(r):
+                        component[f] = least
+        self.component: Dict[str, str] = component
 
     @property
     def nonunit_clauses(self) -> FrozenSet[Clause]:
@@ -182,16 +196,7 @@ class PICNF:
         (the fluents and those t mentions).  Literals outside the universe
         are left out.  ``reference_entails_literal`` in the tests is the
         literal-by-literal specification.
-
-        Cached for as long as this PICNF lives, for a ``Context``'s the
-        whole command: the empty tag's closure, the sets ``cover`` checks,
-        and the tags of ``ktm`` without the rewrites and ``build_basis``.
-        ``projections`` and the width search take theirs from ``scratch``.
         """
-        t = frozenset(t)
-        cached = self._closure_cache.get(t)
-        if cached is not None:
-            return cached
         negated = frozenset(l.negate() for l in t)
         out: Optional[Set[Literal]] = None
         if negated.isdisjoint(t):
@@ -206,20 +211,9 @@ class PICNF:
                     out |= rest
         universe = self._fluent_set | {l.fluent for l in t}
         if out is None:
-            result = frozenset(Literal(f, v) for f in universe
-                               for v in (False, True))
-        else:
-            result = frozenset(l for l in out if l.fluent in universe)
-        self._closure_cache[t] = result
-        return result
-
-    def scratch(self) -> "PICNF":
-        """This clause set with a closure cache of its own, so that the
-        closures of a throwaway search go when the search does: the width
-        search takes one per candidate cover, ``projections`` one per tag."""
-        view = copy.copy(self)
-        view._closure_cache = {}
-        return view
+            return frozenset(Literal(f, v) for f in universe
+                             for v in (False, True))
+        return frozenset(l for l in out if l.fluent in universe)
 
     def tag_consistent(self, t: Tag) -> bool:
         return lits_consistent(self.closure(t))

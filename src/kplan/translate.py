@@ -167,10 +167,9 @@ def projections(t: Tag, ctx: Context, wanted: int = -1
     as masks over ``ctx.masks``' literals.  Only these literals of t* can
     make KL/t differ from KL.  Under the rewrites ``ktm`` names KL/t as
     KL/p for this p, and ``inject_reset_effects`` resets the atoms so
-    named.  Both take it once per tag, so ``ctx.pi`` does not cache the
-    closure of t."""
+    named."""
     lits, bit, relevant, reachable = ctx.masks
-    extra = ctx.pi.scratch().closure(t) - ctx.pi.closure(EMPTY_TAG)
+    extra = ctx.pi.closure(t) - ctx.pi.closure(EMPTY_TAG)
     mask = sum(map(bit.__getitem__, extra))
     reach = 0
     for r in map(reachable.__getitem__, extra):

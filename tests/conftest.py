@@ -457,6 +457,57 @@ SMALL_INSTANCES = [("safe", (4,)), ("bomb", (3, 3)), ("ring", (3,)),
                    ("sortnet", (3,)), ("disjtoy", (4,)), ("sgripper", (1,))]
 
 
+def one_dispose(k: int, m: int) -> Tuple[str, str]:
+    """1-dispose-k-m as (domain_text, problem_text): a one-handed robot on
+    a line of k cells, with the trash at c1, must dispose of m objects,
+    each in an unknown cell.  ``pick`` needs ``handempty``, whose relevant
+    clauses are the m fluent-disjoint oneof groups, so its width is m.
+    The statics and the other known fluents are stated in full, true or
+    false: a fluent the init does not mention is unknown."""
+    cells = [f"c{i}" for i in range(1, k + 1)]
+    objs = [f"o{j}" for j in range(1, m + 1)]
+    name = f"one-dispose-{k}-{m}"
+    dom = "\n".join([
+        f"(define (domain {name})",
+        "  (:requirements :strips :typing :conditional-effects)",
+        "  (:types cell obj)",
+        "  (:predicates (at ?c - cell) (adj ?a ?b - cell) (trash ?c - cell)",
+        "    (obj-at ?o - obj ?c - cell) (holding ?o - obj) (handempty)",
+        "    (disposed ?o - obj))",
+        "  (:action move :parameters (?a ?b - cell)",
+        "    :precondition (and (at ?a) (adj ?a ?b))",
+        "    :effect (and (at ?b) (not (at ?a))))",
+        "  (:action pick :parameters (?o - obj ?c - cell)",
+        "    :precondition (and (at ?c) (handempty))",
+        "    :effect (when (obj-at ?o ?c)",
+        "      (and (holding ?o) (not (obj-at ?o ?c)) (not (handempty)))))",
+        "  (:action drop :parameters (?o - obj ?c - cell)",
+        "    :precondition (and (at ?c) (trash ?c))",
+        "    :effect (when (holding ?o)",
+        "      (and (disposed ?o) (not (holding ?o)) (handempty))))",
+        ")"]) + "\n"
+
+    def holds(atom: str, value: bool) -> str:
+        return f"({atom})" if value else f"(not ({atom}))"
+
+    init = [holds(f"adj {a} {b}", abs(i - j) == 1)
+            for i, a in enumerate(cells) for j, b in enumerate(cells)]
+    init += [holds(f"{p} {c}", c == "c1") for p in ("trash", "at")
+             for c in cells]
+    init += ["(handempty)"] + [holds(f"{p} {o}", False)
+                               for p in ("holding", "disposed") for o in objs]
+    init += ["(oneof " + " ".join(f"(obj-at {o} {c})" for c in cells) + ")"
+             for o in objs]
+    goal = " ".join(f"(disposed {o})" for o in objs)
+    prob = "\n".join([
+        f"(define (problem {name}-1)", f"  (:domain {name})",
+        f"  (:objects {' '.join(cells)} - cell {' '.join(objs)} - obj)",
+        "  (:init " + " ".join(init) + ")",
+        f"  (:goal (and {goal}))",
+        ")"]) + "\n"
+    return dom, prob
+
+
 def compiled_instance(family: str, params: Sequence[int], copies: int = 1):
     """A generated instance as the pipeline analyses it, with its oneof
     bookkeeping: goal clauses compiled away and oneof effects determinized
@@ -1083,9 +1134,9 @@ def reference_width_of_literal(ci: Iterable[Clause], L: Literal,
                                cap: Optional[int] = None
                                ) -> Tuple[int, Tuple[Clause, ...]]:
     """Smallest |C|, C subset of C_I*(L), whose cover satisfies C_I(L):
-    `kplan.analysis.width_of_literal` as it was before it kept its answers
-    in ``pi.widths``, a fresh search from size 1 on every call, with
-    ``satisfies`` as it was then."""
+    `kplan.analysis.width_of_literal` as it was before it searched by
+    component, one search from size 1 over all of C_I*(L) on every call,
+    with ``satisfies`` as it was then."""
     rcs = relevant_clauses(ci, L, rel)
     if not rcs.clauses:
         return 0, ()

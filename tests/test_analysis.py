@@ -16,11 +16,10 @@ from kplan import (
     relevance,
     relevant_clauses,
     satisfies,
-    spec_ki,
     width,
     width_of_literal,
 )
-from kplan import cli
+from kplan import cli, pddl
 from kplan.analysis import all_literals, target_literals
 from kplan.errors import InconsistentInit, WidthSearchCap
 from kplan.model import action, conformant_problem, rule
@@ -30,6 +29,7 @@ from conftest import (
     SMALL_INSTANCES,
     build_tiny,
     compiled_instance,
+    one_dispose,
     random_suite,
     reachable_source_states,
     reference_cover,
@@ -162,7 +162,7 @@ def test_uncapped_width_search_finds_a_witness_on_generated(family, params):
     _check_uncapped_width(compiled_instance(family, params)[0])
 
 
-# --- the width cache against a fresh search ----------------------------------
+# --- the search by components against the reference search -----------------
 
 CAPS = (0, 1, 2, None)
 
@@ -177,8 +177,9 @@ def _outcome(search, ctx, L, cap):
 
 def _check_width_cache(problem):
     """Every cap in both orders, capped searches first and uncapped ones
-    first, on one context each: the answers kept in ``pi.widths`` are
-    those of a fresh search."""
+    first, on one context each: the search by components gives the width
+    and witness of the reference search over all of C_I*(L), whatever the
+    context was asked before."""
     targets = target_literals(problem)
     fresh = build_context(problem)
     want = {(L, cap): _outcome(reference_width_of_literal, fresh, L, cap)
@@ -204,46 +205,56 @@ def test_width_cache_matches_a_fresh_search_on_generated(family, params):
     _check_width_cache(compiled_instance(family, params)[0])
 
 
-@pytest.mark.parametrize("family,params", BENCH_INSTANCES,
-                         ids=["-".join(map(str, (f, *p)))
-                              for f, p in BENCH_INSTANCES])
-def test_the_width_report_leaves_the_closure_cache_alone(family, params):
-    problem = compiled_instance(family, params)[0]
-    ctx = build_context(problem)
-    spec_ki(ctx, 1)  # as `kplan translate` does before its report
-    before = len(ctx.pi._closure_cache)
-    cli._width_report(problem, ctx)
-    assert len(ctx.pi._closure_cache) == before
+@pytest.mark.parametrize("k,m", [(3, 2), (3, 3), (4, 3)])
+def test_width_matches_a_fresh_search_on_one_dispose(k, m):
+    # handempty's relevant clauses lie in m components, one per object
+    _check_width_cache(pddl.load(*one_dispose(k, m)))
 
 
-def test_sortnet_searches_its_one_clause_set_once(monkeypatch):
-    """The six targets of sortnet-7 with relevant clauses share one
-    clause set: the report covers each of its subsets once, in the
-    search's order, and after ``spec_ki(ctx, 1)`` it goes on from size 2."""
-    problem = compiled_instance("sortnet", (7,))[0]
-    ctx = build_context(problem)
-    sets = [rcs for rcs in map(ctx.relevant_clause_set,
-                               target_literals(problem)) if rcs.clauses]
-    assert len(sets) == 6 and len({rcs.clauses for rcs in sets}) == 1
-    pool = sets[0].extended
+def _count_covers(monkeypatch):
+    """The clause sets the width search takes covers of, in order; the
+    1,001st call fails the test, so a search over whole clause sets
+    stops early."""
     covered = []
     real_cover = analysis.cover
 
     def counting_cover(C, pi):
         covered.append(C)
+        if len(covered) > 1000:
+            pytest.fail("the width search took over 1,000 covers")
         return real_cover(C, pi)
 
     monkeypatch.setattr(analysis, "cover", counting_cover)
+    return covered
+
+
+def test_sortnet_searches_one_fluent_at_a_time(monkeypatch):
+    """sortnet-7's inputs share no prime implicate: each of the six
+    targets with relevant clauses searches seven one-fluent components,
+    and each finds its one tautology at once.  A search over the whole
+    clause set tests its 127 subsets."""
+    problem = compiled_instance("sortnet", (7,))[0]
+    ctx = build_context(problem)
+    covered = _count_covers(monkeypatch)
     report = cli._width_report(problem, ctx)
     assert report["width"] == 7
-    assert covered == [C for size in range(1, 8)
-                       for C in itertools.combinations(pool, size)]
+    assert len(covered) == 42 and all(len(C) == 1 for C in covered)
+
+
+def test_one_dispose_searches_one_object_at_a_time(monkeypatch):
+    """On 1-dispose-4-4 the 44 clauses of C_I*(handempty) lie in four
+    components, one object's oneof group each: the report tests 40
+    covers, where a search over all 44 takes tens of seconds."""
+    problem = pddl.load(*one_dispose(4, 4))
     ctx = build_context(problem)
-    spec_ki(ctx, 1)
-    covered.clear()
-    assert cli._width_report(problem, ctx) == report
-    assert covered == [C for size in range(2, 8)
-                       for C in itertools.combinations(pool, size)]
+    covered = _count_covers(monkeypatch)
+    report = cli._width_report(problem, ctx)
+    assert report["width"] == 4
+    assert len(covered) == 40
+    assert report["literals"]["handempty"] == {
+        "width": 4,
+        "witness": [[f"obj-at-o{j}-c{i}" for i in range(1, 5)]
+                    for j in range(1, 5)]}
 
 
 def test_width_zero_for_classical_input():

@@ -187,24 +187,26 @@ SPEC_BUILDERS = {"ki:1": lambda ctx: kplan.spec_ki(ctx, 1),
 
 @pytest.mark.parametrize("family,sizes,scheme,bound_mb", [
     ("disjtoy", "9", "ks0", 1.23), ("disjtoy", "9", "kmodels", 1.23),
-    ("bomb", "16-16", "ki:1", 1.04), ("square-center", "8", "ks0", 0.89),
-    ("sortnet", "7", "ki:1", 1.5)])
+    ("bomb", "16-16", "ki:1", 0.98), ("square-center", "8", "ks0", 0.89),
+    ("sortnet", "7", "ki:1", 0.85), ("safe", "40", "ki:1", 1.04)])
 def test_translate_peak_memory(tmp_path, capsys, family, sizes, scheme,
                                bound_mb):
     """The peak of the Python allocations of a warm `kplan translate`, by
     tracemalloc: the same on every run of one CPython, with no timing in
-    it.  Equal conditions and literals are shared, and the width search
-    keeps no closure past the candidate it tests, so sortnet-7 ki:1 peaks
-    near 0.9 MB (3.1 MB with every closure of its width search kept).
-    disjtoy-9 ks0 and kmodels peak near 1.12 MB, in ``ktm``, bomb-16-16
-    ki:1 near 0.95 MB and square-center-8 ks0 near 0.80 MB, in
-    ``simplify``: 1.40, 1.30 and 1.02 MB when ``simplify`` held literal
-    sets, a tuple per setter and frozenset signatures; 1.75 and 1.60 MB
-    on disjtoy-9 and bomb-16-16 when ``ktm`` keyed its per-tag state by
-    projection frozensets and the grounder built a literal per mention;
-    3.2 MB on disjtoy-9 when ``ktm`` built the rules of its static
-    literals, kept a set per tag and a closure per tag, and ``simplify``
-    held its counters to the end (5.3 MB with copies per rule)."""
+    it.  Equal conditions and literals are shared, and the prime-implicate
+    layer keeps no closure and no width, so sortnet-7 ki:1 peaks near
+    0.78 MB and safe-40 ki:1 near 0.95 MB (0.85 and 1.03 MB with a
+    closure cache and a width memo, 3.1 MB on sortnet-7 with every
+    closure of its width search kept).  disjtoy-9 ks0 and kmodels peak
+    near 1.12 MB, in ``ktm``, bomb-16-16 ki:1 near 0.89 MB (0.95 MB with
+    the caches) and square-center-8 ks0 near 0.80 MB, in ``simplify``:
+    1.40, 1.30 and 1.02 MB when ``simplify`` held literal sets, a tuple
+    per setter and frozenset signatures; 1.75 and 1.60 MB on disjtoy-9
+    and bomb-16-16 when ``ktm`` keyed its per-tag state by projection
+    frozensets and the grounder built a literal per mention; 3.2 MB on
+    disjtoy-9 when ``ktm`` built the rules of its static literals, kept
+    a set per tag and a closure per tag, and ``simplify`` held its
+    counters to the end (5.3 MB with copies per rule)."""
     if tracemalloc.is_tracing():
         pytest.skip("tracemalloc is already tracing this process")
     dom, prob = gen_instance(tmp_path, family, *sizes.split("-"))

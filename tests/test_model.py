@@ -224,8 +224,7 @@ def keyed_containers(*roots):
 
 def built_objects(family, params, spec_of):
     """The analysis, translation, search and basis objects of one
-    instance, after the translation and the basis have filled the
-    prime-implicate closure cache."""
+    instance."""
     texts = generators.generate(family, params)
     problem = pddl.load(*texts)
     compiled, resets = nondet_compile(cnf_goal_compile(problem), 1)

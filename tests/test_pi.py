@@ -262,7 +262,7 @@ def _closure_by_entailment(pi, tag):
 def _check_closure(pi, tag):
     expected = _closure_by_entailment(pi, tag)
     assert pi.closure(tag) == expected, sorted(tag)
-    # the second call is served from the cache
+    # a second call computes the same answer
     assert pi.closure(frozenset(tag)) == expected
 
 
@@ -318,11 +318,142 @@ def test_closure_with_clauses_outside_the_fluents():
         _check_closure(pi, tag)
 
 
-# --- PICNF is built only from the full prime-implicate set ---------------------
+# --- components ------------------------------------------------------------------
+
+def _components_by_brute_force(pi):
+    """fluent -> the least fluent of its class, where each non-unit
+    clause in turn merges the classes its fluents meet into one."""
+    classes = [{f} for f in set(pi.fluents)
+               | {l.fluent for c in pi.clauses for l in c}]
+    for c in pi.nonunit_clauses:
+        fluents = {l.fluent for l in c}
+        meeting = [k for k in classes if k & fluents]
+        classes = [k for k in classes if not k & fluents]
+        classes.append(set().union(*meeting))
+    return {f: min(k) for k in classes for f in k}
+
+
+def test_components_match_a_brute_force_union():
+    rng = random.Random(12)
+    seen = {"joined": 0, "split": 0, "outside": 0}
+    for _ in range(300):
+        variables = [f"v{i}" for i in range(rng.randint(1, 6))]
+        try:
+            full = prime_implicates(random_cnf(rng, variables), variables)
+        except InconsistentInit:
+            continue
+        # the same clauses with a universe that misses some of their fluents
+        narrow = PICNF(full.clauses, rng.sample(variables,
+                                                rng.randint(0, len(variables))))
+        for pi in (full, narrow):
+            want = _components_by_brute_force(pi)
+            assert pi.component == want, sorted(pi.clauses, key=sorted)
+            seen["joined"] += len(set(want.values())) < len(want)
+            seen["split"] += len(set(want.values())) > 1
+            seen["outside"] += not want.keys() <= set(pi.fluents)
+    assert all(seen.values()), seen
+
+
+# --- PICNF keeps no state past __init__ ---------------------------------------
 
 PACKAGE = sorted((Path(__file__).resolve().parents[1] / "src" / "kplan")
                  .glob("*.py"))
 
+
+MUTATORS = {"add", "append", "clear", "discard", "extend", "insert", "pop",
+            "popitem", "remove", "setdefault", "update"}
+
+
+def picnf_state_writes(source: str):
+    """(function, line) of each store to an attribute of a PICNF, or into
+    one, by assignment, ``del`` or a mutating method call: in a method of
+    class ``PICNF`` other than ``__init__`` through ``self``, and in any
+    function through a name ``pi``, a parameter annotated ``PICNF`` or an
+    attribute ``.pi`` (``ctx.pi``)."""
+    found = {}
+
+    def stored(node):
+        """The expressions that ``node`` stores to or into."""
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            return node.targets
+        if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            return [node.target]
+        if isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Attribute) and \
+                node.func.attr in MUTATORS:
+            return [node.func.value]
+        return []
+
+    def through_picnf(target, names):
+        """Some attribute on the chain of ``target`` (through attributes,
+        items and calls, not into indexes or arguments) is taken of a
+        PICNF."""
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return any(through_picnf(t, names) for t in target.elts)
+        if isinstance(target, ast.Starred):
+            return through_picnf(target.value, names)
+        while isinstance(target, (ast.Attribute, ast.Subscript, ast.Call)):
+            if isinstance(target, ast.Call):
+                target = target.func
+                continue
+            owner = target.value
+            if isinstance(target, ast.Attribute) and (
+                    isinstance(owner, ast.Name) and owner.id in names or
+                    isinstance(owner, ast.Attribute) and owner.attr == "pi"):
+                return True
+            target = owner
+        return False
+
+    def scan(fn, names):
+        names = names | {arg.arg for arg in fn.args.args
+                         if arg.annotation is not None
+                         and "PICNF" in ast.unparse(arg.annotation)}
+        for node in ast.walk(fn):
+            if any(through_picnf(t, names) for t in stored(node)):
+                found.setdefault(node.lineno, fn.name)
+
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == "PICNF":
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name != "__init__":
+                    scan(fn, {"self", "pi"})
+        elif isinstance(node, ast.FunctionDef):
+            scan(node, {"pi"})
+    return sorted((fn, line) for line, fn in found.items())
+
+
+def test_the_state_scan_finds_cache_writes():
+    source = ("class PICNF:\n"
+              "    def __init__(self):\n"
+              "        self.cache = {}\n"
+              "    def closure(self, t):\n"
+              "        self.cache[t] = out = frozenset(t)\n"
+              "        return out\n"
+              "    def forget(self):\n"
+              "        self.cache.clear()\n"
+              "def width(ci, L, pi, view: 'PICNF'):\n"
+              "    known = pi.widths[ci] = 1\n"
+              "    view.seen = {L}\n"
+              "    ctx.pi.memo.setdefault(L, known)\n"
+              "    local = {}\n"
+              "    local[L] = pi.closure(L)\n"
+              "    local.setdefault(pi.component[L], []).append(L)\n"
+              "    a, (b, pi.x) = 1, (2, 3)\n")
+    assert picnf_state_writes(source) == [
+        ("closure", 5), ("forget", 8), ("width", 10), ("width", 11),
+        ("width", 12), ("width", 16)]
+
+
+def test_picnf_keeps_no_state():
+    """``PICNF`` is a function of its clauses and fluents: nothing but
+    ``__init__`` writes its attributes, so no query answer depends on the
+    queries asked before it, and no cache grows for as long as a
+    ``Context`` lives."""
+    writes = {p.name: picnf_state_writes(p.read_text()) for p in PACKAGE}
+    assert {name: w for name, w in writes.items() if w} == {}
+
+
+# --- PICNF is built only from the full prime-implicate set ---------------------
 
 def picnf_builders(source: str):
     """The names of the functions (``<module>`` at the top level) that call
