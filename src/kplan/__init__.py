@@ -51,7 +51,6 @@ from .pi import EMPTY_TAG, Merge, PICNF, Tag, prime_implicates
 from .analysis import (
     Context,
     MutexSet,
-    RelevanceGraph,
     build_context,
     c_i,
     cover,

@@ -3,7 +3,8 @@
 Covers four services used by the translations and the validators:
 
 * conformant relevance between literals (reachability over the action
-  rules' condition -> effect edges and their complements),
+  rules' condition -> effect edges and their complements), as one
+  bitmask table (``Masks``) that every other layer reads,
 * extraction of the uncertainty clauses relevant to a target literal,
 * covers / satisfaction / conformant width,
 * literal mutexes.
@@ -24,33 +25,26 @@ def all_literals(fluents: Iterable[str]) -> List[Literal]:
     return [Literal(f, v) for f in sorted(fluents) for v in (False, True)]
 
 
-Masks = Tuple[List[Literal], Dict[Literal, int], Dict[Literal, int],
-              Dict[Literal, int]]
+class Masks(NamedTuple):
+    """The relation "L is relevant to L'" as bitmasks over the sorted
+    literals (see ``relevance``)."""
+
+    lits: List[Literal]
+    bit: Dict[Literal, int]
+    relevant: Dict[Literal, int]
+    reachable: Dict[Literal, int]
 
 
-class RelevanceGraph:
-    """Reachability structure realizing "L is relevant to L'" (written L -> L')."""
-
-    def __init__(self, reach: Dict[Literal, FrozenSet[Literal]]):
-        self._reach = reach
-        inverse: Dict[Literal, Set[Literal]] = {l: set() for l in reach}
-        for src, targets in reach.items():
-            for dst in targets:
-                inverse.setdefault(dst, set()).add(src)
-        self._inverse = {k: frozenset(v) for k, v in inverse.items()}
-
-    def relevant(self, L: Literal, to: Literal) -> bool:
-        return to in self._reach.get(L, frozenset())
-
-    def reachable_from(self, L: Literal) -> FrozenSet[Literal]:
-        return self._reach.get(L, frozenset())
-
-    def relevant_to(self, target: Literal) -> FrozenSet[Literal]:
-        """All literals L with L -> target."""
-        return self._inverse.get(target, frozenset())
+def masked(items: List, mask: int) -> List:
+    """The items at the bits that mask sets, in order."""
+    out = []
+    while mask:  # take the lowest bit, then clear it
+        out.append(items[(mask & -mask).bit_length() - 1])
+        mask &= mask - 1
+    return out
 
 
-def relevance(problem: ConformantProblem) -> RelevanceGraph:
+def relevance(problem: ConformantProblem) -> Masks:
     """Least relation closed under the relevance rules:
 
     1. L -> L;
@@ -63,37 +57,38 @@ def relevance(problem: ConformantProblem) -> RelevanceGraph:
     and that reachability is closed under rule 4 because the edges come in
     complementary pairs: L'' -> ~L' gives ~L'' -> L'.  The same pairing
     makes rule 4 equivalent to its contrapositive form "~L -> ~L' implies
-    L -> L'".  One depth-first search per literal computes it.  Action
-    preconditions do not induce relevance.
+    L -> L'".  One search per literal over the successor masks computes
+    it.  Action preconditions do not induce relevance.
+
+    Returns it as ``Masks``: the literals in sorted order, bit i for the
+    i-th (so the complement of bit i is bit i ^ 1), and per literal the
+    mask of the literals relevant to it and that of those it is relevant
+    to.
     """
     if not problem.deterministic:
         raise UnsupportedFeature("compile nondeterministic effects away first")
     lits = all_literals(problem.fluents)
-    succ: Dict[Literal, Set[Literal]] = {l: set() for l in lits}
+    index = {L: i for i, L in enumerate(lits)}
+    succ = [0] * len(lits)
     for a in problem.actions:
         for r in a.rules:
             for c in r.condition:
-                succ[c].add(r.effect)
-                succ[c.negate()].add(r.effect.negate())
-    reach: Dict[Literal, FrozenSet[Literal]] = {}
-    for L in lits:
-        seen, stack = {L}, [L]
-        while stack:
-            for nxt in succ[stack.pop()] - seen:
-                seen.add(nxt)
-                stack.append(nxt)
-        reach[L] = frozenset(seen)
-    return RelevanceGraph(reach)
-
-
-def literal_masks(fluents: Iterable[str], rel: RelevanceGraph) -> Masks:
-    """The literals of ``fluents`` in sorted order, the bit of each, and
-    per literal the mask of the literals relevant to it and that of the
-    literals it is relevant to."""
-    lits = all_literals(fluents)
-    bit = {L: 1 << i for i, L in enumerate(lits)}
-    return lits, bit, *[{L: sum(map(bit.__getitem__, edges(L))) for L in lits}
-                        for edges in (rel.relevant_to, rel.reachable_from)]
+                i, e = index[c], index[r.effect]
+                succ[i] |= 1 << e
+                succ[i ^ 1] |= 1 << (e ^ 1)
+    bit = {L: 1 << i for L, i in index.items()}
+    relevant = dict.fromkeys(lits, 0)
+    reachable = {}
+    for i, L in enumerate(lits):
+        seen = todo = 1 << i
+        while todo:  # take the lowest bit, then clear it
+            nxt = succ[(todo & -todo).bit_length() - 1] & ~seen
+            todo = (todo & (todo - 1)) | nxt
+            seen |= nxt
+        reachable[L] = seen
+        for target in masked(lits, seen):
+            relevant[target] |= bit[L]
+    return Masks(lits, bit, relevant, reachable)
 
 
 # --- relevant clauses, covers, width ---------------------------------------
@@ -113,8 +108,8 @@ class RelevantClauseSet(NamedTuple):
 
 
 def relevant_clauses(ci: Iterable[Clause], L: Literal,
-                     rel: RelevanceGraph) -> RelevantClauseSet:
-    incoming = rel.relevant_to(L)
+                     rel: Masks) -> RelevantClauseSet:
+    incoming = frozenset(masked(rel.lits, rel.relevant[L]))
     core = tuple(sorted((c for c in ci if c <= incoming), key=sorted_lits))
     extended = set(core)
     for c in core:
@@ -153,7 +148,7 @@ def satisfies(tags: Iterable[FrozenSet[Literal]], C: Iterable[Clause],
                for closed in map(pi.closure, tags))
 
 
-def width_of_literal(ci: Iterable[Clause], L: Literal, rel: RelevanceGraph,
+def width_of_literal(ci: Iterable[Clause], L: Literal, rel: Masks,
                      pi: PICNF, cap: Optional[int] = None
                      ) -> Tuple[int, Tuple[Clause, ...]]:
     """Smallest |C|, C subset of C_I*(L), whose cover satisfies C_I(L).
@@ -367,10 +362,9 @@ class Context(NamedTuple):
 
     problem: ConformantProblem
     pi: PICNF
-    rel: RelevanceGraph
+    rel: Masks
     ci: Tuple[Clause, ...]
     mutexes: MutexSet
-    masks: Masks  # literal_masks of the problem's fluents
 
     def relevant_clause_set(self, L: Literal) -> RelevantClauseSet:
         return relevant_clauses(self.ci, L, self.rel)
@@ -379,6 +373,5 @@ class Context(NamedTuple):
 def build_context(problem: ConformantProblem,
                   pi_cap: int = DEFAULT_PI_CLAUSE_CAP) -> Context:
     pi = prime_implicates(problem.init, problem.fluents, pi_cap)
-    rel = relevance(problem)
-    return Context(problem, pi, rel, c_i(pi), mutex_set(problem, pi),
-                   literal_masks(problem.fluents, rel))
+    return Context(problem, pi, relevance(problem), c_i(pi),
+                   mutex_set(problem, pi))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Sequence,
                     Set, Tuple, Union)
 
@@ -59,31 +60,19 @@ class Sym(str):
 SExpr = Union[Sym, List["SExpr"]]
 
 
+# a line break, a comment, a parenthesis or an atom; the rest (space, tab
+# and CR) separates tokens
+_TOKEN = re.compile(r"\n|;[^\n]*|[()]|[^ \t\r\n();]+")
+
+
 def _tokenize(text: str):
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            yield Sym(ch, line, col)
-            col += 1
-            i += 1
-        else:
-            start, start_col = i, col
-            while i < n and text[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            yield Sym(text[start:i], line, start_col)
+    line, start = 1, 0  # the current line and the offset it starts at
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        if tok == "\n":
+            line, start = line + 1, m.end()
+        elif tok[0] != ";":
+            yield Sym(tok, line, m.start() - start + 1)
 
 
 def parse_sexprs(text: str) -> List[SExpr]:

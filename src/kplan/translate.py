@@ -20,7 +20,8 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .analysis import Context, build_context, cover, target_literals, width_of_literal
+from .analysis import (Context, build_context, cover, masked,
+                       target_literals, width_of_literal)
 from .errors import (InvalidSpec, TooManyInitialStates, TooManyModels,
                      UnsupportedFeature, ValidityUndecidedAtCap, WidthSearchCap)
 from .model import (
@@ -150,25 +151,16 @@ def spec_ki(ctx: Context, i: int, include_all: bool = False) -> TranslationSpec:
 
 # --- the core builder -------------------------------------------------------
 
-def masked(items: List, mask: int) -> List:
-    """The items at the bits that mask sets, in order."""
-    out = []
-    while mask:  # take the lowest bit, then clear it
-        out.append(items[(mask & -mask).bit_length() - 1])
-        mask &= mask - 1
-    return out
-
-
 def projections(t: Tag, ctx: Context, wanted: int = -1
                 ) -> Tuple[int, Dict[Literal, int]]:
     """The mask of the literals of t* outside the closure of the empty
     tag, and L -> the projection of t onto L, those of them relevant to L,
     for each literal L (of the mask ``wanted``) where it is not empty,
-    as masks over ``ctx.masks``' literals.  Only these literals of t* can
+    as masks over ``ctx.rel``'s literals.  Only these literals of t* can
     make KL/t differ from KL.  Under the rewrites ``ktm`` names KL/t as
     KL/p for this p, and ``inject_reset_effects`` resets the atoms so
     named."""
-    lits, bit, relevant, reachable = ctx.masks
+    lits, bit, relevant, reachable = ctx.rel
     extra = ctx.pi.closure(t) - ctx.pi.closure(EMPTY_TAG)
     mask = sum(map(bit.__getitem__, extra))
     reach = 0
@@ -244,8 +236,8 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
     instead of 96/1328.
 
     The build is keyed by (literal, projection), a projection being a
-    bitmask over the sorted literals (``analysis.literal_masks``, which
-    ``ctx.masks`` holds), the whole tag
+    bitmask over the sorted literals (``ctx.rel``, the table that
+    ``analysis.relevance`` builds), the whole tag
     without the rewrites.  Each tag t gives the p of the atom KL/p that
     KL/t is (``projections``, which projects t only onto the literals
     relevant to a target merged through t) for the heads L whose rules it
@@ -274,7 +266,7 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
     if ctx is None:
         ctx = build_context(problem)
     pi = ctx.pi
-    lits, bit, relevant, _ = ctx.masks
+    lits, bit, relevant, _ = ctx.rel
     if not spec.trusted:
         for t in spec.tags:
             if not (bit.keys() >= t and pi.tag_consistent(t)):
@@ -1030,7 +1022,7 @@ def inject_reset_effects(K: ClassicalProblem, ctx: Context,
             for L, p in projections(t, ctx)[1].items():
                 if L.fluent not in changed:
                     continue  # static knowledge survives the reset
-                name = atom_name(L, masked(ctx.masks[0], p))
+                name = atom_name(L, masked(ctx.rel.lits, p))
                 if name not in K.fluents:
                     continue  # K has no atom KL/p to reset
                 plain = atom_name(L)

@@ -14,7 +14,7 @@ from collections import deque
 from typing import (FrozenSet, Iterable, Iterator, List, NamedTuple, Optional,
                     Set, Tuple)
 
-from .analysis import Context, build_context, target_literals
+from .analysis import Context, build_context, masked, target_literals
 from .errors import (
     BasisStateNotFound,
     TooManyInitialStates,
@@ -221,10 +221,9 @@ def build_basis(problem: ConformantProblem, spec: TranslationSpec,
     states: Set[State] = set()
     for t, L in work:
         closure = pi.closure(t)
-        forced = set(t)
-        for lp in ctx.rel.relevant_to(L):
-            if lp.fluent in problem.fluents and lp not in closure:
-                forced.add(lp.negate())
+        forced = set(t).union(
+            lp.negate() for lp in masked(ctx.rel.lits, ctx.rel.relevant[L])
+            if lp not in closure)
         found = next(enumerate_models(problem.init, problem.fluents,
                                       forced=sorted_lits(forced), cap=None),
                      None)

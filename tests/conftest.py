@@ -30,9 +30,9 @@ from kplan import (
     run_plan,
 )
 from kplan import analysis, generators, pddl
-from kplan.analysis import (Context, RelevanceGraph, all_literals,
-                            build_context, cover, relevant_clauses,
-                            satisfies, target_literals)
+from kplan.analysis import (Context, Masks, all_literals, build_context,
+                            cover, masked, relevant_clauses, satisfies,
+                            target_literals)
 from kplan.errors import (CapExceeded, InvalidSpec, TooManyInitialStates,
                           TooManyModels, UnsupportedFeature,
                           ValidityUndecidedAtCap, WidthSearchCap)
@@ -50,6 +50,39 @@ from kplan.translate import (
     nondet_compile,
 )
 from kplan.verify import DEFAULT_STATE_CAP, initial_states
+
+
+# --- reference PDDL tokenizer -----------------------------------------------------
+
+def reference_tokenize(text: str) -> Iterator[Tuple[str, int, int]]:
+    """(text, line, column) per token: `kplan.pddl._tokenize` as it was
+    before it matched one regular expression, scanning character by
+    character.  Space, tab, CR and LF separate tokens; ``;`` starts a
+    comment to the end of the line; each parenthesis is a token."""
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif ch in " \t\r":
+            col += 1
+            i += 1
+        elif ch == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch in "()":
+            yield ch, line, col
+            col += 1
+            i += 1
+        else:
+            start, start_col = i, col
+            while i < n and text[i] not in " \t\r\n();":
+                i += 1
+                col += 1
+            yield text[start:i], line, start_col
 
 
 # --- tiny worked example ------------------------------------------------------
@@ -269,8 +302,12 @@ def is_conformant(problem: ConformantProblem, steps: Iterable[str]) -> bool:
 # --- reference relevance fixpoint and covers ----------------------------------------
 
 def reference_relevance(problem: ConformantProblem,
-                        rule4: str = "standard") -> analysis.RelevanceGraph:
-    """Least fixpoint of the relevance rules.
+                        rule4: str = "standard"
+                        ) -> Tuple[Dict[Literal, FrozenSet[Literal]],
+                                   Dict[Literal, FrozenSet[Literal]]]:
+    """Least fixpoint of the relevance rules, as (reachable, relevant):
+    per literal L, the literals L is relevant to and the literals
+    relevant to L.
 
     1. L -> L;
     2. L -> L' for every rule C -> L' with L in C;
@@ -308,7 +345,12 @@ def reference_relevance(problem: ConformantProblem,
             if new != cur:
                 reach[L] = new
                 changed = True
-    return analysis.RelevanceGraph({l: frozenset(s) for l, s in reach.items()})
+    relevant: Dict[Literal, Set[Literal]] = {l: set() for l in lits}
+    for L, targets in reach.items():
+        for target in targets:
+            relevant[target].add(L)
+    return ({l: frozenset(s) for l, s in reach.items()},
+            {l: frozenset(s) for l, s in relevant.items()})
 
 
 def reference_entails_literal(pi, t: Tag, L: Literal) -> bool:
@@ -839,10 +881,12 @@ def reference_ktm(problem: ConformantProblem, spec: TranslationSpec,
                 raise InvalidSpec(f"invalid merge for {m.target}")
 
     lits = analysis.all_literals(problem.fluents)
-    rel = ctx.rel
+
+    def relevant_to(L: Literal) -> FrozenSet[Literal]:
+        return frozenset(masked(ctx.rel.lits, ctx.rel.relevant[L]))
 
     def collapses(L: Literal, t: Tag) -> bool:
-        return bool(t) and not (pi.closure(t) & rel.relevant_to(L))
+        return bool(t) and not (pi.closure(t) & relevant_to(L))
 
     def atom(L: Literal, t: Tag) -> str:
         if optimized and collapses(L, t):
@@ -859,7 +903,7 @@ def reference_ktm(problem: ConformantProblem, spec: TranslationSpec,
         if not optimized or not t:
             return True
         targets = merged_through.get(t, ())
-        return any(rel.relevant(L, tgt) for tgt in targets)
+        return any(L in relevant_to(tgt) for tgt in targets)
 
     def declared(L: Literal, t: Tag) -> bool:
         # KL/t exists where t keeps the rules with head L or KL/t is KL
@@ -949,7 +993,7 @@ def project_reference(K: ClassicalProblem, problem: ConformantProblem,
     for t in spec.tags:
         extra = ctx.pi.closure(t) - units
         for L in all_literals(problem.fluents):
-            p = extra & ctx.rel.relevant_to(L)
+            p = extra & frozenset(masked(ctx.rel.lits, ctx.rel.relevant[L]))
             rename[atom_name(L, t)] = atom_name(L, p)
 
     def lit(l: Literal) -> Literal:
@@ -995,7 +1039,8 @@ def fold_reference(K: ClassicalProblem, problem: ConformantProblem,
     for c in all_literals(problem.fluents):
         if c in heads or c in merged:
             continue
-        for p in {extra & ctx.rel.relevant_to(c) for extra in extras}:
+        relevant_to_c = frozenset(masked(ctx.rel.lits, ctx.rel.relevant[c]))
+        for p in {extra & relevant_to_c for extra in extras}:
             start = c in p or c in units
             if not start or c.fluent not in changed:
                 value[atom_name(c, p)] = start
@@ -1130,7 +1175,7 @@ def reference_spec_kmodels(ctx: Context, cap: int = DEFAULT_MODEL_CAP,
 # --- reference width search ----------------------------------------------------
 
 def reference_width_of_literal(ci: Iterable[Clause], L: Literal,
-                               rel: RelevanceGraph, pi,
+                               rel: Masks, pi,
                                cap: Optional[int] = None
                                ) -> Tuple[int, Tuple[Clause, ...]]:
     """Smallest |C|, C subset of C_I*(L), whose cover satisfies C_I(L):

@@ -20,7 +20,7 @@ from kplan import (
     width_of_literal,
 )
 from kplan import cli, pddl
-from kplan.analysis import all_literals, target_literals
+from kplan.analysis import all_literals, masked, target_literals
 from kplan.errors import InconsistentInit, WidthSearchCap
 from kplan.model import action, conformant_problem, rule
 
@@ -41,31 +41,44 @@ from conftest import (
 
 def test_relevance_direct_and_transitive(tiny):
     rel = relevance(tiny)
+    # the literals in sorted order, a bit each; the complement of bit i
+    # is bit i ^ 1
+    assert rel.lits == all_literals(tiny.fluents)
+    assert rel.bit == {L: 1 << i for i, L in enumerate(rel.lits)}
+    bit = rel.bit
     # condition literal -> effect
-    assert rel.relevant(pos("q"), pos("r"))
-    assert rel.relevant(pos("q"), pos("p"))
-    assert rel.relevant(pos("p"), neg("p"))
+    assert rel.reachable[pos("q")] & bit[pos("r")]
+    assert rel.reachable[pos("q")] & bit[pos("p")]
+    assert rel.reachable[pos("p")] & bit[neg("p")]
     # closed by the negation rule: ~p -> p because p -> ~p
-    assert rel.relevant(neg("p"), pos("p"))
+    assert rel.reachable[neg("p")] & bit[pos("p")]
     # and reflexive
-    assert rel.relevant(pos("r"), pos("r"))
+    assert rel.reachable[pos("r")] & bit[pos("r")]
     # nothing makes r relevant to q
-    assert not rel.relevant(pos("r"), pos("q"))
+    assert not rel.reachable[pos("r")] & bit[pos("q")]
+    # the two tables are each other's transpose
+    for L, Lp in itertools.product(rel.lits, repeat=2):
+        assert bool(rel.reachable[L] & bit[Lp]) == \
+            bool(rel.relevant[Lp] & bit[L]), (L, Lp)
 
 
 def test_relevance_contrapositive_variant(tiny):
     rel = relevance(tiny)
-    assert rel.relevant(neg("q"), neg("r"))  # from q -> r
+    assert rel.reachable[neg("q")] & rel.bit[neg("r")]  # from q -> r
+    assert rel.relevant[neg("r")] & rel.bit[neg("q")]
 
 
 def _check_relevance_against_reference(problem):
     rel = relevance(problem)
     lits = all_literals(problem.fluents)
+    assert rel.lits == lits
     for rule4 in ("standard", "contrapositive"):
-        ref = reference_relevance(problem, rule4)
+        reachable, relevant = reference_relevance(problem, rule4)
         for L in lits:
-            assert rel.reachable_from(L) == ref.reachable_from(L), (rule4, L)
-            assert rel.relevant_to(L) == ref.relevant_to(L), (rule4, L)
+            assert frozenset(masked(lits, rel.reachable[L])) == \
+                reachable[L], (rule4, L)
+            assert frozenset(masked(lits, rel.relevant[L])) == \
+                relevant[L], (rule4, L)
 
 
 def test_relevance_matches_reference_on_random_suite():

@@ -18,7 +18,7 @@ from kplan import (
     spec_ki,
     spec_kmodels,
 )
-from kplan.analysis import all_literals
+from kplan.analysis import all_literals, masked
 from kplan.translate import atom_name
 from kplan import generators, pddl
 
@@ -100,7 +100,8 @@ def test_resets_write_the_atoms_ktm_declares(n):
                 if not any(l.fluent in hidden for l in t):
                     continue
                 for L in all_literals(compiled.fluents):
-                    p = (ctx.pi.closure(t) - units) & ctx.rel.relevant_to(L)
+                    p = (ctx.pi.closure(t) - units) & frozenset(
+                        masked(ctx.rel.lits, ctx.rel.relevant[L]))
                     tagged = atom_name(L, p)
                     if L.fluent in hidden or not p or tagged not in K.fluents:
                         continue

@@ -8,6 +8,7 @@ import pytest
 from kplan import (PddlSyntaxError, UnsupportedFeature, build_context, ktm,
                    neg, pos, spec_ki)
 from kplan.pddl import (
+    _tokenize,
     emit_classical,
     emit_plan_text,
     ground,
@@ -18,6 +19,8 @@ from kplan.pddl import (
     parse_sexprs,
 )
 from kplan import KplanError, generators
+
+from conftest import SMALL_INSTANCES, reference_tokenize
 
 
 DOMAIN = """
@@ -354,6 +357,33 @@ def test_mutated_inputs_raise_only_kplan_errors():
             load(*pair)
         except KplanError:
             pass
+
+
+def test_the_tokenizer_matches_the_reference_scanner():
+    # tokens and their positions against the character-by-character
+    # scanner: on every generator's texts, on tree mutations of them as
+    # above, and on insertions of separators, line breaks, comments,
+    # parentheses and characters that are not separators (VT, FF, e-acute)
+    def plain(node):
+        return list(map(plain, node)) if isinstance(node, list) \
+            else str(node)
+
+    texts = [DOMAIN, PROBLEM]
+    for family, params in SMALL_INSTANCES:
+        texts += generators.generate(family, params)
+    trees = [plain(parse_sexprs(t)) for t in texts]
+    rng = random.Random(2)
+    corpus = texts + [_mutate(rng.choice(trees), rng) for _ in range(300)]
+    for _ in range(300):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 6)):
+            i = rng.randint(0, len(text))
+            char = rng.choice(" \t\r\n\x0b\x0c;;()\u00e9x")
+            text = text[:i] + char + text[i:]
+        corpus.append(text)
+    for text in corpus:
+        assert [(str(t), t.line, t.column) for t in _tokenize(text)] == \
+            list(reference_tokenize(text)), text
 
 
 def test_plan_text_round_trip():

@@ -21,7 +21,7 @@ from kplan import (
     spec_ks0,
 )
 from kplan import pddl
-from kplan.analysis import all_literals
+from kplan.analysis import all_literals, masked
 from kplan.errors import CapExceeded, UnsupportedFeature
 from kplan.model import NondetRule, Rule, action, conformant_problem, rule
 from kplan.pi import PICNF
@@ -29,7 +29,6 @@ from kplan.translate import (
     TranslationSpec,
     atom_name,
     inject_reset_effects,
-    masked,
     merge_action_name,
     nondet_compile,
     projections,
@@ -418,7 +417,7 @@ def test_tag_table_names_follow_atom_name():
     # does, so the merge reads K~r there.  The projections are masks over
     # the context's literals.
     def projected(tag):
-        return {L: set(masked(ctx.masks[0], p))
+        return {L: set(masked(ctx.rel.lits, p))
                 for L, p in projections(tag, ctx)[1].items()}
     assert projected(t) == {neg("p"): {neg("p")},
                             neg("r"): {neg("p")}, pos("q"): {pos("q")}}
