@@ -215,26 +215,23 @@ def width(problem: ConformantProblem) -> int:
 # --- mutexes ---------------------------------------------------------------
 
 class MutexSet:
-    """A symmetric set of mutex pairs of distinct literals, indexed by a
-    partner set per literal so that every query is a set lookup."""
+    """The mutex pairs of distinct literals as the fixpoint leaves them:
+    the literals in sorted order (those of ``relevance``) and, per
+    literal, the bitmask of its partners.  ``pairs`` lists each pair
+    once."""
 
-    def __init__(self, pairs: FrozenSet[FrozenSet[Literal]]):
-        self.pairs = pairs
-        partners: Dict[Literal, Set[Literal]] = {}
-        for a, b in pairs:
-            partners.setdefault(a, set()).add(b)
-            partners.setdefault(b, set()).add(a)
-        self._partners = {l: frozenset(s) for l, s in partners.items()}
+    def __init__(self, lits: List[Literal], partners: List[int]):
+        self._lits = lits
+        self._partners = dict(zip(lits, partners))
+        self.pairs = frozenset(frozenset((L, Lp)) for L in lits
+                               for Lp in self.mutex_with(L))
 
     def mutex(self, L: Literal, Lp: Literal) -> bool:
         return Lp in self.mutex_with(L)
 
-    def set_mutex(self, S: Iterable[Literal]) -> bool:
-        S = set(S)
-        return any(not self.mutex_with(a).isdisjoint(S) for a in S)
-
-    def mutex_with(self, L: Literal) -> FrozenSet[Literal]:
-        return self._partners.get(L, frozenset())
+    def mutex_with(self, L: Literal) -> List[Literal]:
+        """L's partners, in sorted order."""
+        return masked(self._lits, self._partners.get(L, 0))
 
 
 def mutex_set(problem: ConformantProblem, pi: Optional[PICNF] = None
@@ -266,7 +263,8 @@ def mutex_set(problem: ConformantProblem, pi: Optional[PICNF] = None
     rules with that head, so a pair L, L' visits only the actions with L
     or L' as a head and, in them, only the rules with head L, L' or ~L'.
     The conditions are monotone in the pair set, so the fixpoint does not
-    depend on the order in which pairs are deleted.
+    depend on the order in which pairs are deleted.  The partner masks it
+    ends with are the ``MutexSet``.
     """
     if pi is None:
         pi = prime_implicates(problem.init, problem.fluents)
@@ -351,8 +349,7 @@ def mutex_set(problem: ConformantProblem, pi: Optional[PICNF] = None
                 partners[j] &= ~(1 << i)
                 changed = True
         alive = [(i, j) for i, j in alive if partners[i] >> j & 1]
-    return MutexSet(frozenset(frozenset((lits[i], lits[j]))
-                              for i, j in alive))
+    return MutexSet(lits, partners)
 
 
 # --- bundled analysis context ----------------------------------------------

@@ -54,68 +54,57 @@ def _reduce_subsumed(clauses: Iterable[Clause]) -> Set[Clause]:
 
 
 def enumerate_models(clauses: Iterable[Clause], fluents: Iterable[str],
-                     forced: Iterable[Literal] = (),
                      cap: Optional[int] = DEFAULT_MODEL_CAP
                      ) -> Iterator[FrozenSet[Literal]]:
     """Backtracking enumeration of complete consistent states over
-    ``fluents`` satisfying ``clauses``, with ``forced`` literals pinned.
-    Raises ValidityUndecidedAtCap past ``cap`` states.
+    ``fluents`` satisfying ``clauses``.  A literal is pinned by its unit
+    clause.  Raises ValidityUndecidedAtCap past ``cap`` states.
 
-    Depth first with an explicit stack over the unforced fluents in sorted
-    order, false before true.  The falsified literals form a bitmask, and
-    a clause is violated once the mask covers it.  That can first happen
+    Depth first with an explicit stack over the fluents in sorted order,
+    false before true.  The falsified literals form a bitmask, and a
+    clause is violated once the mask covers it.  That can first happen
     when its last literal is falsified, so assigning a fluent checks only
     the clauses of the literal it falsifies: the binary ones at once,
     through the mask of their other literals, the others one by one.
     """
     fluents = tuple(sorted(set(fluents)))
     clauses = [frozenset(c) for c in clauses]
-    forced = list(forced)
-    if not lits_consistent(forced):
+    if not all(clauses):
         return
-    assignment: Dict[str, bool] = {l.fluent: l.positive for l in forced}
     bit: Dict[Literal, int] = {}
     for c in clauses:
         for l in c:
             bit.setdefault(l, 1 << len(bit))
     partners: Dict[Literal, int] = {}       # x -> the y of clauses {x, y}
     others: Dict[Literal, List[int]] = {}   # x -> masks of its other clauses
-    masks = []
     for c in clauses:
-        mask = sum(bit[l] for l in c)
-        masks.append(mask)
         if len(c) == 2:
             x, y = c
             partners[x] = partners.get(x, 0) | bit[y]
             partners[y] = partners.get(y, 0) | bit[x]
         else:
+            mask = sum(bit[l] for l in c)
             for l in c:
                 others.setdefault(l, []).append(mask)
-    falsified = sum(bit.get(Literal(f, not v), 0)
-                    for f, v in assignment.items())
-    if any(m & falsified == m for m in masks):
-        return
 
-    order = [f for f in fluents if f not in assignment]
-    literal = [(Literal(f, False), Literal(f, True)) for f in order]
+    literal = [(Literal(f, False), Literal(f, True)) for f in fluents]
     # per depth and value: what assigning it falsifies, and the clauses
     # that could become violated by that
     checks = [[(bit.get(L.negate(), 0), partners.get(L.negate(), 0),
                 others.get(L.negate(), ())) for L in pair]
               for pair in literal]
-    pinned = [Literal(f, v) for f, v in assignment.items()]
-    chosen: List[Literal] = [None] * len(order)  # type: ignore[list-item]
-    falsified_at = [falsified] * (len(order) + 1)
-    tried = [0] * len(order)  # values tried at each depth: 0, 1 or 2
+    chosen: List[Literal] = [None] * len(fluents)  # type: ignore[list-item]
+    falsified_at = [0] * (len(fluents) + 1)
+    tried = [0] * len(fluents)  # values tried at each depth: 0, 1 or 2
     count = 0
     depth = 0
     while depth >= 0:
-        if depth == len(order):
+        if depth == len(fluents):
             count += 1
             if cap is not None and count > cap:
                 raise ValidityUndecidedAtCap(
                     f"model enumeration exceeded cap {cap}")
-            yield frozenset(pinned + chosen)
+            yield frozenset(chosen)
             depth -= 1
             continue
         value = tried[depth]

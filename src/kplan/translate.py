@@ -398,7 +398,7 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
         cond = share(frozenset(lit(names[L, mask_of[t] & scope[L]])
                                for t in m.tags))
         effects = [Rule(cond, lit(plain[L]))]
-        for other in sorted(ctx.mutexes.mutex_with(L)):
+        for other in ctx.mutexes.mutex_with(L):
             if other == L.negate():
                 continue
             effects.append(Rule(cond, lit(plain[other.negate()])))

@@ -221,12 +221,14 @@ def build_basis(problem: ConformantProblem, spec: TranslationSpec,
     states: Set[State] = set()
     for t, L in work:
         closure = pi.closure(t)
-        forced = set(t).union(
+        pins = set(t).union(
             lp.negate() for lp in masked(ctx.rel.lits, ctx.rel.relevant[L])
             if lp not in closure)
-        found = next(enumerate_models(problem.init, problem.fluents,
-                                      forced=sorted_lits(forced), cap=None),
-                     None)
+        # each pin is a unit clause after I's: the first model is the
+        # least one of I agreeing with every pin
+        found = next(enumerate_models(
+            problem.init + tuple(frozenset((l,)) for l in pins),
+            problem.fluents, cap=None), None)
         if found is None:
             raise BasisStateNotFound(
                 f"no possible initial state for tag {sorted_lits(t)} and "

@@ -780,8 +780,8 @@ def reference_enumerate_states(clauses: Iterable[Clause],
     """Backtracking enumeration of complete consistent states over
     ``fluents`` satisfying ``clauses``, with ``forced`` literals pinned:
     `kplan.pi.enumerate_models` (then `kplan.verify._enumerate_states`) as
-    it was before it kept an explicit stack, recursing once per fluent and
-    checking every clause per node."""
+    it was before it kept an explicit stack and took pins as unit clauses,
+    recursing once per fluent and checking every clause per node."""
     fluents = tuple(sorted(set(fluents)))
     clauses = [frozenset(c) for c in clauses]
     forced = list(forced)

@@ -29,7 +29,9 @@ to ``_replace`` or ``replace`` by keyword.
 
 A fifth scan fails on a function or method of ``src/kplan`` whose name
 only tests use: nothing in ``src/kplan`` but its definition and the
-export list, and nothing in ``perfbench``.  The oracles the tests judge
+export list, and nothing in ``perfbench``.  A method counts as used only
+through an attribute or an exact string, as a bare name is a module
+function or a local.  The oracles the tests judge
 kplan by are listed, each with its reason, as the exceptions.
 """
 
@@ -376,13 +378,30 @@ def functions(source: str):
     return out
 
 
+def reached(source: str):
+    """The names the source reads as an attribute or spells as an exact
+    string: the only ways to reach a method, as a bare name is a module
+    function or a local."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            out.add(node.value)
+    return out
+
+
 def used_only_by_tests(package, program):
     """The functions and methods, as ``module.qualified``, of the package's
     (module, source) pairs whose name appears in none of the program's
-    sources but at its own definition."""
+    sources but at its own definition; a method's name must appear as an
+    attribute or a string."""
     appearing = set().union(*(uses(s)[0] for s in program))
+    attributes = set().union(*(reached(s) for s in program))
     return [f"{module}.{q}" for module, source in package
-            for q, n in functions(source) if n not in appearing]
+            for q, n in functions(source)
+            if n not in (attributes if "." in q else appearing)]
 
 
 def test_the_scan_finds_functions_only_tests_use():
@@ -393,15 +412,21 @@ def test_the_scan_finds_functions_only_tests_use():
                "        pass\n"
                "    def tested(self):\n"
                "        pass\n"
+               "    def shadowed(self):\n"
+               "        pass\n"
                "    def __len__(self):\n"
                "        return 0\n"
                "def oracle():\n"
                "    pass\n"
                "def traced():\n"
-               "    pass\n")
-    bench = "setattr(m, 'traced', wrap(m.traced))\nC().used()\n"
+               "    pass\n"
+               "def outer():\n"
+               "    def shadowed():\n"
+               "        pass\n"
+               "    return shadowed()\n")
+    bench = "setattr(m, 'traced', wrap(m.traced))\nC().used()\nm.outer()\n"
     assert used_only_by_tests([("m", package)], [package, bench]) == [
-        "m.C.tested", "m.oracle"]
+        "m.C.tested", "m.C.shadowed", "m.oracle"]
 
 
 # the oracles the tests judge kplan by; kplan itself never calls them

@@ -6,7 +6,9 @@ import random
 import pytest
 
 from kplan import (
+    Basis,
     BasisStateNotFound,
+    CapExceeded,
     Plan,
     TooManyInitialStates,
     Verdict,
@@ -26,8 +28,11 @@ from kplan import (
     run_plan,
     spec_k0,
     spec_ki,
+    spec_kmodels,
+    spec_ks0,
     zero_approx_run,
 )
+from kplan.analysis import target_literals
 from kplan.errors import UnsupportedFeature
 from kplan import generators, pddl
 from kplan.model import NondetRule, action, conformant_problem, rule, sorted_lits
@@ -42,7 +47,9 @@ from conftest import (
     classical_accepts,
     compiled_instance,
     random_suite,
+    reference_entails_literal,
     reference_enumerate_states,
+    reference_relevance,
     reference_zero_approx_step,
     states_until_cap,
 )
@@ -253,12 +260,86 @@ def test_build_basis_failure_is_hard():
         build_basis(problem, bad)
 
 
+# --- the basis against the references -----------------------------------------
+
+def reference_bases(problem, pi, specs):
+    """``build_basis`` of each spec by the references, or
+    BasisStateNotFound: relevance by its fixpoint, entailment clause by
+    clause, and the pins as the ``forced`` literals of the recursive
+    enumerator.  Both are memoized, as the specs repeat tags and pins."""
+    relevant = reference_relevance(problem)[1]
+    entailed, first = {}, {}
+    out = []
+    for spec in specs:
+        merged = {m.target for m in spec.merges}
+        work = [(t, m.target) for m in spec.merges
+                for t in sorted(m.tags, key=sorted_lits)]
+        work += [(frozenset(), L) for L in target_literals(problem)
+                 if L not in merged]
+        provenance = []
+        for t, L in work:
+            for lp in relevant[L]:
+                if (t, lp) not in entailed:
+                    entailed[t, lp] = reference_entails_literal(pi, t, lp)
+            forced = frozenset(t) | {lp.negate() for lp in relevant[L]
+                                     if not entailed[t, lp]}
+            if forced not in first:
+                first[forced] = next(reference_enumerate_states(
+                    problem.init, problem.fluents, sorted_lits(forced),
+                    cap=None), None)
+            if first[forced] is None:
+                out.append(BasisStateNotFound)
+                break
+            provenance.append((t, L, first[forced]))
+        else:
+            states = {s for _, _, s in provenance}
+            out.append(Basis(tuple(sorted(states, key=sorted_lits)),
+                             tuple(provenance)))
+    return out
+
+
+def _check_basis(problem):
+    """Under ``ki:1``, and under ``kmodels`` and ``ks0`` where they have at
+    most 512 tags: the same states, the same provenance, or
+    BasisStateNotFound on both sides."""
+    ctx = build_context(problem)
+    specs, got = [], []
+    for build in (lambda: spec_ki(ctx, 1), lambda: spec_kmodels(ctx, 512),
+                  lambda: spec_ks0(ctx, 512)):
+        try:
+            specs.append(build())
+        except CapExceeded:
+            continue
+        try:
+            got.append(build_basis(problem, specs[-1], ctx))
+        except BasisStateNotFound:
+            got.append(BasisStateNotFound)
+    assert got == reference_bases(problem, ctx.pi, specs)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("reachable_goal", [False, True])
+def test_build_basis_matches_reference_on_random_suites(seed, reachable_goal):
+    for problem in random_suite(seed, 60, reachable_goal=reachable_goal):
+        _check_basis(problem)
+
+
+@pytest.mark.parametrize("family,params", BENCH_INSTANCES,
+                         ids=["-".join(map(str, (f, *p)))
+                              for f, p in BENCH_INSTANCES])
+def test_build_basis_matches_reference_on_generated(family, params):
+    _check_basis(compiled_instance(family, params)[0])
+
+
 # --- the iterative enumerator against the recursive reference ---------------------
 
-def _check_enumeration(clauses, fluents, **kwargs):
-    got = states_until_cap(enumerate_models, clauses, fluents, **kwargs)
+def _check_enumeration(clauses, fluents, pins=(), **kwargs):
+    """kplan pins by unit clauses, the reference by ``forced``."""
+    units = tuple(frozenset((l,)) for l in pins)
+    got = states_until_cap(enumerate_models, tuple(clauses) + units, fluents,
+                           **kwargs)
     want = states_until_cap(reference_enumerate_states, clauses, fluents,
-                            **kwargs)
+                            forced=pins, **kwargs)
     assert got == want
 
 
@@ -268,12 +349,12 @@ def test_enumeration_matches_reference_on_random_suite():
         fluents = sorted(problem.fluents)
         _check_enumeration(problem.init, fluents)
         _check_enumeration(problem.init, fluents, cap=3)
-        # pinned literals, consistent or not, inside and outside the fluents
-        forced = [Literal(f, rng.random() < 0.5)
-                  for f in rng.sample(fluents + ["x"], 2)]
-        _check_enumeration(problem.init, fluents, forced=forced, cap=None)
+        # pinned literals, consistent or not
+        pins = [Literal(f, rng.random() < 0.5)
+                for f in rng.sample(fluents, 2)]
+        _check_enumeration(problem.init, fluents, pins, cap=None)
         _check_enumeration(problem.init, fluents,
-                           forced=[pos(fluents[0]), neg(fluents[0])])
+                           [pos(fluents[0]), neg(fluents[0])])
 
 
 @pytest.mark.parametrize("family,params", BENCH_INSTANCES,
