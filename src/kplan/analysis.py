@@ -215,16 +215,14 @@ def width(problem: ConformantProblem) -> int:
 # --- mutexes ---------------------------------------------------------------
 
 class MutexSet:
-    """The mutex pairs of distinct literals as the fixpoint leaves them:
-    the literals in sorted order (those of ``relevance``) and, per
-    literal, the bitmask of its partners.  ``pairs`` lists each pair
-    once."""
+    """The mutex pairs of distinct literals in the one form the fixpoint
+    leaves them: the literals in sorted order (those of ``relevance``)
+    and, per literal, the bitmask of its partners.  ``mutex`` and
+    ``mutex_with`` read the relation; nothing else holds it."""
 
     def __init__(self, lits: List[Literal], partners: List[int]):
         self._lits = lits
         self._partners = dict(zip(lits, partners))
-        self.pairs = frozenset(frozenset((L, Lp)) for L in lits
-                               for Lp in self.mutex_with(L))
 
     def mutex(self, L: Literal, Lp: Literal) -> bool:
         return Lp in self.mutex_with(L)

@@ -112,14 +112,10 @@ def _head(node: SExpr) -> str:
 
 # --- AST ---------------------------------------------------------------------
 
-class AtomTemplate(NamedTuple):
+class LiteralTemplate(NamedTuple):  # an atom and its sign
     predicate: str
     args: Tuple[str, ...]  # variables (?x) or constants
-
-
-class LiteralTemplate(NamedTuple):
-    atom: AtomTemplate
-    positive: bool = True
+    positive: bool
 
 
 ClauseTemplate = Tuple[LiteralTemplate, ...]
@@ -197,19 +193,20 @@ def _parse_typed_list(items: Sequence[SExpr]) -> Tuple[Tuple[str, str], ...]:
     return tuple(out)
 
 
-def _parse_atom(node: SExpr) -> AtomTemplate:
+def _parse_atom(node: SExpr) -> LiteralTemplate:
     if not isinstance(node, list) or not node or \
             not all(isinstance(x, Sym) for x in node):
         raise _err(node, "expected an atom (predicate arguments...)")
-    return AtomTemplate(str(node[0]), tuple(str(x) for x in node[1:]))
+    return LiteralTemplate(str(node[0]), tuple(str(x) for x in node[1:]),
+                           True)
 
 
 def _parse_literal(node: SExpr) -> LiteralTemplate:
     if _head(node) == "not":
         if len(node) != 2:
             raise _err(node, "'not' takes exactly one atom")
-        return LiteralTemplate(_parse_atom(node[1]), False)
-    return LiteralTemplate(_parse_atom(node), True)
+        return _parse_atom(node[1])._replace(positive=False)
+    return _parse_atom(node)
 
 
 def _conjuncts(node: SExpr) -> List[SExpr]:
@@ -240,13 +237,13 @@ def _init_clauses(entry: SExpr) -> List[ClauseTemplate]:
         if len(entry) < 3:
             raise _err(entry, "'oneof' needs at least two members")
         lits = _disjuncts(entry)
-        negated = [LiteralTemplate(l.atom, not l.positive) for l in lits]
+        negated = [l._replace(positive=not l.positive) for l in lits]
         return [lits, *itertools.combinations(negated, 2)]
     if head == "unknown":
         if len(entry) != 2:
             raise _err(entry, "'unknown' takes one atom")
         atom = _parse_atom(entry[1])
-        return [(LiteralTemplate(atom), LiteralTemplate(atom, False))]
+        return [(atom, atom._replace(positive=False))]
     return [(_parse_literal(entry),)]
 
 
@@ -403,30 +400,21 @@ def parse(domain_text: str, problem_text: str) -> Tuple[DomainAst, ProblemAst]:
 
 def _objects_by_type(domain: DomainAst, problem: ProblemAst
                      ) -> Dict[str, List[str]]:
-    everything = list(domain.constants) + list(problem.objects)
-
-    def subtypes(t: str) -> Set[str]:
-        out = {t}
-        changed = True
-        while changed:
-            changed = False
-            for child, parent in domain.types.items():
-                if parent in out and child not in out:
-                    out.add(child)
-                    changed = True
-        return out
-
-    all_types = {"object"} | set(domain.types) | set(domain.types.values()) \
-        | {t for _, t in everything}
-    table: Dict[str, List[str]] = {}
-    for t in all_types:
-        if t == "object":
-            members = [o for o, _ in everything]
-        else:
-            sub = subtypes(t)
-            members = [o for o, ot in everything if ot in sub]
-        table[t] = sorted(set(members))
-    return table
+    """Type -> its objects, sorted: those declared of it or of a type
+    below it, and every object for ``object``.  One walk up the parents
+    from each declared type of each object, which stops at the first
+    type that holds the object already: a cycle, or the walk from
+    another of its types, which went on from there.  Every object joins
+    ``object`` after the walks, so that a walk through ``object`` goes
+    on to the types that a domain may declare above it."""
+    everything = domain.constants + problem.objects
+    table: Dict[str, Set[str]] = {}
+    for o, t in everything:
+        while t is not None and o not in table.setdefault(t, set()):
+            table[t].add(o)
+            t = domain.types.get(t)
+    table["object"] = {o for o, _ in everything}
+    return {t: sorted(members) for t, members in table.items()}
 
 
 def ground_atom_name(predicate: str, args: Sequence[str]) -> str:
@@ -471,18 +459,17 @@ class _Grounder:
 
     def _ground_literal(self, t: LiteralTemplate, binding: Dict[str, str],
                         where: str) -> Literal:
-        atom = t.atom
-        if atom.predicate not in self.domain.predicates:
+        if t.predicate not in self.domain.predicates:
             raise PddlSyntaxError(
-                f"undeclared predicate '{atom.predicate}' in {where}")
-        for a in atom.args:
+                f"undeclared predicate '{t.predicate}' in {where}")
+        for a in t.args:
             if a.startswith("?") and a not in binding:
                 raise PddlSyntaxError(f"unbound variable '{a}' in {where}")
-        args = [binding[a] if a.startswith("?") else a for a in atom.args]
-        key = (atom.predicate, *args, t.positive)
+        args = [binding[a] if a.startswith("?") else a for a in t.args]
+        key = (t.predicate, *args, t.positive)
         found = self.interned.get(key)
         if found is None:  # named and type-checked once per literal
-            name = ground_atom_name(atom.predicate, args)
+            name = ground_atom_name(t.predicate, args)
             if self.fluents.get(name) != key[:-1]:
                 raise PddlSyntaxError(
                     f"atom '{name}' uses objects of the wrong type in {where}")

@@ -154,14 +154,14 @@ def spec_ki(ctx: Context, i: int, include_all: bool = False) -> TranslationSpec:
 def projections(t: Tag, ctx: Context, wanted: int = -1
                 ) -> Tuple[int, Dict[Literal, int]]:
     """The mask of the literals of t* outside the closure of the empty
-    tag, and L -> the projection of t onto L, those of them relevant to L,
-    for each literal L (of the mask ``wanted``) where it is not empty,
-    as masks over ``ctx.rel``'s literals.  Only these literals of t* can
-    make KL/t differ from KL.  Under the rewrites ``ktm`` names KL/t as
-    KL/p for this p, and ``inject_reset_effects`` resets the atoms so
-    named."""
+    tag (``pi.units``, as I is in prime-implicate form), and L -> the
+    projection of t onto L, those of them relevant to L, for each literal
+    L (of the mask ``wanted``) where it is not empty, as masks over
+    ``ctx.rel``'s literals.  Only these literals of t* can make KL/t
+    differ from KL.  Under the rewrites ``ktm`` names KL/t as KL/p for
+    this p, and ``inject_reset_effects`` resets the atoms so named."""
     lits, bit, relevant, reachable = ctx.rel
-    extra = ctx.pi.closure(t) - ctx.pi.closure(EMPTY_TAG)
+    extra = ctx.pi.closure(t) - ctx.pi.units
     mask = sum(map(bit.__getitem__, extra))
     reach = 0
     for r in map(reachable.__getitem__, extra):
@@ -247,9 +247,11 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
     Kc/(p & relevant_to(c)), Kc/p without the rewrites.  KL/t starts true
     iff L is in t*, which under the rewrites holds iff L is in p or in the
     closure of the empty tag.  Optimized, an atom is declared only where a
-    rule, a merge, the goal or a precondition mentions it; without the
-    rewrites every KL/t is.  Raises UnsupportedFeature when two atoms KL/p
-    take one name, e.g. K~p and K(not-p), or Kp/{q} and K(p__q).
+    rule, a merge, the goal or a precondition mentions it: the names that
+    the build's literal table holds before the initial state is made;
+    without the rewrites every KL/t is.  Raises UnsupportedFeature when
+    two atoms KL/p take one name, e.g. K~p and K(not-p), or Kp/{q} and
+    K(p__q).
 
     Equal literals and conditions are one object, interned by dicts that
     live as long as the build: disjtoy-9 ``ks0`` builds 2314 rules over 2
@@ -334,7 +336,7 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
     # rewrite (4): the literals c whose atoms Kc/q never become true, as
     # no source rule sets c and no merge sets Kc; of a fluent that no rule
     # sets, they never become false either
-    units = sum(map(bit.__getitem__, pi.closure(EMPTY_TAG)))
+    units = sum(map(bit.__getitem__, pi.units))
     folded: Set[Literal] = set()
     if optimized:
         changed = changed_fluents(problem)
@@ -406,16 +408,10 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
                               tuple(effects)))
     actions.sort(key=lambda a: a.name)
 
-    if optimized:
-        mentioned = set(goal)
-        for a in actions:
-            mentioned |= a.preconditions
-            for cond, L in a.rules:
-                mentioned |= cond
-                mentioned.add(L)
-        declared = {f for f, _ in mentioned}
-    else:
-        declared = set(names.values())
+    # under the rewrites, the names that ``lit`` made: those the goal, the
+    # preconditions and the rules mention
+    declared = (literals[True].keys() | literals[False].keys()
+                if optimized else set(names.values()))
     # KL/p starts true iff L is in p*, or under the rewrites in p or the
     # closure of the empty tag
     init = {lit(name) for (L, p), name in names.items()

@@ -116,11 +116,10 @@ def zero_approx_step(known: FrozenSet[Literal],
 def zero_approx_run(problem: ConformantProblem,
                     steps: Iterable[str]) -> Verdict:
     """Validate a plan under the weak semantics: start from the literals
-    entailed by I, require preconditions known at every step, and require
-    all goal literals, and a literal of every goal clause, known at the
-    end."""
-    known = prime_implicates(problem.init, problem.fluents).closure(
-        frozenset())
+    entailed by I (its prime-implicate units), require preconditions
+    known at every step, and require all goal literals, and a literal of
+    every goal clause, known at the end."""
+    known = prime_implicates(problem.init, problem.fluents).units
     for idx, name in enumerate(tuple(steps)):
         try:
             a = problem.action_by_name(name)

@@ -290,7 +290,7 @@ def test_criterion_11_mutex_and_translation_consistency():
     for problem in random_suite(111111, 40, max_fluents=5, max_actions=4):
         mx = mutex_set(problem)
         for s in reachable_source_states(problem):
-            if any(pair <= s for pair in mx.pairs):
+            if any(mx.mutex(L, Lp) for L in s for Lp in s):
                 mutex_violations += 1
         ctx = build_context(problem)
         for spec in (spec_ki(ctx, 1), spec_kmodels(ctx)):

@@ -289,18 +289,24 @@ def test_mutex_complementary_pairs(tiny):
         assert mx.mutex(pos(f), neg(f))
 
 
+def pairs_of(mx, problem):
+    """The mutex pairs, each once, as ``reference_mutex_set`` gives them."""
+    return frozenset(frozenset((L, Lp)) for L in all_literals(problem.fluents)
+                     for Lp in mx.mutex_with(L))
+
+
 def test_mutex_soundness_on_random_suite():
     """No exhaustively reachable state may contain a mutex pair, including
     the pairs that the plain fixpoint (implication from C alone) lacks."""
     beyond_plain = 0
     for problem in random_suite(101, 25) + random_suite(303, 40):
         pi = prime_implicates(problem.init, problem.fluents)
-        mx = mutex_set(problem, pi)
+        pairs = pairs_of(mutex_set(problem, pi), problem)
         for s in reachable_source_states(problem):
-            for pair in mx.pairs:
+            for pair in pairs:
                 assert not pair <= s, (problem, sorted(pair))
         beyond_plain += bool(
-            mx.pairs - reference_mutex_set(problem, pi, strengthened=False))
+            pairs - reference_mutex_set(problem, pi, strengthened=False))
     assert beyond_plain > 0
 
 
@@ -308,18 +314,20 @@ def test_strengthened_mutex_is_superset_on_random_suite():
     for problem in random_suite(202, 10):
         pi = prime_implicates(problem.init, problem.fluents)
         assert reference_mutex_set(problem, pi, strengthened=False) \
-            <= mutex_set(problem, pi).pairs
+            <= pairs_of(mutex_set(problem, pi), problem)
 
 
 def _check_against_reference(problem):
     pi = prime_implicates(problem.init, problem.fluents)
     mx = mutex_set(problem, pi)
-    assert mx.pairs == reference_mutex_set(problem, pi, strengthened=True)
+    reference = reference_mutex_set(problem, pi, strengthened=True)
+    assert pairs_of(mx, problem) == reference
     # sorted, as ktm emits one merge effect per partner in this order
     for L in all_literals(problem.fluents):
-        scanned = {other for p in mx.pairs if L in p
-                   for other in p - {L}}
-        assert mx.mutex_with(L) == sorted(scanned), L
+        partners = {other for p in reference if L in p for other in p - {L}}
+        assert mx.mutex_with(L) == sorted(partners), L
+        assert all(mx.mutex(L, Lp) == (Lp in partners)
+                   for Lp in all_literals(problem.fluents)), L
 
 
 def test_mutex_set_matches_reference_on_random_suite():

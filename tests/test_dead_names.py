@@ -33,6 +33,11 @@ export list, and nothing in ``perfbench``.  A method counts as used only
 through an attribute or an exact string, as a bare name is a module
 function or a local.  The oracles the tests judge
 kplan by are listed, each with its reason, as the exceptions.
+
+A sixth scan fails on an attribute that a method of a ``src/kplan``
+class sets on ``self``, or on the object its ``__new__`` builds, and
+that no program source reads, as an attribute or as an exact string:
+kplan then keeps a value that only tests look at.
 """
 
 import ast
@@ -43,6 +48,9 @@ PACKAGE = sorted((ROOT / "src" / "kplan").glob("*.py"))
 SCANNED = sorted(p for d in (ROOT / "src" / "kplan", ROOT / "tests",
                              ROOT / "perfbench")
                  for p in d.rglob("*.py"))
+# the program: what kplan runs, without its export list and its tests
+PROGRAM = [p for p in SCANNED if "tests" not in p.relative_to(ROOT).parts
+           and p.name != "__init__.py"]
 
 
 def _dunder(name: str) -> bool:
@@ -381,10 +389,10 @@ def functions(source: str):
 def reached(source: str):
     """The names the source reads as an attribute or spells as an exact
     string: the only ways to reach a method, as a bare name is a module
-    function or a local."""
+    function or a local, or to read an attribute set on ``self``."""
     out = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             out.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.isidentifier():
@@ -445,8 +453,79 @@ def test_every_function_is_used_by_the_program():
     tests, unless it is an oracle they judge kplan by.  The export list
     is no use, and nor is a test: the program is ``src/kplan`` without
     ``__init__.py``, and ``perfbench``."""
-    program = [p for p in SCANNED if "tests" not in p.relative_to(ROOT).parts
-               and p.name != "__init__.py"]
     found = used_only_by_tests([(p.stem, p.read_text()) for p in PACKAGE],
-                               [p.read_text() for p in program])
+                               [p.read_text() for p in PROGRAM])
     assert sorted(found) == sorted(ORACLES)
+
+
+def set_attributes(source: str):
+    """(class.attribute, attribute) for each attribute that a method of a
+    class the source defines assigns on its first parameter, or, in
+    ``__new__``, on a name bound to a ``__new__`` call; dunders left
+    out."""
+    out = set()
+
+    def visit(body, prefix: str):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, prefix + node.name + ".")
+            elif prefix and isinstance(node, ast.FunctionDef) \
+                    and node.args.args:
+                owners = {node.args.args[0].arg}
+                for sub in ast.walk(node):
+                    if node.name == "__new__" and isinstance(sub, ast.Assign) \
+                            and isinstance(sub.value, ast.Call) \
+                            and getattr(sub.value.func, "attr", "") \
+                            == "__new__":
+                        owners |= {t.id for t in sub.targets
+                                   if isinstance(t, ast.Name)}
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Attribute) \
+                            and isinstance(sub.ctx, ast.Store) \
+                            and getattr(sub.value, "id", None) in owners \
+                            and not _dunder(sub.attr):
+                        out.add((prefix + sub.attr, sub.attr))
+
+    visit(ast.parse(source).body, "")
+    return sorted(out)
+
+
+def attributes_only_tests_read(package, program):
+    """The attributes, as ``module.Class.attribute``, that the package's
+    (module, source) pairs set and that none of the program's sources
+    reads."""
+    read = set().union(*(reached(s) for s in program))
+    return [f"{module}.{q}" for module, source in package
+            for q, n in set_attributes(source) if n not in read]
+
+
+def test_the_scan_finds_attributes_only_tests_read():
+    package = ("class C:\n"
+               "    def __init__(self, x):\n"
+               "        self.kept = x\n"
+               "        self.counted = 0\n"
+               "        self.unread = x\n"
+               "        self.by_name = x\n"
+               "        self.__dict__ = {}\n"
+               "        other.elsewhere = x\n"
+               "    def bump(self):\n"
+               "        self.counted += 1\n"
+               "        self.late = self.kept\n"
+               "class S(str):\n"
+               "    def __new__(cls, text):\n"
+               "        obj = super().__new__(cls, text)\n"
+               "        obj.where = 0\n"
+               "        obj.shown = 0\n"
+               "        return obj\n")
+    bench = "getattr(c, 'by_name')\nprint(s.shown)\n"
+    assert attributes_only_tests_read([("m", package)], [package, bench]) \
+        == ["m.C.counted", "m.C.late", "m.C.unread", "m.S.where"]
+
+
+def test_every_attribute_kplan_sets_is_read_by_the_program():
+    """An attribute that only tests read is a second form of a fact that
+    the program keeps for them alone.  The program is ``src/kplan``
+    without ``__init__.py``, and ``perfbench``."""
+    assert attributes_only_tests_read(
+        [(p.stem, p.read_text()) for p in PACKAGE],
+        [p.read_text() for p in PROGRAM]) == []

@@ -40,7 +40,8 @@ from kplan import (
 from kplan.translate import _simplify_pass, atom_name
 
 from conftest import (SMALL_INSTANCES, build_pickdrop, coin_problem,
-                      compiled_instance, is_conformant, random_suite)
+                      compiled_instance, is_conformant, random_suite,
+                      reachable_classical_states)
 
 
 def test_optimize_rebuilds_with_rewrites(pickdrop):
@@ -977,6 +978,29 @@ def test_implied_conjuncts_keep_the_optimal_plans_on_random_suites():
                     assert short.stripped_length == plan.stripped_length
                     assert is_conformant(problem, short.stripped()), problem
     assert fired > 0 and found > 0
+
+
+def test_simplify_keeps_whether_a_goal_state_is_reachable():
+    """Exhaustively, where the plan comparisons above stop at depth 4: a
+    goal state of the rewritten encoding K is reachable iff one of
+    simplify(K) is, over random suites 1 and 2, 60 problems each of at
+    most 4 fluents, plain and with reachable goals, under ki:1, kmodels
+    and ks0."""
+    encodings = planned = 0
+    for seed, reachable in itertools.product((1, 2), (False, True)):
+        for problem in random_suite(seed, 60, max_fluents=4,
+                                    reachable_goal=reachable):
+            ctx = build_context(problem)
+            for scheme, build in SPECS.items():
+                K = ktm(problem, build(ctx, False), ctx, optimized=True)
+                found = [any(M.goal <= s for s in
+                             reachable_classical_states(M, max_states=4_000))
+                         for M in (K, simplify(K))]
+                assert found[0] == found[1], (seed, reachable, scheme,
+                                              problem)
+                encodings += 1
+                planned += found[0]
+    assert encodings == 720 and 0 < planned < encodings, planned
 
 
 # (seed, index in random_suite(seed, 40), scheme, optimized) where a

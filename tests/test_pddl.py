@@ -121,23 +121,63 @@ def test_undeclared_and_type_errors():
         load(dom, bad)
 
 
-def test_comments_constants_and_a_type_hierarchy():
-    dom = """; a domain with a constant
+# :types, :objects, and the fluents they ground to beside any-home,
+# at-home and lit-home (home is a room, and every object is an ``any``)
+HIERARCHIES = {
+    # a place is a room or a hall; an object of no type is an object only
+    "one-level": ("room hall - place", "kitchen - room corridor - hall box",
+                  "at-kitchen at-corridor lit-kitchen "
+                  "any-box any-corridor any-kitchen"),
+    "three-level-chain": ("room - hall hall - place",
+                          "kitchen - room corridor - hall box",
+                          "at-kitchen at-corridor lit-kitchen "
+                          "any-box any-corridor any-kitchen"),
+    # every member of a cycle is below every other
+    "cycle": ("room - place place - room",
+              "kitchen - room corridor - place box",
+              "at-kitchen at-corridor lit-kitchen lit-corridor "
+              "any-box any-corridor any-kitchen"),
+    # place is only a parent, and hall is not declared at all
+    "undeclared-parent": ("room - place", "kitchen - room corridor - hall box",
+                          "at-kitchen lit-kitchen "
+                          "any-box any-corridor any-kitchen"),
+    # every object of a type below object is a place, but yard is not
+    "object-under-a-type": ("object - place hall - yard room",
+                            "kitchen - room corridor - hall box",
+                            "at-kitchen at-box lit-kitchen "
+                            "any-box any-corridor any-kitchen"),
+    "an-object-under-two-types": (
+        "room hall - place",
+        "kitchen - room kitchen - hall corridor - hall box",
+        "at-kitchen at-corridor lit-kitchen "
+        "any-box any-corridor any-kitchen"),
+    # corridor's first type, hall, is not below place; its second is
+    "object-under-a-type-and-two-types": (
+        "object - place hall - yard room",
+        "corridor - hall corridor - room box - yard",
+        "at-corridor lit-corridor any-box any-corridor"),
+}
+
+
+@pytest.mark.parametrize("types,objects,fluents", HIERARCHIES.values(),
+                         ids=HIERARCHIES)
+def test_comments_constants_and_a_type_hierarchy(types, objects, fluents):
+    dom = f"""; a domain with a constant
     (define (domain d) ; the header
-      (:types room hall - place)
+      (:types {types})
       (:constants home - room) ; one room every problem has
       (:predicates (at ?p - place) (lit ?r - room) (any ?o))
       (:action go :parameters (?r - room) :precondition (and)
                :effect (at ?r)))"""
-    prob = """(define (problem d1) (:domain d)
-      (:objects kitchen - room corridor - hall box)
+    prob = f"""(define (problem d1) (:domain d)
+      (:objects {objects})
       (:init (not (at home))) (:goal (at home)))"""
     problem = load(dom, prob)
-    # a place is a room or a hall; an object of no type is an object only
-    assert problem.fluents == {
-        "at-home", "at-kitchen", "at-corridor", "lit-home", "lit-kitchen",
-        "any-box", "any-corridor", "any-home", "any-kitchen"}
-    assert {a.name for a in problem.actions} == {"go-home", "go-kitchen"}
+    assert problem.fluents == {"any-home", "at-home", "lit-home",
+                               *fluents.split()}
+    assert {a.name for a in problem.actions} == {
+        "go-" + f[len("lit-"):] for f in problem.fluents
+        if f.startswith("lit-")}
 
 
 def test_contradictory_conditions_and_preconditions_are_pruned():
