@@ -38,13 +38,11 @@ from .model import (
     Rule,
     RunResult,
     State,
-    action,
     apply,
     conformant_problem,
     neg,
     pos,
     restrict,
-    rule,
     run_plan,
 )
 from .pi import EMPTY_TAG, Merge, PICNF, Tag, prime_implicates

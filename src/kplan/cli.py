@@ -118,20 +118,28 @@ def _parse_scheme(text: str) -> Tuple[str, Optional[int]]:
     return f"ki:{int(bound)}", int(bound)
 
 
-def _scheme_spec(scheme: str, bound: Optional[int], ctx, caps):
+def _scheme_spec(scheme: str, bound: Optional[int], ctx, caps,
+                 widths: Dict):
     if scheme == "k0":
         return spec_k0()
     if bound is not None:
-        return spec_ki(ctx, bound)
+        return spec_ki(ctx, bound, widths=widths)
     if scheme == "ks0":
         return spec_ks0(ctx, cap=caps[0])
     return spec_kmodels(ctx, cap=caps[1])
 
 
-def _width_report(problem: ConformantProblem, ctx) -> Dict:
+def _width_report(problem: ConformantProblem, ctx,
+                  found: Optional[Dict] = None) -> Dict:
+    """Each target's width and least witness: as ``found`` holds them
+    (the searches of ``spec_ki`` that its bound did not cut), else by an
+    uncapped search."""
     per_literal = {}
     for L in target_literals(problem):
-        w, witness = width_of_literal(ctx.ci, L, ctx.rel, ctx.pi)
+        if found and L in found:
+            w, witness = found[L]
+        else:
+            w, witness = width_of_literal(ctx.ci, L, ctx.rel, ctx.pi)
         per_literal[str(L)] = {
             "width": w,
             "witness": [[str(l) for l in sorted_lits(c)] for c in witness],
@@ -146,8 +154,9 @@ def cmd_translate(args) -> int:
     compiled, ctx = _deterministic_context(args)
     scheme, bound = args.scheme
     # the spec (a ks0 tag per initial state) goes before simplify runs
-    K = ktm(compiled, _scheme_spec(scheme, bound, ctx, args.caps), ctx,
-            optimized=True)
+    found: Dict = {}
+    K = ktm(compiled, _scheme_spec(scheme, bound, ctx, args.caps, found),
+            ctx, optimized=True)
     built = encoding_size(K)
     K = simplify(K)
     domain_text, problem_text = pddl.emit_classical(K)
@@ -162,7 +171,7 @@ def cmd_translate(args) -> int:
         "translation": translation_summary(K),
         "built": built,
     }
-    widths = report["widths"] = _width_report(compiled, ctx)
+    widths = report["widths"] = _width_report(compiled, ctx, found)
     if bound is not None and widths["width"] > bound:
         report["warning"] = (
             f"problem width {widths['width']} exceeds the bound "

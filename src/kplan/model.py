@@ -100,10 +100,6 @@ def _check_rule(r: Rule) -> Rule:
     return r
 
 
-def rule(condition: Iterable[Literal], effect: Literal) -> Rule:
-    return _check_rule(Rule(frozenset(condition), effect))
-
-
 @dataclass(frozen=True)
 class NondetRule:
     """Nondeterministic effect C -> oneof(S_1, ..., S_m).
@@ -129,10 +125,6 @@ class Action(NamedTuple):
     @property
     def deterministic(self) -> bool:
         return not self.nondet_rules
-
-
-def action(name, preconditions=(), rules=(), nondet_rules=()):
-    return Action(name, frozenset(preconditions), tuple(rules), tuple(nondet_rules))
 
 
 @dataclass(frozen=True)

@@ -91,8 +91,7 @@ def spec_k0() -> TranslationSpec:
     return make_spec((), (), trusted=True)
 
 
-def spec_ks0(ctx: Context, cap: int = DEFAULT_STATE_CAP,
-             include_all: bool = False) -> TranslationSpec:
+def spec_ks0(ctx: Context, cap: int = DEFAULT_STATE_CAP) -> TranslationSpec:
     """Tags = the possible initial states, restricted to the unknown
     fluents.  The units fix the known fluents, so each model of I over the
     unknown ones is exactly one initial state, and ``cap`` counts states."""
@@ -100,8 +99,7 @@ def spec_ks0(ctx: Context, cap: int = DEFAULT_STATE_CAP,
         tags = frozenset(ctx.pi.models(ctx.pi.unknown_fluents(), cap=cap))
     except ValidityUndecidedAtCap as exc:
         raise TooManyInitialStates(str(exc)) from exc
-    merges = [Merge(tags, L)
-              for L in target_literals(ctx.problem, include_all)]
+    merges = [Merge(tags, L) for L in target_literals(ctx.problem)]
     return make_spec(tags, merges, trusted=True)
 
 
@@ -126,17 +124,20 @@ def spec_kmodels(ctx: Context, cap: int = DEFAULT_MODEL_CAP,
     return make_spec((), merges, trusted=True)
 
 
-def spec_ki(ctx: Context, i: int, include_all: bool = False) -> TranslationSpec:
+def spec_ki(ctx: Context, i: int, include_all: bool = False,
+            widths: Optional[Dict] = None) -> TranslationSpec:
     """Bounded-width scheme: per target literal, the cover of the witness
     of its width search capped at i (the least clause subset of size <= i
     whose cover satisfies its relevant clauses); when its width exceeds i,
-    one cover per size-i subset (sound but possibly incomplete)."""
+    one cover per size-i subset (sound but possibly incomplete).  When
+    given, ``widths`` receives L -> (width, witness) for each target L of
+    width <= i: what an uncapped search would find."""
     if i < 0:
         raise ValueError("i must be >= 0")
     merges: List[Merge] = []
     for L in target_literals(ctx.problem, include_all):
         try:
-            _, witness = width_of_literal(ctx.ci, L, ctx.rel, ctx.pi, cap=i)
+            found = width_of_literal(ctx.ci, L, ctx.rel, ctx.pi, cap=i)
         except WidthSearchCap:
             pool = ctx.relevant_clause_set(L).extended
             for C in itertools.combinations(pool, i):
@@ -144,6 +145,9 @@ def spec_ki(ctx: Context, i: int, include_all: bool = False) -> TranslationSpec:
                 if frozenset(cov) != frozenset((EMPTY_TAG,)):
                     merges.append(Merge(frozenset(cov), L))
             continue
+        if widths is not None:
+            widths[L] = found
+        witness = found[1]
         if witness:  # empty when L has no relevant clauses
             merges.append(Merge(frozenset(cover(witness, ctx.pi)), L))
     return make_spec((), merges, trusted=True)
@@ -188,9 +192,12 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
     Without ``optimized`` this is the literal K_T,M translation, the
     default; ``kplan translate`` and ``kplan solve`` only build the
     rewritten one, which ``simplify`` then shrinks.  With ``optimized``
-    the builder applies four rewrites.  (2) and (4) only keep the build
-    small: ``simplify``, which runs after it, reaches the same final
-    encodings without them.
+    the builder applies five rewrites.  (2), (4) and (5) only keep the
+    build small: ``simplify``, which runs after it, reaches the same final
+    encodings without them, but for the name of an atom: without (5), on
+    3 of 1800 random ``ks0`` problems (suites 1, 2, 3 and 4242 with
+    reachable goals), it keeps one of two equivalent atoms under the
+    other's name.
     (1) KL/t is built once per projection p of t onto L: the literals of
     t* outside the closure of the empty tag that are relevant to L.  Each
     condition c of a rule with head L has relevant_to(c) within
@@ -215,8 +222,6 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
     (3) effects C,~L -> L of actions that never delete L yield the extra
     deduction rule KC -> KL.  This one changes the search: without it,
     the ``ki:1`` search of bomb-12-4 expands 63124 nodes instead of 116.
-    On bomb every dunk then sets Knot-armed-p, and ``simplify`` drops the
-    merges to it, which this makes redundant, with their tagged atoms.
     (4) A literal c that no source rule sets, and whose atom Kc no merge
     sets (as its target, or as the complement of a literal mutex with
     it), is folded.  Each atom Kc/p starts true iff c is in p or the
@@ -234,6 +239,23 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
     disjtoy-9 ``ks0`` 540/4618 instead of 513/2314; folding only the c
     whose fluent no rule sets, bomb-16-16 ``ki:1`` built 128/2352
     instead of 96/1328.
+    (5) No merge to a target L is built when no source rule sets ~L,
+    each source rule that sets L has a condition within {~L}, and ~L is
+    the only literal mutex with L; by (2), nor are the tags and tagged
+    atoms that only such merges read, and (4) counts only the merges
+    that are built.  Nothing deletes KL then, as only
+    the cancellation rules of rules that set ~L can.  A step that makes
+    some KL/t true fires a rule that sets L, whose action then also sets
+    KL: by the support rule true -> KL, or by (3)'s deduction rule when
+    the condition is {~L}, as no rule sets ~L.  A reset makes KL/t true
+    only where KL holds.  If every KL/t of a merge holds at the start, L
+    is in t* for each t of a valid merge, so I entails L and KL starts
+    true.  So wherever a merge's condition holds, KL does, and the merge,
+    whose only effect is KL as L has no other mutex partner, changes no
+    reachable state.  On bomb the goal literals ~armed-p are such
+    targets: bomb-16-16 ``ki:1`` builds 48/800 atoms/effects instead of
+    96/1328 (bomb-10-10 30/320 instead of 60/530, bomb-12-4 20/152
+    instead of 56/260), and ``simplify`` runs one pass instead of two.
 
     The build is keyed by (literal, projection), a projection being a
     bitmask over the sorted literals (``ctx.rel``, the table that
@@ -278,6 +300,15 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
             if not pi.merge_valid(m):
                 raise InvalidSpec(f"invalid merge for {m.target}")
 
+    ruled = {r.effect for a in problem.actions for r in a.rules}
+    merges = spec.merges
+    if optimized:  # rewrite (5): no merge to a literal that nothing deletes
+        guarded = {r.effect for a in problem.actions for r in a.rules
+                   if not r.condition <= {r.effect.negate()}}
+        merges = tuple(m for m in merges if not (
+            m.target.negate() not in ruled and m.target not in guarded
+            and set(ctx.mutexes.mutex_with(m.target)) <= {m.target.negate()}))
+
     # the literals KL/p may be projected onto: those relevant to L under
     # the rewrites; all of them without, where p is the whole tag
     scope = relevant if optimized else dict.fromkeys(lits, -1)
@@ -289,7 +320,7 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
     # merged through t, until t is built; then the literals of t*
     # outside the closure of the empty tag, t itself without the rewrites
     mask_of: Dict[Tag, int] = {}
-    for m in spec.merges:
+    for m in merges:
         for t in m.tags:
             mask_of[t] = mask_of.get(t, 0) | relevant[m.target]
     # per head L: the p of the atoms KL/p whose rules are built; and
@@ -341,11 +372,10 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
     if optimized:
         changed = changed_fluents(problem)
         merged = set()
-        for m in spec.merges:
+        for m in merges:
             merged.add(m.target)
             merged.update(o.negate() for o in ctx.mutexes.mutex_with(m.target))
-        folded = set(lits).difference(
-            [r.effect for a in problem.actions for r in a.rules], merged)
+        folded = set(lits).difference(ruled, merged)
 
     # a rule with head KL/p names each condition c Kc/(p & scope[c]):
     # every tag that gives L the projection p gives c that one, as
@@ -395,7 +425,7 @@ def ktm(problem: ConformantProblem, spec: TranslationSpec,
         actions.append(Action(a.name, precs,
                               tuple(sorted(rules, key=Rule.sort_key))))
 
-    for m in dict.fromkeys(spec.merges):  # a merge listed twice is one action
+    for m in dict.fromkeys(merges):  # a merge listed twice is one action
         L = m.target
         cond = share(frozenset(lit(names[L, mask_of[t] & scope[L]])
                                for t in m.tags))
@@ -466,8 +496,10 @@ def simplify(K: ClassicalProblem) -> ClassicalProblem:
     drops and the idle rules.  A rule C -> B is idle when B is false at
     the start, no firing rule makes B false, and a literal of C implies B
     by (4)'s test.  Where it fires B already holds, and nothing can clash
-    with it, as nothing makes B false; so it changes nothing.  On bomb
-    this drops the merges to Knot-armed-p, which every dunk sets.  A rule
+    with it, as nothing makes B false; so it changes nothing.  ``ktm``'s
+    rewrite (5) builds no merge of this kind that the source rules show,
+    such as bomb's to Knot-armed-p; on random problems this drops others.
+    A rule
     C -> B is idle too when C holds B (by class) and no firing rule of
     its action sets ~B under a condition that holds no class at both
     values with C: where it fires B holds, and nothing clashes with it.

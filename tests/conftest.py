@@ -19,14 +19,12 @@ from kplan import (
     Literal,
     Merge,
     Plan,
-    action,
     apply,
     conformant_problem,
     make_spec,
     neg,
     pos,
     restrict,
-    rule,
     run_plan,
 )
 from kplan import analysis, generators, pddl
@@ -50,6 +48,19 @@ from kplan.translate import (
     nondet_compile,
 )
 from kplan.verify import DEFAULT_STATE_CAP, initial_states
+
+
+# --- problem construction -----------------------------------------------------
+
+def rule(condition: Iterable[Literal], effect: Literal) -> Rule:
+    """The rule condition -> effect; ``conformant_problem`` checks that
+    its condition holds no complementary pair."""
+    return Rule(frozenset(condition), effect)
+
+
+def action(name, preconditions=(), rules=(), nondet_rules=()) -> Action:
+    return Action(name, frozenset(preconditions), tuple(rules),
+                  tuple(nondet_rules))
 
 
 # --- reference PDDL tokenizer -----------------------------------------------------
@@ -1015,32 +1026,63 @@ def project_reference(K: ClassicalProblem, problem: ConformantProblem,
 
 def fold_reference(K: ClassicalProblem, problem: ConformantProblem,
                    spec: TranslationSpec, ctx: Context) -> ClassicalProblem:
-    """``project_reference``'s encoding K with the folded literals: a
-    literal c that no rule of ``problem`` sets, and whose atom Kc no merge
-    sets (as its target, or as the complement of a literal mutex with its
-    target).  Each atom Kc/p that K names, for the projection p of a tag
-    onto c, starts true iff c is in p or I entails c, and never becomes
-    true, as no rule sets it; it is a constant if it starts false or no
-    rule sets ~c either.  A support or cancellation rule with a conjunct
-    that never holds goes, and so does a rule whose head is a constant
-    atom; the conjuncts that always hold are left out of the others.
-    The extra deduction rules KC -> KL of ``reference_ktm`` stay as they
-    are, and so do the merges, the preconditions and the goal.  Only the
-    atoms still mentioned are declared."""
-    heads = {r.effect for a in problem.actions for r in a.rules}
+    """``project_reference``'s encoding K less the idle merges, and with
+    the folded literals.
+
+    A merge to L is idle when no rule of ``problem`` sets ~L, each rule
+    that sets L has a condition within {~L}, and ~L is the only literal
+    mutex with L.  Its action goes.  A rule with head KL/p, p not empty,
+    then stays only if some tag whose projection onto L is p is merged
+    through to a target, not idle, that L is relevant to.
+
+    A literal c is folded when no rule of ``problem`` sets it and no merge
+    that stays sets its atom Kc (as its target, or as the complement of a
+    literal mutex with its target).  Each atom Kc/p that K names, for the
+    projection p of a tag onto c, starts true iff c is in p or I entails
+    c, and never becomes true, as no rule sets it; it is a constant if it
+    starts false or no rule sets ~c either.  A support or cancellation
+    rule with a conjunct that never holds goes, and so does a rule whose
+    head is a constant atom; the conjuncts that always hold are left out
+    of the others.  The extra deduction rules KC -> KL of
+    ``reference_ktm`` stay as they are, and so do the preconditions and
+    the goal.  Only the atoms still mentioned are declared."""
+    rules_of = [r for a in problem.actions for r in a.rules]
+    heads = {r.effect for r in rules_of}
+
+    def idle(L: Literal) -> bool:
+        return L.negate() not in heads and all(
+            r.condition <= {L.negate()} for r in rules_of if r.effect == L
+        ) and not any(ctx.mutexes.mutex(L, o)
+                      for o in all_literals(problem.fluents)
+                      if o != L.negate())
+
+    merges = [m for m in spec.merges if not idle(m.target)]
+    kept = {merge_action_name(m) for m in merges}
+    units = ctx.pi.closure(EMPTY_TAG)
+
+    def relevant_to(L: Literal) -> FrozenSet[Literal]:
+        return frozenset(masked(ctx.rel.lits, ctx.rel.relevant[L]))
+
+    def projection(t: Tag, L: Literal) -> FrozenSet[Literal]:
+        return (ctx.pi.closure(t) - units) & relevant_to(L)
+
+    tagged = {atom_name(L, projection(t, L)) for t in spec.tags
+              for L in all_literals(problem.fluents) if projection(t, L)}
+    read = {atom_name(L, projection(t, L)) for m in merges for t in m.tags
+            for L in relevant_to(m.target)}
+    unread = tagged - read
+
     changed = {L.fluent for L in heads}
     merged = set()
-    for m in spec.merges:
+    for m in merges:
         merged.add(m.target)
         merged |= {o.negate() for o in ctx.mutexes.mutex_with(m.target)}
-    units = ctx.pi.closure(EMPTY_TAG)
     extras = {ctx.pi.closure(t) - units for t in spec.tags}
     value: Dict[str, bool] = {}  # each constant atom -> its value
     for c in all_literals(problem.fluents):
         if c in heads or c in merged:
             continue
-        relevant_to_c = frozenset(masked(ctx.rel.lits, ctx.rel.relevant[c]))
-        for p in {extra & relevant_to_c for extra in extras}:
+        for p in {extra & relevant_to(c) for extra in extras}:
             start = c in p or c in units
             if not start or c.fluent not in changed:
                 value[atom_name(c, p)] = start
@@ -1048,7 +1090,8 @@ def fold_reference(K: ClassicalProblem, problem: ConformantProblem,
     actions = []
     for a in K.actions:
         if a.name in K.merges:
-            actions.append(a)
+            if a.name in kept:
+                actions.append(a)
             continue
         source = problem.action_by_name(a.name)
         heads = {r.effect for r in source.rules}
@@ -1067,9 +1110,10 @@ def fold_reference(K: ClassicalProblem, problem: ConformantProblem,
                 rules.add(r)
                 if r not in plain_support:
                     continue  # only a deduction rule
-            if r.effect.fluent not in value and all(
-                    value[l.fluent] == l.positive
-                    for l in r.condition if l.fluent in value):
+            if r.effect.fluent in value or r.effect.fluent in unread:
+                continue
+            if all(value[l.fluent] == l.positive
+                   for l in r.condition if l.fluent in value):
                 rules.add(Rule(frozenset(l for l in r.condition
                                          if l.fluent not in value),
                                r.effect))
@@ -1134,8 +1178,8 @@ def _reference_models(pi, variables: Iterable[str],
     return enumerate_models(constraints, varset, cap=cap)
 
 
-def reference_spec_ks0(ctx: Context, cap: int = DEFAULT_STATE_CAP,
-                       include_all: bool = False) -> TranslationSpec:
+def reference_spec_ks0(ctx: Context, cap: int = DEFAULT_STATE_CAP
+                       ) -> TranslationSpec:
     """`kplan.translate.spec_ks0` as it was before it trusted the PI form:
     every model over all the fluents, each restricted to the unknown ones."""
     unknown = set(ctx.pi.unknown_fluents())
@@ -1145,8 +1189,7 @@ def reference_spec_ks0(ctx: Context, cap: int = DEFAULT_STATE_CAP,
         raise TooManyInitialStates(str(exc)) from exc
     tags = {frozenset(l for l in s if l.fluent in unknown) for s in states}
     tagset = frozenset(tags)
-    merges = [Merge(tagset, L)
-              for L in target_literals(ctx.problem, include_all)]
+    merges = [Merge(tagset, L) for L in target_literals(ctx.problem)]
     return make_spec(tags, merges, trusted=True)
 
 

@@ -16,17 +16,19 @@ from kplan import (
     relevance,
     relevant_clauses,
     satisfies,
+    spec_ki,
     width,
     width_of_literal,
 )
 from kplan import cli, pddl
 from kplan.analysis import all_literals, masked, target_literals
 from kplan.errors import InconsistentInit, WidthSearchCap
-from kplan.model import action, conformant_problem, rule
+from kplan.model import conformant_problem
 
 from conftest import (
     BENCH_INSTANCES,
     SMALL_INSTANCES,
+    action,
     build_tiny,
     compiled_instance,
     one_dispose,
@@ -36,6 +38,7 @@ from conftest import (
     reference_mutex_set,
     reference_relevance,
     reference_width_of_literal,
+    rule,
 )
 
 
@@ -268,6 +271,31 @@ def test_one_dispose_searches_one_object_at_a_time(monkeypatch):
         "width": 4,
         "witness": [[f"obj-at-o{j}-c{i}" for i in range(1, 5)]
                     for j in range(1, 5)]}
+
+
+def test_width_report_reuses_the_searches_of_spec_ki(monkeypatch):
+    """spec_ki hands on the (width, witness) of each target of width at
+    most its bound, as an uncapped search finds them, and the report
+    built from them is the one that searches every target."""
+    for family, params in SMALL_INSTANCES + [("bomb", (16, 16))]:
+        problem = compiled_instance(family, params)[0]
+        ctx = build_context(problem)
+        uncapped = {L: width_of_literal(ctx.ci, L, ctx.rel, ctx.pi)
+                    for L in target_literals(problem)}
+        full = cli._width_report(problem, ctx)
+        for i in (0, 1, 2):
+            found = {}
+            spec_ki(ctx, i, widths=found)
+            assert found == {L: w for L, w in uncapped.items() if w[0] <= i}
+            assert cli._width_report(problem, ctx, found) == full
+    # bomb-16-16's 32 targets have width <= 1: ki:1 searches none again
+    found = {}
+    spec_ki(ctx, 1, widths=found)
+    searched = []
+    monkeypatch.setattr(cli, "width_of_literal",
+                        lambda *args: searched.append(args))
+    cli._width_report(problem, ctx, found)
+    assert len(found) == 32 and not searched
 
 
 def test_width_zero_for_classical_input():

@@ -31,8 +31,13 @@ A fifth scan fails on a function or method of ``src/kplan`` whose name
 only tests use: nothing in ``src/kplan`` but its definition and the
 export list, and nothing in ``perfbench``.  A method counts as used only
 through an attribute or an exact string, as a bare name is a module
-function or a local.  The oracles the tests judge
-kplan by are listed, each with its reason, as the exceptions.
+function or a local.  A module function counts as used through a bare
+name only where no enclosing function or comprehension binds that name
+(``symtable`` tells), through an imported name or an attribute, or
+through a string that names an attribute: the second argument of
+``getattr``, ``setattr``, ``hasattr`` or ``delattr``, or the second item
+of an (owner, name) pair.  The references the tests judge kplan by are
+listed, each with its reason, as the exceptions.
 
 A sixth scan fails on an attribute that a method of a ``src/kplan``
 class sets on ``self``, or on the object its ``__new__`` builds, and
@@ -41,6 +46,7 @@ kplan then keeps a value that only tests look at.
 """
 
 import ast
+import symtable
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -400,16 +406,50 @@ def reached(source: str):
     return out
 
 
+NAMING = {"getattr", "setattr", "hasattr", "delattr"}
+
+
+def reached_at_module_level(source: str):
+    """The names by which the source can reach a module function: a bare
+    name that no enclosing function or comprehension binds, an imported
+    name, an attribute, and a string that names an attribute, as the
+    second argument of a call in ``NAMING`` or of an (owner, name) pair."""
+    out = set()
+    tables = [symtable.symtable(source, "<scanned>", "exec")]
+    while tables:
+        table = tables.pop()
+        tables += table.get_children()
+        out.update(sym.get_name() for sym in table.get_symbols()
+                   if sym.is_referenced() and sym.is_global())
+    for node in ast.walk(ast.parse(source)):
+        items = []
+        if isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None)
+                or getattr(node.func, "attr", None)) in NAMING:
+            items = node.args
+        elif isinstance(node, ast.Tuple) and len(node.elts) == 2:
+            items = node.elts
+        if len(items) > 1 and isinstance(items[1], ast.Constant) \
+                and isinstance(items[1].value, str):
+            out.add(items[1].value)
+    return out
+
+
 def used_only_by_tests(package, program):
     """The functions and methods, as ``module.qualified``, of the package's
-    (module, source) pairs whose name appears in none of the program's
-    sources but at its own definition; a method's name must appear as an
-    attribute or a string."""
-    appearing = set().union(*(uses(s)[0] for s in program))
+    (module, source) pairs that none of the program's sources reaches
+    but at its own definition: a module function by
+    ``reached_at_module_level``, a method by an attribute or a string."""
+    functions_reached = set().union(*(reached_at_module_level(s)
+                                      for s in program))
     attributes = set().union(*(reached(s) for s in program))
     return [f"{module}.{q}" for module, source in package
             for q, n in functions(source)
-            if n not in (attributes if "." in q else appearing)]
+            if n not in (attributes if "." in q else functions_reached)]
 
 
 def test_the_scan_finds_functions_only_tests_use():
@@ -431,31 +471,52 @@ def test_the_scan_finds_functions_only_tests_use():
                "def outer():\n"
                "    def shadowed():\n"
                "        pass\n"
-               "    return shadowed()\n")
-    bench = "setattr(m, 'traced', wrap(m.traced))\nC().used()\nm.outer()\n"
+               "    return shadowed()\n"
+               "def width():\n"
+               "    pass\n"
+               "def rule():\n"
+               "    pass\n"
+               "def action():\n"
+               "    pass\n"
+               "def keyed():\n"
+               "    pass\n"
+               "def fetched():\n"
+               "    pass\n"
+               "def paired():\n"
+               "    pass\n")
+    bench = ("setattr(m, 'traced', wrap(m.traced))\nC().used()\nm.outer()\n"
+             "def user(width):\n"
+             "    rows = [rule for rule in width]\n"
+             "    for action in rows:\n"
+             "        print(action, {'keyed': rows})\n"
+             "    return getattr(m, 'fetched'), (m, 'paired')\n")
     assert used_only_by_tests([("m", package)], [package, bench]) == [
-        "m.C.tested", "m.C.shadowed", "m.oracle"]
+        "m.C.tested", "m.C.shadowed", "m.oracle", "m.width", "m.rule",
+        "m.action", "m.keyed"]
 
 
-# the oracles the tests judge kplan by; kplan itself never calls them
-ORACLES = {
+# the references the tests judge kplan by; kplan itself never calls them
+REFERENCES = {
     "verify.belief_bfs": "exact belief-space search, the shortest "
                          "conformant plans the planner is judged by",
     "planner.bfs_optimal": "exact classical search, the optimal plan "
                            "lengths the translations are judged by",
     "verify.build_basis": "the paper's basis of initial states, by which "
                           "the merges of a spec are judged",
+    "analysis.width": "the paper's conformant width of a problem, by which "
+                      "criteria 03 and 07 judge the families and the "
+                      "completeness of ki:i",
 }
 
 
 def test_every_function_is_used_by_the_program():
     """A function that only tests call is dead code kept alive by its
-    tests, unless it is an oracle they judge kplan by.  The export list
+    tests, unless it is a reference they judge kplan by.  The export list
     is no use, and nor is a test: the program is ``src/kplan`` without
     ``__init__.py``, and ``perfbench``."""
     found = used_only_by_tests([(p.stem, p.read_text()) for p in PACKAGE],
                                [p.read_text() for p in PROGRAM])
-    assert sorted(found) == sorted(ORACLES)
+    assert sorted(found) == sorted(REFERENCES)
 
 
 def set_attributes(source: str):

@@ -9,13 +9,11 @@ from kplan import (
     NotAPossibleInitialState,
     Plan,
     PreconditionViolation,
-    action,
     apply,
     conformant_problem,
     neg,
     pos,
     restrict,
-    rule,
     run_plan,
 )
 from kplan import generators, pddl
@@ -33,6 +31,8 @@ from kplan.planner import Grounded
 from kplan.translate import (cnf_goal_compile, inject_reset_effects, ktm,
                              nondet_compile, spec_ki, spec_kmodels)
 from kplan.verify import Verdict, build_basis
+
+from conftest import action, rule
 
 
 def test_literal_basics():
@@ -53,8 +53,10 @@ def test_consistency_and_tautology():
 
 
 def test_rule_rejects_inconsistent_condition():
-    with pytest.raises(ValueError):
-        rule([pos("p"), neg("p")], pos("q"))
+    bad = rule([pos("p"), neg("p")], pos("q"))
+    with pytest.raises(ValueError, match="complementary pair"):
+        conformant_problem(["p", "q"], [], [action("a", rules=[bad])],
+                           [pos("q")])
 
 
 def test_conformant_problem_rejects_an_inconsistent_rule_condition():

@@ -16,11 +16,11 @@ from kplan import (
     pos,
 )
 from kplan import pipeline
-from kplan.model import action, conformant_problem, rule
+from kplan.model import conformant_problem
 from kplan.planner import SolveResult, SolveStatus
 from kplan import generators, pddl
 
-from conftest import is_conformant
+from conftest import action, is_conformant, rule
 
 
 def strip_timings(value):

@@ -23,8 +23,6 @@ from kplan.model import (
     ClassicalProblem,
     Plan,
     RunResult,
-    action,
-    rule,
     run_plan,
 )
 from kplan.planner import INF, Grounded
@@ -32,6 +30,7 @@ from kplan.translate import inject_reset_effects
 
 from conftest import (
     TINY_PLAN,
+    action,
     build_pickdrop,
     build_tiny,
     compiled_instance,
@@ -39,6 +38,7 @@ from conftest import (
     reference_bfs_optimal,
     reference_grounded,
     reference_solve,
+    rule,
 )
 
 

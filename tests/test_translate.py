@@ -23,7 +23,7 @@ from kplan import (
 from kplan import pddl
 from kplan.analysis import all_literals, masked
 from kplan.errors import CapExceeded, UnsupportedFeature
-from kplan.model import NondetRule, Rule, action, conformant_problem, rule
+from kplan.model import NondetRule, Rule, conformant_problem
 from kplan.pi import PICNF
 from kplan.translate import (
     TranslationSpec,
@@ -41,6 +41,7 @@ from conftest import (
     SMALL_INSTANCES,
     TINY_BAD,
     TINY_PLAN,
+    action,
     classical_accepts,
     coin_problem,
     compiled_instance,
@@ -52,6 +53,7 @@ from conftest import (
     reference_spec_ki,
     reference_spec_kmodels,
     reference_spec_ks0,
+    rule,
 )
 from kplan.planner import bfs_optimal
 
@@ -236,7 +238,7 @@ def test_merge_actions_conclude_and_are_repeatable(pickdrop):
 SPECS = {
     "k0": lambda ctx, include_all: spec_k0(),
     "ki:1": lambda ctx, include_all: spec_ki(ctx, 1, include_all),
-    "ks0": lambda ctx, include_all: spec_ks0(ctx, include_all=include_all),
+    "ks0": lambda ctx, include_all: spec_ks0(ctx),
     "kmodels": lambda ctx, include_all: spec_kmodels(
         ctx, include_all=include_all),
 }
@@ -547,9 +549,9 @@ def test_spec_ki_matches_reference_on_generated(family, params):
 
 # --- spec_ks0 and spec_kmodels against their re-checking forms -----------------
 
-def _spec_or_error(build, ctx, include_all, caps):
+def _spec_or_error(build, ctx, caps):
     try:
-        return build(ctx, include_all=include_all, **caps)
+        return build(ctx, **caps)
     except CapExceeded as exc:
         return type(exc), str(exc)
 
@@ -557,13 +559,17 @@ def _spec_or_error(build, ctx, include_all, caps):
 def _check_model_specs_against_reference(ctx, include_all):
     """The model-based specs, which trust the PI form, equal the forms that
     re-check it, cap errors and their messages included; returns the
-    outcomes compared."""
+    outcomes compared.  ``spec_ks0`` merges to the targets alone, so it
+    is compared only without ``include_all``."""
+    cases = [(spec_kmodels, reference_spec_kmodels,
+              {"include_all": include_all})]
+    if not include_all:
+        cases.insert(0, (spec_ks0, reference_spec_ks0, {}))
     outcomes = []
-    for build, reference in ((spec_ks0, reference_spec_ks0),
-                             (spec_kmodels, reference_spec_kmodels)):
+    for build, reference, options in cases:
         for caps in ({}, {"cap": 8}, {"cap": 4}):
-            got = _spec_or_error(build, ctx, include_all, caps)
-            want = _spec_or_error(reference, ctx, include_all, caps)
+            got = _spec_or_error(build, ctx, dict(options, **caps))
+            want = _spec_or_error(reference, ctx, dict(options, **caps))
             assert got == want, (build.__name__, caps)
             outcomes.append(got)
     return outcomes
@@ -581,7 +587,7 @@ def test_model_specs_match_reference_on_random_suites():
                 outcomes += _check_model_specs_against_reference(
                     ctx, include_all)
     errors = sum(isinstance(o, tuple) for o in outcomes)
-    assert len(outcomes) == 40 * 20 * 2 * 6
+    assert len(outcomes) == 40 * 20 * (6 + 3)
     assert errors >= 1000 and len(outcomes) - errors >= 5000, errors
 
 
@@ -630,9 +636,54 @@ def test_merges_are_the_merge_actions_ktm_adds(family, params):
     problem = compiled_instance(family, params)[0]
     ctx = build_context(problem)
     source = {a.name for a in problem.actions}
+    # rewrite (5) builds no merge to ~armed-pi on bomb: only dunk sets
+    # it, under the condition armed-pi, and nothing deletes it
+    idle = {neg(f"armed-p{i}") for i in range(1, params[0] + 1)} \
+        if family == "bomb" else set()
     for spec in (spec_ki(ctx, 1), spec_kmodels(ctx)):
         minted = {merge_action_name(m) for m in spec.merges}
+        skipped = {merge_action_name(m) for m in spec.merges
+                   if m.target in idle}
+        assert len(skipped) == len(idle)
         for optimized in (True, False):
             K = ktm(problem, spec, ctx, optimized=optimized)
-            assert K.merges == minted
+            assert K.merges == (minted - skipped if optimized else minted)
             assert {a.name for a in K.actions} - K.merges == source
+
+
+def idle_merge_problem(broken: str):
+    """One of x, y holds initially, and a makes ~x true under x.  The goal
+    ~x is then a target whose merges rewrite (5) skips, unless
+    ``broken`` names the one premise that fails: (a) a rule of b sets x;
+    (b) a's rule also needs z; (c) a also sets w, which I gives under ~x,
+    so ~x is mutex with ~w too."""
+    init = [frozenset((pos("x"), pos("y"))), frozenset((neg("x"), neg("y")))]
+    rules = [rule([pos("x")], neg("x"))]
+    actions = []
+    if broken == "a":
+        actions.append(action("b", rules=[rule([], pos("x"))]))
+    elif broken == "b":
+        rules = [rule([pos("x"), pos("z")], neg("x"))]
+    elif broken == "c":
+        rules.append(rule([pos("x")], pos("w")))
+        init.append(frozenset((pos("x"), pos("w"))))
+    actions.append(action("a", rules=rules))
+    return conformant_problem(["w", "x", "y", "z"], init, actions,
+                              [neg("x")])
+
+
+@pytest.mark.parametrize("broken", ["none", "a", "b", "c"])
+def test_ktm_skips_only_the_idle_merges(broken):
+    problem = idle_merge_problem(broken)
+    ctx = build_context(problem)
+    partners = {str(o) for o in ctx.mutexes.mutex_with(neg("x"))}
+    assert partners == ({"x", "~w"} if broken == "c" else {"x"})
+    for spec in (spec_ki(ctx, 1), spec_kmodels(ctx)):
+        minted = {merge_action_name(m) for m in spec.merges}
+        assert minted and all(m.target == neg("x") for m in spec.merges)
+        K = ktm(problem, spec, ctx, optimized=True)
+        assert K.merges == (set() if broken == "none" else minted)
+        # the skipped merges change no optimal plan length
+        lengths = {getattr(bfs_optimal(M, depth_cap=3), "stripped_length",
+                           None) for M in (K, ktm(problem, spec, ctx))}
+        assert len(lengths) == 1 and (broken == "b") == (None in lengths)

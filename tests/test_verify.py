@@ -35,7 +35,7 @@ from kplan import (
 from kplan.analysis import target_literals
 from kplan.errors import UnsupportedFeature
 from kplan import generators, pddl
-from kplan.model import NondetRule, action, conformant_problem, rule, sorted_lits
+from kplan.model import NondetRule, conformant_problem, sorted_lits
 from kplan.pi import enumerate_models
 from kplan.verify import zero_approx_step
 
@@ -43,6 +43,7 @@ from conftest import (
     BENCH_INSTANCES,
     TINY_BAD,
     TINY_PLAN,
+    action,
     all_sequences,
     classical_accepts,
     compiled_instance,
@@ -51,6 +52,7 @@ from conftest import (
     reference_enumerate_states,
     reference_relevance,
     reference_zero_approx_step,
+    rule,
     states_until_cap,
 )
 
